@@ -9,7 +9,7 @@ executions of ActionX and then, by elimination, one execution of ActionY.
 
 import calendar
 
-from tracerecon import ObjectRecord, parse_signature_pack, reconstruct
+from tracerecon import ObjectRecord, match_pack, parse_signature_pack, reconstruct
 from tracerecon.engine import analyze_action, shared_attributions
 
 
@@ -56,7 +56,8 @@ objects = [
 
 print("Step 1 - ActionX on its own evidence")
 print("------------------------------------")
-result = analyze_action(PACK.get("ActionX"), objects)
+matched = match_pack(PACK, objects)  # every pattern, one pass over the objects
+result = analyze_action(PACK.get("ActionX"), matched)
 show("core verdict", result.core_verdict.status.value)
 for instance in result.instances:
     show(
@@ -74,7 +75,7 @@ print()
 
 print("Step 2 - the shared cache objects")
 print("---------------------------------")
-for attribution in shared_attributions(PACK, objects, {"ActionX": result}):
+for attribution in shared_attributions(PACK, matched, {"ActionX": result}):
     claim = attribution.resolved or "unresolved - either action fits"
     show(f"shared value {attribution.cluster.oldest}", claim)
 print()

@@ -36,7 +36,7 @@ from .signatures import (
     SignaturePack,
     TraceCategory,
     TracePattern,
-    match_objects,
+    match_pack,
     merge_packs,
     parse_signature_pack,
 )
@@ -56,7 +56,6 @@ from .engine import (
     cluster_by_threshold,
     core_test,
     disambiguate_shared,
-    get_trace_states,
     reconstruct,
     shared_test,
     support_test,
@@ -121,10 +120,9 @@ __all__ = [
     "disambiguate_shared",
     "estimate_threshold",
     "format_record",
-    "get_trace_states",
     "instance_interval",
     "load_metadata",
-    "match_objects",
+    "match_pack",
     "merge_packs",
     "oracle_check",
     "parse_bodyfile",

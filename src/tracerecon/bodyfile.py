@@ -10,8 +10,11 @@ Field layout, bit-exact::
     MD5|name|inode|mode_as_string|UID|GID|size|atime|mtime|ctime|crtime
 
 Records are newline-terminated, ``|`` is forbidden inside fields, and the
-four time fields are decimal epoch seconds where 0 means "absent".  Lines
-beginning with ``#`` and blank lines are ignored.
+four time fields are decimal epoch seconds where 0 means "absent"; values
+beyond 9999-12-31T23:59:59Z cannot be rendered and are rejected.  Lines
+beginning with ``#`` and blank lines are ignored.  Names are UTF-8; bytes
+that do not decode are kept as lone surrogates (``surrogateescape``), since
+TSK writes file names as the raw bytes it found.
 
 NTFS-oriented kind mapping: ``atime`` is Accessed, ``mtime`` is Modified,
 ``crtime`` is Created and ``ctime`` is carried as MetaChanged.
@@ -31,6 +34,9 @@ from .model import ObjectRecord
 log = logging.getLogger(__name__)
 
 FIELD_COUNT = 11
+
+# 9999-12-31T23:59:59Z, the last second datetime can represent.
+MAX_TIME = 253402300799
 
 _DELETED_SUFFIX = re.compile(r"\s*\(deleted(?:-realloc)?\)$")
 
@@ -85,6 +91,8 @@ class BodyfileLine:
                 raise ValueError(f"{label} is not an integer: {raw!r}") from None
             if value < 0:
                 raise ValueError(f"{label} is negative: {value}")
+            if value > MAX_TIME:
+                raise ValueError(f"{label} is beyond 9999-12-31T23:59:59Z: {value}")
             times.append(value)
         return cls(md5, name, inode, mode, uid, gid, size, *times)
 
@@ -147,9 +155,9 @@ def load_metadata(source: str | Path, format: str = "bodyfile") -> list[ObjectRe
         if str(source) == "-":
             import sys
 
-            text = sys.stdin.read()
+            text = sys.stdin.buffer.read().decode("utf-8", errors="surrogateescape")
         else:
-            text = Path(source).read_text(encoding="utf-8")
+            text = Path(source).read_text(encoding="utf-8", errors="surrogateescape")
     except OSError as exc:
         raise IngestError(f"cannot read metadata from {source}: {exc}") from exc
     records, diagnostics = parse_bodyfile(text)

@@ -218,19 +218,30 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _truth_payload(seed: int, truth) -> dict:
-    return {
+_JSON_SEPARATORS = (",", ":")
+_TRUTH_SLICE = 4096
+
+
+def _write_truth(fh, seed: int, truth) -> None:
+    """Write the ground truth as compact JSON with sorted keys, plus a newline.
+
+    The bytes equal one ``json.dumps`` of the whole document, but the writes
+    are converted and encoded a slice at a time: each slice goes through the
+    C encoder (``json.dump`` streams through the pure-Python one), and the
+    document is never held whole in memory.  ``"writes"`` is the last key
+    in sorted order, so the head closes over it.
+    """
+    head = {
         "seed": seed,
         "instances": [
-            {
-                "index": i.index,
-                "action": i.action,
-                "tau": i.tau,
-                "variant": i.variant,
-            }
+            {"index": i.index, "action": i.action, "tau": i.tau, "variant": i.variant}
             for i in truth.instances
         ],
-        "writes": [
+    }
+    fh.write(json.dumps(head, sort_keys=True, separators=_JSON_SEPARATORS)[:-1])
+    fh.write(',"writes":[')
+    for start in range(0, len(truth.writes), _TRUTH_SLICE):
+        chunk = [
             {
                 "instance": w.instance_index,
                 "path": w.path,
@@ -238,9 +249,12 @@ def _truth_payload(seed: int, truth) -> dict:
                 "value": w.value,
                 "default": w.is_default,
             }
-            for w in truth.writes
-        ],
-    }
+            for w in truth.writes[start:start + _TRUTH_SLICE]
+        ]
+        if start:
+            fh.write(",")
+        fh.write(json.dumps(chunk, sort_keys=True, separators=_JSON_SEPARATORS)[1:-1])
+    fh.write("]}\n")
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
@@ -262,8 +276,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         with open(out_dir / "metadata.body", "w", encoding="utf-8", newline="") as fh:
             write_bodyfile(records, fh)
         with open(out_dir / "truth.json", "w", encoding="utf-8", newline="") as fh:
-            json.dump(_truth_payload(args.seed, truth), fh, sort_keys=True, separators=(",", ":"))
-            fh.write("\n")
+            _write_truth(fh, args.seed, truth)
     except OSError as exc:
         print(f"error: cannot write outputs to {out_dir}: {exc}", file=sys.stderr)
         return EXIT_IO

@@ -1,12 +1,12 @@
 """Reconstruction engine: threshold clustering, consistency tests and
 layered shared-trace disambiguation.
 
-Given ingested object records and a signature pack, the engine resolves each
-signature's patterns into trace states, groups states that lie within the
-action's update threshold of each other into clusters (one cluster per
-inferred instance), checks the always-updated core traces for consistency,
-and finally attributes shared traces by eliminating candidate actions whose
-core evidence rules them out.
+Given ingested object records and a signature pack, the engine resolves all
+patterns into trace states in one pass over the records, groups states that
+lie within the action's update threshold of each other into clusters (one
+cluster per inferred instance), checks the always-updated core traces for
+consistency, and finally attributes shared traces by eliminating candidate
+actions whose core evidence rules them out.
 
 Each surviving cluster becomes an :class:`ActionInstanceApproximation` whose
 interval is ``[oldest - threshold, newest]``: the causing instance ran no
@@ -30,13 +30,7 @@ from .model import (
     TraceState,
     trace_sort_key,
 )
-from .signatures import (
-    Signature,
-    SignaturePack,
-    TraceCategory,
-    match_by_category,
-    match_patterns,
-)
+from .signatures import Bucket, Signature, SignaturePack, TraceCategory, match_pack
 
 
 @dataclass(frozen=True)
@@ -115,13 +109,6 @@ class ActionResult:
     core_verdict: CoreVerdict
     support_clusters: tuple[Cluster, ...]
     instances: tuple[ActionInstanceApproximation, ...]
-
-
-def get_trace_states(
-    objects: Iterable[ObjectRecord], signature: Signature
-) -> list[TraceState]:
-    """All of one signature's trace states, categories merged, sorted ascending."""
-    return match_patterns(signature.traces, objects)
 
 
 def cluster_by_threshold(states: Sequence[TraceState], threshold: int) -> list[Cluster]:
@@ -244,9 +231,12 @@ def _span_gap(a: Cluster, b: Cluster) -> int:
 
 
 def analyze_action(
-    signature: Signature, objects: Iterable[ObjectRecord]
+    signature: Signature, matched: Mapping[Bucket, Sequence[TraceState]]
 ) -> ActionResult:
     """Run the core and supporting analysis for one action.
+
+    ``matched`` holds the trace states :func:`match_pack` found for a pack
+    that contains ``signature``.
 
     When the core traces are consistent, supporting clusters that overlap
     the core window or sit within one threshold of it merge into the same
@@ -257,9 +247,11 @@ def analyze_action(
     time and supporting clusters stand alone, since under overlapping
     executions the pairing of supporting updates to executions is unknown.
     """
-    matched = match_by_category(signature, objects)
-    verdict = core_test(signature.threshold, matched[TraceCategory.CORE])
-    support_clusters = support_test(signature.threshold, matched[TraceCategory.SUPPORTING])
+    name = signature.action_name
+    verdict = core_test(signature.threshold, matched[(name, TraceCategory.CORE)])
+    support_clusters = support_test(
+        signature.threshold, matched[(name, TraceCategory.SUPPORTING)]
+    )
 
     instance_clusters: list[tuple[Cluster, ConfidenceNote]] = []
     if verdict.status is CoreStatus.CONSISTENT and verdict.clusters:
@@ -310,7 +302,7 @@ def analyze_action(
 
 def shared_attributions(
     pack: SignaturePack,
-    objects: Iterable[ObjectRecord],
+    matched: Mapping[Bucket, Sequence[TraceState]],
     per_action_results: Mapping[str, ActionResult],
 ) -> list[SharedAttribution]:
     """Cluster and disambiguate every shared-trace group in the pack.
@@ -320,12 +312,10 @@ def shared_attributions(
     conservative choice when they disagree (a wider window merges more and
     claims fewer separate instances).
     """
-    objects = list(objects)
     attributions: list[SharedAttribution] = []
-    for candidates, patterns in pack.shared_groups():
+    for candidates, _ in pack.shared_groups():
         group_threshold = max(pack.get(name).threshold for name in candidates)
-        states = match_patterns(patterns, objects)
-        attributions.extend(shared_test(group_threshold, states, candidates))
+        attributions.extend(shared_test(group_threshold, matched[candidates], candidates))
     return disambiguate_shared(attributions, per_action_results)
 
 
@@ -351,18 +341,18 @@ def reconstruct(
     known for it (then they merely corroborate it).  Shared evidence can
     prove an action ran, but not that the run was its most recent, so
     appended instances rank as past ones.  Output is sorted newest-first
-    and is a pure function of the inputs.
+    and is a pure function of the inputs.  ``objects`` is iterated once.
     """
-    objects = list(objects)
+    matched = match_pack(pack, objects)
     results: dict[str, ActionResult] = {
-        sig.action_name: analyze_action(sig, objects) for sig in pack
+        sig.action_name: analyze_action(sig, matched) for sig in pack
     }
 
     approximations: list[ActionInstanceApproximation] = []
     for result in results.values():
         approximations.extend(result.instances)
 
-    for attribution in shared_attributions(pack, objects, results):
+    for attribution in shared_attributions(pack, matched, results):
         if attribution.resolved is None:
             continue
         owner = attribution.resolved

@@ -53,6 +53,15 @@ class ConfidenceNote(Enum):
     PARALLEL_INSTANCE_DIAGNOSTIC = "parallel-instance-diagnostic"
 
 
+# The ObjectRecord field holding each timestamp kind.
+TIMESTAMP_FIELDS: dict[TimestampKind, str] = {
+    TimestampKind.ACCESSED: "accessed",
+    TimestampKind.MODIFIED: "modified",
+    TimestampKind.METACHANGED: "metachanged",
+    TimestampKind.CREATED: "created",
+}
+
+
 @dataclass(frozen=True)
 class ObjectRecord:
     """One file-system object and its surviving timestamps.
@@ -83,12 +92,7 @@ class ObjectRecord:
 
     def timestamp(self, kind: TimestampKind) -> Timestamp | None:
         """Return the value of the given timestamp kind, or None if absent."""
-        return {
-            TimestampKind.ACCESSED: self.accessed,
-            TimestampKind.MODIFIED: self.modified,
-            TimestampKind.METACHANGED: self.metachanged,
-            TimestampKind.CREATED: self.created,
-        }[kind]
+        return getattr(self, TIMESTAMP_FIELDS[kind])
 
     @property
     def timestamps(self) -> dict[TimestampKind, Timestamp]:

@@ -25,6 +25,14 @@ Signature file grammar (line-oriented, UTF-8)::
 Blocks are separated by ``---``; ``#`` begins a comment line.  Patterns are
 matched case-insensitively against full normalized paths with search
 semantics (a pattern may match anywhere; a trailing ``$`` is honored).
+
+Matching (:func:`match_pack`) walks the records once for the whole pack and
+fills one bucket per (action, category) and per shared group.  Each distinct
+(pattern, kind) pair is tried once per record, and its regex runs only when
+the pattern's required literal (for ``.*/Prefetch/Firefox\\.EXE-.*\\.pf``,
+``/prefetch/firefox.exe-``) occurs in the lowered path, in the spirit of
+multi-pattern prefilters such as Aho-Corasick and Hyperscan.  The
+prefilter is built inside each call, so loading a pack costs nothing extra.
 """
 
 from __future__ import annotations
@@ -33,9 +41,15 @@ import io
 import re
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import IO, Iterable, Iterator, Mapping
+from typing import IO, Callable, Iterable, Iterator
 
-from .model import ObjectRecord, TimestampKind, TraceState, trace_sort_key
+from .model import (
+    TIMESTAMP_FIELDS,
+    ObjectRecord,
+    TimestampKind,
+    TraceState,
+    trace_sort_key,
+)
 
 
 class TraceCategory(Enum):
@@ -253,47 +267,137 @@ def parse_signature_pack(source: str | IO[str]) -> SignaturePack:
         raise SignatureError(name_line or None, str(exc))
 
 
-def match_patterns(
-    patterns: Iterable[TracePattern], objects: Iterable[ObjectRecord]
-) -> list[TraceState]:
-    """Resolve patterns against objects into sorted trace states.
+# A match bucket: one action's traces of one category, or one shared group
+# (keyed by its candidate-action set, as in SignaturePack.shared_groups).
+Bucket = tuple[str, TraceCategory] | frozenset[str]
 
-    One record contributes at most one state per timestamp kind, no matter
-    how many of the given patterns match it; distinct records matching the
-    same pattern each contribute (a pattern may cover many concrete files).
-    A record lacking the referenced timestamp contributes nothing.
+_REGEX_SPECIALS = frozenset("\\.^$*+?{}[]|()")
+
+
+def _class_end(source: str, start: int) -> int | None:
+    """Index of the ``]`` closing the character class opened at ``start``."""
+    i = start + 1
+    if source[i:i + 1] == "^":
+        i += 1
+    if source[i:i + 1] == "]":
+        i += 1  # a leading ']' is a member, not the end
+    while i < len(source):
+        if source[i] == "\\":
+            i += 2
+        elif source[i] == "]":
+            return i
+        else:
+            i += 1
+    return None
+
+
+def required_literal(source: str) -> str | None:
+    """Lower-cased ASCII text that every match of ``source`` must contain.
+
+    Reads the pattern as a plain concatenation: ASCII characters, ``\\``
+    before punctuation, ``.``, ``[...]``, ``^``, ``$`` and the quantifiers
+    ``* + ?``.  Classes, dots and anchors end a run of literal characters; a
+    quantifier also drops the character it applies to.  The longest run
+    wins.  Any other construct (alternation, groups, counted repeats, ``\\``
+    before a letter or digit, non-ASCII text) gives None, and so does a
+    pattern without literal characters: such patterns always run their
+    regex.
     """
-    by_kind: dict[TimestampKind, list[TracePattern]] = {}
-    for pattern in patterns:
-        by_kind.setdefault(pattern.kind, []).append(pattern)
-    states: list[TraceState] = []
-    for record in objects:
-        for kind, kind_patterns in by_kind.items():
-            value = record.timestamp(kind)
+    runs: list[str] = []
+    run: list[str] = []
+    i = 0
+    while i < len(source):
+        char = source[i]
+        if char == "\\":
+            escaped = source[i + 1:i + 2]
+            if not escaped or not escaped.isascii() or escaped.isalnum():
+                return None
+            run.append(escaped)
+            i += 2
+            continue
+        if char == "[":
+            end = _class_end(source, i)
+            if end is None:
+                return None
+            i = end
+        elif char in "*+?":
+            if run:  # non-empty only when the previous token was a literal
+                run.pop()
+        elif char not in ".^$":
+            if not char.isascii() or char in _REGEX_SPECIALS:
+                return None
+            run.append(char)
+            i += 1
+            continue
+        runs.append("".join(run))
+        run = []
+        i += 1
+    runs.append("".join(run))
+    return max(runs, key=len).lower() or None
+
+
+def match_pack(
+    pack: SignaturePack, records: Iterable[ObjectRecord]
+) -> dict[Bucket, list[TraceState]]:
+    """Resolve every pattern of the pack against the records in one pass.
+
+    Returns a sorted list of trace states for each (action, category) of
+    every signature and for each shared group.  Within a bucket one record
+    contributes at most one state per timestamp kind, however many of the
+    bucket's patterns match it; distinct records matching the same pattern
+    each contribute.  A record lacking the referenced timestamp contributes
+    nothing.
+
+    Patterns are collapsed to unique (source, kind) pairs, each listing the
+    buckets it feeds.  A record's path is searched with a pattern's regex
+    only when the pattern's :func:`required_literal` occurs in the lowered
+    path, so most records cost one substring test per pattern.  Non-ASCII
+    paths always run the regex: case-insensitive regex matching folds
+    characters such as ``ſ`` (to ``s``) and ``İ`` (to ``i``) differently
+    from ``str.lower``.
+    """
+    buckets: dict[Bucket, list[TraceState]] = {
+        (sig.action_name, category): [] for sig in pack for category in TraceCategory
+    }
+    feeds: dict[SharedKey, tuple[re.Pattern, list[Bucket]]] = {}
+    for sig in pack:
+        for trace in sig.traces:
+            key = (trace.source, trace.kind)
+            feeds.setdefault(key, (trace.regex, []))[1].append(
+                (sig.action_name, trace.category)
+            )
+    for key, candidates in pack.shared_index.items():
+        buckets.setdefault(candidates, [])
+        feeds[key][1].append(candidates)
+
+    by_kind: dict[TimestampKind, list[tuple[str | None, Callable, tuple[Bucket, ...]]]] = {}
+    for (source, kind), (regex, targets) in feeds.items():
+        by_kind.setdefault(kind, []).append(
+            (required_literal(source), regex.search, tuple(dict.fromkeys(targets)))
+        )
+    plan = [(TIMESTAMP_FIELDS[kind], kind, entries) for kind, entries in by_kind.items()]
+
+    for record in records:
+        path = record.path
+        lowered = path.lower()
+        ascii_path = path.isascii()
+        for field_name, kind, entries in plan:
+            value = getattr(record, field_name)
             if value is None:
                 continue
-            if any(p.matches(record.path) for p in kind_patterns):
-                states.append(TraceState(record.path, kind, value))
-    states.sort(key=trace_sort_key)
-    return states
-
-
-def match_by_category(
-    signature: Signature, objects: Iterable[ObjectRecord]
-) -> dict[TraceCategory, list[TraceState]]:
-    """Resolve one signature's patterns, split by category, each list sorted."""
-    objects = list(objects)
-    return {
-        category: match_patterns(signature.patterns(category), objects)
-        for category in TraceCategory
-    }
-
-
-def match_objects(
-    pack: SignaturePack, objects: Iterable[ObjectRecord]
-) -> Mapping[str, list[TraceState]]:
-    """All trace states per signature, categories merged, sorted ascending."""
-    objects = list(objects)
-    return {
-        sig.action_name: match_patterns(sig.traces, objects) for sig in pack
-    }
+            state = None
+            for literal, search, targets in entries:
+                if literal is not None and ascii_path and literal not in lowered:
+                    continue
+                if search(path) is None:
+                    continue
+                if state is None:
+                    state = TraceState(path, kind, value)
+                    filled: set[Bucket] = set()
+                for target in targets:
+                    if target not in filled:
+                        filled.add(target)
+                        buckets[target].append(state)
+    for states in buckets.values():
+        states.sort(key=trace_sort_key)
+    return buckets

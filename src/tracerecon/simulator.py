@@ -175,9 +175,11 @@ def apply_instance(
 ) -> tuple[SimState, list[WriteRecord]]:
     """Apply one instance; returns the new state plus the writes performed.
 
-    The input state is not mutated.  Targets are processed in sorted order
-    so the delay draws, and therefore the whole simulation, depend only on
-    the seed and not on set iteration order.
+    The input state is not mutated: the new state shares the inner dicts of
+    every path the variant leaves alone and copies only the paths it
+    touches.  Targets are processed in sorted order so the delay draws, and
+    therefore the whole simulation, depend only on the seed and not on set
+    iteration order.
     """
     if not 0 <= variant_index < len(spec.variants):
         raise SimulationError(
@@ -186,18 +188,20 @@ def apply_instance(
     if tau < 0:
         raise SimulationError("instance time must be non-negative")
     variant = spec.variants[variant_index]
-    new_state: SimState = {path: dict(times) for path, times in state.items()}
+    creates = sorted(variant.creates)
+    updates = sorted(variant.updates, key=lambda t: (t[0], t[1].value))
+    defaults = sorted(variant.defaults, key=lambda t: (t[0], t[1].value, t[2]))
+    new_state: SimState = dict(state)
+    touched = [*creates, *(t[0] for t in updates), *(t[0] for t in defaults)]
+    for path in dict.fromkeys(touched):
+        new_state[path] = dict(state.get(path, {}))
     writes: list[WriteRecord] = []
-    for path in sorted(variant.creates):
-        new_state.setdefault(path, {})
-    for path, kind in sorted(variant.updates, key=lambda t: (t[0], t[1].value)):
+    for path, kind in updates:
         value = tau + rng.randint(0, spec.threshold)
-        new_state.setdefault(path, {})[kind] = value
+        new_state[path][kind] = value
         writes.append((path, kind, value, False))
-    for path, kind, default in sorted(
-        variant.defaults, key=lambda t: (t[0], t[1].value, t[2])
-    ):
-        new_state.setdefault(path, {})[kind] = default
+    for path, kind, default in defaults:
+        new_state[path][kind] = default
         writes.append((path, kind, default, True))
     return new_state, writes
 

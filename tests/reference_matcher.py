@@ -1,0 +1,44 @@
+"""The simple matcher that ``match_pack`` replaced, kept as a test reference.
+
+It makes one pass over the records per bucket and runs every pattern's
+regex on every record, so it has no prefilter that could go wrong.
+"""
+
+from tracerecon.model import TraceState, trace_sort_key
+from tracerecon.signatures import TraceCategory
+
+
+def match_patterns(patterns, objects):
+    """Resolve patterns against objects into sorted trace states.
+
+    One record contributes at most one state per timestamp kind, no matter
+    how many of the given patterns match it; distinct records matching the
+    same pattern each contribute (a pattern may cover many concrete files).
+    A record lacking the referenced timestamp contributes nothing.
+    """
+    by_kind = {}
+    for pattern in patterns:
+        by_kind.setdefault(pattern.kind, []).append(pattern)
+    states = []
+    for record in objects:
+        for kind, kind_patterns in by_kind.items():
+            value = record.timestamp(kind)
+            if value is None:
+                continue
+            if any(p.matches(record.path) for p in kind_patterns):
+                states.append(TraceState(record.path, kind, value))
+    states.sort(key=trace_sort_key)
+    return states
+
+
+def reference_buckets(pack, objects):
+    """What ``match_pack`` must return, one ``match_patterns`` pass per bucket."""
+    objects = list(objects)
+    buckets = {
+        (sig.action_name, category): match_patterns(sig.patterns(category), objects)
+        for sig in pack
+        for category in TraceCategory
+    }
+    for candidates, patterns in pack.shared_groups():
+        buckets[candidates] = match_patterns(patterns, objects)
+    return buckets

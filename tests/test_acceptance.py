@@ -18,6 +18,7 @@ from tracerecon import (
     cluster_by_threshold,
     derive_signatures,
     load_metadata,
+    match_pack,
     oracle_check,
     reconstruct,
     simulate,
@@ -80,7 +81,7 @@ def test_criterion_2_case_study_reproduction(browser_pack):
 
     # the two overlapping runs on computer 1 carry the parallel diagnostic
     c1 = load_metadata(FIXTURES / "computer1.body")
-    ff3_result = analyze_action(browser_pack.get(casedata.FF3), c1)
+    ff3_result = analyze_action(browser_pack.get(casedata.FF3), match_pack(browser_pack, c1))
     assert ff3_result.core_verdict.status is CoreStatus.MULTI_INSTANCE
     for anchor in (epoch(2011, 7, 24, 13, 24, 14), epoch(2011, 7, 24, 15, 2, 31)):
         approx = detections[("computer1", casedata.FF3, anchor)]

@@ -69,6 +69,15 @@ def test_unparseable_numeric_fields_are_diagnosed(raw):
     assert len(diagnostics) == 1
 
 
+def test_times_beyond_year_9999_are_diagnosed():
+    last = "0|C:/x|1|r|0|0|1|253402300799|0|0|0\n"
+    beyond = "0|C:/y|1|r|0|0|1|0|253402300800|0|0\n"
+    records, diagnostics = parse_bodyfile(last + beyond)
+    assert [r.accessed for r in records] == [253402300799]
+    (diag,) = diagnostics
+    assert diag.line_no == 2 and "mtime" in diag.message
+
+
 def test_empty_input_is_not_an_error():
     assert parse_bodyfile("") == ([], [])
 

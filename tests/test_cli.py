@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from tracerecon import parse_scenario, simulate
 from tracerecon.cli import main
 
 import casedata
@@ -123,6 +124,42 @@ def test_scan_output_is_identical_across_runs_and_permutations(capsys, tmp_path)
         assert out == baseline
 
 
+FF3_PREFETCH = "C:/WINDOWS/Prefetch/FIREFOX.EXE-28641590.pf"
+
+
+def test_scan_keeps_names_that_are_not_utf8(capsys, tmp_path):
+    body = tmp_path / "raw.body"
+    body.write_bytes(
+        b"0|C:/Documents and Settings/Jos\xe9/x.txt|1|r|0|0|1|1311516151|1311516151|0|0\n"
+        b"0|C:/Jos\xe9/Prefetch/FIREFOX.EXE-28641590.pf|2|r|0|0|1|0|1311516151|0|0\n"
+    )
+    code, out, err = run(capsys, "scan", str(body), FF3_SIG, "--format", "csv")
+    assert code == 0
+    assert "1 detections" in err
+    assert [row["action"] for row in csv.DictReader(io.StringIO(out))] == [casedata.FF3]
+
+
+def test_scan_reads_raw_bytes_from_stdin(capsys, monkeypatch):
+    data = f"0|C:/Jos\xe9/{FF3_PREFETCH[3:]}|2|r|0|0|1|0|1311516151|0|0\n".encode("latin-1")
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(data)))
+    code, _, err = run(capsys, "scan", "-", FF3_SIG)
+    assert code == 0
+    assert "1 detections" in err
+
+
+def test_scan_skips_times_beyond_year_9999(capsys, tmp_path):
+    body = tmp_path / "huge.body"
+    body.write_text(
+        f"0|{FF3_PREFETCH}|1|r|0|0|1|0|1311516151|0|0\n"
+        f"0|{FF3_PREFETCH}|1|r|0|0|1|0|99999999999999999999|0|0\n"
+    )
+    code, out, err = run(capsys, "scan", str(body), FF3_SIG, "--utc-display", "--format", "csv")
+    assert code == 0
+    assert "1 detections" in err
+    (row,) = csv.DictReader(io.StringIO(out))
+    assert row["interval_end"] == "2011-07-24T14:02:31Z"
+
+
 # --- calibrate -------------------------------------------------------------
 
 
@@ -186,6 +223,30 @@ def test_simulate_writes_deterministic_outputs(capsys, tmp_path):
     assert [i["action"] for i in truth["instances"]] == [
         "open editor", "open viewer", "open editor",
     ]
+
+
+def test_simulate_truth_json_equals_one_dumps_of_the_whole_log(capsys, tmp_path, monkeypatch):
+    monkeypatch.setattr("tracerecon.cli._TRUTH_SLICE", 2)  # several slices on a small log
+    scenario = FIXTURES / "scenario_basic.scn"
+    assert run(capsys, "simulate", str(scenario), "--seed", "5", "--out", str(tmp_path))[0] == 0
+
+    parsed = parse_scenario(scenario.read_text())
+    _, truth = simulate({}, parsed.specs, parsed.schedule, 5)
+    assert len(truth.writes) > 4
+    payload = {
+        "seed": 5,
+        "instances": [
+            {"index": i.index, "action": i.action, "tau": i.tau, "variant": i.variant}
+            for i in truth.instances
+        ],
+        "writes": [
+            {"instance": w.instance_index, "path": w.path, "kind": w.kind.value,
+             "value": w.value, "default": w.is_default}
+            for w in truth.writes
+        ],
+    }
+    expected = json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
+    assert (tmp_path / "truth.json").read_text(encoding="utf-8") == expected
 
 
 def test_simulate_different_seed_changes_the_metadata(capsys, tmp_path):

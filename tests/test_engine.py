@@ -17,14 +17,16 @@ from tracerecon import (
     cluster_by_threshold,
     core_test,
     disambiguate_shared,
-    get_trace_states,
     load_metadata,
+    match_pack,
     parse_signature_pack,
     reconstruct,
     shared_test,
     support_test,
 )
 from tracerecon.engine import ActionResult, analyze_action
+from tracerecon.model import trace_sort_key
+from tracerecon.signatures import TraceCategory
 
 import casedata
 from conftest import FIXTURES, epoch
@@ -240,9 +242,8 @@ def worked_example_objects():
 
 
 def test_supporting_evidence_merges_into_a_consistent_core_window(worked_example_pack):
-    result = analyze_action(
-        worked_example_pack.get(casedata.X), worked_example_objects()
-    )
+    matched = match_pack(worked_example_pack, worked_example_objects())
+    result = analyze_action(worked_example_pack.get(casedata.X), matched)
     assert result.core_verdict.status is CoreStatus.CONSISTENT
     last, previous = result.instances[-1], result.instances[0]
     assert last.rank is InstanceRank.MOST_RECENT
@@ -257,7 +258,7 @@ def test_supporting_evidence_merges_into_a_consistent_core_window(worked_example
 
 def test_parallel_instances_do_not_absorb_supporting_clusters(ff3_pack):
     objects = load_metadata(FIXTURES / "computer1.body")
-    result = analyze_action(ff3_pack.get(casedata.FF3), objects)
+    result = analyze_action(ff3_pack.get(casedata.FF3), match_pack(ff3_pack, objects))
     assert result.core_verdict.status is CoreStatus.MULTI_INSTANCE
     by_anchor = {i.detected: i for i in result.instances}
     # both core values stand alone as parallel-instance detections, even
@@ -270,7 +271,7 @@ def test_parallel_instances_do_not_absorb_supporting_clusters(ff3_pack):
 
 def test_supporting_cluster_merges_ahead_of_the_core_window(ie8_pack):
     objects = load_metadata(FIXTURES / "computer2.body")
-    result = analyze_action(ie8_pack.get(casedata.IE8), objects)
+    result = analyze_action(ie8_pack.get(casedata.IE8), match_pack(ie8_pack, objects))
     most_recent = result.instances[-1]
     assert most_recent.rank is InstanceRank.MOST_RECENT
     assert most_recent.detected == epoch(2011, 7, 17, 15, 15, 9)  # support crtime
@@ -278,9 +279,13 @@ def test_supporting_cluster_merges_ahead_of_the_core_window(ie8_pack):
     assert len(most_recent.evidence) == 2
 
 
-def test_get_trace_states_merges_all_categories(ff3_pack):
+def test_trace_states_of_all_categories_merge(ff3_pack):
     objects = load_metadata(FIXTURES / "computer1.body")
-    states = get_trace_states(objects, ff3_pack.get(casedata.FF3))
+    matched = match_pack(ff3_pack, objects)
+    states = sorted(
+        (s for category in TraceCategory for s in matched[(casedata.FF3, category)]),
+        key=trace_sort_key,
+    )
     assert [s.value for s in states] == sorted(
         casedata.C1_FF3_CORE + casedata.C1_FF3_SUPPORT
     )
@@ -296,6 +301,29 @@ def test_worked_example_reconstruction(worked_example_pack):
         (casedata.X, casedata.T_SUP_A, InstanceRank.MOST_RECENT, ConfidenceNote.DEFINITE),
         (casedata.X, casedata.T_SUP_EARLY, InstanceRank.PAST, ConfidenceNote.DEFINITE),
     ]
+
+
+class CountingRecords:
+    """An iterable of records that counts how often it is walked."""
+
+    def __init__(self, records):
+        self.records = records
+        self.passes = 0
+
+    def __iter__(self):
+        self.passes += 1
+        return iter(self.records)
+
+
+def test_reconstruct_walks_the_records_once(worked_example_pack, browser_pack):
+    for pack, names in (
+        (worked_example_pack, ["worked_example.body"]),
+        (browser_pack, ["computer1.body", "computer2.body"]),
+    ):
+        objects = [r for name in names for r in load_metadata(FIXTURES / name)]
+        counted = CountingRecords(objects)
+        assert reconstruct(counted, pack) == reconstruct(objects, pack)
+        assert counted.passes == 1
 
 
 def test_resolved_shared_cluster_near_an_existing_instance_only_corroborates():

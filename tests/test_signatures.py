@@ -9,14 +9,17 @@ from tracerecon import (
     TimestampKind,
     TraceCategory,
     load_metadata,
-    match_objects,
+    match_pack,
     merge_packs,
     parse_signature_pack,
 )
-from tracerecon.signatures import match_by_category
 
 import casedata
 from conftest import FIXTURES
+
+CORE = TraceCategory.CORE
+SUPPORT = TraceCategory.SUPPORTING
+SHARED = TraceCategory.SHARED
 
 
 def test_browser_pack_shapes(ff3_pack, ie8_pack):
@@ -70,23 +73,25 @@ def test_comments_blanks_and_trailing_separator_are_tolerated():
 
 def test_ff3_matching_reproduces_the_computer1_rows(ff3_pack):
     objects = load_metadata(FIXTURES / "computer1.body")
-    by_category = match_by_category(ff3_pack.get(casedata.FF3), objects)
-    assert [s.value for s in by_category[TraceCategory.CORE]] == casedata.C1_FF3_CORE
-    assert [s.value for s in by_category[TraceCategory.SUPPORTING]] == casedata.C1_FF3_SUPPORT
+    matched = match_pack(ff3_pack, objects)
+    assert [s.value for s in matched[(casedata.FF3, CORE)]] == casedata.C1_FF3_CORE
+    assert [s.value for s in matched[(casedata.FF3, SUPPORT)]] == casedata.C1_FF3_SUPPORT
     # six populated trace states overall; the startupCache pattern hits nothing
-    assert len(match_objects(ff3_pack, objects)[casedata.FF3]) == 6
+    assert sum(len(states) for states in matched.values()) == 6
 
 
 def test_ie8_matching_reproduces_the_computer2_rows(ie8_pack):
     objects = load_metadata(FIXTURES / "computer2.body")
-    by_category = match_by_category(ie8_pack.get(casedata.IE8), objects)
-    assert [s.value for s in by_category[TraceCategory.CORE]] == casedata.C2_IE8_CORE
-    assert [s.value for s in by_category[TraceCategory.SUPPORTING]] == casedata.C2_IE8_SUPPORT
+    matched = match_pack(ie8_pack, objects)
+    assert [s.value for s in matched[(casedata.IE8, CORE)]] == casedata.C2_IE8_CORE
+    assert [s.value for s in matched[(casedata.IE8, SUPPORT)]] == casedata.C2_IE8_SUPPORT
 
 
 def test_empty_object_list_matches_nothing(browser_pack):
-    matched = match_objects(browser_pack, [])
-    assert set(matched) == {casedata.FF3, casedata.IE8}
+    matched = match_pack(browser_pack, [])
+    assert set(matched) == {
+        (action, category) for action in (casedata.FF3, casedata.IE8) for category in TraceCategory
+    }
     assert all(states == [] for states in matched.values())
 
 
@@ -94,31 +99,31 @@ def test_matching_is_independent_of_object_order(browser_pack):
     objects = load_metadata(FIXTURES / "computer1.body") + load_metadata(
         FIXTURES / "computer2.body"
     )
-    baseline = match_objects(browser_pack, objects)
+    baseline = match_pack(browser_pack, objects)
     rng = random.Random(7)
     for _ in range(5):
         shuffled = objects[:]
         rng.shuffle(shuffled)
-        assert match_objects(browser_pack, shuffled) == baseline
+        assert match_pack(browser_pack, shuffled) == baseline
 
 
 def test_matching_is_case_insensitive(ie8_pack):
     record = ObjectRecord(path="c:/windows/prefetch/IEXPLORE.EXE-0A1B2C3D.pf", modified=500)
-    states = match_objects(ie8_pack, [record])[casedata.IE8]
+    states = match_pack(ie8_pack, [record])[(casedata.IE8, CORE)]
     assert [s.value for s in states] == [500]
 
 
 def test_no_cross_kind_leakage():
     pack = parse_signature_pack("action: A\nthreshold: 5\ncore created .*\\.pf\n")
     record = ObjectRecord(path="C:/Prefetch/x.pf", modified=100)  # no created time
-    assert match_objects(pack, [record])["A"] == []
+    assert match_pack(pack, [record])[("A", CORE)] == []
 
 
 def test_end_anchor_is_honored():
     pack = parse_signature_pack("action: A\nthreshold: 5\ncore modified .*/startupCache$\n")
     hit = ObjectRecord(path="C:/p/default/startupCache", modified=1)
     miss = ObjectRecord(path="C:/p/default/startupCache/entry.bin", modified=2)
-    assert [s.object_path for s in match_objects(pack, [hit, miss])["A"]] == [hit.path]
+    assert [s.object_path for s in match_pack(pack, [hit, miss])[("A", CORE)]] == [hit.path]
 
 
 def test_one_pattern_may_capture_many_files():
@@ -127,7 +132,7 @@ def test_one_pattern_may_capture_many_files():
         ObjectRecord(path=f"C:/u/Cookies/user@site{i}.txt", created=100 + i)
         for i in range(3)
     ]
-    assert len(match_objects(pack, objects)["A"]) == 3
+    assert len(match_pack(pack, objects)[("A", SUPPORT)]) == 3
 
 
 def test_overlapping_patterns_of_one_category_yield_one_state_per_object():
@@ -135,7 +140,7 @@ def test_overlapping_patterns_of_one_category_yield_one_state_per_object():
         "action: A\nthreshold: 5\nsupport created .*/Cookies/.*\nsupport created .*@bing.*\n"
     )
     record = ObjectRecord(path="C:/u/Cookies/user@bing[2].txt", created=42)
-    assert len(match_objects(pack, [record])["A"]) == 1
+    assert len(match_pack(pack, [record])[("A", SUPPORT)]) == 1
 
 
 def test_shared_pattern_produces_identical_states_under_each_signature():
@@ -145,8 +150,9 @@ def test_shared_pattern_produces_identical_states_under_each_signature():
         "action: B\nthreshold: 9\nshared modified .*/lib\\.dll$\n"
     )
     record = ObjectRecord(path="C:/sys/lib.dll", modified=77)
-    matched = match_objects(pack, [record])
-    assert matched["A"] == matched["B"]
+    matched = match_pack(pack, [record])
+    assert matched[("A", SHARED)] == matched[("B", SHARED)] == matched[frozenset({"A", "B"})]
+    assert len(matched[("A", SHARED)]) == 1
     assert pack.shared_index == {(".*/lib\\.dll$", TimestampKind.MODIFIED): frozenset({"A", "B"})}
     ((candidates, patterns),) = pack.shared_groups()
     assert candidates == frozenset({"A", "B"})

@@ -1,7 +1,10 @@
+import copy
 import io
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from tracerecon import (
     ActionSpec,
@@ -86,6 +89,59 @@ def test_input_state_is_not_mutated():
     before = {"/obj/a": {MOD: 7}}
     apply_instance(before, spec, 0, 1000, random.Random(1))
     assert before == {"/obj/a": {MOD: 7}}
+
+
+def reference_apply(state, spec, variant_index, tau, rng):
+    """apply_instance as it was before it stopped copying untouched paths."""
+    variant = spec.variants[variant_index]
+    new_state = {path: dict(times) for path, times in state.items()}
+    writes = []
+    for path in sorted(variant.creates):
+        new_state.setdefault(path, {})
+    for path, kind in sorted(variant.updates, key=lambda t: (t[0], t[1].value)):
+        value = tau + rng.randint(0, spec.threshold)
+        new_state.setdefault(path, {})[kind] = value
+        writes.append((path, kind, value, False))
+    for path, kind, default in sorted(variant.defaults, key=lambda t: (t[0], t[1].value, t[2])):
+        new_state.setdefault(path, {})[kind] = default
+        writes.append((path, kind, default, True))
+    return new_state, writes
+
+
+SIM_PATHS = ("/a", "/b", "/c", "/d")
+
+
+@st.composite
+def variants_and_states(draw):
+    updates, defaults = set(), set()
+    for path in SIM_PATHS:
+        for kind in (MOD, CRE):
+            role = draw(st.sampled_from(("none", "update", "default")))
+            if role == "update":
+                updates.add((path, kind))
+            elif role == "default":
+                defaults.add((path, kind, draw(st.integers(0, 9))))
+    creates = draw(st.sets(st.sampled_from(SIM_PATHS)))
+    variant = PathVariant(frozenset(updates), frozenset(defaults), frozenset(creates))
+    state = draw(st.dictionaries(
+        st.sampled_from(SIM_PATHS),
+        st.dictionaries(st.sampled_from((MOD, CRE)), st.integers(0, 9), max_size=2),
+    ))
+    return variant, state
+
+
+@given(variants_and_states(), st.integers(0, 1000), st.integers(0, 2**16))
+def test_apply_instance_equals_the_full_copy_reference(variant_and_state, tau, seed):
+    variant, state = variant_and_state
+    spec = ActionSpec("app", 30, (variant,))
+    before = copy.deepcopy(state)
+    rng, ref_rng = random.Random(seed), random.Random(seed)
+    new_state, writes = apply_instance(state, spec, 0, tau, rng)
+    ref_state, ref_writes = reference_apply(state, spec, 0, tau, ref_rng)
+    assert state == before
+    assert new_state == ref_state and list(new_state) == list(ref_state)
+    assert writes == ref_writes
+    assert rng.random() == ref_rng.random()
 
 
 def test_bad_variant_index_is_fatal():

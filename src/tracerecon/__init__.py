@@ -22,7 +22,6 @@ from .model import (
     instance_interval,
 )
 from .bodyfile import (
-    BodyfileLine,
     IngestError,
     ParseDiagnostic,
     format_record,
@@ -83,7 +82,6 @@ __all__ = [
     "ActionInstanceApproximation",
     "ActionResult",
     "ActionSpec",
-    "BodyfileLine",
     "CalibrationError",
     "Cluster",
     "ConfidenceNote",

@@ -56,60 +56,39 @@ class ParseDiagnostic:
         return f"line {self.line_no}: {self.message}"
 
 
-@dataclass(frozen=True)
-class BodyfileLine:
-    """One well-formed bodyfile line, fields still raw."""
+_TIME_LABELS = ("atime", "mtime", "ctime", "crtime")
 
-    md5: str
-    name: str
-    inode: str
-    mode: str
-    uid: int
-    gid: int
-    size: int
-    atime: int
-    mtime: int
-    ctime: int
-    crtime: int
 
-    @classmethod
-    def from_line(cls, line: str) -> "BodyfileLine":
-        """Split and type one line; raises ValueError with a reason on bad input."""
-        fields = line.split("|")
-        if len(fields) != FIELD_COUNT:
-            raise ValueError(f"expected {FIELD_COUNT} fields, found {len(fields)}")
-        md5, name, inode, mode = fields[0], fields[1], fields[2], fields[3]
+def _parse_line(line: str) -> ObjectRecord:
+    """Build the record of one line; raises ValueError with a reason on bad input."""
+    fields = line.split("|")
+    if len(fields) != FIELD_COUNT:
+        raise ValueError(f"expected {FIELD_COUNT} fields, found {len(fields)}")
+    try:
+        for raw in fields[4:7]:  # UID, GID, size: checked, not kept
+            int(raw)
+    except ValueError:
+        raise ValueError("UID/GID/size fields must be integers") from None
+    times: list[int | None] = []
+    for label, raw in zip(_TIME_LABELS, fields[7:]):
         try:
-            uid, gid, size = (int(fields[i]) for i in (4, 5, 6))
+            value = int(raw)
         except ValueError:
-            raise ValueError("UID/GID/size fields must be integers") from None
-        times = []
-        for label, raw in zip(("atime", "mtime", "ctime", "crtime"), fields[7:11]):
-            try:
-                value = int(raw)
-            except ValueError:
-                raise ValueError(f"{label} is not an integer: {raw!r}") from None
-            if value < 0:
-                raise ValueError(f"{label} is negative: {value}")
-            if value > MAX_TIME:
-                raise ValueError(f"{label} is beyond 9999-12-31T23:59:59Z: {value}")
-            times.append(value)
-        return cls(md5, name, inode, mode, uid, gid, size, *times)
-
-    def to_record(self) -> ObjectRecord:
-        """Build an ObjectRecord; raises ValueError when no time survives."""
-        name = self.name.replace("\\", "/")
-        deleted = bool(_DELETED_SUFFIX.search(name))
-        if deleted:
-            name = _DELETED_SUFFIX.sub("", name)
-        return ObjectRecord(
-            path=name,
-            accessed=self.atime or None,
-            modified=self.mtime or None,
-            metachanged=self.ctime or None,
-            created=self.crtime or None,
-            deleted=deleted,
-        )
+            raise ValueError(f"{label} is not an integer: {raw!r}") from None
+        if value < 0:
+            raise ValueError(f"{label} is negative: {value}")
+        if value > MAX_TIME:
+            raise ValueError(f"{label} is beyond 9999-12-31T23:59:59Z: {value}")
+        times.append(value or None)
+    name = fields[1].replace("\\", "/")
+    deleted = bool(_DELETED_SUFFIX.search(name))
+    if deleted:
+        name = _DELETED_SUFFIX.sub("", name)
+    try:
+        # atime, mtime, ctime, crtime are the record's field order too.
+        return ObjectRecord(name, *times, deleted=deleted)
+    except ValueError:
+        raise ValueError(f"no usable timestamps: {fields[1]!r}") from None
 
 
 def parse_bodyfile(
@@ -130,16 +109,9 @@ def parse_bodyfile(
         if not line.strip() or line.lstrip().startswith("#"):
             continue
         try:
-            body_line = BodyfileLine.from_line(line)
+            records.append(_parse_line(line))
         except ValueError as exc:
             diagnostics.append(ParseDiagnostic(line_no, str(exc)))
-            continue
-        try:
-            records.append(body_line.to_record())
-        except ValueError:
-            diagnostics.append(
-                ParseDiagnostic(line_no, f"no usable timestamps: {body_line.name!r}")
-            )
     return records, diagnostics
 
 

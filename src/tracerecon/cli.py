@@ -13,7 +13,6 @@ import csv
 import json
 import os
 import sys
-from dataclasses import dataclass
 from datetime import datetime, timezone
 from importlib import resources
 from pathlib import Path
@@ -40,23 +39,6 @@ EXIT_IO = 2
 EXIT_PARSE = 3
 
 
-@dataclass(frozen=True)
-class ReportRow:
-    """One timeline line of the scan report."""
-
-    computer_label: str
-    action: str
-    rank: str
-    interval_start: Timestamp
-    interval_end: Timestamp
-    evidence_count: int
-    note: str
-
-    def __post_init__(self) -> None:
-        if self.interval_start > self.interval_end:
-            raise ValueError("report row interval start exceeds its end")
-
-
 _COLUMNS = (
     "computer",
     "action",
@@ -74,52 +56,37 @@ def _format_time(value: Timestamp, utc_display: bool) -> str:
     return datetime.fromtimestamp(value, tz=timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
 
 
-def _rows_from(
-    approximations: list[ActionInstanceApproximation], label: str
-) -> list[ReportRow]:
+def _row_cells(
+    approx: ActionInstanceApproximation, label: str, utc_display: bool
+) -> list[str]:
+    """The report cells of one detection, in ``_COLUMNS`` order."""
     return [
-        ReportRow(
-            computer_label=label,
-            action=a.action_name,
-            rank=a.rank.value,
-            interval_start=a.interval.start if a.interval.start is not None else 0,
-            interval_end=a.interval.end if a.interval.end is not None else 0,
-            evidence_count=len(a.evidence),
-            note=a.note.value,
-        )
-        for a in approximations
+        label,
+        approx.action_name,
+        approx.rank.value,
+        _format_time(approx.interval.start, utc_display),
+        _format_time(approx.interval.end, utc_display),
+        str(len(approx.evidence)),
+        approx.note.value,
     ]
 
 
-def _row_cells(row: ReportRow, utc_display: bool) -> list[str]:
-    return [
-        row.computer_label,
-        row.action,
-        row.rank,
-        _format_time(row.interval_start, utc_display),
-        _format_time(row.interval_end, utc_display),
-        str(row.evidence_count),
-        row.note,
-    ]
-
-
-def _emit_table(rows: list[ReportRow], utc_display: bool, out) -> None:
-    grid = [list(_COLUMNS)] + [_row_cells(r, utc_display) for r in rows]
+def _emit_table(rows: list[list[str]], out) -> None:
+    grid = [list(_COLUMNS)] + rows
     widths = [max(len(line[i]) for line in grid) for i in range(len(_COLUMNS))]
     for line in grid:
         out.write("  ".join(cell.ljust(w) for cell, w in zip(line, widths)).rstrip() + "\n")
 
 
-def _emit_csv(rows: list[ReportRow], utc_display: bool, out) -> None:
+def _emit_csv(rows: list[list[str]], out) -> None:
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(_COLUMNS)
-    for row in rows:
-        writer.writerow(_row_cells(row, utc_display))
+    writer.writerows(rows)
 
 
-def _emit_records(rows: list[ReportRow], utc_display: bool, out) -> None:
+def _emit_records(rows: list[list[str]], out) -> None:
     for row in rows:
-        for column, cell in zip(_COLUMNS, _row_cells(row, utc_display)):
+        for column, cell in zip(_COLUMNS, row):
             out.write(f"{column}: {cell}\n")
         out.write("\n")
 
@@ -149,6 +116,8 @@ def _load_packs(pack_paths: list[str]) -> SignaturePack:
             text = path.read_text(encoding="utf-8")
         except OSError as exc:
             raise IngestError(f"cannot read signature pack {path}: {exc}") from exc
+        except UnicodeDecodeError as exc:
+            raise SignatureError(None, f"signature pack {path} is not UTF-8: {exc}") from exc
         try:
             packs.append(parse_signature_pack(text))
         except SignatureError as exc:
@@ -178,8 +147,8 @@ def cmd_scan(args: argparse.Namespace) -> int:
     label = args.label or (
         "-" if args.metadata == "-" else Path(args.metadata).stem
     )
-    rows = _rows_from(approximations, label)
-    _EMITTERS[args.format](rows, args.utc_display, sys.stdout)
+    rows = [_row_cells(a, label, args.utc_display) for a in approximations]
+    _EMITTERS[args.format](rows, sys.stdout)
     print(f"{len(rows)} detections", file=sys.stderr)
     return EXIT_OK
 
@@ -194,6 +163,9 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
     except OSError as exc:
         print(f"error: cannot read samples from {source}: {exc}", file=sys.stderr)
         return EXIT_IO
+    except UnicodeDecodeError as exc:
+        print(f"error: samples in {source} are not UTF-8: {exc}", file=sys.stderr)
+        return EXIT_PARSE
 
     samples: list[float] = []
     for line_no, raw in enumerate(text.splitlines(), start=1):
@@ -263,6 +235,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     except OSError as exc:
         print(f"error: cannot read scenario {args.scenario}: {exc}", file=sys.stderr)
         return EXIT_IO
+    except UnicodeDecodeError as exc:
+        print(f"error: scenario {args.scenario} is not UTF-8: {exc}", file=sys.stderr)
+        return EXIT_PARSE
     try:
         scenario = parse_scenario(text)
         records, truth = simulate({}, scenario.specs, scenario.schedule, args.seed)

@@ -22,9 +22,13 @@ Signature file grammar (line-oriented, UTF-8)::
     ... (one trace per line)
     ---
 
-Blocks are separated by ``---``; ``#`` begins a comment line.  Patterns are
-matched case-insensitively against full normalized paths with search
-semantics (a pattern may match anywhere; a trailing ``$`` is honored).
+Blocks are separated by ``---``; ``#`` begins a comment line.  Signature and
+scenario files share this block grammar, and one reader handles what they
+share: comments, separators and the ``action:`` and ``threshold:`` headers.
+An error about one line names that line; an error about a whole block
+(missing threshold, no traces, duplicate name) names its ``action:`` line.
+Patterns are matched case-insensitively against full normalized paths with
+search semantics (a pattern may match anywhere; a trailing ``$`` is honored).
 
 Matching (:func:`match_pack`) walks the records once for the whole pack and
 fills one bucket per (action, category) and per shared group.  Each distinct
@@ -38,6 +42,7 @@ prefilter is built inside each call, so loading a pack costs nothing extra.
 from __future__ import annotations
 
 import io
+import itertools
 import re
 from dataclasses import dataclass, field
 from enum import Enum
@@ -58,13 +63,17 @@ class TraceCategory(Enum):
     SHARED = "shared"
 
 
-class SignatureError(ValueError):
-    """Fatal signature-file problem; carries the 1-based line number."""
+class BlockFileError(ValueError):
+    """Fatal problem in a block file; carries the 1-based line number."""
 
     def __init__(self, line_no: int | None, message: str):
         self.line_no = line_no
         suffix = f" (line {line_no})" if line_no is not None else ""
         super().__init__(f"{message}{suffix}")
+
+
+class SignatureError(BlockFileError):
+    """Fatal signature-file problem."""
 
 
 @dataclass(frozen=True)
@@ -185,6 +194,69 @@ _CATEGORY_WORDS = {c.value: c for c in TraceCategory}
 _KIND_WORDS = {k.value: k for k in TimestampKind}
 
 
+def _content_lines(source: str | IO[str]) -> Iterator[tuple[int, str]]:
+    """Numbered, stripped lines of a block file; blanks and comments dropped."""
+    stream = io.StringIO(source) if isinstance(source, str) else source
+    for line_no, raw in enumerate(stream, start=1):
+        line = raw.strip()
+        if line and not line.startswith("#"):
+            yield line_no, line
+
+
+@dataclass(frozen=True)
+class _Block:
+    """One ``---``-separated block: its headers and its other lines."""
+
+    name: str
+    threshold: int
+    line_no: int  # of the ``action:`` line
+    body: list[tuple[int, str]]
+
+
+def _read_blocks(
+    lines: Iterable[tuple[int, str]], error: type[BlockFileError]
+) -> Iterator[_Block]:
+    """Group content lines into blocks, reading each block's headers.
+
+    Every line of a block other than ``action:`` and ``threshold:`` goes to
+    its body unread.  Problems are raised as ``error``; a block is checked
+    for a threshold when it closes, before its body is handed out.
+    """
+    names: set[str] = set()
+    name: str | None = None
+    threshold: int | None = None
+    start = 0
+    body: list[tuple[int, str]] = []
+    for line_no, line in itertools.chain(lines, [(0, "---")]):
+        if line == "---":
+            if name is not None:
+                if threshold is None:
+                    raise error(start, f"action {name!r} is missing a 'threshold:' line")
+                yield _Block(name, threshold, start, body)
+            name, threshold, body = None, None, []
+        elif line.startswith("action:"):
+            if name is not None:
+                raise error(line_no, "unexpected second 'action:' in block")
+            name, start = line[len("action:"):].strip(), line_no
+            if not name:
+                raise error(line_no, "empty action name")
+            if name in names:
+                raise error(line_no, f"duplicate action name {name!r}")
+            names.add(name)
+        elif name is None:
+            raise error(line_no, f"line before 'action:': {line!r}")
+        elif line.startswith("threshold:"):
+            raw_value = line[len("threshold:"):].strip()
+            try:
+                threshold = int(raw_value)
+            except ValueError:
+                raise error(line_no, f"threshold is not an integer: {raw_value!r}") from None
+            if threshold <= 0:
+                raise error(line_no, f"threshold must be positive, got {threshold}")
+        else:
+            body.append((line_no, line))
+
+
 def parse_signature_pack(source: str | IO[str]) -> SignaturePack:
     """Parse signature-file text into a pack.
 
@@ -192,79 +264,30 @@ def parse_signature_pack(source: str | IO[str]) -> SignaturePack:
     threshold, regex that does not compile, missing fields) is a fatal
     :class:`SignatureError` naming the offending line.
     """
-    stream = io.StringIO(source) if isinstance(source, str) else source
     signatures: list[Signature] = []
-
-    name: str | None = None
-    name_line = 0
-    threshold: int | None = None
-    traces: list[TracePattern] = []
-
-    def finish_block(at_line: int) -> None:
-        nonlocal name, threshold, traces
-        if name is None and threshold is None and not traces:
-            return  # empty block (stray separator) is harmless
-        if name is None:
-            raise SignatureError(at_line, "block is missing an 'action:' line")
-        if threshold is None:
-            raise SignatureError(at_line, f"action {name!r} is missing a 'threshold:' line")
-        if not traces:
-            raise SignatureError(at_line, f"action {name!r} defines no trace patterns")
-        signatures.append(Signature(name, threshold, tuple(traces)))
-        name = None
-        threshold = None
-        traces = []
-
-    last_line = 0
-    for line_no, raw in enumerate(stream, start=1):
-        last_line = line_no
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if line == "---":
-            finish_block(line_no)
-            continue
-        if line.startswith("action:"):
-            if name is not None:
-                raise SignatureError(line_no, "unexpected second 'action:' in block")
-            name = line[len("action:"):].strip()
-            name_line = line_no
-            if not name:
-                raise SignatureError(line_no, "empty action name")
-            continue
-        if line.startswith("threshold:"):
-            if name is None:
-                raise SignatureError(line_no, "'threshold:' before 'action:'")
-            raw_value = line[len("threshold:"):].strip()
+    for block in _read_blocks(_content_lines(source), SignatureError):
+        traces: list[TracePattern] = []
+        for line_no, line in block.body:
+            parts = line.split(None, 2)
+            if len(parts) != 3:
+                raise SignatureError(line_no, f"malformed trace line: {line!r}")
+            cat_word, kind_word, pattern = parts
+            if cat_word not in _CATEGORY_WORDS:
+                raise SignatureError(line_no, f"unknown category {cat_word!r}")
+            if kind_word not in _KIND_WORDS:
+                raise SignatureError(line_no, f"unknown timestamp kind {kind_word!r}")
             try:
-                threshold = int(raw_value)
-            except ValueError:
-                raise SignatureError(line_no, f"threshold is not an integer: {raw_value!r}")
-            if threshold <= 0:
-                raise SignatureError(line_no, f"threshold must be positive, got {threshold}")
-            continue
-        # Otherwise: a trace line "<category> <kind> <regex>".
-        if name is None:
-            raise SignatureError(line_no, f"trace line before 'action:': {line!r}")
-        parts = line.split(None, 2)
-        if len(parts) != 3:
-            raise SignatureError(line_no, f"malformed trace line: {line!r}")
-        cat_word, kind_word, pattern = parts
-        if cat_word not in _CATEGORY_WORDS:
-            raise SignatureError(line_no, f"unknown category {cat_word!r}")
-        if kind_word not in _KIND_WORDS:
-            raise SignatureError(line_no, f"unknown timestamp kind {kind_word!r}")
-        try:
-            trace = TracePattern(_CATEGORY_WORDS[cat_word], _KIND_WORDS[kind_word], pattern)
-        except re.error as exc:
-            raise SignatureError(line_no, f"regex does not compile: {exc}")
-        traces.append(trace)
-
-    finish_block(last_line or 1)
-    try:
-        return SignaturePack(signatures)
-    except ValueError as exc:
-        raise SignatureError(name_line or None, str(exc))
+                traces.append(
+                    TracePattern(_CATEGORY_WORDS[cat_word], _KIND_WORDS[kind_word], pattern)
+                )
+            except (re.error, OverflowError) as exc:
+                raise SignatureError(line_no, f"regex does not compile: {exc}") from None
+        if not traces:
+            raise SignatureError(
+                block.line_no, f"action {block.name!r} defines no trace patterns"
+            )
+        signatures.append(Signature(block.name, block.threshold, tuple(traces)))
+    return SignaturePack(signatures)
 
 
 # A match bucket: one action's traces of one category, or one shared group

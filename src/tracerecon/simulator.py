@@ -25,12 +25,17 @@ Scenario file grammar (same family as signature files)::
     <epoch> <action name> <variant index, or ? for a seeded random pick>
 
 ``#`` begins a comment; ``ma``/``da``/``oa`` lines before any ``variant:``
-line fall into an implicit first variant.
+line fall into an implicit first variant.  The reader behind signature
+files handles comments, separators and the ``action:`` and ``threshold:``
+headers; this module reads the rest of each block and the schedule.  An
+error about one line names that line; an error about a whole block
+(missing threshold, no variants, duplicate name, overlapping targets)
+names its ``action:`` line.
 """
 
 from __future__ import annotations
 
-import io
+import itertools
 import random
 import re
 from dataclasses import dataclass
@@ -43,7 +48,16 @@ from .model import (
     TimestampKind,
     Timestamp,
 )
-from .signatures import Signature, SignaturePack, TraceCategory, TracePattern
+from .signatures import (
+    BlockFileError,
+    Signature,
+    SignaturePack,
+    TraceCategory,
+    TracePattern,
+    _KIND_WORDS,
+    _content_lines,
+    _read_blocks,
+)
 
 # An object map: path -> {kind -> value}.  Plain dicts keep simulation state
 # cheap to copy; records are materialized only at the export boundary.
@@ -53,13 +67,8 @@ UpdateTarget = tuple[str, TimestampKind]
 DefaultTarget = tuple[str, TimestampKind, int]
 
 
-class ScenarioError(ValueError):
-    """Fatal scenario-file problem; carries the 1-based line number."""
-
-    def __init__(self, line_no: int | None, message: str):
-        self.line_no = line_no
-        suffix = f" (line {line_no})" if line_no is not None else ""
-        super().__init__(f"{message}{suffix}")
+class ScenarioError(BlockFileError):
+    """Fatal scenario-file problem."""
 
 
 class SimulationError(ValueError):
@@ -158,9 +167,6 @@ class GroundTruth:
         candidates = [i for i in self.instances if i.action == action]
         return max(candidates, key=lambda i: (i.tau, i.index)) if candidates else None
 
-    def writes_for(self, instance_index: int) -> list[TruthWrite]:
-        return [w for w in self.writes if w.instance_index == instance_index]
-
 
 # (path, kind, written value, is_default) as performed by one instance
 WriteRecord = tuple[str, TimestampKind, int, bool]
@@ -257,14 +263,6 @@ def export_records(state: SimState) -> list[ObjectRecord]:
             )
         )
     return records
-
-
-def state_from_records(records: Iterable[ObjectRecord]) -> SimState:
-    """Inverse of :func:`export_records` for round trips through metadata files."""
-    state: SimState = {}
-    for record in records:
-        state[record.path] = dict(record.timestamps)
-    return state
 
 
 def always_updated_targets(spec: ActionSpec) -> frozenset[UpdateTarget]:
@@ -401,15 +399,21 @@ def oracle_check(
             )
 
     if core_targets is not None:
-        for action in sorted(truth.actions()):
-            last = truth.last_instance(action)
-            assert last is not None
-            wrote_core = any(
-                not w.is_default and (w.path, w.kind) in core_targets.get(action, frozenset())
-                for w in truth.writes_for(last.index)
-            )
-            if not wrote_core:
-                continue
+        # One pass over the write log finds the last instances that wrote core.
+        lasts = {
+            last.index: last
+            for last in map(truth.last_instance, truth.actions())
+            if last is not None
+        }
+        wrote_core = {
+            lasts[w.instance_index]
+            for w in truth.writes
+            if w.instance_index in lasts
+            and not w.is_default
+            and (w.path, w.kind) in core_targets.get(lasts[w.instance_index].action, frozenset())
+        }
+        for last in sorted(wrote_core, key=lambda i: i.action):
+            action = last.action
             most_recent = [
                 a
                 for a in reported_by_action.get(action, [])
@@ -430,177 +434,93 @@ def oracle_check(
     return OracleReport(tuple(violations))
 
 
-_KIND_WORDS = {k.value: k for k in TimestampKind}
-
-
 @dataclass(frozen=True)
 class Scenario:
     specs: dict[str, ActionSpec]
     schedule: InstanceSchedule
 
 
-class _VariantBuilder:
-    def __init__(self) -> None:
-        self.updates: set[UpdateTarget] = set()
-        self.defaults: set[DefaultTarget] = set()
-        self.creates: set[str] = set()
-
-    def build(self) -> PathVariant:
-        return PathVariant(
-            frozenset(self.updates), frozenset(self.defaults), frozenset(self.creates)
-        )
-
-
 def parse_scenario(source: str | IO[str]) -> Scenario:
     """Parse scenario text; structural problems raise :class:`ScenarioError`."""
-    stream = io.StringIO(source) if isinstance(source, str) else source
-
+    lines = _content_lines(source)
+    blocks = itertools.takewhile(lambda item: not item[1].startswith("schedule:"), lines)
     specs: dict[str, ActionSpec] = {}
-    entries: list[ScheduleEntry] = []
-    in_schedule = False
-
-    name: str | None = None
-    threshold: int | None = None
-    variants: list[_VariantBuilder] = []
-
-    def current_variant() -> _VariantBuilder:
-        if not variants:
-            variants.append(_VariantBuilder())
-        return variants[-1]
-
-    def finish_block(at_line: int) -> None:
-        nonlocal name, threshold, variants
-        if name is None and threshold is None and not variants:
-            return
-        if name is None:
-            raise ScenarioError(at_line, "block is missing an 'action:' line")
-        if threshold is None:
-            raise ScenarioError(at_line, f"action {name!r} is missing a 'threshold:' line")
-        if not variants:
-            raise ScenarioError(at_line, f"action {name!r} defines no variants")
-        if name in specs:
-            raise ScenarioError(at_line, f"duplicate action name {name!r}")
-        try:
-            specs[name] = ActionSpec(
-                name, threshold, tuple(v.build() for v in variants)
-            )
-        except ValueError as exc:
-            raise ScenarioError(at_line, str(exc))
-        name = None
-        threshold = None
-        variants = []
-
-    last_line = 0
-    for line_no, raw in enumerate(stream, start=1):
-        last_line = line_no
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-
-        if in_schedule:
-            tokens = line.split()
-            if len(tokens) < 3:
+    for block in _read_blocks(blocks, ScenarioError):
+        # One (updates, defaults, creates) triple per variant.
+        variants: list[tuple[set, set, set]] = []
+        for line_no, line in block.body:
+            if line.startswith("variant:"):
+                variants.append((set(), set(), set()))
+                continue
+            parts = line.split(None, 1)
+            keyword = parts[0]
+            if keyword not in ("ma", "da", "oa"):
+                raise ScenarioError(line_no, f"unrecognized line: {line!r}")
+            if len(parts) != 2:
+                raise ScenarioError(line_no, f"'{keyword}' line is missing its arguments")
+            if not variants:
+                variants.append((set(), set(), set()))
+            updates, defaults, creates = variants[-1]
+            if keyword == "oa":
+                creates.add(parts[1].strip())
+                continue
+            sub = parts[1].split(None, 1)
+            if len(sub) != 2 or sub[0] not in _KIND_WORDS:
                 raise ScenarioError(
-                    line_no,
-                    "schedule entry needs '<epoch> <action> <variant|?>'",
+                    line_no, f"'{keyword}' needs a timestamp kind then its arguments"
                 )
-            try:
-                tau = int(tokens[0])
-            except ValueError:
-                raise ScenarioError(line_no, f"bad epoch value {tokens[0]!r}")
-            action_name = " ".join(tokens[1:-1])
-            spec = specs.get(action_name)
-            if spec is None:
-                raise ScenarioError(line_no, f"unknown action in schedule: {action_name!r}")
-            variant_token = tokens[-1]
-            if variant_token == "?":
-                variant: int | None = None
-            else:
-                try:
-                    variant = int(variant_token)
-                except ValueError:
-                    raise ScenarioError(
-                        line_no, f"variant must be an index or '?': {variant_token!r}"
-                    )
-                if not 0 <= variant < len(spec.variants):
-                    raise ScenarioError(
-                        line_no,
-                        f"action {action_name!r} has no variant {variant}",
-                    )
-            try:
-                entries.append(ScheduleEntry(action_name, tau, variant))
-            except ValueError as exc:
-                raise ScenarioError(line_no, str(exc))
-            continue
-
-        if line == "---":
-            finish_block(line_no)
-            continue
-        if line.startswith("schedule:"):
-            finish_block(line_no)
-            in_schedule = True
-            continue
-        if line.startswith("action:"):
-            if name is not None:
-                raise ScenarioError(line_no, "unexpected second 'action:' in block")
-            name = line[len("action:"):].strip()
-            if not name:
-                raise ScenarioError(line_no, "empty action name")
-            continue
-        if line.startswith("threshold:"):
-            if name is None:
-                raise ScenarioError(line_no, "'threshold:' before 'action:'")
-            raw_value = line[len("threshold:"):].strip()
-            try:
-                threshold = int(raw_value)
-            except ValueError:
-                raise ScenarioError(line_no, f"threshold is not an integer: {raw_value!r}")
-            if threshold <= 0:
-                raise ScenarioError(line_no, f"threshold must be positive, got {threshold}")
-            continue
-        if line.startswith("variant:"):
-            if name is None:
-                raise ScenarioError(line_no, "'variant:' before 'action:'")
-            variants.append(_VariantBuilder())
-            continue
-
-        parts = line.split(None, 1)
-        keyword = parts[0]
-        if keyword not in ("ma", "da", "oa"):
-            raise ScenarioError(line_no, f"unrecognized line: {line!r}")
-        if name is None:
-            raise ScenarioError(line_no, f"'{keyword}' line before 'action:'")
-        if len(parts) != 2:
-            raise ScenarioError(line_no, f"'{keyword}' line is missing its arguments")
-        rest = parts[1]
-        builder = current_variant()
-        if keyword == "oa":
-            builder.creates.add(rest.strip())
-            continue
-        sub = rest.split(None, 1)
-        if len(sub) != 2 or sub[0] not in _KIND_WORDS:
-            raise ScenarioError(
-                line_no, f"'{keyword}' needs a timestamp kind then its arguments"
-            )
-        kind = _KIND_WORDS[sub[0]]
-        if keyword == "ma":
-            builder.updates.add((sub[1].strip(), kind))
-        else:  # da
+            kind = _KIND_WORDS[sub[0]]
+            if keyword == "ma":
+                updates.add((sub[1].strip(), kind))
+                continue
             value_and_path = sub[1].split(None, 1)
             if len(value_and_path) != 2:
-                raise ScenarioError(
-                    line_no, "'da' needs '<kind> <default epoch> <path>'"
-                )
+                raise ScenarioError(line_no, "'da' needs '<kind> <default epoch> <path>'")
             try:
                 default = int(value_and_path[0])
             except ValueError:
-                raise ScenarioError(
-                    line_no, f"bad default epoch {value_and_path[0]!r}"
-                )
+                raise ScenarioError(line_no, f"bad default epoch {value_and_path[0]!r}")
             if default < 0:
                 raise ScenarioError(line_no, "default epoch must be non-negative")
-            builder.defaults.add((value_and_path[1].strip(), kind, default))
+            defaults.add((value_and_path[1].strip(), kind, default))
+        if not variants:
+            raise ScenarioError(block.line_no, f"action {block.name!r} defines no variants")
+        try:
+            specs[block.name] = ActionSpec(
+                block.name,
+                block.threshold,
+                tuple(PathVariant(*map(frozenset, variant)) for variant in variants),
+            )
+        except ValueError as exc:
+            raise ScenarioError(block.line_no, str(exc))
 
-    if not in_schedule:
-        finish_block(last_line or 1)
+    entries: list[ScheduleEntry] = []
+    for line_no, line in lines:
+        tokens = line.split()
+        if len(tokens) < 3:
+            raise ScenarioError(line_no, "schedule entry needs '<epoch> <action> <variant|?>'")
+        try:
+            tau = int(tokens[0])
+        except ValueError:
+            raise ScenarioError(line_no, f"bad epoch value {tokens[0]!r}")
+        action_name = " ".join(tokens[1:-1])
+        spec = specs.get(action_name)
+        if spec is None:
+            raise ScenarioError(line_no, f"unknown action in schedule: {action_name!r}")
+        variant_token = tokens[-1]
+        if variant_token == "?":
+            variant: int | None = None
+        else:
+            try:
+                variant = int(variant_token)
+            except ValueError:
+                raise ScenarioError(
+                    line_no, f"variant must be an index or '?': {variant_token!r}"
+                )
+            if not 0 <= variant < len(spec.variants):
+                raise ScenarioError(line_no, f"action {action_name!r} has no variant {variant}")
+        try:
+            entries.append(ScheduleEntry(action_name, tau, variant))
+        except ValueError as exc:
+            raise ScenarioError(line_no, str(exc))
     return Scenario(specs, InstanceSchedule.of(entries))

@@ -85,12 +85,28 @@ def test_scan_missing_metadata_exits_2(capsys, tmp_path):
     assert "missing.body" in err
 
 
-def test_scan_bad_signature_file_exits_3_with_line_number(capsys, tmp_path):
+@pytest.mark.parametrize(
+    "text, line",
+    [
+        ("action: A\nthreshold: 0\ncore modified x\n", "line 2"),
+        ("action: A\nthreshold: 5\ncore modified a{4294967296}\n", "line 3"),
+    ],
+)
+def test_scan_bad_signature_file_exits_3_with_line_number(capsys, tmp_path, text, line):
     bad = tmp_path / "bad.sig"
-    bad.write_text("action: A\nthreshold: 0\ncore modified x\n")
+    bad.write_text(text)
     code, _, err = run(capsys, "scan", C1, str(bad))
     assert code == 3
-    assert "line 2" in err
+    assert line in err
+
+
+def test_scan_signature_pack_that_is_not_utf8_exits_3(capsys, tmp_path):
+    bad = tmp_path / "latin1.sig"
+    bad.write_bytes(b"action: A\nthreshold: 5\ncore modified caf\xe9\n")
+    code, _, err = run(capsys, "scan", C1, str(bad))
+    assert code == 3
+    assert err.startswith("error: ")
+    assert "latin1.sig" in err
 
 
 def test_scan_uses_signature_dir_from_environment(capsys, monkeypatch):
@@ -202,6 +218,18 @@ def test_calibrate_bad_sample_line_exits_3(capsys, tmp_path):
     assert "line 2" in err
 
 
+@pytest.mark.parametrize("source", ["file", "stdin"])
+def test_calibrate_samples_that_are_not_utf8_exit_3(capsys, tmp_path, monkeypatch, source):
+    data = b"12.5\ncaf\xe9\n"
+    path = tmp_path / "latin1.txt"
+    path.write_bytes(data)
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"))
+    name = str(path) if source == "file" else "-"
+    code, _, err = run(capsys, "calibrate", name)
+    assert code == 3
+    assert err.startswith(f"error: samples in {name} ")
+
+
 def test_calibrate_missing_file_exits_2(capsys, tmp_path):
     code, _, _ = run(capsys, "calibrate", str(tmp_path / "none.txt"))
     assert code == 2
@@ -279,6 +307,15 @@ def test_simulate_unknown_action_exits_3(capsys, tmp_path):
     code, _, err = run(capsys, "simulate", str(bad), "--out", str(tmp_path / "o"))
     assert code == 3
     assert "ghost" in err
+
+
+def test_simulate_scenario_that_is_not_utf8_exits_3(capsys, tmp_path):
+    bad = tmp_path / "latin1.scn"
+    bad.write_bytes(b"action: caf\xe9\nthreshold: 5\nma modified /x\n")
+    code, _, err = run(capsys, "simulate", str(bad), "--out", str(tmp_path / "o"))
+    assert code == 3
+    assert err.startswith("error: ")
+    assert "latin1.scn" in err
 
 
 def test_simulate_missing_scenario_exits_2(capsys, tmp_path):

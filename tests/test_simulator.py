@@ -33,15 +33,23 @@ from tracerecon.model import (
     TraceState,
 )
 from tracerecon.simulator import (
+    GroundTruth,
+    SimState,
+    TruthInstance,
+    TruthWrite,
     always_updated_targets,
     export_records,
-    state_from_records,
 )
 
 from conftest import FIXTURES
 
 MOD = TimestampKind.MODIFIED
 CRE = TimestampKind.CREATED
+
+
+def state_from_records(records) -> SimState:
+    """Inverse of :func:`export_records` for round trips through metadata files."""
+    return {record.path: dict(record.timestamps) for record in records}
 
 
 def single_target_spec(name="app", threshold=50, path="/obj/a"):
@@ -395,6 +403,17 @@ def test_missing_most_recent_coverage_is_reported():
     ]
     report = oracle_check(truth, results, core_targets)
     assert "most-recent-coverage" in report.failed_properties()
+
+
+def test_most_recent_coverage_counts_only_core_updates_of_the_last_instance():
+    truth = GroundTruth(
+        instances=(TruthInstance(0, "app", 100, 0), TruthInstance(1, "app", 200, 0)),
+        writes=(
+            TruthWrite(0, "/core", MOD, 120, False),
+            TruthWrite(1, "/core", MOD, 5, True),
+        ),
+    )
+    assert oracle_check(truth, [], {"app": frozenset({("/core", MOD)})}).ok
 
 
 # --- scenario files ------------------------------------------------------

@@ -58,7 +58,7 @@ print("Step 1 - ActionX on its own evidence")
 print("------------------------------------")
 matched = match_pack(PACK, objects)  # every pattern, one pass over the objects
 result = analyze_action(PACK.get("ActionX"), matched)
-show("core verdict", result.core_verdict.status.value)
+show("core verdict", "multi-instance" if result.parallel else "consistent")
 for instance in result.instances:
     show(
         f"{instance.rank.value} instance",

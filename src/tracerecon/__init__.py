@@ -8,6 +8,10 @@ measured update threshold, and reports the time interval in which each
 detected action instance must have occurred.  A forward simulator of the
 same action model generates synthetic metadata with ground truth for
 verification.
+
+The package exports the documented library surface; everything else
+(clusters, per-action results, the matcher, simulator internals) is
+imported from its submodule.
 """
 
 from .model import (
@@ -16,25 +20,14 @@ from .model import (
     InstanceRank,
     ObjectRecord,
     TimeInterval,
-    Timestamp,
     TimestampKind,
     TraceState,
-    instance_interval,
 )
-from .bodyfile import (
-    IngestError,
-    ParseDiagnostic,
-    format_record,
-    load_metadata,
-    parse_bodyfile,
-    write_bodyfile,
-)
+from .bodyfile import IngestError, ParseDiagnostic, load_metadata, parse_bodyfile, write_bodyfile
 from .signatures import (
-    Signature,
     SignatureError,
     SignaturePack,
     TraceCategory,
-    TracePattern,
     match_pack,
     merge_packs,
     parse_signature_pack,
@@ -45,31 +38,10 @@ from .calibration import (
     estimate_threshold,
     threshold_from_stats,
 )
-from .engine import (
-    ActionResult,
-    Cluster,
-    CoreStatus,
-    CoreVerdict,
-    SharedAttribution,
-    analyze_action,
-    cluster_by_threshold,
-    core_test,
-    disambiguate_shared,
-    reconstruct,
-    shared_test,
-    support_test,
-)
+from .engine import reconstruct
 from .simulator import (
-    ActionSpec,
-    GroundTruth,
-    InstanceSchedule,
-    OracleReport,
-    PathVariant,
-    Scenario,
     ScenarioError,
-    ScheduleEntry,
     SimulationError,
-    apply_instance,
     derive_signatures,
     oracle_check,
     parse_scenario,
@@ -80,45 +52,23 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ActionInstanceApproximation",
-    "ActionResult",
-    "ActionSpec",
     "CalibrationError",
-    "Cluster",
     "ConfidenceNote",
-    "CoreStatus",
-    "CoreVerdict",
-    "GroundTruth",
     "IngestError",
     "InstanceRank",
-    "InstanceSchedule",
     "ObjectRecord",
-    "OracleReport",
     "ParseDiagnostic",
-    "PathVariant",
-    "Scenario",
     "ScenarioError",
-    "ScheduleEntry",
-    "SharedAttribution",
-    "Signature",
     "SignatureError",
     "SignaturePack",
     "SimulationError",
     "ThresholdEstimate",
     "TimeInterval",
-    "Timestamp",
     "TimestampKind",
     "TraceCategory",
-    "TracePattern",
     "TraceState",
-    "analyze_action",
-    "apply_instance",
-    "cluster_by_threshold",
-    "core_test",
     "derive_signatures",
-    "disambiguate_shared",
     "estimate_threshold",
-    "format_record",
-    "instance_interval",
     "load_metadata",
     "match_pack",
     "merge_packs",
@@ -127,9 +77,7 @@ __all__ = [
     "parse_scenario",
     "parse_signature_pack",
     "reconstruct",
-    "shared_test",
     "simulate",
-    "support_test",
     "threshold_from_stats",
     "write_bodyfile",
 ]

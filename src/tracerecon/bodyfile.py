@@ -115,14 +115,12 @@ def parse_bodyfile(
     return records, diagnostics
 
 
-def load_metadata(source: str | Path, format: str = "bodyfile") -> list[ObjectRecord]:
+def load_metadata(source: str | Path) -> list[ObjectRecord]:
     """Load object records from a file path or ``-`` for stdin.
 
     Diagnostics are emitted on the module logger; an unreadable source is
     fatal and raises :class:`IngestError` naming the path.
     """
-    if format != "bodyfile":
-        raise IngestError(f"unsupported metadata format: {format!r}")
     try:
         if str(source) == "-":
             import sys

@@ -42,13 +42,17 @@ def threshold_from_stats(mean: float, sigma: float, k: float) -> int:
 
     Rounds ``mean + k * sigma`` half-up and floors the result at 1 second;
     a zero threshold would make every pair of observations a separate
-    instance, which is never the intent.
+    instance, which is never the intent.  A cutoff that is not a finite
+    number (a NaN or infinite input, or an overflow) is rejected.
     """
     if mean < 0 or sigma < 0:
         raise CalibrationError("mean and sigma must be non-negative")
     if k <= 0:
         raise CalibrationError("sigma multiplier k must be positive")
-    return max(1, _round_half_up(mean + k * sigma))
+    cutoff = mean + k * sigma
+    if not math.isfinite(cutoff):
+        raise CalibrationError(f"cutoff mean + k*sigma is not finite: {cutoff}")
+    return max(1, _round_half_up(cutoff))
 
 
 def estimate_threshold(
@@ -57,10 +61,12 @@ def estimate_threshold(
     """Estimate a threshold from raw duration samples (seconds).
 
     Uses the arithmetic mean and the sample standard deviation (n-1
-    divisor).  Requires at least two samples, all non-negative.
+    divisor).  Requires at least two samples, all finite and non-negative.
     """
     if len(samples) < 2:
         raise CalibrationError("insufficient samples: need at least 2 durations")
+    if not all(math.isfinite(s) for s in samples):
+        raise CalibrationError("duration samples must be finite numbers")
     if any(s < 0 for s in samples):
         raise CalibrationError("duration samples must be non-negative")
     mean = statistics.mean(samples)

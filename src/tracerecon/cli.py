@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 from datetime import datetime, timezone
@@ -121,7 +122,7 @@ def _load_packs(pack_paths: list[str]) -> SignaturePack:
         try:
             packs.append(parse_signature_pack(text))
         except SignatureError as exc:
-            raise SignatureError(exc.line_no, f"{path}: {exc}") from exc
+            raise SignatureError(exc.line_no, f"{path}: {exc.message}") from exc
     try:
         return merge_packs(packs)
     except ValueError as exc:
@@ -276,8 +277,8 @@ def _positive_float(value: str) -> float:
         parsed = float(value)
     except ValueError:
         raise argparse.ArgumentTypeError(f"not a number: {value!r}")
-    if parsed <= 0:
-        raise argparse.ArgumentTypeError("must be positive")
+    if not (math.isfinite(parsed) and parsed > 0):
+        raise argparse.ArgumentTypeError("must be positive and finite")
     return parsed
 
 

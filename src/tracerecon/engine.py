@@ -1,12 +1,12 @@
-"""Reconstruction engine: threshold clustering, consistency tests and
-layered shared-trace disambiguation.
+"""Reconstruction engine: threshold clustering and layered shared-trace
+disambiguation.
 
 Given ingested object records and a signature pack, the engine resolves all
-patterns into trace states in one pass over the records, groups states that
-lie within the action's update threshold of each other into clusters (one
-cluster per inferred instance), checks the always-updated core traces for
-consistency, and finally attributes shared traces by eliminating candidate
-actions whose core evidence rules them out.
+patterns into trace states in one pass over the records and partitions each
+category's states by the action's update threshold (one cluster per inferred
+instance).  The clusters are the verdicts: more than one core cluster means
+parallel instances, and a shared cluster is attributed by eliminating the
+candidate actions whose newest core value rules them out.
 
 Each surviving cluster becomes an :class:`ActionInstanceApproximation` whose
 interval is ``[oldest - threshold, newest]``: the causing instance ran no
@@ -15,8 +15,7 @@ later than the oldest update and no more than one threshold before it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from enum import Enum
+from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 from .model import (
@@ -59,32 +58,6 @@ class Cluster:
         return self.newest - self.oldest
 
 
-class CoreStatus(Enum):
-    CONSISTENT = "consistent"
-    MULTI_INSTANCE = "multi-instance"
-
-
-@dataclass(frozen=True)
-class CoreVerdict:
-    """Outcome of checking an action's always-updated traces.
-
-    Consistent means all core values fit within one threshold (at most one
-    cluster; zero when no core trace survived).  Multi-instance means the
-    core values disagree by more than the threshold, which only happens
-    when instances overlap in time (e.g. one holds an object locked while
-    another runs), so each core cluster is reported as its own execution.
-    """
-
-    status: CoreStatus
-    clusters: tuple[Cluster, ...]
-
-    def __post_init__(self) -> None:
-        if self.status is CoreStatus.CONSISTENT and len(self.clusters) > 1:
-            raise ValueError("a consistent verdict carries at most one cluster")
-        if self.status is CoreStatus.MULTI_INSTANCE and len(self.clusters) < 2:
-            raise ValueError("a multi-instance verdict needs at least two clusters")
-
-
 @dataclass(frozen=True)
 class SharedAttribution:
     """One cluster of shared-trace evidence and the actions that could own it."""
@@ -102,13 +75,25 @@ class SharedAttribution:
 
 @dataclass(frozen=True)
 class ActionResult:
-    """Per-action analysis: verdicts, clusters, and ranked instances."""
+    """Per-action analysis: core and supporting clusters, and ranked instances."""
 
     action_name: str
     threshold: int
-    core_verdict: CoreVerdict
+    core_clusters: tuple[Cluster, ...]
     support_clusters: tuple[Cluster, ...]
     instances: tuple[ActionInstanceApproximation, ...]
+
+    @property
+    def parallel(self) -> bool:
+        """Whether the core values disagree by more than the threshold.
+
+        Every execution refreshes every core trace, so core values more than
+        one threshold apart only arise when instances overlap in time (e.g.
+        one holds an object locked while another runs).  Each core cluster
+        is then reported as its own execution.  No core evidence, or one
+        core cluster, is consistent.
+        """
+        return len(self.core_clusters) > 1
 
 
 def cluster_by_threshold(states: Sequence[TraceState], threshold: int) -> list[Cluster]:
@@ -131,83 +116,6 @@ def cluster_by_threshold(states: Sequence[TraceState], threshold: int) -> list[C
     if current:
         clusters.append(Cluster(tuple(current)))
     return clusters
-
-
-def core_test(threshold: int, states: Sequence[TraceState]) -> CoreVerdict:
-    """Check always-updated traces: one instance window, or parallel instances.
-
-    Empty input is vacuously consistent.  When the newest value exceeds the
-    oldest by more than the threshold the verdict carries the full cluster
-    partition, because every core trace must be refreshed by every
-    execution and a stale one therefore marks a distinct overlapping run.
-    """
-    clusters = cluster_by_threshold(states, threshold)
-    if len(clusters) <= 1:
-        return CoreVerdict(CoreStatus.CONSISTENT, tuple(clusters))
-    return CoreVerdict(CoreStatus.MULTI_INSTANCE, tuple(clusters))
-
-
-def support_test(threshold: int, states: Sequence[TraceState]) -> list[Cluster]:
-    """Partition irregularly-updated traces; each cluster is a past instance.
-
-    A supporting trace is touched only by its action, so two values more
-    than one threshold apart cannot come from the same execution.
-    """
-    return cluster_by_threshold(states, threshold)
-
-
-def shared_test(
-    threshold: int, states: Sequence[TraceState], candidates: Iterable[str]
-) -> list[SharedAttribution]:
-    """Cluster shared traces; every candidate action could own each cluster.
-
-    With a single candidate the attribution resolves immediately; otherwise
-    resolution waits for :func:`disambiguate_shared`.
-    """
-    candidate_set = frozenset(candidates)
-    attributions = []
-    for cluster in cluster_by_threshold(states, threshold):
-        resolved = next(iter(candidate_set)) if len(candidate_set) == 1 else None
-        attributions.append(SharedAttribution(cluster, candidate_set, resolved))
-    return attributions
-
-
-def _last_core_newest(result: ActionResult) -> Timestamp | None:
-    if not result.core_verdict.clusters:
-        return None
-    return max(c.newest for c in result.core_verdict.clusters)
-
-
-def disambiguate_shared(
-    attributions: Sequence[SharedAttribution],
-    per_action_results: Mapping[str, ActionResult],
-) -> list[SharedAttribution]:
-    """Eliminate candidates whose core evidence rules them out.
-
-    Core traces are refreshed by every execution, so an action cannot have
-    run after its newest core value plus its threshold.  A shared cluster
-    older than that bound stays compatible; a newer one eliminates the
-    action.  When exactly one candidate survives, the attribution resolves
-    to it; with several compatible candidates no conclusion is possible.
-    """
-    resolved: list[SharedAttribution] = []
-    for attribution in attributions:
-        if attribution.resolved is not None:
-            resolved.append(attribution)
-            continue
-        remaining = set(attribution.candidate_actions)
-        for name in sorted(attribution.candidate_actions):
-            result = per_action_results.get(name)
-            if result is None:
-                continue
-            bound = _last_core_newest(result)
-            if bound is not None and attribution.cluster.oldest > bound + result.threshold:
-                remaining.discard(name)
-        if len(remaining) == 1:
-            resolved.append(replace(attribution, resolved=remaining.pop()))
-        else:
-            resolved.append(attribution)
-    return resolved
 
 
 def _interval_for(cluster: Cluster, threshold: int) -> TimeInterval:
@@ -238,24 +146,26 @@ def analyze_action(
     ``matched`` holds the trace states :func:`match_pack` found for a pack
     that contains ``signature``.
 
-    When the core traces are consistent, supporting clusters that overlap
+    When the core values form one cluster, supporting clusters that overlap
     the core window or sit within one threshold of it merge into the same
     execution (the execution updated some supporting objects a little
     earlier or later than the core ones); remaining supporting clusters are
-    distinct past executions.  When the core traces indicate parallel
-    instances, nothing merges: each core cluster is reported at its own
+    distinct past executions.  When they form several
+    (:attr:`ActionResult.parallel`), nothing merges: each core cluster is reported at its own
     time and supporting clusters stand alone, since under overlapping
     executions the pairing of supporting updates to executions is unknown.
     """
     name = signature.action_name
-    verdict = core_test(signature.threshold, matched[(name, TraceCategory.CORE)])
-    support_clusters = support_test(
-        signature.threshold, matched[(name, TraceCategory.SUPPORTING)]
+    core_clusters = cluster_by_threshold(
+        matched[(name, TraceCategory.CORE)], signature.threshold
+    )
+    support_clusters = cluster_by_threshold(
+        matched[(name, TraceCategory.SUPPORTING)], signature.threshold
     )
 
     instance_clusters: list[tuple[Cluster, ConfidenceNote]] = []
-    if verdict.status is CoreStatus.CONSISTENT and verdict.clusters:
-        core_cluster = verdict.clusters[0]
+    if len(core_clusters) == 1:
+        (core_cluster,) = core_clusters
         absorbed = [
             c for c in support_clusters
             if _span_gap(core_cluster, c) <= signature.threshold
@@ -265,13 +175,10 @@ def analyze_action(
         instance_clusters.extend(
             (c, ConfidenceNote.DEFINITE) for c in support_clusters if c not in absorbed
         )
-    else:
-        note = (
-            ConfidenceNote.PARALLEL_INSTANCE_DIAGNOSTIC
-            if verdict.status is CoreStatus.MULTI_INSTANCE
-            else ConfidenceNote.DEFINITE
+    else:  # no core cluster, or parallel instances
+        instance_clusters.extend(
+            (c, ConfidenceNote.PARALLEL_INSTANCE_DIAGNOSTIC) for c in core_clusters
         )
-        instance_clusters.extend((c, note) for c in verdict.clusters)
         instance_clusters.extend((c, ConfidenceNote.DEFINITE) for c in support_clusters)
 
     instance_clusters.sort(key=lambda pair: (pair[0].newest, pair[0].oldest))
@@ -294,7 +201,7 @@ def analyze_action(
     return ActionResult(
         action_name=signature.action_name,
         threshold=signature.threshold,
-        core_verdict=verdict,
+        core_clusters=tuple(core_clusters),
         support_clusters=tuple(support_clusters),
         instances=tuple(instances),
     )
@@ -305,30 +212,36 @@ def shared_attributions(
     matched: Mapping[Bucket, Sequence[TraceState]],
     per_action_results: Mapping[str, ActionResult],
 ) -> list[SharedAttribution]:
-    """Cluster and disambiguate every shared-trace group in the pack.
+    """Cluster every shared-trace group in the pack and attribute each cluster.
 
     Traces shared by the same set of actions are clustered together; the
     grouping threshold is the largest of the candidates' thresholds, the
     conservative choice when they disagree (a wider window merges more and
     claims fewer separate instances).
+
+    Each cluster's candidates are eliminated in one loop.  A group with one
+    candidate resolves to it unconditionally.  Otherwise core traces are
+    refreshed by every execution, so an action cannot have run after its
+    newest core value plus its threshold: a cluster whose oldest value is
+    later than that bound drops the action.  A candidate without core
+    evidence, or missing from ``per_action_results``, is never dropped.
+    The cluster resolves when exactly one candidate survives; with several
+    no conclusion is possible.
     """
     attributions: list[SharedAttribution] = []
     for candidates, _ in pack.shared_groups():
         group_threshold = max(pack.get(name).threshold for name in candidates)
-        attributions.extend(shared_test(group_threshold, matched[candidates], candidates))
-    return disambiguate_shared(attributions, per_action_results)
-
-
-def _near_existing_instance(
-    cluster: Cluster, result: ActionResult | None, threshold: int
-) -> bool:
-    if result is None:
-        return False
-    for instance in result.instances:
-        existing = Cluster(instance.evidence)
-        if _span_gap(cluster, existing) <= threshold:
-            return True
-    return False
+        for cluster in cluster_by_threshold(matched[candidates], group_threshold):
+            survivors = set(candidates)
+            for name in candidates:
+                result = per_action_results.get(name)
+                if len(candidates) == 1 or result is None or not result.core_clusters:
+                    continue
+                if cluster.oldest > result.core_clusters[-1].newest + result.threshold:
+                    survivors.discard(name)
+            resolved = survivors.pop() if len(survivors) == 1 else None
+            attributions.append(SharedAttribution(cluster, candidates, resolved))
+    return attributions
 
 
 def reconstruct(
@@ -355,21 +268,21 @@ def reconstruct(
     for attribution in shared_attributions(pack, matched, results):
         if attribution.resolved is None:
             continue
-        owner = attribution.resolved
-        threshold = pack.get(owner).threshold
-        if _near_existing_instance(attribution.cluster, results.get(owner), threshold):
+        owner = results[attribution.resolved]
+        if any(
+            _span_gap(attribution.cluster, Cluster(instance.evidence)) <= owner.threshold
+            for instance in owner.instances
+        ):
             continue
         approximations.append(
             ActionInstanceApproximation(
-                action_name=owner,
-                interval=_interval_for(attribution.cluster, threshold),
+                action_name=owner.action_name,
+                interval=_interval_for(attribution.cluster, owner.threshold),
                 evidence=attribution.cluster.members,
                 rank=InstanceRank.PAST,
                 note=ConfidenceNote.SHARED_AMBIGUOUS,
             )
         )
 
-    approximations.sort(
-        key=lambda a: (-(a.interval.end or 0), -a.detected, a.action_name)
-    )
+    approximations.sort(key=lambda a: (-a.interval.end, -a.detected, a.action_name))
     return approximations

@@ -125,27 +125,21 @@ def trace_sort_key(state: TraceState) -> tuple[Timestamp, str, str]:
 
 @dataclass(frozen=True)
 class TimeInterval:
-    """A closed interval of time; a None bound means unbounded on that side."""
+    """A closed interval of time, both bounds included."""
 
-    start: Timestamp | None
-    end: Timestamp | None
+    start: Timestamp
+    end: Timestamp
 
     def __post_init__(self) -> None:
-        if self.start is not None and self.end is not None and self.start > self.end:
+        if self.start > self.end:
             raise ValueError(f"interval start {self.start} exceeds end {self.end}")
 
     def contains(self, value: Timestamp) -> bool:
-        if self.start is not None and value < self.start:
-            return False
-        if self.end is not None and value > self.end:
-            return False
-        return True
+        return self.start <= value <= self.end
 
     @property
-    def width(self) -> int | None:
-        """Interval width in seconds, or None if either bound is unbounded."""
-        if self.start is None or self.end is None:
-            return None
+    def width(self) -> int:
+        """Interval width in seconds."""
         return self.end - self.start
 
 

@@ -68,6 +68,7 @@ class BlockFileError(ValueError):
 
     def __init__(self, line_no: int | None, message: str):
         self.line_no = line_no
+        self.message = message  # without the line suffix
         suffix = f" (line {line_no})" if line_no is not None else ""
         super().__init__(f"{message}{suffix}")
 
@@ -280,7 +281,7 @@ def parse_signature_pack(source: str | IO[str]) -> SignaturePack:
                 traces.append(
                     TracePattern(_CATEGORY_WORDS[cat_word], _KIND_WORDS[kind_word], pattern)
                 )
-            except (re.error, OverflowError) as exc:
+            except (re.error, OverflowError, RecursionError) as exc:
                 raise SignatureError(line_no, f"regex does not compile: {exc}") from None
         if not traces:
             raise SignatureError(

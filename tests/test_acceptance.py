@@ -6,16 +6,10 @@ import random
 import time
 
 from tracerecon import (
-    ActionSpec,
     ConfidenceNote,
-    CoreStatus,
     InstanceRank,
-    InstanceSchedule,
-    PathVariant,
-    ScheduleEntry,
     TimestampKind,
     TraceState,
-    cluster_by_threshold,
     derive_signatures,
     load_metadata,
     match_pack,
@@ -25,8 +19,14 @@ from tracerecon import (
     threshold_from_stats,
 )
 from tracerecon.cli import main
-from tracerecon.engine import analyze_action
-from tracerecon.simulator import always_updated_targets
+from tracerecon.engine import analyze_action, cluster_by_threshold
+from tracerecon.simulator import (
+    ActionSpec,
+    InstanceSchedule,
+    PathVariant,
+    ScheduleEntry,
+    always_updated_targets,
+)
 
 import casedata
 from conftest import FIXTURES, epoch
@@ -82,7 +82,7 @@ def test_criterion_2_case_study_reproduction(browser_pack):
     # the two overlapping runs on computer 1 carry the parallel diagnostic
     c1 = load_metadata(FIXTURES / "computer1.body")
     ff3_result = analyze_action(browser_pack.get(casedata.FF3), match_pack(browser_pack, c1))
-    assert ff3_result.core_verdict.status is CoreStatus.MULTI_INSTANCE
+    assert ff3_result.parallel
     for anchor in (epoch(2011, 7, 24, 13, 24, 14), epoch(2011, 7, 24, 15, 2, 31)):
         approx = detections[("computer1", casedata.FF3, anchor)]
         assert approx.note is ConfidenceNote.PARALLEL_INSTANCE_DIAGNOSTIC

@@ -7,11 +7,11 @@ from hypothesis import strategies as st
 from tracerecon import (
     IngestError,
     ObjectRecord,
-    format_record,
     load_metadata,
     parse_bodyfile,
     write_bodyfile,
 )
+from tracerecon.bodyfile import format_record
 
 from conftest import FIXTURES
 
@@ -123,13 +123,6 @@ def test_missing_file_raises_naming_the_path(tmp_path):
     missing = tmp_path / "nope.body"
     with pytest.raises(IngestError, match="nope.body"):
         load_metadata(missing)
-
-
-def test_unsupported_format_tag_rejected(tmp_path):
-    f = tmp_path / "x.body"
-    f.write_text(PREFETCH_LINE + "\n")
-    with pytest.raises(IngestError, match="format"):
-        load_metadata(f, format="mactime")
 
 
 def test_pipe_in_path_cannot_be_serialized():

@@ -21,7 +21,15 @@ def test_threshold_from_stats(mean, sigma, k, expected):
     assert threshold_from_stats(mean, sigma, k) == expected
 
 
-@pytest.mark.parametrize("mean, sigma, k", [(-1, 5, 2), (5, -1, 2), (5, 5, 0), (5, 5, -2)])
+@pytest.mark.parametrize(
+    "mean, sigma, k",
+    [
+        (-1, 5, 2), (5, -1, 2), (5, 5, 0), (5, 5, -2),
+        # the cutoff mean + k*sigma is not finite
+        (math.nan, 5, 2), (5, math.inf, 2), (5, 5, math.nan), (5, 5, math.inf),
+        (1e308, 1e308, 2),
+    ],
+)
 def test_invalid_stats_rejected(mean, sigma, k):
     with pytest.raises(CalibrationError):
         threshold_from_stats(mean, sigma, k)
@@ -46,9 +54,10 @@ def test_single_sample_is_insufficient():
         estimate_threshold([10], k=2)
 
 
-def test_negative_samples_rejected():
+@pytest.mark.parametrize("bad", [-0.5, math.nan, math.inf, -math.inf])
+def test_negative_or_non_finite_samples_rejected(bad):
     with pytest.raises(CalibrationError):
-        estimate_threshold([3.0, -0.5], k=2)
+        estimate_threshold([3.0, bad], k=2)
 
 
 samples_strategy = st.lists(

@@ -4,6 +4,8 @@ import json
 import random
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from tracerecon import parse_scenario, simulate
 from tracerecon.cli import main
@@ -90,6 +92,11 @@ def test_scan_missing_metadata_exits_2(capsys, tmp_path):
     [
         ("action: A\nthreshold: 0\ncore modified x\n", "line 2"),
         ("action: A\nthreshold: 5\ncore modified a{4294967296}\n", "line 3"),
+        pytest.param(
+            "action: A\nthreshold: 5\ncore modified " + "(" * 2000 + ")" * 2000 + "\n",
+            "line 3",
+            id="deeply-nested-regex",
+        ),
     ],
 )
 def test_scan_bad_signature_file_exits_3_with_line_number(capsys, tmp_path, text, line):
@@ -97,7 +104,8 @@ def test_scan_bad_signature_file_exits_3_with_line_number(capsys, tmp_path, text
     bad.write_text(text)
     code, _, err = run(capsys, "scan", C1, str(bad))
     assert code == 3
-    assert line in err
+    assert err.startswith(f"error: {bad}: ")
+    assert err.count(f"({line})") == 1
 
 
 def test_scan_signature_pack_that_is_not_utf8_exits_3(capsys, tmp_path):
@@ -196,10 +204,29 @@ def test_calibrate_reads_stdin_identically(capsys, monkeypatch):
     assert from_stdin == from_file
 
 
-def test_calibrate_k_zero_is_a_usage_error(capsys):
+@pytest.mark.parametrize("k", ["0", "nan", "inf"])
+def test_calibrate_k_not_positive_and_finite_is_a_usage_error(capsys, k):
     with pytest.raises(SystemExit) as exc_info:
-        main(["calibrate", str(FIXTURES / "calibration_ie8.txt"), "--k", "0"])
+        main(["calibrate", str(FIXTURES / "calibration_ie8.txt"), "--k", k])
     assert exc_info.value.code == 2
+    assert "must be positive and finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("12.5\nnan\n20\n", "duration samples must be finite numbers"),
+        ("12.5\ninf\n20\n", "duration samples must be finite numbers"),
+        ("12.5\n-inf\n20\n", "duration samples must be finite numbers"),
+        ("1e308\n1e308\n0\n", "cutoff mean + k*sigma is not finite: inf"),
+    ],
+)
+def test_calibrate_non_finite_sample_or_cutoff_exits_3(capsys, tmp_path, text, message):
+    samples = tmp_path / "samples.txt"
+    samples.write_text(text)
+    code, _, err = run(capsys, "calibrate", str(samples))
+    assert code == 3
+    assert err == f"error: {message}\n"
 
 
 def test_calibrate_insufficient_samples_exits_3(capsys, tmp_path):
@@ -321,3 +348,58 @@ def test_simulate_scenario_that_is_not_utf8_exits_3(capsys, tmp_path):
 def test_simulate_missing_scenario_exits_2(capsys, tmp_path):
     code, _, _ = run(capsys, "simulate", str(tmp_path / "none.scn"), "--out", str(tmp_path / "o"))
     assert code == 2
+
+
+# --- no input gives a traceback -----------------------------------------------
+
+# Pieces of the bodyfile, signature and sample grammars, mixed with arbitrary
+# bytes, so that fuzzed inputs also reach past the first syntax check.
+NUMBER_TOKENS = [b"0", b"7", b"12.5", b"-1", b"1311516151", b"99999999999999999999",
+                 b"nan", b"inf", b"1e308"]
+GRAMMAR_TOKENS = NUMBER_TOKENS + [
+    b"|", b"\n", b" ", b"#", b"---", b"\xff", b"(", b")", b".*", b"C:/x (deleted)",
+    b"action: ", b"threshold: ", b"core modified ", b"support created ", b"shared accessed ",
+    b"action: A\nthreshold: 50\ncore modified x\nshared modified /\n---\n",
+]
+
+
+def joined(tokens, separator=b"", max_size=40):
+    pieces = st.one_of(st.sampled_from(tokens), st.binary(max_size=3))
+    return st.lists(pieces, max_size=max_size).map(separator.join)
+
+
+fuzz_bytes = joined(GRAMMAR_TOKENS)
+# Bodyfile lines of about eleven fields, and sample files of one number a line.
+fuzz_body = st.lists(
+    st.one_of(joined(GRAMMAR_TOKENS, b"|", 12), fuzz_bytes), max_size=8
+).map(b"\n".join)
+fuzz_samples = joined(NUMBER_TOKENS, b"\n", 8)
+
+
+def exit_code(argv):
+    try:
+        return main(argv)
+    except SystemExit as exc:  # argparse rejects the option
+        return exc.code
+
+
+FUZZ_SETTINGS = settings(
+    max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+
+
+@FUZZ_SETTINGS
+@given(body=fuzz_body, pack=fuzz_bytes)
+def test_scan_exits_with_a_documented_code_on_any_bytes(capsys, tmp_path, body, pack):
+    (tmp_path / "in.body").write_bytes(body)
+    (tmp_path / "in.sig").write_bytes(pack)
+    assert exit_code(["scan", str(tmp_path / "in.body"), str(tmp_path / "in.sig")]) in {0, 2, 3}
+    capsys.readouterr()
+
+
+@FUZZ_SETTINGS
+@given(samples=fuzz_samples, k=st.sampled_from(["2", "0.5", "0", "-1", "nan", "inf", "1e308", "x"]))
+def test_calibrate_exits_with_a_documented_code_on_any_bytes(capsys, tmp_path, samples, k):
+    (tmp_path / "samples.txt").write_bytes(samples)
+    assert exit_code(["calibrate", str(tmp_path / "samples.txt"), "--k", k]) in {0, 2, 3}
+    capsys.readouterr()

@@ -5,28 +5,27 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from tracerecon import (
-    Cluster,
     ConfidenceNote,
-    CoreStatus,
-    CoreVerdict,
     InstanceRank,
     ObjectRecord,
-    SharedAttribution,
+    SignaturePack,
     TimestampKind,
+    TraceCategory,
     TraceState,
-    cluster_by_threshold,
-    core_test,
-    disambiguate_shared,
     load_metadata,
     match_pack,
     parse_signature_pack,
     reconstruct,
-    shared_test,
-    support_test,
 )
-from tracerecon.engine import ActionResult, analyze_action
+from tracerecon.engine import (
+    Cluster,
+    SharedAttribution,
+    analyze_action,
+    cluster_by_threshold,
+    shared_attributions,
+)
 from tracerecon.model import trace_sort_key
-from tracerecon.signatures import TraceCategory
+from tracerecon.signatures import Signature, TracePattern
 
 import casedata
 from conftest import FIXTURES, epoch
@@ -43,15 +42,26 @@ def cluster_values(clusters):
     return [[m.value for m in c.members] for c in clusters]
 
 
-def result_for(action, threshold, core_values=(), support_values=()):
-    verdict = core_test(threshold, states_of(*core_values))
-    return ActionResult(
-        action_name=action,
-        threshold=threshold,
-        core_verdict=verdict,
-        support_clusters=tuple(support_test(threshold, states_of(*support_values))),
-        instances=(),
+def signature_of(action, threshold, category=TraceCategory.CORE):
+    return Signature(action, threshold, (TracePattern(category, TimestampKind.MODIFIED, "x"),))
+
+
+def analyzed(action, threshold, core_values=(), support_values=()):
+    """``analyze_action`` on hand-made core and supporting values."""
+    matched = {
+        (action, TraceCategory.CORE): states_of(*core_values),
+        (action, TraceCategory.SUPPORTING): states_of(*support_values),
+    }
+    return analyze_action(signature_of(action, threshold), matched)
+
+
+def attribute(threshold, shared_values, candidates, per_action_results):
+    """``shared_attributions`` for one group of actions sharing the given values."""
+    pack = SignaturePack(
+        signature_of(name, threshold, TraceCategory.SHARED) for name in sorted(candidates)
     )
+    matched = {frozenset(candidates): states_of(*shared_values)}
+    return shared_attributions(pack, matched, per_action_results)
 
 
 # --- clustering ---------------------------------------------------------
@@ -111,70 +121,61 @@ def test_clustering_is_a_partition_with_bounded_spans(values, threshold):
         assert later.oldest - earlier.oldest > threshold
 
 
-# --- core test ----------------------------------------------------------
+# --- core clusters -----------------------------------------------------
 
 
 def test_consistent_core_pair():
-    verdict = core_test(30, states_of(casedata.T_CORE_1, casedata.T_CORE_2))
-    assert verdict.status is CoreStatus.CONSISTENT
-    (cluster,) = verdict.clusters
+    result = analyzed("A", 30, core_values=(casedata.T_CORE_1, casedata.T_CORE_2))
+    assert not result.parallel
+    (cluster,) = result.core_clusters
     assert (cluster.oldest, cluster.newest) == (casedata.T_CORE_1, casedata.T_CORE_2)
 
 
 def test_core_disagreement_reports_parallel_instances():
     t_a, t_b = epoch(2011, 7, 24, 13, 24, 14), epoch(2011, 7, 24, 15, 2, 31)
-    verdict = core_test(50, states_of(t_a, t_b))
-    assert verdict.status is CoreStatus.MULTI_INSTANCE
-    assert cluster_values(verdict.clusters) == [[t_a], [t_b]]
+    result = analyzed("A", 50, core_values=(t_a, t_b))
+    assert result.parallel
+    assert cluster_values(result.core_clusters) == [[t_a], [t_b]]
 
 
 def test_empty_core_evidence_is_vacuously_consistent():
-    verdict = core_test(10, [])
-    assert verdict.status is CoreStatus.CONSISTENT
-    assert verdict.clusters == ()
+    result = analyzed("A", 10)
+    assert not result.parallel
+    assert result.core_clusters == ()
 
 
 def test_single_core_state_is_consistent():
-    assert core_test(0, states_of(123)).status is CoreStatus.CONSISTENT
+    assert not analyzed("A", 1, core_values=(123,)).parallel
 
 
-@given(values_strategy, threshold_strategy)
+@given(values_strategy, st.integers(1, 500))
 def test_core_consistency_means_span_within_threshold(values, threshold):
-    verdict = core_test(threshold, states_of(*values))
+    result = analyzed("A", threshold, core_values=values)
     if values:
         brute_consistent = max(values) - min(values) <= threshold
-        assert (verdict.status is CoreStatus.CONSISTENT) == brute_consistent
+        assert result.parallel is not brute_consistent
 
 
-def test_core_verdict_shape_is_validated():
-    cluster = Cluster(tuple(states_of(5)))
-    with pytest.raises(ValueError):
-        CoreVerdict(CoreStatus.CONSISTENT, (cluster, cluster))
-    with pytest.raises(ValueError):
-        CoreVerdict(CoreStatus.MULTI_INSTANCE, (cluster,))
-
-
-# --- supporting test ----------------------------------------------------
+# --- supporting clusters ------------------------------------------------
 
 
 def test_supporting_partition_of_the_computer1_values():
-    clusters = support_test(casedata.FF3_THRESHOLD, states_of(*casedata.C1_FF3_SUPPORT))
-    assert cluster_values(clusters) == [[v] for v in casedata.C1_FF3_SUPPORT]
+    result = analyzed("A", casedata.FF3_THRESHOLD, support_values=casedata.C1_FF3_SUPPORT)
+    assert cluster_values(result.support_clusters) == [[v] for v in casedata.C1_FF3_SUPPORT]
 
 
 def test_dense_supporting_values_collapse_to_the_core_interval():
     values = (1000, 1010, 1020)
-    support = support_test(30, states_of(*values))
-    core = core_test(30, states_of(*values))
-    assert cluster_values(support) == cluster_values(core.clusters)
+    result = analyzed("A", 30, core_values=values, support_values=values)
+    assert cluster_values(result.support_clusters) == cluster_values(result.core_clusters)
 
 
-# --- shared test and disambiguation -------------------------------------
+# --- shared attribution and elimination ---------------------------------
 
 
 def test_shared_clusters_keep_all_candidates():
-    attributions = shared_test(
-        30, states_of(casedata.T_SHARED_NEAR, casedata.T_SHARED_LATE), {casedata.X, casedata.Y}
+    attributions = attribute(
+        30, (casedata.T_SHARED_NEAR, casedata.T_SHARED_LATE), {casedata.X, casedata.Y}, {}
     )
     assert [a.cluster.oldest for a in attributions] == [
         casedata.T_SHARED_NEAR,
@@ -185,45 +186,56 @@ def test_shared_clusters_keep_all_candidates():
 
 
 def test_single_candidate_resolves_immediately():
-    (attribution,) = shared_test(30, states_of(500), {"OnlyAction"})
+    (attribution,) = attribute(30, (500,), {"OnlyAction"}, {})
+    assert attribution.resolved == "OnlyAction"
+
+
+def test_single_candidate_resolves_even_past_its_core_horizon():
+    # 10_000 is later than the lone candidate's newest core value plus its
+    # threshold, which would eliminate it in a group of two; alone, the
+    # shared evidence can only be its own
+    per_action = {"OnlyAction": analyzed("OnlyAction", 30, core_values=(100,))}
+    (attribution,) = attribute(30, (10_000,), {"OnlyAction"}, per_action)
     assert attribution.resolved == "OnlyAction"
 
 
 def test_no_shared_states_no_attributions():
-    assert shared_test(30, [], {"A", "B"}) == []
+    assert attribute(30, (), {"A", "B"}, {}) == []
 
 
 def test_cluster_after_the_last_core_execution_eliminates_that_action():
     per_action = {
-        casedata.X: result_for(
-            casedata.X, 30, core_values=(casedata.T_CORE_1, casedata.T_CORE_2)
-        )
+        casedata.X: analyzed(casedata.X, 30, core_values=(casedata.T_CORE_1, casedata.T_CORE_2))
     }
-    (late,) = shared_test(30, states_of(casedata.T_SHARED_LATE), {casedata.X, casedata.Y})
-    (resolved,) = disambiguate_shared([late], per_action)
-    assert resolved.resolved == casedata.Y
+    (late,) = attribute(30, (casedata.T_SHARED_LATE,), {casedata.X, casedata.Y}, per_action)
+    assert late.resolved == casedata.Y
 
 
 def test_cluster_inside_a_known_instance_stays_unresolved():
     per_action = {
-        casedata.X: result_for(
-            casedata.X, 30, core_values=(casedata.T_CORE_1, casedata.T_CORE_2)
-        )
+        casedata.X: analyzed(casedata.X, 30, core_values=(casedata.T_CORE_1, casedata.T_CORE_2))
     }
-    (near,) = shared_test(30, states_of(casedata.T_SHARED_NEAR), {casedata.X, casedata.Y})
-    (out,) = disambiguate_shared([near], per_action)
-    assert out.resolved is None
-    assert out.candidate_actions == {casedata.X, casedata.Y}
+    (near,) = attribute(30, (casedata.T_SHARED_NEAR,), {casedata.X, casedata.Y}, per_action)
+    assert near.resolved is None
+    assert near.candidate_actions == {casedata.X, casedata.Y}
+
+
+def test_elimination_bound_is_the_newest_of_parallel_core_clusters():
+    # A's core values form two parallel clusters; the shared value at 500
+    # is past the first one's horizon (130) but not the last one's (1030)
+    per_action = {"A": analyzed("A", 30, core_values=(100, 1000))}
+    assert per_action["A"].parallel
+    (attribution,) = attribute(30, (500,), {"A", "B"}, per_action)
+    assert attribution.resolved is None
 
 
 def test_actions_without_core_evidence_cannot_be_eliminated():
     per_action = {
-        "A": result_for("A", 30, support_values=(100,)),  # support only
-        "B": result_for("B", 30),
+        "A": analyzed("A", 30, support_values=(100,)),  # support only
+        "B": analyzed("B", 30),
     }
-    (attribution,) = shared_test(30, states_of(10_000), {"A", "B"})
-    (out,) = disambiguate_shared([attribution], per_action)
-    assert out.resolved is None
+    (attribution,) = attribute(30, (10_000,), {"A", "B"}, per_action)
+    assert attribution.resolved is None
 
 
 def test_attribution_invariants():
@@ -244,7 +256,7 @@ def worked_example_objects():
 def test_supporting_evidence_merges_into_a_consistent_core_window(worked_example_pack):
     matched = match_pack(worked_example_pack, worked_example_objects())
     result = analyze_action(worked_example_pack.get(casedata.X), matched)
-    assert result.core_verdict.status is CoreStatus.CONSISTENT
+    assert not result.parallel
     last, previous = result.instances[-1], result.instances[0]
     assert last.rank is InstanceRank.MOST_RECENT
     # the merged window is anchored by the older supporting update
@@ -259,7 +271,7 @@ def test_supporting_evidence_merges_into_a_consistent_core_window(worked_example
 def test_parallel_instances_do_not_absorb_supporting_clusters(ff3_pack):
     objects = load_metadata(FIXTURES / "computer1.body")
     result = analyze_action(ff3_pack.get(casedata.FF3), match_pack(ff3_pack, objects))
-    assert result.core_verdict.status is CoreStatus.MULTI_INSTANCE
+    assert result.parallel
     by_anchor = {i.detected: i for i in result.instances}
     # both core values stand alone as parallel-instance detections, even
     # though a supporting update sits four seconds from one of them

@@ -8,15 +8,13 @@ from hypothesis import strategies as st
 
 from tracerecon import (
     ObjectRecord,
-    Signature,
     SignaturePack,
     TimestampKind,
     TraceCategory,
-    TracePattern,
     match_pack,
     parse_signature_pack,
 )
-from tracerecon.signatures import required_literal
+from tracerecon.signatures import Signature, TracePattern, required_literal
 
 from reference_matcher import reference_buckets
 

@@ -10,8 +10,8 @@ from tracerecon import (
     TimeInterval,
     TimestampKind,
     TraceState,
-    instance_interval,
 )
+from tracerecon.model import instance_interval
 
 times = st.integers(min_value=0, max_value=2**33)
 thresholds = st.integers(min_value=0, max_value=10_000)
@@ -57,11 +57,11 @@ def test_interval_rejects_inverted_bounds():
         TimeInterval(10, 5)
 
 
-def test_null_bounds_mean_unbounded():
-    assert TimeInterval(None, 100).contains(0)
-    assert not TimeInterval(None, 100).contains(101)
-    assert TimeInterval(100, None).contains(10**12)
-    assert TimeInterval(None, None).width is None
+def test_interval_contains_its_closed_bounds():
+    interval = TimeInterval(100, 130)
+    assert interval.contains(100) and interval.contains(130)
+    assert not interval.contains(99) and not interval.contains(131)
+    assert interval.width == 30
 
 
 def test_record_requires_a_path_and_a_timestamp():

@@ -7,16 +7,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from tracerecon import (
-    ActionSpec,
-    InstanceSchedule,
     ObjectRecord,
-    PathVariant,
     ScenarioError,
-    ScheduleEntry,
     SimulationError,
     TimestampKind,
     TraceCategory,
-    apply_instance,
     derive_signatures,
     oracle_check,
     parse_bodyfile,
@@ -33,11 +28,16 @@ from tracerecon.model import (
     TraceState,
 )
 from tracerecon.simulator import (
+    ActionSpec,
     GroundTruth,
+    InstanceSchedule,
+    PathVariant,
+    ScheduleEntry,
     SimState,
     TruthInstance,
     TruthWrite,
     always_updated_targets,
+    apply_instance,
     export_records,
 )
 

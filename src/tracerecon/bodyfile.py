@@ -9,12 +9,14 @@ Field layout, bit-exact::
 
     MD5|name|inode|mode_as_string|UID|GID|size|atime|mtime|ctime|crtime
 
-Records are newline-terminated, ``|`` is forbidden inside fields, and the
-four time fields are decimal epoch seconds where 0 means "absent"; values
-beyond 9999-12-31T23:59:59Z cannot be rendered and are rejected.  Lines
-beginning with ``#`` and blank lines are ignored.  Names are UTF-8; bytes
-that do not decode are kept as lone surrogates (``surrogateescape``), since
-TSK writes file names as the raw bytes it found.
+Records end at ``\\n`` (a trailing ``\\r`` is dropped), so a raw ``\\r``
+inside a name is kept, from a file and from stdin alike.  ``|`` is
+forbidden inside fields, and the four time fields are decimal epoch
+seconds where 0 means "absent"; values beyond 9999-12-31T23:59:59Z cannot
+be rendered and are rejected.  Lines beginning with ``#`` and blank lines
+are ignored.  Names are UTF-8; bytes that do not decode are kept as lone
+surrogates (``surrogateescape``), since TSK writes file names as the raw
+bytes it found.
 
 NTFS-oriented kind mapping: ``atime`` is Accessed, ``mtime`` is Modified,
 ``crtime`` is Created and ``ctime`` is carried as MetaChanged.
@@ -25,6 +27,7 @@ from __future__ import annotations
 import io
 import logging
 import re
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 from typing import IO, Iterable
@@ -122,14 +125,11 @@ def load_metadata(source: str | Path) -> list[ObjectRecord]:
     fatal and raises :class:`IngestError` naming the path.
     """
     try:
-        if str(source) == "-":
-            import sys
-
-            text = sys.stdin.buffer.read().decode("utf-8", errors="surrogateescape")
-        else:
-            text = Path(source).read_text(encoding="utf-8", errors="surrogateescape")
+        data = sys.stdin.buffer.read() if str(source) == "-" else Path(source).read_bytes()
     except OSError as exc:
         raise IngestError(f"cannot read metadata from {source}: {exc}") from exc
+    text = data.decode("utf-8", errors="surrogateescape")
+    del data  # the text alone is held while parsing
     records, diagnostics = parse_bodyfile(text)
     for diag in diagnostics:
         log.warning("%s: %s", source, diag)

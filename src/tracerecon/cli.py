@@ -22,7 +22,13 @@ from .bodyfile import IngestError, load_metadata, write_bodyfile
 from .calibration import DEFAULT_SIGMA_MULTIPLIER, CalibrationError, estimate_threshold
 from .engine import reconstruct
 from .model import ActionInstanceApproximation, Timestamp
-from .signatures import SignatureError, SignaturePack, merge_packs, parse_signature_pack
+from .signatures import (
+    SignatureError,
+    SignaturePack,
+    _content_lines,
+    merge_packs,
+    parse_signature_pack,
+)
 from .simulator import (
     ScenarioError,
     SimulationError,
@@ -103,10 +109,8 @@ def default_signature_dir() -> Path:
 
 
 def _load_packs(pack_paths: list[str]) -> SignaturePack:
-    paths: list[Path]
-    if pack_paths:
-        paths = [Path(p) for p in pack_paths]
-    else:
+    paths = [Path(p) for p in pack_paths]
+    if not paths:
         sig_dir = default_signature_dir()
         paths = sorted(sig_dir.glob("*.sig"))
         if not paths:
@@ -132,10 +136,6 @@ def _load_packs(pack_paths: list[str]) -> SignaturePack:
 def cmd_scan(args: argparse.Namespace) -> int:
     try:
         records = load_metadata(args.metadata)
-    except IngestError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    try:
         pack = _load_packs(args.signatures)
     except IngestError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -145,9 +145,7 @@ def cmd_scan(args: argparse.Namespace) -> int:
         return EXIT_PARSE
 
     approximations = reconstruct(records, pack)
-    label = args.label or (
-        "-" if args.metadata == "-" else Path(args.metadata).stem
-    )
+    label = args.label or Path(args.metadata).stem  # "-" for stdin
     rows = [_row_cells(a, label, args.utc_display) for a in approximations]
     _EMITTERS[args.format](rows, sys.stdout)
     print(f"{len(rows)} detections", file=sys.stderr)
@@ -169,10 +167,7 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
         return EXIT_PARSE
 
     samples: list[float] = []
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for line_no, line in _content_lines(text):
         try:
             samples.append(float(line))
         except ValueError:

@@ -9,8 +9,8 @@ parallel instances, and a shared cluster is attributed by eliminating the
 candidate actions whose newest core value rules them out.
 
 Each surviving cluster becomes an :class:`ActionInstanceApproximation` whose
-interval is ``[oldest - threshold, newest]``: the causing instance ran no
-later than the oldest update and no more than one threshold before it.
+interval is :func:`~tracerecon.model.instance_interval` of the cluster's
+oldest and newest values: ``[oldest - threshold, newest]``.
 """
 
 from __future__ import annotations
@@ -21,12 +21,11 @@ from typing import Iterable, Mapping, Sequence
 from .model import (
     ActionInstanceApproximation,
     ConfidenceNote,
-    EPOCH_FLOOR,
     InstanceRank,
     ObjectRecord,
-    TimeInterval,
     Timestamp,
     TraceState,
+    instance_interval,
     trace_sort_key,
 )
 from .signatures import Bucket, Signature, SignaturePack, TraceCategory, match_pack
@@ -118,10 +117,6 @@ def cluster_by_threshold(states: Sequence[TraceState], threshold: int) -> list[C
     return clusters
 
 
-def _interval_for(cluster: Cluster, threshold: int) -> TimeInterval:
-    return TimeInterval(max(EPOCH_FLOOR, cluster.oldest - threshold), cluster.newest)
-
-
 def _merge_clusters(clusters: Iterable[Cluster]) -> Cluster:
     members = sorted(
         (m for c in clusters for m in c.members), key=trace_sort_key
@@ -129,13 +124,16 @@ def _merge_clusters(clusters: Iterable[Cluster]) -> Cluster:
     return Cluster(tuple(members))
 
 
+def _approximation(
+    name: str, threshold: int, cluster: Cluster, rank: InstanceRank, note: ConfidenceNote
+) -> ActionInstanceApproximation:
+    interval = instance_interval(cluster.oldest, cluster.newest, threshold)
+    return ActionInstanceApproximation(name, interval, cluster.members, rank, note)
+
+
 def _span_gap(a: Cluster, b: Cluster) -> int:
     """Distance between two cluster spans; zero when they overlap."""
-    if a.newest < b.oldest:
-        return b.oldest - a.newest
-    if b.newest < a.oldest:
-        return a.oldest - b.newest
-    return 0
+    return max(0, b.oldest - a.newest, a.oldest - b.newest)
 
 
 def analyze_action(
@@ -189,15 +187,7 @@ def analyze_action(
             if index == len(instance_clusters) - 1
             else InstanceRank.PAST
         )
-        instances.append(
-            ActionInstanceApproximation(
-                action_name=signature.action_name,
-                interval=_interval_for(cluster, signature.threshold),
-                evidence=cluster.members,
-                rank=rank,
-                note=note,
-            )
-        )
+        instances.append(_approximation(name, signature.threshold, cluster, rank, note))
     return ActionResult(
         action_name=signature.action_name,
         threshold=signature.threshold,
@@ -212,7 +202,7 @@ def shared_attributions(
     matched: Mapping[Bucket, Sequence[TraceState]],
     per_action_results: Mapping[str, ActionResult],
 ) -> list[SharedAttribution]:
-    """Cluster every shared-trace group in the pack and attribute each cluster.
+    """Cluster every shared group of ``pack.buckets`` and attribute each cluster.
 
     Traces shared by the same set of actions are clustered together; the
     grouping threshold is the largest of the candidates' thresholds, the
@@ -229,7 +219,9 @@ def shared_attributions(
     no conclusion is possible.
     """
     attributions: list[SharedAttribution] = []
-    for candidates, _ in pack.shared_groups():
+    for candidates in pack.buckets:
+        if not isinstance(candidates, frozenset):
+            continue
         group_threshold = max(pack.get(name).threshold for name in candidates)
         for cluster in cluster_by_threshold(matched[candidates], group_threshold):
             survivors = set(candidates)
@@ -261,9 +253,7 @@ def reconstruct(
         sig.action_name: analyze_action(sig, matched) for sig in pack
     }
 
-    approximations: list[ActionInstanceApproximation] = []
-    for result in results.values():
-        approximations.extend(result.instances)
+    approximations = [a for result in results.values() for a in result.instances]
 
     for attribution in shared_attributions(pack, matched, results):
         if attribution.resolved is None:
@@ -275,12 +265,12 @@ def reconstruct(
         ):
             continue
         approximations.append(
-            ActionInstanceApproximation(
-                action_name=owner.action_name,
-                interval=_interval_for(attribution.cluster, owner.threshold),
-                evidence=attribution.cluster.members,
-                rank=InstanceRank.PAST,
-                note=ConfidenceNote.SHARED_AMBIGUOUS,
+            _approximation(
+                owner.action_name,
+                owner.threshold,
+                attribution.cluster,
+                InstanceRank.PAST,
+                ConfidenceNote.SHARED_AMBIGUOUS,
             )
         )
 

@@ -2,10 +2,10 @@
 
 A file-system object is observed post-mortem as a path plus up to four
 timestamps.  Every timestamp value is causally tied to some past action
-instance that wrote it within a bounded delay, so an observed value can be
+instance that wrote it within a bounded delay, so observed values can be
 mapped back to the interval of time in which the causing instance must have
-occurred.  The types here are plain immutable values; every operation is a
-pure function.
+occurred; :func:`instance_interval` is that mapping's one definition.  The
+types here are plain immutable values; every operation is a pure function.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ EPOCH_FLOOR: Timestamp = 0
 
 
 class TimestampKind(Enum):
-    """Which of a file-system object's timestamps a value refers to."""
+    """Which of an object's timestamps a value is; the value names its ObjectRecord field."""
 
     ACCESSED = "accessed"
     MODIFIED = "modified"
@@ -53,15 +53,6 @@ class ConfidenceNote(Enum):
     PARALLEL_INSTANCE_DIAGNOSTIC = "parallel-instance-diagnostic"
 
 
-# The ObjectRecord field holding each timestamp kind.
-TIMESTAMP_FIELDS: dict[TimestampKind, str] = {
-    TimestampKind.ACCESSED: "accessed",
-    TimestampKind.MODIFIED: "modified",
-    TimestampKind.METACHANGED: "metachanged",
-    TimestampKind.CREATED: "created",
-}
-
-
 @dataclass(frozen=True)
 class ObjectRecord:
     """One file-system object and its surviving timestamps.
@@ -81,28 +72,18 @@ class ObjectRecord:
     def __post_init__(self) -> None:
         if not self.path:
             raise ValueError("ObjectRecord requires a non-empty path")
-        present = [t for t in self._time_fields() if t is not None]
+        times = (self.accessed, self.modified, self.metachanged, self.created)
+        present = [t for t in times if t is not None]
         if not present:
             raise ValueError(f"ObjectRecord {self.path!r} has no timestamps")
         if any(t < EPOCH_FLOOR for t in present):
             raise ValueError(f"ObjectRecord {self.path!r} has a negative timestamp")
 
-    def _time_fields(self) -> tuple[Timestamp | None, ...]:
-        return (self.accessed, self.modified, self.metachanged, self.created)
-
-    def timestamp(self, kind: TimestampKind) -> Timestamp | None:
-        """Return the value of the given timestamp kind, or None if absent."""
-        return getattr(self, TIMESTAMP_FIELDS[kind])
-
     @property
     def timestamps(self) -> dict[TimestampKind, Timestamp]:
         """Mapping of the timestamp kinds actually present on this record."""
-        out: dict[TimestampKind, Timestamp] = {}
-        for kind in TimestampKind:
-            value = self.timestamp(kind)
-            if value is not None:
-                out[kind] = value
-        return out
+        values = ((kind, getattr(self, kind.value)) for kind in TimestampKind)
+        return {kind: value for kind, value in values if value is not None}
 
 
 @dataclass(frozen=True)
@@ -166,14 +147,15 @@ class ActionInstanceApproximation:
         return min(state.value for state in self.evidence)
 
 
-def instance_interval(value: Timestamp, threshold: int) -> TimeInterval:
-    """Interval in which the instance causing an observed timestamp occurred.
+def instance_interval(oldest: Timestamp, newest: Timestamp, threshold: int) -> TimeInterval:
+    """Interval in which the instance behind trace values ``oldest..newest`` ran.
 
     A trace update lands between zero and ``threshold`` seconds after its
-    causing instance, so an observed value ``v`` places the instance inside
-    ``[v - threshold, v]``.  The start is clamped at the epoch floor; values
-    before 1970 are meaningless in this domain.
+    causing instance, so the instance ran no later than the oldest value and
+    no more than one threshold before it: ``[oldest - threshold, newest]``.
+    The start is clamped at the epoch floor; values before 1970 are
+    meaningless in this domain.
     """
     if threshold < 0:
         raise ValueError("threshold must be non-negative")
-    return TimeInterval(max(EPOCH_FLOOR, value - threshold), value)
+    return TimeInterval(max(EPOCH_FLOOR, oldest - threshold), newest)

@@ -30,13 +30,14 @@ An error about one line names that line; an error about a whole block
 Patterns are matched case-insensitively against full normalized paths with
 search semantics (a pattern may match anywhere; a trailing ``$`` is honored).
 
-Matching (:func:`match_pack`) walks the records once for the whole pack and
-fills one bucket per (action, category) and per shared group.  Each distinct
-(pattern, kind) pair is tried once per record, and its regex runs only when
-the pattern's required literal (for ``.*/Prefetch/Firefox\\.EXE-.*\\.pf``,
+A pack forms its match buckets once, when it is built: one per (action,
+category) and one per shared group, the set of actions a shared trace is
+evidence for.  Matching (:func:`match_pack`) walks the records once for the
+whole pack and fills every bucket.  Each distinct (pattern, kind) pair is
+tried once per record, and its regex runs only when the pattern's required
+literal (for ``.*/Prefetch/Firefox\\.EXE-.*\\.pf``,
 ``/prefetch/firefox.exe-``) occurs in the lowered path, in the spirit of
-multi-pattern prefilters such as Aho-Corasick and Hyperscan.  The
-prefilter is built inside each call, so loading a pack costs nothing extra.
+multi-pattern prefilters such as Aho-Corasick and Hyperscan.
 """
 
 from __future__ import annotations
@@ -48,13 +49,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import IO, Callable, Iterable, Iterator
 
-from .model import (
-    TIMESTAMP_FIELDS,
-    ObjectRecord,
-    TimestampKind,
-    TraceState,
-    trace_sort_key,
-)
+from .model import ObjectRecord, TimestampKind, TraceState, trace_sort_key
 
 
 class TraceCategory(Enum):
@@ -110,41 +105,47 @@ class Signature:
         if not self.traces:
             raise ValueError(f"signature {self.action_name!r}: needs at least one trace")
 
-    def patterns(self, category: TraceCategory) -> tuple[TracePattern, ...]:
-        return tuple(t for t in self.traces if t.category is category)
-
 
 # A shared trace is identified by its (pattern source, kind) pair; the same
 # pair listed by several signatures refers to the same on-disk evidence.
 SharedKey = tuple[str, TimestampKind]
 
+# A match bucket: one action's traces of one category, or one shared group
+# keyed by its candidate-action set.
+Bucket = tuple[str, TraceCategory] | frozenset[str]
+
 
 class SignaturePack:
-    """An immutable set of signatures with an index of shared traces."""
+    """An immutable set of signatures and the match buckets they define.
+
+    ``buckets`` maps every signature's three (action, category) buckets, then
+    every shared group in sorted candidate order, to their patterns.  A
+    group lists once each shared (source, kind) pair whose candidates, the
+    signatures listing the pair in any category, are its key.
+    """
 
     def __init__(self, signatures: Iterable[Signature]):
         self.signatures: tuple[Signature, ...] = tuple(signatures)
-        seen: set[str] = set()
+        self._by_name: dict[str, Signature] = {}
+        self.buckets: dict[Bucket, tuple[TracePattern, ...]] = {}
+        listed: dict[SharedKey, set[str]] = {}
         for sig in self.signatures:
-            if sig.action_name in seen:
+            if sig.action_name in self._by_name:
                 raise ValueError(f"duplicate action name in pack: {sig.action_name!r}")
-            seen.add(sig.action_name)
-        self.shared_index: dict[SharedKey, frozenset[str]] = self._build_shared_index()
-
-    def _build_shared_index(self) -> dict[SharedKey, frozenset[str]]:
-        shared_keys = {
-            (trace.source, trace.kind)
-            for sig in self.signatures
-            for trace in sig.traces
-            if trace.category is TraceCategory.SHARED
-        }
-        index: dict[SharedKey, set[str]] = {key: set() for key in shared_keys}
-        for sig in self.signatures:
+            self._by_name[sig.action_name] = sig
+            for category in TraceCategory:
+                self.buckets[(sig.action_name, category)] = tuple(
+                    t for t in sig.traces if t.category is category
+                )
             for trace in sig.traces:
+                listed.setdefault((trace.source, trace.kind), set()).add(sig.action_name)
+        groups: dict[frozenset[str], dict[SharedKey, TracePattern]] = {}
+        for sig in self.signatures:
+            for trace in self.buckets[(sig.action_name, TraceCategory.SHARED)]:
                 key = (trace.source, trace.kind)
-                if key in index:
-                    index[key].add(sig.action_name)
-        return {key: frozenset(names) for key, names in index.items()}
+                groups.setdefault(frozenset(listed[key]), {}).setdefault(key, trace)
+        for candidates in sorted(groups, key=sorted):
+            self.buckets[candidates] = tuple(groups[candidates].values())
 
     def __iter__(self) -> Iterator[Signature]:
         return iter(self.signatures)
@@ -153,34 +154,7 @@ class SignaturePack:
         return len(self.signatures)
 
     def get(self, action_name: str) -> Signature:
-        for sig in self.signatures:
-            if sig.action_name == action_name:
-                return sig
-        raise KeyError(action_name)
-
-    def shared_groups(self) -> list[tuple[frozenset[str], tuple[TracePattern, ...]]]:
-        """Shared traces grouped by their candidate-action set.
-
-        Traces referenced by the same set of actions are evidence of the
-        same ambiguity and are clustered together downstream.  Groups are
-        returned in a deterministic order.
-        """
-        by_candidates: dict[frozenset[str], list[TracePattern]] = {}
-        seen: set[SharedKey] = set()
-        for sig in self.signatures:
-            for trace in sig.traces:
-                key = (trace.source, trace.kind)
-                if trace.category is not TraceCategory.SHARED or key in seen:
-                    continue
-                seen.add(key)
-                candidates = self.shared_index[key]
-                by_candidates.setdefault(candidates, []).append(trace)
-        return [
-            (candidates, tuple(patterns))
-            for candidates, patterns in sorted(
-                by_candidates.items(), key=lambda item: sorted(item[0])
-            )
-        ]
+        return self._by_name[action_name]
 
 
 def merge_packs(packs: Iterable[SignaturePack]) -> SignaturePack:
@@ -291,10 +265,6 @@ def parse_signature_pack(source: str | IO[str]) -> SignaturePack:
     return SignaturePack(signatures)
 
 
-# A match bucket: one action's traces of one category, or one shared group
-# (keyed by its candidate-action set, as in SignaturePack.shared_groups).
-Bucket = tuple[str, TraceCategory] | frozenset[str]
-
 _REGEX_SPECIALS = frozenset("\\.^$*+?{}[]|()")
 
 
@@ -365,8 +335,8 @@ def match_pack(
 ) -> dict[Bucket, list[TraceState]]:
     """Resolve every pattern of the pack against the records in one pass.
 
-    Returns a sorted list of trace states for each (action, category) of
-    every signature and for each shared group.  Within a bucket one record
+    Returns a sorted list of trace states for each bucket of
+    ``pack.buckets``, under the same keys.  Within a bucket one record
     contributes at most one state per timestamp kind, however many of the
     bucket's patterns match it; distinct records matching the same pattern
     each contribute.  A record lacking the referenced timestamp contributes
@@ -380,26 +350,19 @@ def match_pack(
     characters such as ``ſ`` (to ``s``) and ``İ`` (to ``i``) differently
     from ``str.lower``.
     """
-    buckets: dict[Bucket, list[TraceState]] = {
-        (sig.action_name, category): [] for sig in pack for category in TraceCategory
-    }
+    buckets: dict[Bucket, list[TraceState]] = {}
     feeds: dict[SharedKey, tuple[re.Pattern, list[Bucket]]] = {}
-    for sig in pack:
-        for trace in sig.traces:
-            key = (trace.source, trace.kind)
-            feeds.setdefault(key, (trace.regex, []))[1].append(
-                (sig.action_name, trace.category)
-            )
-    for key, candidates in pack.shared_index.items():
-        buckets.setdefault(candidates, [])
-        feeds[key][1].append(candidates)
+    for bucket, patterns in pack.buckets.items():
+        buckets[bucket] = []
+        for trace in patterns:
+            feeds.setdefault((trace.source, trace.kind), (trace.regex, []))[1].append(bucket)
 
     by_kind: dict[TimestampKind, list[tuple[str | None, Callable, tuple[Bucket, ...]]]] = {}
     for (source, kind), (regex, targets) in feeds.items():
         by_kind.setdefault(kind, []).append(
             (required_literal(source), regex.search, tuple(dict.fromkeys(targets)))
         )
-    plan = [(TIMESTAMP_FIELDS[kind], kind, entries) for kind, entries in by_kind.items()]
+    plan = [(kind.value, kind, entries) for kind, entries in by_kind.items()]
 
     for record in records:
         path = record.path

@@ -84,9 +84,7 @@ class PathVariant:
     creates: frozenset[str] = frozenset()
 
     def __post_init__(self) -> None:
-        update_targets = set(self.updates)
-        default_targets = {(path, kind) for path, kind, _ in self.defaults}
-        overlap = update_targets & default_targets
+        overlap = self.updates & {(path, kind) for path, kind, _ in self.defaults}
         if overlap:
             raise ValueError(f"update and default targets overlap: {sorted(overlap)}")
 
@@ -156,16 +154,6 @@ class GroundTruth:
 
     instances: tuple[TruthInstance, ...]
     writes: tuple[TruthWrite, ...]
-
-    def times_for(self, action: str) -> list[Timestamp]:
-        return sorted(i.tau for i in self.instances if i.action == action)
-
-    def actions(self) -> set[str]:
-        return {i.action for i in self.instances}
-
-    def last_instance(self, action: str) -> TruthInstance | None:
-        candidates = [i for i in self.instances if i.action == action]
-        return max(candidates, key=lambda i: (i.tau, i.index)) if candidates else None
 
 
 # (path, kind, written value, is_default) as performed by one instance
@@ -248,21 +236,11 @@ def simulate(
 
 def export_records(state: SimState) -> list[ObjectRecord]:
     """Materialize an object map as records, sorted by path."""
-    records = []
-    for path in sorted(state):
-        times = state[path]
-        if not times:
-            continue
-        records.append(
-            ObjectRecord(
-                path=path,
-                accessed=times.get(TimestampKind.ACCESSED),
-                modified=times.get(TimestampKind.MODIFIED),
-                metachanged=times.get(TimestampKind.METACHANGED),
-                created=times.get(TimestampKind.CREATED),
-            )
-        )
-    return records
+    return [
+        ObjectRecord(path, **{kind.value: value for kind, value in state[path].items()})
+        for path in sorted(state)
+        if state[path]
+    ]
 
 
 def always_updated_targets(spec: ActionSpec) -> frozenset[UpdateTarget]:
@@ -368,8 +346,12 @@ def oracle_check(
     for approx in results:
         reported_by_action.setdefault(approx.action_name, []).append(approx)
 
+    true_instances: dict[str, list[TruthInstance]] = {}
+    for instance in truth.instances:
+        true_instances.setdefault(instance.action, []).append(instance)
+
     for action, approxes in sorted(reported_by_action.items()):
-        true_times = truth.times_for(action)
+        true_times = sorted(i.tau for i in true_instances.get(action, []))
         if not true_times:
             violations.append(
                 OracleViolation(
@@ -400,11 +382,10 @@ def oracle_check(
 
     if core_targets is not None:
         # One pass over the write log finds the last instances that wrote core.
-        lasts = {
-            last.index: last
-            for last in map(truth.last_instance, truth.actions())
-            if last is not None
-        }
+        lasts: dict[int, TruthInstance] = {}
+        for instances in true_instances.values():
+            last = max(instances, key=lambda i: (i.tau, i.index))
+            lasts[last.index] = last
         wrote_core = {
             lasts[w.instance_index]
             for w in truth.writes
@@ -413,19 +394,15 @@ def oracle_check(
             and (w.path, w.kind) in core_targets.get(lasts[w.instance_index].action, frozenset())
         }
         for last in sorted(wrote_core, key=lambda i: i.action):
-            action = last.action
-            most_recent = [
-                a
-                for a in reported_by_action.get(action, [])
+            if not any(
+                a.interval.contains(last.tau)
+                for a in reported_by_action.get(last.action, [])
                 if a.rank is InstanceRank.MOST_RECENT
-            ]
-            if not most_recent or not any(
-                a.interval.contains(last.tau) for a in most_recent
             ):
                 violations.append(
                     OracleViolation(
                         "most-recent-coverage",
-                        action,
+                        last.action,
                         f"last true instance at {last.tau} is not covered by a "
                         f"most-recent approximation",
                     )

@@ -22,7 +22,7 @@ def match_patterns(patterns, objects):
     states = []
     for record in objects:
         for kind, kind_patterns in by_kind.items():
-            value = record.timestamp(kind)
+            value = getattr(record, kind.value)
             if value is None:
                 continue
             if any(p.matches(record.path) for p in kind_patterns):
@@ -31,14 +31,35 @@ def match_patterns(patterns, objects):
     return states
 
 
+def reference_groups(pack):
+    """Shared groups worked out from the signatures' traces alone.
+
+    A shared (source, kind) pair is evidence for every signature that lists
+    it in any category; pairs with the same candidates form one group.
+    """
+    listed = {}
+    for sig in pack:
+        for trace in sig.traces:
+            listed.setdefault((trace.source, trace.kind), set()).add(sig.action_name)
+    groups = {}
+    for sig in pack:
+        for trace in sig.traces:
+            if trace.category is TraceCategory.SHARED:
+                candidates = frozenset(listed[(trace.source, trace.kind)])
+                groups.setdefault(candidates, []).append(trace)
+    return groups
+
+
 def reference_buckets(pack, objects):
     """What ``match_pack`` must return, one ``match_patterns`` pass per bucket."""
     objects = list(objects)
     buckets = {
-        (sig.action_name, category): match_patterns(sig.patterns(category), objects)
+        (sig.action_name, category): match_patterns(
+            [trace for trace in sig.traces if trace.category is category], objects
+        )
         for sig in pack
         for category in TraceCategory
     }
-    for candidates, patterns in pack.shared_groups():
+    for candidates, patterns in reference_groups(pack).items():
         buckets[candidates] = match_patterns(patterns, objects)
     return buckets

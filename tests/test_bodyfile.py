@@ -119,6 +119,28 @@ def test_per_row_fixture_yields_six_records_with_duplicates():
     assert paths.count("C:/WINDOWS/Prefetch/Firefox.exe-28641590.pf") == 2
 
 
+def test_file_and_stdin_split_the_same_bytes_only_at_newlines(tmp_path, monkeypatch):
+    data = (
+        b"0|C:/a\rb.txt|1|r|0|0|1|0|1311516151|0|0\n"
+        b"0|C:/c.txt|2|r|0|0|1|0|1311516152|0|0\n"
+    )
+    path = tmp_path / "cr.body"
+    path.write_bytes(data)
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(data)))
+    from_file = load_metadata(path)
+    assert load_metadata("-") == from_file
+    assert [r.path for r in from_file] == ["C:/a\rb.txt", "C:/c.txt"]
+
+
+def test_crlf_files_parse_like_lf_files(tmp_path):
+    lines = [PREFETCH_LINE, "0|C:/c.txt|2|r|0|0|1|0|1311516152|0|0"]
+    crlf, lf = tmp_path / "crlf.body", tmp_path / "lf.body"
+    crlf.write_bytes(("\r\n".join(lines) + "\r\n").encode())
+    lf.write_bytes(("\n".join(lines) + "\n").encode())
+    assert load_metadata(crlf) == load_metadata(lf)
+    assert len(load_metadata(crlf)) == 2
+
+
 def test_missing_file_raises_naming_the_path(tmp_path):
     missing = tmp_path / "nope.body"
     with pytest.raises(IngestError, match="nope.body"):

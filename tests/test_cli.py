@@ -257,6 +257,29 @@ def test_calibrate_samples_that_are_not_utf8_exit_3(capsys, tmp_path, monkeypatc
     assert err.startswith(f"error: samples in {name} ")
 
 
+@pytest.mark.parametrize("separator", ["\f", "\x85"])
+def test_calibrate_splits_samples_only_at_newlines(capsys, monkeypatch, separator):
+    data = f"12{separator}13\n14\n".encode()
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"))
+    code, _, err = run(capsys, "calibrate", "-")
+    assert code == 3
+    assert err == f"error: line 1: not a duration: {'12' + separator + '13'!r}\n"
+
+
+@pytest.mark.parametrize(
+    "text, line",
+    [("12\u202813\nabc\n", "line 1: not a duration: '12\\u202813'"),
+     ("# a\u2028note\n12\n13\nabc\n", "line 4: not a duration: 'abc'")],
+)
+def test_calibrate_names_the_physical_line(capsys, monkeypatch, text, line):
+    monkeypatch.setattr(
+        "sys.stdin", io.TextIOWrapper(io.BytesIO(text.encode()), encoding="utf-8")
+    )
+    code, _, err = run(capsys, "calibrate", "-")
+    assert code == 3
+    assert err == f"error: {line}\n"
+
+
 def test_calibrate_missing_file_exits_2(capsys, tmp_path):
     code, _, _ = run(capsys, "calibrate", str(tmp_path / "none.txt"))
     assert code == 2

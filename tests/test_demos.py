@@ -1,4 +1,5 @@
-"""Every demo script runs to completion against the source tree."""
+"""Every demo script runs to completion against the source tree and prints
+the bytes recorded in ``tests/fixtures/demos/<name>.out``."""
 
 import os
 import subprocess
@@ -23,3 +24,5 @@ def test_demo_exits_0_with_empty_stderr(demo):
     )
     assert result.returncode == 0, result.stderr
     assert result.stderr == ""
+    golden = ROOT / "tests" / "fixtures" / "demos" / f"{demo.stem}.out"
+    assert result.stdout == golden.read_text(encoding="utf-8")

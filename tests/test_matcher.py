@@ -16,7 +16,7 @@ from tracerecon import (
 )
 from tracerecon.signatures import Signature, TracePattern, required_literal
 
-from reference_matcher import reference_buckets
+from reference_matcher import reference_buckets, reference_groups
 
 # Pattern pieces: plain and escaped literals, quantified literals, classes,
 # anchors, alternation, groups, counted repeats, letter escapes, and
@@ -79,6 +79,17 @@ def packs(draw):
 @given(packs(), records())
 def test_match_pack_equals_the_reference_on_every_bucket(pack, objects):
     assert match_pack(pack, objects) == reference_buckets(pack, objects)
+
+
+@settings(max_examples=200, deadline=None)
+@given(packs())
+def test_pack_groups_equal_the_reference_groups_in_sorted_order(pack):
+    groups = {key: value for key, value in pack.buckets.items() if isinstance(key, frozenset)}
+    expected = reference_groups(pack)
+    assert list(groups) == sorted(expected, key=sorted)
+    for candidates, group in groups.items():
+        pairs = [(trace.source, trace.kind) for trace in expected[candidates]]
+        assert [(trace.source, trace.kind) for trace in group] == list(dict.fromkeys(pairs))
 
 
 @settings(max_examples=500, deadline=None)

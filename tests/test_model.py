@@ -18,26 +18,31 @@ thresholds = st.integers(min_value=0, max_value=10_000)
 
 
 def test_interval_from_observed_value():
-    assert instance_interval(100, 30) == TimeInterval(70, 100)
+    assert instance_interval(100, 100, 30) == TimeInterval(70, 100)
 
 
 def test_zero_threshold_degenerates_to_a_point():
-    assert instance_interval(1234, 0) == TimeInterval(1234, 1234)
+    assert instance_interval(1234, 1234, 0) == TimeInterval(1234, 1234)
 
 
 def test_start_clamps_at_epoch_floor():
     # 50 - 80 would be negative; pre-1970 times are meaningless here
-    assert instance_interval(50, 80) == TimeInterval(0, 50)
+    assert instance_interval(50, 50, 80) == TimeInterval(0, 50)
+
+
+def test_interval_of_a_span_runs_from_oldest_minus_threshold_to_newest():
+    assert instance_interval(100, 130, 30) == TimeInterval(70, 130)
+    assert instance_interval(20, 130, 30) == TimeInterval(0, 130)
 
 
 def test_negative_threshold_rejected():
     with pytest.raises(ValueError):
-        instance_interval(100, -1)
+        instance_interval(100, 100, -1)
 
 
 @given(times, thresholds)
 def test_width_equals_threshold_unless_clamped(value, threshold):
-    interval = instance_interval(value, threshold)
+    interval = instance_interval(value, value, threshold)
     if value - threshold >= 0:
         assert interval.width == threshold
     else:
@@ -47,7 +52,7 @@ def test_width_equals_threshold_unless_clamped(value, threshold):
 @given(times, times, thresholds)
 def test_interval_is_monotone_in_the_observed_value(a, b, threshold):
     lo, hi = sorted((a, b))
-    first, second = instance_interval(lo, threshold), instance_interval(hi, threshold)
+    first, second = instance_interval(lo, lo, threshold), instance_interval(hi, hi, threshold)
     assert first.start <= second.start
     assert first.end <= second.end
 
@@ -79,7 +84,7 @@ def test_record_exposes_only_present_timestamps():
         TimestampKind.MODIFIED: 10,
         TimestampKind.CREATED: 5,
     }
-    assert record.timestamp(TimestampKind.ACCESSED) is None
+    assert record.accessed is None
 
 
 def test_approximation_needs_evidence_and_anchors_at_oldest():

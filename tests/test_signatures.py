@@ -22,18 +22,27 @@ SUPPORT = TraceCategory.SUPPORTING
 SHARED = TraceCategory.SHARED
 
 
+def shared_groups(pack):
+    """The pack's shared groups: candidates -> (source, kind) of each pattern."""
+    return {
+        candidates: [(trace.source, trace.kind) for trace in patterns]
+        for candidates, patterns in pack.buckets.items()
+        if isinstance(candidates, frozenset)
+    }
+
+
 def test_browser_pack_shapes(ff3_pack, ie8_pack):
     (ff3,) = ff3_pack.signatures
     assert ff3.action_name == casedata.FF3
     assert ff3.threshold == casedata.FF3_THRESHOLD
-    assert len(ff3.patterns(TraceCategory.CORE)) == 2
-    assert len(ff3.patterns(TraceCategory.SUPPORTING)) == 5
-    assert len(ff3.patterns(TraceCategory.SHARED)) == 0
+    assert len(ff3_pack.buckets[(casedata.FF3, CORE)]) == 2
+    assert len(ff3_pack.buckets[(casedata.FF3, SUPPORT)]) == 5
+    assert len(ff3_pack.buckets[(casedata.FF3, SHARED)]) == 0
 
     (ie8,) = ie8_pack.signatures
     assert ie8.threshold == casedata.IE8_THRESHOLD
-    assert len(ie8.patterns(TraceCategory.CORE)) == 1
-    assert len(ie8.patterns(TraceCategory.SUPPORTING)) == 4
+    assert len(ie8_pack.buckets[(casedata.IE8, CORE)]) == 1
+    assert len(ie8_pack.buckets[(casedata.IE8, SUPPORT)]) == 4
 
 
 @pytest.mark.parametrize(
@@ -153,19 +162,52 @@ def test_shared_pattern_produces_identical_states_under_each_signature():
     matched = match_pack(pack, [record])
     assert matched[("A", SHARED)] == matched[("B", SHARED)] == matched[frozenset({"A", "B"})]
     assert len(matched[("A", SHARED)]) == 1
-    assert pack.shared_index == {(".*/lib\\.dll$", TimestampKind.MODIFIED): frozenset({"A", "B"})}
-    ((candidates, patterns),) = pack.shared_groups()
-    assert candidates == frozenset({"A", "B"})
-    assert len(patterns) == 1
-
-
-def test_shared_index_lists_only_shared_category_patterns(worked_example_pack):
-    assert set(worked_example_pack.shared_index) == {
-        (".*/objects/o6$", TimestampKind.MODIFIED),
-        (".*/objects/o7$", TimestampKind.MODIFIED),
+    assert shared_groups(pack) == {
+        frozenset({"A", "B"}): [(".*/lib\\.dll$", TimestampKind.MODIFIED)]
     }
-    for candidates in worked_example_pack.shared_index.values():
-        assert candidates == frozenset({casedata.X, casedata.Y})
+
+
+def test_shared_groups_list_only_shared_category_patterns(worked_example_pack):
+    assert shared_groups(worked_example_pack) == {
+        frozenset({casedata.X, casedata.Y}): [
+            (".*/objects/o6$", TimestampKind.MODIFIED),
+            (".*/objects/o7$", TimestampKind.MODIFIED),
+        ]
+    }
+
+
+def test_a_shared_trace_is_evidence_for_every_signature_listing_it():
+    # B lists A's shared trace as its own supporting trace: B is a candidate too.
+    pack = parse_signature_pack(
+        "action: A\nthreshold: 5\nshared modified .*/lib\\.dll$\n"
+        "---\n"
+        "action: B\nthreshold: 9\nsupport modified .*/lib\\.dll$\n"
+    )
+    assert shared_groups(pack) == {
+        frozenset({"A", "B"}): [(".*/lib\\.dll$", TimestampKind.MODIFIED)]
+    }
+
+
+def test_buckets_list_signatures_first_then_groups_in_sorted_candidate_order():
+    pack = parse_signature_pack(
+        "action: C\nthreshold: 5\nshared modified zc\nshared modified ab\n"
+        "---\n"
+        "action: B\nthreshold: 5\nshared modified zc\nshared modified ab\n"
+        "shared modified bc\n"
+        "---\n"
+        "action: A\nthreshold: 5\nshared modified ab\nshared modified ab\n"
+        "core modified zz\n"
+    )
+    signature_buckets = [(name, category) for name in "CBA" for category in TraceCategory]
+    groups = [frozenset("ABC"), frozenset("B"), frozenset("BC")]
+    assert list(pack.buckets) == signature_buckets + groups
+    assert list(match_pack(pack, [])) == list(pack.buckets)
+    # each pair once, in the order the signatures first list it as shared
+    assert shared_groups(pack) == {
+        frozenset("ABC"): [("ab", TimestampKind.MODIFIED)],
+        frozenset("B"): [("bc", TimestampKind.MODIFIED)],
+        frozenset("BC"): [("zc", TimestampKind.MODIFIED)],
+    }
 
 
 def test_merge_packs_rejects_colliding_action_names(ff3_pack):

@@ -40,6 +40,7 @@ from tracerecon.simulator import (
     apply_instance,
     export_records,
 )
+from tracerecon.signatures import TracePattern
 
 from conftest import FIXTURES
 
@@ -322,9 +323,12 @@ def test_derived_categories_follow_update_behavior():
     assert categories["^/o/core$"] is TraceCategory.CORE
     assert categories["^/o/some$"] is TraceCategory.SUPPORTING
     assert categories["^/o/common$"] is TraceCategory.SHARED
-    assert pack.shared_index == {
-        ("^/o/common$", MOD): frozenset({"editor", "viewer"})
-    }
+    assert pack.buckets[frozenset({"editor", "viewer"})] == (
+        TracePattern(TraceCategory.SHARED, MOD, "^/o/common$"),
+    )
+    assert [key for key in pack.buckets if isinstance(key, frozenset)] == [
+        frozenset({"editor", "viewer"})
+    ]
     assert always_updated_targets(editor) == frozenset(
         {("/o/core", MOD), ("/o/common", MOD)}
     )

@@ -9,11 +9,13 @@ Field layout, bit-exact::
 
     MD5|name|inode|mode_as_string|UID|GID|size|atime|mtime|ctime|crtime
 
-Records end at ``\\n`` (a trailing ``\\r`` is dropped), so a raw ``\\r``
-inside a name is kept, from a file and from stdin alike.  ``|`` is
+Every input of the package, a file or stdin, is read as bytes by
+:func:`read_input` and split only at ``\\n``.  A bodyfile record drops its
+trailing ``\\r`` characters, so a raw ``\\r`` inside a name is kept.  ``|`` is
 forbidden inside fields, and the four time fields are decimal epoch
 seconds where 0 means "absent"; values beyond 9999-12-31T23:59:59Z cannot
-be rendered and are rejected.  Lines beginning with ``#`` and blank lines
+be rendered and are rejected, and so is a name left empty once its
+``(deleted)`` suffix is removed.  Lines beginning with ``#`` and blank lines
 are ignored.  Names are UTF-8; bytes that do not decode are kept as lone
 surrogates (``surrogateescape``), since TSK writes file names as the raw
 bytes it found.
@@ -24,7 +26,6 @@ NTFS-oriented kind mapping: ``atime`` is Accessed, ``mtime`` is Modified,
 
 from __future__ import annotations
 
-import io
 import logging
 import re
 import sys
@@ -45,7 +46,7 @@ _DELETED_SUFFIX = re.compile(r"\s*\(deleted(?:-realloc)?\)$")
 
 
 class IngestError(Exception):
-    """Raised when a metadata source cannot be read at all."""
+    """Raised when an input cannot be read or an output cannot be written."""
 
 
 @dataclass(frozen=True)
@@ -87,6 +88,8 @@ def _parse_line(line: str) -> ObjectRecord:
     deleted = bool(_DELETED_SUFFIX.search(name))
     if deleted:
         name = _DELETED_SUFFIX.sub("", name)
+    if not name:
+        raise ValueError(f"empty name: {fields[1]!r}")
     try:
         # atime, mtime, ctime, crtime are the record's field order too.
         return ObjectRecord(name, *times, deleted=deleted)
@@ -94,9 +97,7 @@ def _parse_line(line: str) -> ObjectRecord:
         raise ValueError(f"no usable timestamps: {fields[1]!r}") from None
 
 
-def parse_bodyfile(
-    source: str | IO[str],
-) -> tuple[list[ObjectRecord], list[ParseDiagnostic]]:
+def parse_bodyfile(text: str) -> tuple[list[ObjectRecord], list[ParseDiagnostic]]:
     """Parse bodyfile text into records plus diagnostics for malformed lines.
 
     Record order equals input order; nothing is merged or deduplicated, so
@@ -104,11 +105,10 @@ def parse_bodyfile(
     distinct records.  Malformed lines and lines whose four times are all
     zero are reported as diagnostics and skipped; they never abort the run.
     """
-    stream = io.StringIO(source) if isinstance(source, str) else source
     records: list[ObjectRecord] = []
     diagnostics: list[ParseDiagnostic] = []
-    for line_no, raw in enumerate(stream, start=1):
-        line = raw.rstrip("\r\n")
+    for line_no, raw in enumerate(text.split("\n"), start=1):
+        line = raw.rstrip("\r")
         if not line.strip() or line.lstrip().startswith("#"):
             continue
         try:
@@ -118,18 +118,24 @@ def parse_bodyfile(
     return records, diagnostics
 
 
+def read_input(source: str | Path, what: str) -> bytes:
+    """The bytes of stdin if ``source`` is the string ``-``, else of the file.
+
+    A ``Path`` always names a file.  Failure raises :class:`IngestError`.
+    """
+    try:
+        return sys.stdin.buffer.read() if source == "-" else Path(source).read_bytes()
+    except OSError as exc:
+        raise IngestError(f"cannot read {what} {source}: {exc}") from exc
+
+
 def load_metadata(source: str | Path) -> list[ObjectRecord]:
-    """Load object records from a file path or ``-`` for stdin.
+    """Load object records from a bodyfile, or from stdin for ``-``.
 
     Diagnostics are emitted on the module logger; an unreadable source is
     fatal and raises :class:`IngestError` naming the path.
     """
-    try:
-        data = sys.stdin.buffer.read() if str(source) == "-" else Path(source).read_bytes()
-    except OSError as exc:
-        raise IngestError(f"cannot read metadata from {source}: {exc}") from exc
-    text = data.decode("utf-8", errors="surrogateescape")
-    del data  # the text alone is held while parsing
+    text = read_input(source, "metadata").decode("utf-8", errors="surrogateescape")
     records, diagnostics = parse_bodyfile(text)
     for diag in diagnostics:
         log.warning("%s: %s", source, diag)

@@ -1,9 +1,10 @@
 """Command-line surface: scan, calibrate and simulate subcommands.
 
-Exit codes: 0 success, 2 unreadable input or usage error, 3 parse failure
-(signature, scenario or sample data); ``simulate --check`` exits 1 when an
-oracle property fails.  All timestamps are UTC; output ordering never
-depends on input order or locale.
+The commands read, compute and write; :func:`main` alone maps their errors
+to exit codes: 0 success, 2 unreadable input, unwritable output or usage
+error, 3 parse failure (signature, scenario or sample data); ``simulate
+--check`` exits 1 when an oracle property fails.  All timestamps are UTC;
+output ordering never depends on input order or locale.
 """
 
 from __future__ import annotations
@@ -18,11 +19,12 @@ from datetime import datetime, timezone
 from importlib import resources
 from pathlib import Path
 
-from .bodyfile import IngestError, load_metadata, write_bodyfile
+from .bodyfile import IngestError, load_metadata, read_input, write_bodyfile
 from .calibration import DEFAULT_SIGMA_MULTIPLIER, CalibrationError, estimate_threshold
 from .engine import reconstruct
 from .model import ActionInstanceApproximation, Timestamp
 from .signatures import (
+    BlockFileError,
     SignatureError,
     SignaturePack,
     _content_lines,
@@ -30,7 +32,6 @@ from .signatures import (
     parse_signature_pack,
 )
 from .simulator import (
-    ScenarioError,
     SimulationError,
     always_updated_targets,
     derive_signatures,
@@ -108,6 +109,15 @@ def default_signature_dir() -> Path:
     return Path(str(resources.files("tracerecon") / "data" / "signatures"))
 
 
+def _read_text(source: str | Path, what: str) -> str:
+    """A pack, scenario or samples input as strict UTF-8 text (see :func:`read_input`)."""
+    data = read_input(source, what)
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise BlockFileError(None, f"{what} {source} is not UTF-8: {exc}") from exc
+
+
 def _load_packs(pack_paths: list[str]) -> SignaturePack:
     paths = [Path(p) for p in pack_paths]
     if not paths:
@@ -117,33 +127,17 @@ def _load_packs(pack_paths: list[str]) -> SignaturePack:
             raise IngestError(f"no *.sig files found in {sig_dir}")
     packs = []
     for path in paths:
-        try:
-            text = path.read_text(encoding="utf-8")
-        except OSError as exc:
-            raise IngestError(f"cannot read signature pack {path}: {exc}") from exc
-        except UnicodeDecodeError as exc:
-            raise SignatureError(None, f"signature pack {path} is not UTF-8: {exc}") from exc
+        text = _read_text(path, "signature pack")
         try:
             packs.append(parse_signature_pack(text))
         except SignatureError as exc:
             raise SignatureError(exc.line_no, f"{path}: {exc.message}") from exc
-    try:
-        return merge_packs(packs)
-    except ValueError as exc:
-        raise SignatureError(None, str(exc)) from exc
+    return merge_packs(packs)
 
 
 def cmd_scan(args: argparse.Namespace) -> int:
-    try:
-        records = load_metadata(args.metadata)
-        pack = _load_packs(args.signatures)
-    except IngestError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except SignatureError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-
+    records = load_metadata(args.metadata)
+    pack = _load_packs(args.signatures)
     approximations = reconstruct(records, pack)
     label = args.label or Path(args.metadata).stem  # "-" for stdin
     rows = [_row_cells(a, label, args.utc_display) for a in approximations]
@@ -153,31 +147,13 @@ def cmd_scan(args: argparse.Namespace) -> int:
 
 
 def cmd_calibrate(args: argparse.Namespace) -> int:
-    source = args.samples
-    try:
-        if source == "-":
-            text = sys.stdin.read()
-        else:
-            text = Path(source).read_text(encoding="utf-8")
-    except OSError as exc:
-        print(f"error: cannot read samples from {source}: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except UnicodeDecodeError as exc:
-        print(f"error: samples in {source} are not UTF-8: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-
     samples: list[float] = []
-    for line_no, line in _content_lines(text):
+    for line_no, line in _content_lines(_read_text(args.samples, "samples")):
         try:
             samples.append(float(line))
         except ValueError:
-            print(f"error: line {line_no}: not a duration: {line!r}", file=sys.stderr)
-            return EXIT_PARSE
-    try:
-        estimate = estimate_threshold(samples, k=args.k)
-    except CalibrationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+            raise CalibrationError(f"line {line_no}: not a duration: {line!r}") from None
+    estimate = estimate_threshold(samples, k=args.k)
     print(f"n: {estimate.n}")
     print(f"mean: {estimate.mean:.6g}")
     print(f"sigma: {estimate.sigma:.6g}")
@@ -226,21 +202,8 @@ def _write_truth(fh, seed: int, truth) -> None:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    try:
-        text = Path(args.scenario).read_text(encoding="utf-8")
-    except OSError as exc:
-        print(f"error: cannot read scenario {args.scenario}: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except UnicodeDecodeError as exc:
-        print(f"error: scenario {args.scenario} is not UTF-8: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    try:
-        scenario = parse_scenario(text)
-        records, truth = simulate({}, scenario.specs, scenario.schedule, args.seed)
-    except (ScenarioError, SimulationError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-
+    scenario = parse_scenario(_read_text(Path(args.scenario), "scenario"))
+    records, truth = simulate({}, scenario.specs, scenario.schedule, args.seed)
     out_dir = Path(args.out)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -249,8 +212,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         with open(out_dir / "truth.json", "w", encoding="utf-8", newline="") as fh:
             _write_truth(fh, args.seed, truth)
     except OSError as exc:
-        print(f"error: cannot write outputs to {out_dir}: {exc}", file=sys.stderr)
-        return EXIT_IO
+        raise IngestError(f"cannot write outputs to {out_dir}: {exc}") from exc
 
     if args.check:
         pack = derive_signatures(scenario.specs)
@@ -343,7 +305,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except IngestError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_IO
+    except (BlockFileError, CalibrationError, SimulationError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_PARSE
 
 
 if __name__ == "__main__":

@@ -42,12 +42,11 @@ multi-pattern prefilters such as Aho-Corasick and Hyperscan.
 
 from __future__ import annotations
 
-import io
 import itertools
 import re
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import IO, Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from .model import ObjectRecord, TimestampKind, TraceState, trace_sort_key
 
@@ -131,7 +130,7 @@ class SignaturePack:
         listed: dict[SharedKey, set[str]] = {}
         for sig in self.signatures:
             if sig.action_name in self._by_name:
-                raise ValueError(f"duplicate action name in pack: {sig.action_name!r}")
+                raise SignatureError(None, f"duplicate action name in pack: {sig.action_name!r}")
             self._by_name[sig.action_name] = sig
             for category in TraceCategory:
                 self.buckets[(sig.action_name, category)] = tuple(
@@ -158,7 +157,7 @@ class SignaturePack:
 
 
 def merge_packs(packs: Iterable[SignaturePack]) -> SignaturePack:
-    """Combine several packs into one; duplicate action names are fatal."""
+    """Combine several packs into one; a duplicate action name is a SignatureError."""
     signatures: list[Signature] = []
     for pack in packs:
         signatures.extend(pack.signatures)
@@ -169,10 +168,9 @@ _CATEGORY_WORDS = {c.value: c for c in TraceCategory}
 _KIND_WORDS = {k.value: k for k in TimestampKind}
 
 
-def _content_lines(source: str | IO[str]) -> Iterator[tuple[int, str]]:
-    """Numbered, stripped lines of a block file; blanks and comments dropped."""
-    stream = io.StringIO(source) if isinstance(source, str) else source
-    for line_no, raw in enumerate(stream, start=1):
+def _content_lines(text: str) -> Iterator[tuple[int, str]]:
+    """Numbered, stripped block-file lines, split only at ``\\n``; blanks and comments dropped."""
+    for line_no, raw in enumerate(text.split("\n"), start=1):
         line = raw.strip()
         if line and not line.startswith("#"):
             yield line_no, line
@@ -232,7 +230,7 @@ def _read_blocks(
             body.append((line_no, line))
 
 
-def parse_signature_pack(source: str | IO[str]) -> SignaturePack:
+def parse_signature_pack(text: str) -> SignaturePack:
     """Parse signature-file text into a pack.
 
     Any structural problem (unknown category or kind word, non-positive
@@ -240,7 +238,7 @@ def parse_signature_pack(source: str | IO[str]) -> SignaturePack:
     :class:`SignatureError` naming the offending line.
     """
     signatures: list[Signature] = []
-    for block in _read_blocks(_content_lines(source), SignatureError):
+    for block in _read_blocks(_content_lines(text), SignatureError):
         traces: list[TracePattern] = []
         for line_no, line in block.body:
             parts = line.split(None, 2)

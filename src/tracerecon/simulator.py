@@ -30,7 +30,8 @@ files handles comments, separators and the ``action:`` and ``threshold:``
 headers; this module reads the rest of each block and the schedule.  An
 error about one line names that line; an error about a whole block
 (missing threshold, no variants, duplicate name, overlapping targets)
-names its ``action:`` line.
+names its ``action:`` line.  A path may not hold ``|``, and no default or
+``epoch + threshold`` may pass ``bodyfile.MAX_TIME``: the export must scan.
 """
 
 from __future__ import annotations
@@ -39,8 +40,9 @@ import itertools
 import random
 import re
 from dataclasses import dataclass
-from typing import IO, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
+from .bodyfile import MAX_TIME
 from .model import (
     ActionInstanceApproximation,
     InstanceRank,
@@ -65,6 +67,9 @@ SimState = dict[str, dict[TimestampKind, int]]
 
 UpdateTarget = tuple[str, TimestampKind]
 DefaultTarget = tuple[str, TimestampKind, int]
+
+
+_LAST_TIME = "9999-12-31T23:59:59Z"  # MAX_TIME, the last time the exported bodyfile holds
 
 
 class ScenarioError(BlockFileError):
@@ -417,9 +422,9 @@ class Scenario:
     schedule: InstanceSchedule
 
 
-def parse_scenario(source: str | IO[str]) -> Scenario:
+def parse_scenario(text: str) -> Scenario:
     """Parse scenario text; structural problems raise :class:`ScenarioError`."""
-    lines = _content_lines(source)
+    lines = _content_lines(text)
     blocks = itertools.takewhile(lambda item: not item[1].startswith("schedule:"), lines)
     specs: dict[str, ActionSpec] = {}
     for block in _read_blocks(blocks, ScenarioError):
@@ -435,6 +440,8 @@ def parse_scenario(source: str | IO[str]) -> Scenario:
                 raise ScenarioError(line_no, f"unrecognized line: {line!r}")
             if len(parts) != 2:
                 raise ScenarioError(line_no, f"'{keyword}' line is missing its arguments")
+            if "|" in parts[1]:
+                raise ScenarioError(line_no, f"'{keyword}' line contains the field separator '|'")
             if not variants:
                 variants.append((set(), set(), set()))
             updates, defaults, creates = variants[-1]
@@ -459,6 +466,8 @@ def parse_scenario(source: str | IO[str]) -> Scenario:
                 raise ScenarioError(line_no, f"bad default epoch {value_and_path[0]!r}")
             if default < 0:
                 raise ScenarioError(line_no, "default epoch must be non-negative")
+            if default > MAX_TIME:
+                raise ScenarioError(line_no, f"default epoch is past {_LAST_TIME}: {default}")
             defaults.add((value_and_path[1].strip(), kind, default))
         if not variants:
             raise ScenarioError(block.line_no, f"action {block.name!r} defines no variants")
@@ -484,6 +493,8 @@ def parse_scenario(source: str | IO[str]) -> Scenario:
         spec = specs.get(action_name)
         if spec is None:
             raise ScenarioError(line_no, f"unknown action in schedule: {action_name!r}")
+        if tau > MAX_TIME - spec.threshold:
+            raise ScenarioError(line_no, f"epoch plus threshold is past {_LAST_TIME}: {tau}")
         variant_token = tokens[-1]
         if variant_token == "?":
             variant: int | None = None

@@ -66,6 +66,8 @@ def test_signature_errors_read_exactly(text, message):
         (SCN + "da modified 5\n", "'da' needs '<kind> <default epoch> <path>' (line 3)"),
         (SCN + "da modified nope /x\n", "bad default epoch 'nope' (line 3)"),
         (SCN + "da modified -1 /x\n", "default epoch must be non-negative (line 3)"),
+        (SCN + "da modified 253402300800 /x\n",
+         "default epoch is past 9999-12-31T23:59:59Z: 253402300800 (line 3)"),
         (SCN + "---\n", "action 'a' defines no variants (line 1)"),
         (SCN + "ma modified /x\nda modified 3 /x\nschedule:\n",
          "update and default targets overlap: "
@@ -80,6 +82,8 @@ def test_signature_errors_read_exactly(text, message):
         (SCN + "ma modified /x\nschedule:\n10 a 7\n", "action 'a' has no variant 7 (line 5)"),
         (SCN + "ma modified /x\nschedule:\n-10 a 0\n",
          "instance time must be non-negative (line 5)"),
+        (SCN + "ma modified /x\nschedule:\n253402300795 a 0\n",
+         "epoch plus threshold is past 9999-12-31T23:59:59Z: 253402300795 (line 5)"),
     ],
 )
 def test_scenario_errors_read_exactly(text, message):

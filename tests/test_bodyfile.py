@@ -47,6 +47,13 @@ def test_all_zero_times_drop_the_record_with_a_diagnostic():
     assert "no usable timestamps" in diagnostics[0].message
 
 
+@pytest.mark.parametrize("name", ["", " (deleted)"])
+def test_an_empty_name_is_diagnosed_as_such(name):
+    records, diagnostics = parse_bodyfile(f"0|{name}|1|m|0|0|0|1|1|1|1\n")
+    assert records == []
+    assert [str(d) for d in diagnostics] == [f"line 1: empty name: {name!r}"]
+
+
 def test_wrong_field_count_is_diagnosed_with_its_line_number():
     text = PREFETCH_LINE + "\n0|too|few|fields\n" + PREFETCH_LINE + "\n"
     records, diagnostics = parse_bodyfile(text)

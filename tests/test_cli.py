@@ -7,7 +7,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from tracerecon import parse_scenario, simulate
+from tracerecon import parse_bodyfile, parse_scenario, simulate
+from tracerecon.bodyfile import MAX_TIME
 from tracerecon.cli import main
 
 import casedata
@@ -108,6 +109,12 @@ def test_scan_bad_signature_file_exits_3_with_line_number(capsys, tmp_path, text
     assert err.count(f"({line})") == 1
 
 
+def test_scan_packs_sharing_an_action_name_exit_3(capsys):
+    code, _, err = run(capsys, "scan", C1, FF3_SIG, FF3_SIG)
+    assert code == 3
+    assert err == "error: duplicate action name in pack: 'Open FF3'\n"
+
+
 def test_scan_signature_pack_that_is_not_utf8_exits_3(capsys, tmp_path):
     bad = tmp_path / "latin1.sig"
     bad.write_bytes(b"action: A\nthreshold: 5\ncore modified caf\xe9\n")
@@ -197,9 +204,9 @@ def test_calibrate_prints_the_estimate(capsys):
 
 
 def test_calibrate_reads_stdin_identically(capsys, monkeypatch):
-    text = (FIXTURES / "calibration_ie8.txt").read_text()
+    data = (FIXTURES / "calibration_ie8.txt").read_bytes()
     _, from_file, _ = run(capsys, "calibrate", str(FIXTURES / "calibration_ie8.txt"))
-    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(data)))
     _, from_stdin, _ = run(capsys, "calibrate", "-")
     assert from_stdin == from_file
 
@@ -254,14 +261,19 @@ def test_calibrate_samples_that_are_not_utf8_exit_3(capsys, tmp_path, monkeypatc
     name = str(path) if source == "file" else "-"
     code, _, err = run(capsys, "calibrate", name)
     assert code == 3
-    assert err.startswith(f"error: samples in {name} ")
+    assert err.startswith(f"error: samples {name} is not UTF-8: ")
 
 
-@pytest.mark.parametrize("separator", ["\f", "\x85"])
-def test_calibrate_splits_samples_only_at_newlines(capsys, monkeypatch, separator):
+@pytest.mark.parametrize("source", ["file", "stdin"])
+@pytest.mark.parametrize("separator", ["\r", "\f", "\x85"])
+def test_calibrate_splits_samples_only_at_newlines(
+    capsys, tmp_path, monkeypatch, separator, source
+):
     data = f"12{separator}13\n14\n".encode()
+    path = tmp_path / "samples.txt"
+    path.write_bytes(data)
     monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"))
-    code, _, err = run(capsys, "calibrate", "-")
+    code, _, err = run(capsys, "calibrate", str(path) if source == "file" else "-")
     assert code == 3
     assert err == f"error: line 1: not a duration: {'12' + separator + '13'!r}\n"
 
@@ -373,10 +385,66 @@ def test_simulate_missing_scenario_exits_2(capsys, tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("line", ["ma modified /x|y", "da modified 5 /x|y", "oa /x|y"])
+def test_simulate_rejects_a_field_separator_in_a_path(capsys, tmp_path, line):
+    scenario = tmp_path / "pipe.scn"
+    scenario.write_text(f"action: a\nthreshold: 5\nma modified /z\n{line}\nschedule:\n10 a 0\n")
+    code, _, err = run(capsys, "simulate", str(scenario), "--out", str(tmp_path / "o"))
+    assert code == 3
+    assert err == f"error: '{line[:2]}' line contains the field separator '|' (line 4)\n"
+
+
+def test_simulate_writes_only_times_its_own_scan_accepts(capsys, tmp_path):
+    scenario = tmp_path / "late.scn"
+    head = f"action: a\nthreshold: 5\nma modified /x\nda created {MAX_TIME} /x\nschedule:\n"
+    scenario.write_text(head + f"{MAX_TIME - 5} a 0\n")
+    assert run(capsys, "simulate", str(scenario), "--out", str(tmp_path / "o"))[0] == 0
+    records, diagnostics = parse_bodyfile((tmp_path / "o" / "metadata.body").read_text())
+    assert diagnostics == []
+    assert records[0].created == MAX_TIME and records[0].modified >= MAX_TIME - 5
+
+    scenario.write_text(head + "99999999999999999 a 0\n")
+    code, _, err = run(capsys, "simulate", str(scenario), "--out", str(tmp_path / "o"), "--check")
+    assert code == 3
+    assert err == (
+        "error: epoch plus threshold is past 9999-12-31T23:59:59Z: 99999999999999999 (line 6)\n"
+    )
+
+
+# --- a lone \r inside a line -----------------------------------------------------
+
+
+def test_scan_keeps_a_lone_cr_inside_a_signature_line(capsys, tmp_path):
+    body = tmp_path / "cr.body"
+    body.write_bytes(b"0|C:/a\rb|1|r|0|0|1|0|1311516151|0|0\n")
+    pack = tmp_path / "cr.sig"
+    pack.write_bytes(b"action: A\nthreshold: 5\ncore modified a\rb\n")
+    code, out, err = run(capsys, "scan", str(body), str(pack), "--format", "csv")
+    assert code == 0
+    assert [row["action"] for row in csv.DictReader(io.StringIO(out))] == ["A"]
+
+    pack.write_bytes(b"action: A\nthreshold: 5\ncore modified a\rb\ncore bogus x\n")
+    code, _, err = run(capsys, "scan", str(body), str(pack))
+    assert code == 3
+    assert err == f"error: {pack}: unknown timestamp kind 'bogus' (line 4)\n"
+
+
+def test_simulate_keeps_a_lone_cr_inside_a_scenario_line(capsys, tmp_path):
+    scenario = tmp_path / "cr.scn"
+    scenario.write_bytes(b"action: a\nthreshold: 5\nma modified /a\rb\nschedule:\n10 a 0\n")
+    assert run(capsys, "simulate", str(scenario), "--out", str(tmp_path / "o"))[0] == 0
+    assert (tmp_path / "o" / "metadata.body").read_bytes().startswith(b"0|/a\rb|")
+
+    scenario.write_bytes(b"action: a\nthreshold: 5\nma modified /a\rb\nmx /c\n")
+    code, _, err = run(capsys, "simulate", str(scenario), "--out", str(tmp_path / "o"))
+    assert code == 3
+    assert err == "error: unrecognized line: 'mx /c' (line 4)\n"
+
+
 # --- no input gives a traceback -----------------------------------------------
 
-# Pieces of the bodyfile, signature and sample grammars, mixed with arbitrary
-# bytes, so that fuzzed inputs also reach past the first syntax check.
+# Pieces of the bodyfile, signature, sample and scenario grammars, mixed with
+# arbitrary bytes, so that fuzzed inputs also reach past the first syntax check.
 NUMBER_TOKENS = [b"0", b"7", b"12.5", b"-1", b"1311516151", b"99999999999999999999",
                  b"nan", b"inf", b"1e308"]
 GRAMMAR_TOKENS = NUMBER_TOKENS + [
@@ -397,6 +465,12 @@ fuzz_body = st.lists(
     st.one_of(joined(GRAMMAR_TOKENS, b"|", 12), fuzz_bytes), max_size=8
 ).map(b"\n".join)
 fuzz_samples = joined(NUMBER_TOKENS, b"\n", 8)
+SCENARIO_TOKENS = [
+    b"\n", b" ", b"|", b"\r", b"#", b"---", b"\xff", b"action: ", b"threshold: ", b"variant:",
+    b"ma modified ", b"da created 5 ", b"oa ", b"schedule:", b"99999999999999999999", b"A",
+    b"action: A\nthreshold: 5\nma modified /x\n", b"\nschedule:\n10 A ?\n",
+]
+fuzz_scenario = joined(SCENARIO_TOKENS)
 
 
 def exit_code(argv):
@@ -425,4 +499,13 @@ def test_scan_exits_with_a_documented_code_on_any_bytes(capsys, tmp_path, body, 
 def test_calibrate_exits_with_a_documented_code_on_any_bytes(capsys, tmp_path, samples, k):
     (tmp_path / "samples.txt").write_bytes(samples)
     assert exit_code(["calibrate", str(tmp_path / "samples.txt"), "--k", k]) in {0, 2, 3}
+    capsys.readouterr()
+
+
+@FUZZ_SETTINGS
+@given(scenario=fuzz_scenario)
+def test_simulate_exits_with_a_documented_code_on_any_bytes(capsys, tmp_path, scenario):
+    (tmp_path / "in.scn").write_bytes(scenario)
+    argv = ["simulate", str(tmp_path / "in.scn"), "--out", str(tmp_path / "o")]
+    assert exit_code(argv) in {0, 3}
     capsys.readouterr()

@@ -211,7 +211,7 @@ def test_buckets_list_signatures_first_then_groups_in_sorted_candidate_order():
 
 
 def test_merge_packs_rejects_colliding_action_names(ff3_pack):
-    with pytest.raises(ValueError, match="duplicate"):
+    with pytest.raises(SignatureError, match="^duplicate action name in pack: 'Open FF3'$"):
         merge_packs([ff3_pack, ff3_pack])
 
 

@@ -9,8 +9,10 @@ Field layout, bit-exact::
 
     MD5|name|inode|mode_as_string|UID|GID|size|atime|mtime|ctime|crtime
 
-Every input of the package, a file or stdin, is read as bytes by
-:func:`read_input` and split only at ``\\n``.  A bodyfile record drops its
+Every input of the package, a file or stdin, is opened in binary by
+:func:`open_input` and split only at ``\\n``.  A bodyfile is streamed:
+:func:`read_bodyfile` decodes and parses one line at a time and yields its
+record, so memory stays flat as the input grows.  A bodyfile record drops its
 trailing ``\\r`` characters, so a raw ``\\r`` inside a name is kept.  ``|`` is
 forbidden inside fields, and the four time fields are decimal epoch
 seconds where 0 means "absent"; values beyond 9999-12-31T23:59:59Z cannot
@@ -29,9 +31,11 @@ from __future__ import annotations
 import logging
 import re
 import sys
+from contextlib import nullcontext
 from dataclasses import dataclass
+from operator import methodcaller
 from pathlib import Path
-from typing import IO, Iterable
+from typing import IO, Callable, ContextManager, Iterable, Iterator
 
 from .model import ObjectRecord
 
@@ -63,38 +67,87 @@ class ParseDiagnostic:
 _TIME_LABELS = ("atime", "mtime", "ctime", "crtime")
 
 
+def _time_error(raws: list[str]) -> ValueError:
+    """The error naming the first of the four time fields that is not a valid time.
+
+    :func:`_parse_line` checks all four at once and calls this only when
+    that check fails, to report the field the way a field-by-field check would.
+    """
+    for label, raw in zip(_TIME_LABELS, raws):
+        try:
+            value = int(raw)
+        except ValueError:
+            return ValueError(f"{label} is not an integer: {raw!r}")
+        if value < 0:
+            return ValueError(f"{label} is negative: {value}")
+        if value > MAX_TIME:
+            return ValueError(f"{label} is beyond 9999-12-31T23:59:59Z: {value}")
+    raise AssertionError(f"no time field is bad in {raws!r}")
+
+
 def _parse_line(line: str) -> ObjectRecord:
-    """Build the record of one line; raises ValueError with a reason on bad input."""
+    """Build the record of one line; raises ValueError with a reason on bad input.
+
+    Every check of ``ObjectRecord(...)`` is made here, with the parser's own
+    message, so the record is built without running them a second time.
+    """
     fields = line.split("|")
     if len(fields) != FIELD_COUNT:
         raise ValueError(f"expected {FIELD_COUNT} fields, found {len(fields)}")
     try:
-        for raw in fields[4:7]:  # UID, GID, size: checked, not kept
-            int(raw)
+        int(fields[4]), int(fields[5]), int(fields[6])  # UID, GID, size: checked, not kept
     except ValueError:
         raise ValueError("UID/GID/size fields must be integers") from None
-    times: list[int | None] = []
-    for label, raw in zip(_TIME_LABELS, fields[7:]):
-        try:
-            value = int(raw)
-        except ValueError:
-            raise ValueError(f"{label} is not an integer: {raw!r}") from None
-        if value < 0:
-            raise ValueError(f"{label} is negative: {value}")
-        if value > MAX_TIME:
-            raise ValueError(f"{label} is beyond 9999-12-31T23:59:59Z: {value}")
-        times.append(value or None)
+    try:
+        atime, mtime, ctime, crtime = map(int, fields[7:])
+    except ValueError:
+        raise _time_error(fields[7:]) from None
+    if not (
+        0 <= atime <= MAX_TIME
+        and 0 <= mtime <= MAX_TIME
+        and 0 <= ctime <= MAX_TIME
+        and 0 <= crtime <= MAX_TIME
+    ):
+        raise _time_error(fields[7:])
     name = fields[1].replace("\\", "/")
-    deleted = bool(_DELETED_SUFFIX.search(name))
-    if deleted:
-        name = _DELETED_SUFFIX.sub("", name)
+    # A name holds no newline, so the suffix can only match before a final ")".
+    suffix = _DELETED_SUFFIX.search(name) if name.endswith(")") else None
+    if suffix:
+        name = name[:suffix.start()]
     if not name:
         raise ValueError(f"empty name: {fields[1]!r}")
-    try:
-        # atime, mtime, ctime, crtime are the record's field order too.
-        return ObjectRecord(name, *times, deleted=deleted)
-    except ValueError:
-        raise ValueError(f"no usable timestamps: {fields[1]!r}") from None
+    if not (atime or mtime or ctime or crtime):
+        raise ValueError(f"no usable timestamps: {fields[1]!r}")
+    record = object.__new__(ObjectRecord)  # the checks are made: skip __init__
+    record.__dict__.update(
+        path=name,
+        accessed=atime or None,
+        modified=mtime or None,
+        metachanged=ctime or None,
+        created=crtime or None,
+        deleted=suffix is not None,
+    )
+    return record
+
+
+def _records(
+    lines: Iterable[str], report: Callable[[ParseDiagnostic], object]
+) -> Iterator[ObjectRecord]:
+    """The records of ``lines`` in input order; each diagnostic goes to ``report``.
+
+    Lines are numbered from 1 and drop their trailing ``\\n`` and ``\\r``
+    characters.  Blank lines and ``#`` lines are skipped silently.
+    """
+    for line_no, raw in enumerate(lines, start=1):
+        line = raw.rstrip("\r\n")
+        if not line.strip() or line.lstrip().startswith("#"):
+            continue
+        try:
+            record = _parse_line(line)
+        except ValueError as exc:
+            report(ParseDiagnostic(line_no, str(exc)))
+            continue
+        yield record
 
 
 def parse_bodyfile(text: str) -> tuple[list[ObjectRecord], list[ParseDiagnostic]]:
@@ -105,28 +158,57 @@ def parse_bodyfile(text: str) -> tuple[list[ObjectRecord], list[ParseDiagnostic]
     distinct records.  Malformed lines and lines whose four times are all
     zero are reported as diagnostics and skipped; they never abort the run.
     """
-    records: list[ObjectRecord] = []
     diagnostics: list[ParseDiagnostic] = []
-    for line_no, raw in enumerate(text.split("\n"), start=1):
-        line = raw.rstrip("\r")
-        if not line.strip() or line.lstrip().startswith("#"):
-            continue
-        try:
-            records.append(_parse_line(line))
-        except ValueError as exc:
-            diagnostics.append(ParseDiagnostic(line_no, str(exc)))
+    records = list(_records(text.split("\n"), diagnostics.append))
     return records, diagnostics
 
 
-def read_input(source: str | Path, what: str) -> bytes:
-    """The bytes of stdin if ``source`` is the string ``-``, else of the file.
+def _read_error(what: str, source: str | Path, exc: OSError) -> IngestError:
+    return IngestError(f"cannot read {what} {source}: {exc}")
 
-    A ``Path`` always names a file.  Failure raises :class:`IngestError`.
+
+def open_input(source: str | Path, what: str) -> ContextManager[IO[bytes]]:
+    """A binary handle on stdin if ``source`` is the string ``-``, else on the file.
+
+    Use it in a ``with``: leaving it closes a file but never stdin.  A
+    ``Path`` always names a file.  Failure to open raises
+    :class:`IngestError`.
     """
+    if source == "-":
+        return nullcontext(sys.stdin.buffer)
     try:
-        return sys.stdin.buffer.read() if source == "-" else Path(source).read_bytes()
+        return open(source, "rb")
     except OSError as exc:
-        raise IngestError(f"cannot read {what} {source}: {exc}") from exc
+        raise _read_error(what, source, exc) from exc
+
+
+def read_input(source: str | Path, what: str) -> bytes:
+    """All the bytes of :func:`open_input`; failure raises :class:`IngestError`."""
+    with open_input(source, what) as stream:
+        try:
+            return stream.read()
+        except OSError as exc:
+            raise _read_error(what, source, exc) from exc
+
+
+def read_bodyfile(stream: IO[bytes], source: str | Path) -> Iterator[ObjectRecord]:
+    """Yield the records of a binary bodyfile stream as its lines are read.
+
+    Each line is decoded on its own with ``surrogateescape``, which gives
+    the text of decoding the whole input, since byte 0x0A never occurs
+    inside a multi-byte UTF-8 sequence.  Nothing but the current line is
+    held.  Each diagnostic is logged as it is reached, naming ``source``; a
+    failed read raises :class:`IngestError`.
+    """
+
+    def report(diag: ParseDiagnostic) -> None:
+        log.warning("%s: %s", source, diag)
+
+    lines = map(methodcaller("decode", "utf-8", "surrogateescape"), stream)
+    try:
+        yield from _records(lines, report)
+    except OSError as exc:
+        raise _read_error("metadata", source, exc) from exc
 
 
 def load_metadata(source: str | Path) -> list[ObjectRecord]:
@@ -135,22 +217,30 @@ def load_metadata(source: str | Path) -> list[ObjectRecord]:
     Diagnostics are emitted on the module logger; an unreadable source is
     fatal and raises :class:`IngestError` naming the path.
     """
-    text = read_input(source, "metadata").decode("utf-8", errors="surrogateescape")
-    records, diagnostics = parse_bodyfile(text)
-    for diag in diagnostics:
-        log.warning("%s: %s", source, diag)
-    return records
+    with open_input(source, "metadata") as stream:
+        return list(read_bodyfile(stream, source))
 
 
 def format_record(record: ObjectRecord) -> str:
     """Serialize one record back to a bodyfile line.
 
     Only the fields an ObjectRecord carries round-trip; MD5/inode/mode/UID/
-    GID/size are emitted as placeholders.
+    GID/size are emitted as placeholders.  A path that would read back as
+    another raises ValueError: one that holds ``|``, ``\\`` or a newline,
+    or ends in a ``(deleted)`` marker, or, on a deleted record, in
+    whitespace that the marker's removal would take too.
     """
-    name = record.path + (" (deleted)" if record.deleted else "")
+    path = record.path
+    name = path + (" (deleted)" if record.deleted else "")
     if "|" in name:
-        raise ValueError(f"path contains the field separator: {record.path!r}")
+        raise ValueError(f"path contains the field separator: {path!r}")
+    if (
+        "\\" in path
+        or "\n" in path
+        or _DELETED_SUFFIX.search(path)
+        or (record.deleted and path[-1:].isspace())
+    ):
+        raise ValueError(f"path would not read back as itself: {path!r}")
     times = (
         record.accessed or 0,
         record.modified or 0,

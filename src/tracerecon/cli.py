@@ -19,7 +19,7 @@ from datetime import datetime, timezone
 from importlib import resources
 from pathlib import Path
 
-from .bodyfile import IngestError, load_metadata, read_input, write_bodyfile
+from .bodyfile import IngestError, open_input, read_bodyfile, read_input, write_bodyfile
 from .calibration import DEFAULT_SIGMA_MULTIPLIER, CalibrationError, estimate_threshold
 from .engine import reconstruct
 from .model import ActionInstanceApproximation, Timestamp
@@ -136,9 +136,11 @@ def _load_packs(pack_paths: list[str]) -> SignaturePack:
 
 
 def cmd_scan(args: argparse.Namespace) -> int:
-    records = load_metadata(args.metadata)
-    pack = _load_packs(args.signatures)
-    approximations = reconstruct(records, pack)
+    # The bodyfile opens before the packs load, so an unreadable one exits 2
+    # ahead of a bad pack; its records then stream straight into the matcher.
+    with open_input(args.metadata, "metadata") as stream:
+        pack = _load_packs(args.signatures)
+        approximations = reconstruct(read_bodyfile(stream, args.metadata), pack)
     label = args.label or Path(args.metadata).stem  # "-" for stdin
     rows = [_row_cells(a, label, args.utc_display) for a in approximations]
     _EMITTERS[args.format](rows, sys.stdout)

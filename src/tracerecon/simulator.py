@@ -30,8 +30,11 @@ files handles comments, separators and the ``action:`` and ``threshold:``
 headers; this module reads the rest of each block and the schedule.  An
 error about one line names that line; an error about a whole block
 (missing threshold, no variants, duplicate name, overlapping targets)
-names its ``action:`` line.  A path may not hold ``|``, and no default or
-``epoch + threshold`` may pass ``bodyfile.MAX_TIME``: the export must scan.
+names its ``action:`` line.  The export must scan back as the records
+simulated: a path may not hold ``|`` or ``\\`` nor end in a bodyfile
+``(deleted)`` marker, no default or schedule epoch may be 0 (a bodyfile's
+"absent"), and no default or ``epoch + threshold`` may pass
+``bodyfile.MAX_TIME``.
 """
 
 from __future__ import annotations
@@ -42,7 +45,7 @@ import re
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
-from .bodyfile import MAX_TIME
+from .bodyfile import _DELETED_SUFFIX, MAX_TIME
 from .model import (
     ActionInstanceApproximation,
     InstanceRank,
@@ -70,6 +73,7 @@ DefaultTarget = tuple[str, TimestampKind, int]
 
 
 _LAST_TIME = "9999-12-31T23:59:59Z"  # MAX_TIME, the last time the exported bodyfile holds
+_READS_AS_ABSENT = "would read back from the exported bodyfile as absent"
 
 
 class ScenarioError(BlockFileError):
@@ -422,6 +426,16 @@ class Scenario:
     schedule: InstanceSchedule
 
 
+def _target_path(line_no: int, keyword: str, text: str) -> str:
+    """The path of a target line, if the exported bodyfile reads it back unchanged."""
+    path = text.strip()
+    if "\\" in path:
+        raise ScenarioError(line_no, f"'{keyword}' path contains '\\', read back as '/'")
+    if _DELETED_SUFFIX.search(path):
+        raise ScenarioError(line_no, f"'{keyword}' path ends in a bodyfile deletion marker")
+    return path
+
+
 def parse_scenario(text: str) -> Scenario:
     """Parse scenario text; structural problems raise :class:`ScenarioError`."""
     lines = _content_lines(text)
@@ -446,7 +460,7 @@ def parse_scenario(text: str) -> Scenario:
                 variants.append((set(), set(), set()))
             updates, defaults, creates = variants[-1]
             if keyword == "oa":
-                creates.add(parts[1].strip())
+                creates.add(_target_path(line_no, keyword, parts[1]))
                 continue
             sub = parts[1].split(None, 1)
             if len(sub) != 2 or sub[0] not in _KIND_WORDS:
@@ -455,7 +469,7 @@ def parse_scenario(text: str) -> Scenario:
                 )
             kind = _KIND_WORDS[sub[0]]
             if keyword == "ma":
-                updates.add((sub[1].strip(), kind))
+                updates.add((_target_path(line_no, keyword, sub[1]), kind))
                 continue
             value_and_path = sub[1].split(None, 1)
             if len(value_and_path) != 2:
@@ -466,9 +480,11 @@ def parse_scenario(text: str) -> Scenario:
                 raise ScenarioError(line_no, f"bad default epoch {value_and_path[0]!r}")
             if default < 0:
                 raise ScenarioError(line_no, "default epoch must be non-negative")
+            if default == 0:
+                raise ScenarioError(line_no, f"default epoch 0 {_READS_AS_ABSENT}")
             if default > MAX_TIME:
                 raise ScenarioError(line_no, f"default epoch is past {_LAST_TIME}: {default}")
-            defaults.add((value_and_path[1].strip(), kind, default))
+            defaults.add((_target_path(line_no, keyword, value_and_path[1]), kind, default))
         if not variants:
             raise ScenarioError(block.line_no, f"action {block.name!r} defines no variants")
         try:
@@ -495,6 +511,8 @@ def parse_scenario(text: str) -> Scenario:
             raise ScenarioError(line_no, f"unknown action in schedule: {action_name!r}")
         if tau > MAX_TIME - spec.threshold:
             raise ScenarioError(line_no, f"epoch plus threshold is past {_LAST_TIME}: {tau}")
+        if tau == 0:
+            raise ScenarioError(line_no, f"epoch 0 can write time 0, which {_READS_AS_ABSENT}")
         variant_token = tokens[-1]
         if variant_token == "?":
             variant: int | None = None

@@ -66,6 +66,12 @@ def test_signature_errors_read_exactly(text, message):
         (SCN + "da modified 5\n", "'da' needs '<kind> <default epoch> <path>' (line 3)"),
         (SCN + "da modified nope /x\n", "bad default epoch 'nope' (line 3)"),
         (SCN + "da modified -1 /x\n", "default epoch must be non-negative (line 3)"),
+        (SCN + "da modified 0 /x\n",
+         "default epoch 0 would read back from the exported bodyfile as absent (line 3)"),
+        (SCN + "ma modified C:\\w\\x\n", "'ma' path contains '\\', read back as '/' (line 3)"),
+        (SCN + "oa /p (deleted)\n", "'oa' path ends in a bodyfile deletion marker (line 3)"),
+        (SCN + "da created 5 /p(deleted-realloc)\n",
+         "'da' path ends in a bodyfile deletion marker (line 3)"),
         (SCN + "da modified 253402300800 /x\n",
          "default epoch is past 9999-12-31T23:59:59Z: 253402300800 (line 3)"),
         (SCN + "---\n", "action 'a' defines no variants (line 1)"),
@@ -82,6 +88,9 @@ def test_signature_errors_read_exactly(text, message):
         (SCN + "ma modified /x\nschedule:\n10 a 7\n", "action 'a' has no variant 7 (line 5)"),
         (SCN + "ma modified /x\nschedule:\n-10 a 0\n",
          "instance time must be non-negative (line 5)"),
+        (SCN + "ma modified /x\nschedule:\n0 a 0\n",
+         "epoch 0 can write time 0, which would read back from the exported bodyfile "
+         "as absent (line 5)"),
         (SCN + "ma modified /x\nschedule:\n253402300795 a 0\n",
          "epoch plus threshold is past 9999-12-31T23:59:59Z: 253402300795 (line 5)"),
     ],

@@ -1,4 +1,6 @@
 import io
+import logging
+from contextlib import contextmanager
 
 import pytest
 from hypothesis import given
@@ -11,7 +13,7 @@ from tracerecon import (
     parse_bodyfile,
     write_bodyfile,
 )
-from tracerecon.bodyfile import format_record
+from tracerecon.bodyfile import MAX_TIME, format_record, read_bodyfile
 
 from conftest import FIXTURES
 
@@ -83,6 +85,34 @@ def test_times_beyond_year_9999_are_diagnosed():
     assert [r.accessed for r in records] == [253402300799]
     (diag,) = diagnostics
     assert diag.line_no == 2 and "mtime" in diag.message
+
+
+TIME_TEXTS = ["0", "5", "-1", " 7", "x", "", str(MAX_TIME), str(MAX_TIME + 1), "\u0661"]
+
+
+@given(st.lists(st.sampled_from(TIME_TEXTS), min_size=4, max_size=4))
+def test_the_first_bad_time_field_is_the_one_diagnosed(raws):
+    records, diagnostics = parse_bodyfile("0|C:/x|1|r|0|0|1|" + "|".join(raws) + "\n")
+    for label, raw in zip(("atime", "mtime", "ctime", "crtime"), raws):
+        try:
+            value = int(raw)
+        except ValueError:
+            expected = f"{label} is not an integer: {raw!r}"
+            break
+        if value < 0:
+            expected = f"{label} is negative: {value}"
+            break
+        if value > MAX_TIME:
+            expected = f"{label} is beyond 9999-12-31T23:59:59Z: {value}"
+            break
+    else:
+        times = [int(raw) or None for raw in raws]
+        if not any(times):
+            assert [d.message for d in diagnostics] == ["no usable timestamps: 'C:/x'"]
+        else:
+            assert (records, diagnostics) == ([ObjectRecord("C:/x", *times)], [])
+        return
+    assert records == [] and [d.message for d in diagnostics] == [expected]
 
 
 def test_empty_input_is_not_an_error():
@@ -160,6 +190,108 @@ def test_pipe_in_path_cannot_be_serialized():
         format_record(record)
 
 
+@pytest.mark.parametrize(
+    "path, deleted",
+    [("C:\\x", False), ("C:/x\ny", False), ("C:/x (deleted)", False),
+     ("C:/x(deleted-realloc)", True), ("C:/x ", True)],
+)
+def test_a_path_that_would_read_back_as_another_cannot_be_serialized(path, deleted):
+    with pytest.raises(ValueError, match="would not read back as itself"):
+        format_record(ObjectRecord(path=path, modified=5, deleted=deleted))
+
+
+class _Failing(io.BytesIO):
+    """A binary stream whose second line cannot be read."""
+
+    def __iter__(self):
+        yield b"0|C:/a|1|r|0|0|1|0|5|0|0\n"
+        raise OSError(5, "Input/output error")
+
+
+def test_a_failed_read_is_an_ingest_error_naming_the_source():
+    records = read_bodyfile(_Failing(), "disk.body")
+    assert next(records).path == "C:/a"
+    with pytest.raises(IngestError) as exc_info:
+        next(records)
+    assert str(exc_info.value) == "cannot read metadata disk.body: [Errno 5] Input/output error"
+
+
+@contextmanager
+def _logged():
+    """The diagnostics the bodyfile module logs inside the block, as a growing list."""
+    messages = []
+    handler = logging.Handler()
+    handler.emit = lambda record: messages.append(record.getMessage())
+    logger = logging.getLogger("tracerecon.bodyfile")
+    logger.addHandler(handler)
+    try:
+        yield messages
+    finally:
+        logger.removeHandler(handler)
+
+
+def test_diagnostics_are_logged_as_they_are_reached():
+    data = b"0|C:/a|1|r|0|0|1|0|5|0|0\nbad\n0|C:/b|1|r|0|0|1|0|5|0|0\n"
+    with _logged() as messages:
+        records = read_bodyfile(io.BytesIO(data), "in.body")
+        assert next(records).path == "C:/a" and messages == []
+        assert next(records).path == "C:/b"
+        assert messages == ["in.body: line 2: expected 11 fields, found 1"]
+
+
+# Pieces of bodyfile fields, with the characters that whole-text and per-line
+# decoding could treat differently: \r, NEL (\x85), U+2028, bytes that are
+# not UTF-8, and the parser's own syntax.
+FIELD_PIECES = [
+    b"C:/a", b"C:\\b", b" (deleted)", b"(deleted-realloc)", b"#", b" ", b"\t", b"\r",
+    b"\xc2\x85", b"\xe2\x80\xa8", b"\xff", b"\xe2\x80", b"\xf0\x9f\x98", b"x", b"7",
+]
+NUMBERS = [b"1311516151", b"7", b"0", str(MAX_TIME).encode(), b"-1",
+           str(MAX_TIME + 1).encode(), b" 7", b"x", b"\xff", b""]
+LINE_ENDS = [b"\n", b"\r\n", b"\r\r\n", b"\xff\n", b"\xe2\x80\n", b"\xc2\x85\n", b"\xe2\x80\xa8\n"]
+field_bytes = st.lists(
+    st.one_of(st.sampled_from(FIELD_PIECES), st.binary(max_size=2)), max_size=3
+).map(b"".join)
+# Mostly lines of eleven fields whose numbers mostly parse, so records and
+# every kind of diagnostic are both common.
+record_bytes = st.builds(
+    lambda name, head, numbers: b"|".join([b"0", name, *head, *numbers]),
+    field_bytes,
+    st.lists(field_bytes, min_size=2, max_size=2),
+    st.lists(st.sampled_from(NUMBERS[:4] * 6 + NUMBERS), min_size=7, max_size=7),
+)
+line_bytes = st.one_of(
+    record_bytes,
+    st.lists(field_bytes, max_size=12).map(b"|".join),
+    st.sampled_from([b"", b"  ", b"# comment", b"  #x|1", b"\r", b"\xc2\x85"]),
+)
+stream_bytes = st.builds(
+    lambda lines, last: b"".join(line + end for line, end in lines) + last,
+    st.lists(st.tuples(line_bytes, st.sampled_from(LINE_ENDS)), max_size=12),
+    st.one_of(st.just(b""), line_bytes),  # a last line without its newline
+)
+
+
+@given(stream_bytes)
+def test_the_stream_reads_what_whole_text_parsing_reads(data):
+    expected, diagnostics = parse_bodyfile(data.decode("utf-8", "surrogateescape"))
+    with _logged() as messages:
+        records = list(read_bodyfile(io.BytesIO(data), "in.body"))
+    assert records == expected
+    assert messages == [f"in.body: {diag}" for diag in diagnostics]
+    for record in records:
+        checked = ObjectRecord(
+            record.path,
+            record.accessed,
+            record.modified,
+            record.metachanged,
+            record.created,
+            deleted=record.deleted,
+        )
+        assert type(record) is ObjectRecord
+        assert record == checked and hash(record) == hash(checked)
+
+
 # zero time values read back as absent, so present times start at 1; the
 # deleted marker is parser syntax and may not be part of a generated name
 path_chars = st.characters(
@@ -189,3 +321,19 @@ def test_serialize_then_reparse_round_trips(records):
     # zero-valued times read back as absent, which the generator avoids
     assert diagnostics == []
     assert reparsed == records
+
+
+@given(
+    st.builds(
+        ObjectRecord,
+        path=st.text(min_size=1, max_size=12),
+        modified=st.integers(1, MAX_TIME),
+        deleted=st.booleans(),
+    )
+)
+def test_a_record_either_serializes_to_itself_or_raises(record):
+    try:
+        line = format_record(record)
+    except ValueError:
+        return
+    assert parse_bodyfile(line + "\n") == ([record], [])

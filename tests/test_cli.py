@@ -2,6 +2,8 @@ import csv
 import io
 import json
 import random
+import sys
+import tracemalloc
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -86,6 +88,78 @@ def test_scan_missing_metadata_exits_2(capsys, tmp_path):
     code, _, err = run(capsys, "scan", str(tmp_path / "missing.body"), FF3_SIG)
     assert code == 2
     assert "missing.body" in err
+
+
+def test_scan_unreadable_metadata_exits_2_ahead_of_a_bad_pack(capsys, tmp_path):
+    bad = tmp_path / "bad.sig"
+    bad.write_text("action: A\nthreshold: 0\n")
+    code, _, err = run(capsys, "scan", str(tmp_path / "missing.body"), str(bad))
+    assert code == 2
+    assert err.startswith(f"error: cannot read metadata {tmp_path / 'missing.body'}: ")
+
+
+def test_scan_bad_pack_exits_3_before_any_bodyfile_diagnostic(capsys, caplog, tmp_path):
+    body = tmp_path / "in.body"
+    body.write_text("not a bodyfile line\n")
+    bad = tmp_path / "bad.sig"
+    bad.write_text("action: A\nthreshold: 0\n")
+    code, _, err = run(capsys, "scan", str(body), str(bad))
+    assert code == 3
+    assert err == f"error: {bad}: threshold must be positive, got 0 (line 2)\n"
+    assert caplog.messages == []
+
+    code, _, _ = run(capsys, "scan", str(body), FF3_SIG)
+    assert code == 0
+    assert caplog.messages == [f"{body}: line 1: expected 11 fields, found 1"]
+
+
+class _FailingStdin:
+    """Stands in for ``sys.stdin``: its buffer fails after one line."""
+
+    closed = False
+
+    def __init__(self):
+        self.buffer = self
+
+    def __iter__(self):
+        yield f"0|{FF3_PREFETCH}|2|r|0|0|1|0|1311516151|0|0\n".encode()
+        raise OSError(5, "Input/output error")
+
+    def close(self):
+        self.closed = True
+
+
+def test_scan_read_failure_mid_stream_exits_2_and_leaves_stdin_open(capsys, monkeypatch):
+    stdin = _FailingStdin()
+    monkeypatch.setattr("sys.stdin", stdin)
+    code, out, err = run(capsys, "scan", "-", FF3_SIG)
+    assert (code, out) == (2, "")
+    assert err == "error: cannot read metadata -: [Errno 5] Input/output error\n"
+    assert sys.stdin is stdin and not stdin.closed
+
+
+def _noise_bodyfile(path, count):
+    """``count`` valid bodyfile lines that no packaged pattern matches."""
+    with open(path, "w", encoding="utf-8") as fh:
+        for i in range(count):
+            t = 1_300_000_000 + 37 * i
+            fh.write(f"0|D:/archive/d{i % 97}/file{i:06d}.dat|{i}|r/rrwxrwxrwx|0|0|{i % 4096}"
+                     f"|{t}|{t}|{t}|{t - 86400}\n")
+
+
+def test_scan_memory_stays_flat_as_the_bodyfile_grows(capsys, tmp_path):
+    peaks = []
+    for count in (5_000, 50_000):
+        body = tmp_path / f"noise{count}.body"
+        _noise_bodyfile(body, count)
+        tracemalloc.start()
+        try:
+            code, _, err = run(capsys, "scan", str(body), FF3_SIG, IE8_SIG)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert (code, err) == (0, "0 detections\n")
+    assert abs(peaks[1] - peaks[0]) < 1_000_000, peaks
 
 
 @pytest.mark.parametrize(
@@ -465,12 +539,38 @@ fuzz_body = st.lists(
     st.one_of(joined(GRAMMAR_TOKENS, b"|", 12), fuzz_bytes), max_size=8
 ).map(b"\n".join)
 fuzz_samples = joined(NUMBER_TOKENS, b"\n", 8)
-SCENARIO_TOKENS = [
-    b"\n", b" ", b"|", b"\r", b"#", b"---", b"\xff", b"action: ", b"threshold: ", b"variant:",
-    b"ma modified ", b"da created 5 ", b"oa ", b"schedule:", b"99999999999999999999", b"A",
-    b"action: A\nthreshold: 5\nma modified /x\n", b"\nschedule:\n10 A ?\n",
+# A valid scenario with one line replaced or inserted: one bad line fails a
+# whole scenario, so only a mutation of one line keeps the rest valid.
+VALID_SCENARIO = [
+    b"# two actions", b"action: A", b"threshold: 5", b"variant:", b"ma modified /x",
+    b"da created 5 /y", b"oa /z", b"variant:", b"ma modified /x", b"---", b"action: B",
+    b"threshold: 7", b"ma accessed /x", b"schedule:", b"10 A 0", b"20 B ?", b"30 A ?",
 ]
-fuzz_scenario = joined(SCENARIO_TOKENS)
+LINE_HEADS = [
+    b"ma modified /p", b"ma created ", b"da accessed 5 /p", b"da modified ", b"oa /p",
+    b"variant:", b"action: ", b"threshold: ", b"schedule:", b"10 A ", b"---", b"#", b"",
+]
+LINE_TOKENS = [
+    b"|", b"\\", b" (deleted)", b" ", b"/p", b"A", b"?", b"0", b"-1", b"\r", b"\xff",
+    str(MAX_TIME).encode(), str(MAX_TIME - 5).encode(), str(MAX_TIME + 1).encode(),
+]
+scenario_line = st.builds(
+    lambda head, tokens: head + b"".join(tokens),
+    st.sampled_from(LINE_HEADS),
+    st.lists(st.sampled_from(LINE_TOKENS), min_size=1, max_size=3),
+)
+
+
+@st.composite
+def fuzz_scenario(draw):
+    lines = list(VALID_SCENARIO)
+    index = draw(st.integers(0, len(lines)))
+    line = draw(scenario_line)
+    if index < len(lines) and draw(st.booleans()):
+        lines[index] = line
+    else:
+        lines.insert(index, line)
+    return b"\n".join(lines) + b"\n"
 
 
 def exit_code(argv):
@@ -503,7 +603,7 @@ def test_calibrate_exits_with_a_documented_code_on_any_bytes(capsys, tmp_path, s
 
 
 @FUZZ_SETTINGS
-@given(scenario=fuzz_scenario)
+@given(scenario=fuzz_scenario())
 def test_simulate_exits_with_a_documented_code_on_any_bytes(capsys, tmp_path, scenario):
     (tmp_path / "in.scn").write_bytes(scenario)
     argv = ["simulate", str(tmp_path / "in.scn"), "--out", str(tmp_path / "o")]

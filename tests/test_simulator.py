@@ -3,7 +3,7 @@ import io
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from tracerecon import (
@@ -40,6 +40,7 @@ from tracerecon.simulator import (
     apply_instance,
     export_records,
 )
+from tracerecon.bodyfile import MAX_TIME
 from tracerecon.signatures import TracePattern
 
 from conftest import FIXTURES
@@ -299,6 +300,59 @@ def test_metadata_file_round_trip_preserves_the_engine_view():
     assert diagnostics == []
     assert reparsed == records
     assert state_from_records(reparsed) == state_from_records(records)
+
+
+# Paths that a bodyfile reads back unchanged, some ending in a rarer piece
+# that makes it read back as another path.
+SAFE_PIECES = ["/q", "/a b", "x", "\u00e9", "\u2028", "\x85", "\t", "#", " "]
+TRICKY_ENDS = ["\\", " (deleted)", "(deleted-realloc)", "|"]
+scenario_paths = st.builds(
+    lambda pieces, end: "/p" + "".join(pieces) + end,
+    st.lists(st.sampled_from(SAFE_PIECES), max_size=3),
+    st.sampled_from([""] * 12 + TRICKY_ENDS),
+)
+scenario_kinds = st.sampled_from([k.value for k in TimestampKind])
+# 0, a bodyfile's "absent", is drawn rarely.
+default_epochs = st.sampled_from([1, 1_000_000_000, MAX_TIME] * 4 + [0])
+schedule_epochs = st.sampled_from([1, 7, 1_000_000_000, MAX_TIME - 60] * 4 + [0])
+target_lines = st.one_of(
+    st.builds("ma {} {}".format, scenario_kinds, scenario_paths),
+    st.builds("da {} {} {}".format, scenario_kinds, default_epochs, scenario_paths),
+    st.builds("oa {}".format, scenario_paths),
+)
+
+
+@st.composite
+def scenario_texts(draw):
+    """Scenario text of one to three actions and a short schedule."""
+    blocks = []
+    actions = draw(st.integers(1, 3))
+    for a in range(actions):
+        lines = [f"action: A{a}", f"threshold: {draw(st.integers(1, 60))}"]
+        for _ in range(draw(st.integers(1, 2))):
+            lines.append("variant:")
+            lines.extend(draw(st.lists(target_lines, min_size=1, max_size=4)))
+        blocks.append("\n".join(lines))
+    entries = [
+        f"{draw(schedule_epochs)} A{draw(st.integers(0, actions - 1))} ?"
+        for _ in range(draw(st.integers(0, 4)))
+    ]
+    return "\n---\n".join(blocks) + "\n---\nschedule:\n" + "\n".join(entries) + "\n"
+
+
+@settings(max_examples=150)
+@given(scenario_texts(), st.integers(0, 3))
+def test_every_accepted_scenario_exports_a_bodyfile_that_reads_back_as_its_records(
+    text, seed
+):
+    try:
+        scenario = parse_scenario(text)
+    except ScenarioError:
+        assume(False)
+    records, _ = simulate({}, scenario.specs, scenario.schedule, seed)
+    buffer = io.StringIO()
+    write_bodyfile(records, buffer)
+    assert parse_bodyfile(buffer.getvalue()) == (records, [])
 
 
 # --- derived signatures --------------------------------------------------

@@ -228,7 +228,9 @@ def format_record(record: ObjectRecord) -> str:
     GID/size are emitted as placeholders.  A path that would read back as
     another raises ValueError: one that holds ``|``, ``\\`` or a newline,
     or ends in a ``(deleted)`` marker, or, on a deleted record, in
-    whitespace that the marker's removal would take too.
+    whitespace that the marker's removal would take too.  So does a time
+    that would not read back: 0, which reads as absent, or one past
+    :data:`MAX_TIME`, which the parser rejects.
     """
     path = record.path
     name = path + (" (deleted)" if record.deleted else "")
@@ -241,12 +243,20 @@ def format_record(record: ObjectRecord) -> str:
         or (record.deleted and path[-1:].isspace())
     ):
         raise ValueError(f"path would not read back as itself: {path!r}")
+    present = (record.accessed, record.modified, record.metachanged, record.created)
     times = (
         record.accessed or 0,
         record.modified or 0,
         record.metachanged or 0,
         record.created or 0,
     )
+    if 0 in present or max(times) > MAX_TIME:
+        label, value = next(
+            (label, value)
+            for label, value in zip(_TIME_LABELS, present)
+            if value is not None and not 0 < value <= MAX_TIME
+        )
+        raise ValueError(f"{label} would not read back as itself: {value}")
     return "0|{}|0|-|0|0|0|{}|{}|{}|{}".format(name, *times)
 
 

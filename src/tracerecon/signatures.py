@@ -37,7 +37,16 @@ whole pack and fills every bucket.  Each distinct (pattern, kind) pair is
 tried once per record, and its regex runs only when the pattern's required
 literal (for ``.*/Prefetch/Firefox\\.EXE-.*\\.pf``,
 ``/prefetch/firefox.exe-``) occurs in the lowered path, in the spirit of
-multi-pattern prefilters such as Aho-Corasick and Hyperscan.
+multi-pattern prefilters such as Aho-Corasick and Hyperscan.  For an *exact*
+pattern, ``^`` then literal characters then ``$`` (as the simulator derives
+for every target path), that prefilter becomes a hash lookup: the matcher
+finds every exact hit of an ASCII path with one dict lookup of the lowered
+path per timestamp kind, and a path ending in ``\\n`` is found under the
+literal plus ``\\n``, since ``$`` also matches before a final newline.  Only
+non-ASCII paths run an exact pattern's regex, because case-insensitive
+regex matching folds ``ſ``, ``K`` and ``İ`` differently from ``str.lower``;
+an exact regex is therefore compiled on first use, where any other pattern
+compiles when it is loaded.
 """
 
 from __future__ import annotations
@@ -46,6 +55,7 @@ import itertools
 import re
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 from typing import Callable, Iterable, Iterator
 
 from .model import ObjectRecord, TimestampKind, TraceState, trace_sort_key
@@ -73,18 +83,29 @@ class SignatureError(BlockFileError):
 
 @dataclass(frozen=True)
 class TracePattern:
-    """One trace rule: category, timestamp kind, and a path regex."""
+    """One trace rule: category, timestamp kind, and a path regex.
+
+    ``exact`` is the lower-cased literal of an exact source (see
+    :func:`exact_literal`) and None for any other.  An exact source always
+    compiles, so its regex is compiled only when first used; any other is
+    compiled at once, so a bad pattern fails at load time, not at match time.
+    """
 
     category: TraceCategory
     kind: TimestampKind
     source: str
-    regex: re.Pattern = field(init=False, compare=False, repr=False)
+    exact: str | None = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if not self.source:
             raise ValueError("trace pattern must not be empty")
-        # Compile eagerly so a bad pattern fails at load time, not at match time.
-        object.__setattr__(self, "regex", re.compile(self.source, re.IGNORECASE))
+        object.__setattr__(self, "exact", exact_literal(self.source))
+        if self.exact is None:
+            self.regex  # compile now: the property caches it
+
+    @cached_property
+    def regex(self) -> re.Pattern:
+        return re.compile(self.source, re.IGNORECASE)
 
     def matches(self, path: str) -> bool:
         return self.regex.search(path) is not None
@@ -263,7 +284,9 @@ def parse_signature_pack(text: str) -> SignaturePack:
     return SignaturePack(signatures)
 
 
-_REGEX_SPECIALS = frozenset("\\.^$*+?{}[]|()")
+# One token of a pattern: a run of characters that are not special, an
+# escape, or one special character.
+_TOKEN = re.compile(r"([^\\.^$*+?{}\[\]|()]+)|\\(.?)|(.)", re.DOTALL)
 
 
 def _class_end(source: str, start: int) -> int | None:
@@ -283,49 +306,87 @@ def _class_end(source: str, start: int) -> int | None:
     return None
 
 
-def required_literal(source: str) -> str | None:
-    """Lower-cased ASCII text that every match of ``source`` must contain.
+def _literal_runs(source: str) -> tuple[list[str], str] | None:
+    """The runs of literal characters in ``source`` and the constructs between them.
 
     Reads the pattern as a plain concatenation: ASCII characters, ``\\``
     before punctuation, ``.``, ``[...]``, ``^``, ``$`` and the quantifiers
-    ``* + ?``.  Classes, dots and anchors end a run of literal characters; a
-    quantifier also drops the character it applies to.  The longest run
-    wins.  Any other construct (alternation, groups, counted repeats, ``\\``
-    before a letter or digit, non-ASCII text) gives None, and so does a
-    pattern without literal characters: such patterns always run their
-    regex.
+    ``* + ?``.  Classes, dots, anchors and quantifiers end a run of literal
+    characters, and a quantifier also drops the character it applies to.
+    Returns the runs and, as one string, the first character of each
+    construct, so ``runs[i]`` and ``runs[i + 1]`` are separated by
+    ``breaks[i]``.  Any other construct (alternation, groups, counted
+    repeats, ``\\`` before a letter or digit, non-ASCII text) gives None.
     """
     runs: list[str] = []
-    run: list[str] = []
+    breaks: list[str] = []
+    run = ""
     i = 0
     while i < len(source):
-        char = source[i]
-        if char == "\\":
-            escaped = source[i + 1:i + 2]
+        token = _TOKEN.match(source, i)
+        plain, escaped, special = token.groups()
+        i = token.end()
+        if plain is not None:
+            if not plain.isascii():
+                return None
+            run += plain
+            continue
+        if escaped is not None:
             if not escaped or not escaped.isascii() or escaped.isalnum():
                 return None
-            run.append(escaped)
-            i += 2
+            run += escaped
             continue
-        if char == "[":
-            end = _class_end(source, i)
+        if special == "[":
+            end = _class_end(source, i - 1)
             if end is None:
                 return None
-            i = end
-        elif char in "*+?":
-            if run:  # non-empty only when the previous token was a literal
-                run.pop()
-        elif char not in ".^$":
-            if not char.isascii() or char in _REGEX_SPECIALS:
-                return None
-            run.append(char)
-            i += 1
-            continue
-        runs.append("".join(run))
-        run = []
-        i += 1
-    runs.append("".join(run))
+            i = end + 1
+        elif special in "*+?":
+            run = run[:-1]  # non-empty only when the previous token was a literal
+        elif special not in ".^$":
+            return None
+        runs.append(run)
+        breaks.append(special)
+        run = ""
+    runs.append(run)
+    return runs, "".join(breaks)
+
+
+def required_literal(source: str) -> str | None:
+    """Lower-cased ASCII text that every match of ``source`` must contain.
+
+    The longest run of literal characters :func:`_literal_runs` finds.  A
+    pattern it cannot read, or one without literal characters, gives None:
+    such patterns always run their regex.
+    """
+    scanned = _literal_runs(source)
+    if scanned is None:
+        return None
+    runs, _ = scanned
     return max(runs, key=len).lower() or None
+
+
+def exact_literal(source: str) -> str | None:
+    """Lower-cased text of an *exact* source: ``^``, literal characters, ``$``.
+
+    Searched case-insensitively, an exact source matches an ASCII path
+    exactly when the lowered path is its literal, or its literal followed by
+    ``\\n``, since ``$`` also matches before a final newline.  Any other
+    source gives None.
+    """
+    if not (source.startswith("^") and source.endswith("$")):
+        return None  # without scanning: most patterns of a scan pack end here
+    scanned = _literal_runs(source)
+    if scanned is None:
+        return None
+    runs, breaks = scanned
+    if breaks == "^$" and not runs[0] and runs[1] and not runs[2]:
+        return runs[1].lower()
+    return None
+
+
+# A match-plan entry: required literal, regex search, and the buckets fed.
+_Entry = tuple[str | None, Callable, tuple[Bucket, ...]]
 
 
 def match_pack(
@@ -341,36 +402,67 @@ def match_pack(
     nothing.
 
     Patterns are collapsed to unique (source, kind) pairs, each listing the
-    buckets it feeds.  A record's path is searched with a pattern's regex
-    only when the pattern's :func:`required_literal` occurs in the lowered
-    path, so most records cost one substring test per pattern.  Non-ASCII
-    paths always run the regex: case-insensitive regex matching folds
-    characters such as ``ſ`` (to ``s``) and ``İ`` (to ``i``) differently
-    from ``str.lower``.
+    buckets it feeds.  Exact pairs (:func:`exact_literal`) are indexed per
+    kind under their literal and under their literal plus ``\\n`` (``$``
+    also matches before a final newline), so an ASCII path finds all of its
+    exact hits with one dict lookup of the lowered path per kind, and their
+    regexes are never compiled.  Any other pair searches a record's path
+    with its regex only when the pattern's :func:`required_literal` occurs
+    in the lowered path, so most records cost one substring test per
+    pattern.  Non-ASCII paths run every regex, exact ones included:
+    case-insensitive regex matching folds characters such as ``ſ`` (to
+    ``s``) and ``İ`` (to ``i``) differently from ``str.lower``.  Kinds
+    without exact pairs skip the lookup.
     """
     buckets: dict[Bucket, list[TraceState]] = {}
-    feeds: dict[SharedKey, tuple[re.Pattern, list[Bucket]]] = {}
+    feeds: dict[SharedKey, tuple[TracePattern, list[Bucket]]] = {}
     for bucket, patterns in pack.buckets.items():
         buckets[bucket] = []
         for trace in patterns:
-            feeds.setdefault((trace.source, trace.kind), (trace.regex, []))[1].append(bucket)
+            feeds.setdefault((trace.source, trace.kind), (trace, []))[1].append(bucket)
 
-    by_kind: dict[TimestampKind, list[tuple[str | None, Callable, tuple[Bucket, ...]]]] = {}
-    for (source, kind), (regex, targets) in feeds.items():
-        by_kind.setdefault(kind, []).append(
-            (required_literal(source), regex.search, tuple(dict.fromkeys(targets)))
-        )
-    plan = [(kind.value, kind, entries) for kind, entries in by_kind.items()]
+    # Per kind: the regex entries of inexact pairs, and for exact pairs the
+    # buckets fed under each indexed key plus the entries non-ASCII paths run.
+    by_kind: dict[TimestampKind, list[_Entry]] = {}
+    exact_by_kind: dict[TimestampKind, tuple[dict[str, list[Bucket]], list[_Entry]]] = {}
+    for (source, kind), (trace, fed) in feeds.items():
+        targets = tuple(dict.fromkeys(fed))
+        entries = by_kind.setdefault(kind, [])
+        if trace.exact is None:
+            entries.append((required_literal(source), trace.regex.search, targets))
+            continue
+        index, fallback = exact_by_kind.setdefault(kind, ({}, []))
+        for key in (trace.exact, trace.exact + "\n"):
+            index.setdefault(key, []).extend(targets)
+        # Looked up on each call, so the regex compiles only if a path needs it.
+        fallback.append((None, lambda path, trace=trace: trace.regex.search(path), targets))
+    plan = []
+    for kind, entries in by_kind.items():
+        exact = None
+        if kind in exact_by_kind:
+            index, fallback = exact_by_kind[kind]
+            lookup = {key: tuple(dict.fromkeys(fed)) for key, fed in index.items()}
+            exact = (lookup, fallback + entries)
+        plan.append((kind.value, kind, entries, exact))
 
     for record in records:
         path = record.path
         lowered = path.lower()
         ascii_path = path.isascii()
-        for field_name, kind, entries in plan:
+        for field_name, kind, entries, exact in plan:
             value = getattr(record, field_name)
             if value is None:
                 continue
             state = None
+            if exact is not None:
+                lookup, every_entry = exact
+                if not ascii_path:
+                    entries = every_entry
+                elif (hits := lookup.get(lowered)) is not None:
+                    state = TraceState(path, kind, value)
+                    filled: set[Bucket] = set(hits)
+                    for target in hits:
+                        buckets[target].append(state)
             for literal, search, targets in entries:
                 if literal is not None and ascii_path and literal not in lowered:
                     continue
@@ -378,7 +470,7 @@ def match_pack(
                     continue
                 if state is None:
                     state = TraceState(path, kind, value)
-                    filled: set[Bucket] = set()
+                    filled = set()
                 for target in targets:
                     if target not in filled:
                         filled.add(target)

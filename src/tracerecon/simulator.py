@@ -43,6 +43,7 @@ import itertools
 import random
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
 from .bodyfile import _DELETED_SUFFIX, MAX_TIME
@@ -96,6 +97,22 @@ class PathVariant:
         overlap = self.updates & {(path, kind) for path, kind, _ in self.defaults}
         if overlap:
             raise ValueError(f"update and default targets overlap: {sorted(overlap)}")
+
+    @cached_property
+    def order(
+        self,
+    ) -> tuple[tuple[str, ...], tuple[UpdateTarget, ...], tuple[DefaultTarget, ...]]:
+        """The paths an instance touches, its updates and its defaults, sorted.
+
+        Sorting fixes the order of the delay draws, so a simulation depends
+        only on its seed and not on set iteration order.  Computed once per
+        variant, on the first instance that runs it.
+        """
+        creates = sorted(self.creates)
+        updates = tuple(sorted(self.updates, key=lambda t: (t[0], t[1].value)))
+        defaults = tuple(sorted(self.defaults, key=lambda t: (t[0], t[1].value, t[2])))
+        touched = [*creates, *(t[0] for t in updates), *(t[0] for t in defaults)]
+        return tuple(dict.fromkeys(touched)), updates, defaults
 
 
 @dataclass(frozen=True)
@@ -180,9 +197,8 @@ def apply_instance(
 
     The input state is not mutated: the new state shares the inner dicts of
     every path the variant leaves alone and copies only the paths it
-    touches.  Targets are processed in sorted order so the delay draws, and
-    therefore the whole simulation, depend only on the seed and not on set
-    iteration order.
+    touches.  Targets are processed in the variant's sorted
+    :attr:`PathVariant.order`.
     """
     if not 0 <= variant_index < len(spec.variants):
         raise SimulationError(
@@ -190,13 +206,9 @@ def apply_instance(
         )
     if tau < 0:
         raise SimulationError("instance time must be non-negative")
-    variant = spec.variants[variant_index]
-    creates = sorted(variant.creates)
-    updates = sorted(variant.updates, key=lambda t: (t[0], t[1].value))
-    defaults = sorted(variant.defaults, key=lambda t: (t[0], t[1].value, t[2]))
+    touched, updates, defaults = spec.variants[variant_index].order
     new_state: SimState = dict(state)
-    touched = [*creates, *(t[0] for t in updates), *(t[0] for t in defaults)]
-    for path in dict.fromkeys(touched):
+    for path in touched:
         new_state[path] = dict(state.get(path, {}))
     writes: list[WriteRecord] = []
     for path, kind in updates:

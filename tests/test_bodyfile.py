@@ -200,6 +200,19 @@ def test_a_path_that_would_read_back_as_another_cannot_be_serialized(path, delet
         format_record(ObjectRecord(path=path, modified=5, deleted=deleted))
 
 
+@pytest.mark.parametrize(
+    "times, message",
+    [
+        ({"modified": 0}, "mtime would not read back as itself: 0"),
+        ({"modified": 5, "created": 0}, "crtime would not read back as itself: 0"),
+        ({"accessed": MAX_TIME + 1}, f"atime would not read back as itself: {MAX_TIME + 1}"),
+    ],
+)
+def test_a_time_that_would_not_read_back_cannot_be_serialized(times, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        format_record(ObjectRecord(path="C:/x", **times))
+
+
 class _Failing(io.BytesIO):
     """A binary stream whose second line cannot be read."""
 
@@ -323,11 +336,18 @@ def test_serialize_then_reparse_round_trips(records):
     assert reparsed == records
 
 
+# 0 reads back as absent and MAX_TIME + 1 is rejected, so neither may be written.
+edge_times = st.one_of(st.integers(1, MAX_TIME), st.sampled_from((0, MAX_TIME, MAX_TIME + 1)))
+
+
 @given(
     st.builds(
         ObjectRecord,
         path=st.text(min_size=1, max_size=12),
-        modified=st.integers(1, MAX_TIME),
+        accessed=st.one_of(st.none(), edge_times),
+        modified=edge_times,
+        metachanged=st.one_of(st.none(), edge_times),
+        created=st.one_of(st.none(), edge_times),
         deleted=st.booleans(),
     )
 )

@@ -14,7 +14,13 @@ from tracerecon import (
     match_pack,
     parse_signature_pack,
 )
-from tracerecon.signatures import Signature, TracePattern, required_literal
+from tracerecon.model import TraceState
+from tracerecon.signatures import (
+    Signature,
+    TracePattern,
+    exact_literal,
+    required_literal,
+)
 
 from reference_matcher import reference_buckets, reference_groups
 
@@ -47,25 +53,55 @@ categories = st.sampled_from(list(TraceCategory))
 times = st.one_of(st.none(), st.integers(1, 4))
 
 
+def path_pools():
+    """A small pool of base paths, ASCII or not; drawing from it makes paths repeat."""
+    ascii_path = st.text(ASCII_PATH_CHARS, min_size=1, max_size=10)
+    path = st.one_of(ascii_path, ascii_path, st.text(PATH_CHARS, min_size=1, max_size=10))
+    return st.lists(path, min_size=1, max_size=6)
+
+
+def drawn_paths(pool):
+    """Paths from ``pool``, some ending in a newline, before which ``$`` also matches."""
+    return st.builds(lambda path, newline: path + "\n" * newline,
+                     st.sampled_from(pool), st.booleans())
+
+
+def exact_sources(paths):
+    """``^`` + an escaped path with its case changed + ``$``, as the simulator derives."""
+    case_changes = st.sampled_from((str, str.lower, str.upper, str.swapcase))
+    return st.builds(lambda path, change: "^" + re.escape(change(path)) + "$", paths,
+                     case_changes)
+
+
+# Sources one step from exact, which must not take the exact lookup.
+NEAR_EXACT = ("^a\\$", "^a^b$", "^ab*$", "^a.$", "a$", "^a", "^$")
+NEAR_EXACT_FORMS = ("^{}", "{}$", "^{}\\$", "^{}.$", "^^{}$", "^{}$$", "^{}*$")
+
+
+def near_exact_sources(paths):
+    fixed = st.sampled_from(NEAR_EXACT)
+    built = st.builds(lambda path, form: form.format(re.escape(path)), paths,
+                      st.sampled_from(NEAR_EXACT_FORMS))
+    return st.one_of(fixed, built.filter(_compiles))
+
+
 @st.composite
-def records(draw, alphabet=PATH_CHARS):
-    pool = draw(st.lists(st.text(alphabet, min_size=1, max_size=10), min_size=1, max_size=6))
+def records(draw, paths):
     out = []
     for _ in range(draw(st.integers(0, 12))):
         stamps = [draw(times) for _ in range(4)]
         if all(t is None for t in stamps):
             stamps[draw(st.integers(0, 3))] = draw(st.integers(1, 4))
         accessed, modified, metachanged, created = stamps
-        out.append(ObjectRecord(draw(st.sampled_from(pool)), accessed, modified, metachanged,
-                                created))
+        out.append(ObjectRecord(draw(paths), accessed, modified, metachanged, created))
     return out
 
 
 @st.composite
-def packs(draw):
+def packs(draw, sources=patterns, min_pool=1):
     """Signatures drawing their traces from one shared pool, so the same
     (pattern, kind) pair often appears under several actions and categories."""
-    pool = draw(st.lists(st.tuples(patterns, kinds), min_size=1, max_size=6))
+    pool = draw(st.lists(st.tuples(sources, kinds), min_size=min_pool, max_size=6))
     signatures = []
     for name in ("A", "B", "C")[: draw(st.integers(1, 3))]:
         picks = draw(st.lists(st.tuples(categories, st.sampled_from(pool)), min_size=1,
@@ -75,9 +111,18 @@ def packs(draw):
     return SignaturePack(signatures)
 
 
-@settings(max_examples=300, deadline=None)
-@given(packs(), records())
-def test_match_pack_equals_the_reference_on_every_bucket(pack, objects):
+@st.composite
+def packs_and_records(draw):
+    """A pack whose exact and near-exact sources are built from the records' paths."""
+    paths = drawn_paths(draw(path_pools()))
+    sources = st.one_of(exact_sources(paths), near_exact_sources(paths), patterns)
+    return draw(packs(sources, min_pool=3)), draw(records(paths))
+
+
+@settings(max_examples=400, deadline=None)
+@given(packs_and_records())
+def test_match_pack_equals_the_reference_on_every_bucket(pack_and_records):
+    pack, objects = pack_and_records
     assert match_pack(pack, objects) == reference_buckets(pack, objects)
 
 
@@ -131,11 +176,79 @@ def test_required_literal_examples(source, literal):
 
 
 @pytest.mark.parametrize(
+    "source, literal",
+    [
+        ("^C:/Windows/x\\.dat$", "c:/windows/x.dat"),
+        ("^" + re.escape("C:/Program Files (x86)/a-b #1.txt") + "$",
+         "c:/program files (x86)/a-b #1.txt"),
+        ("^a\\$$", "a$"),
+        ("^\\^$", "^"),
+        ("^a\\\n$", "a\n"),
+        ("^a\\$", None),
+        ("^a^b$", None),
+        ("^ab*$", None),
+        ("^a.$", None),
+        ("a$", None),
+        ("^a", None),
+        ("^$", None),
+        ("^a$$", None),
+        ("^a$b\\$", None),
+        ("^^a$", None),
+        ("x^a$", None),
+        ("^[a]$", None),
+        ("^a|b$", None),
+        ("^(a)$", None),
+        ("^\\d$", None),
+        ("^\u017f$", None),
+        ("^a{2}$", None),
+    ],
+)
+def test_exact_literal_examples(source, literal):
+    assert exact_literal(source) == literal
+
+
+ascii_texts = st.text(ASCII_PATH_CHARS + "\n", min_size=1, max_size=6)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.one_of(patterns, exact_sources(ascii_texts)), st.data())
+def test_an_exact_source_matches_an_ascii_path_exactly_when_the_lookup_does(source, data):
+    literal = exact_literal(source)
+    if literal is None:
+        return
+    near = drawn_paths([literal, literal[:-1] or "x", literal + "a"])
+    path = data.draw(st.one_of(ascii_texts, near, near.map(str.swapcase)))
+    found = re.search(source, path, re.IGNORECASE) is not None
+    assert found == (path.lower() in (literal, literal + "\n"))
+
+
+def test_an_exact_pattern_compiles_its_regex_only_when_a_path_needs_it():
+    pack = parse_signature_pack(
+        "action: A\nthreshold: 5\ncore modified ^C:/Kelvin$\nsupport modified .*/x\n"
+    )
+    exact, inexact = pack.get("A").traces
+    assert exact.exact == "c:/kelvin" and inexact.exact is None
+    assert "regex" not in vars(exact) and "regex" in vars(inexact)
+    match_pack(pack, [ObjectRecord(path="c:/KELVIN", modified=1)])
+    assert "regex" not in vars(exact)
+    hit = ObjectRecord(path="c:/\u212aelvin", modified=2)  # Kelvin sign folds to k
+    assert match_pack(pack, [hit])[("A", TraceCategory.CORE)] == [
+        TraceState(hit.path, TimestampKind.MODIFIED, 2)
+    ]
+    assert "regex" in vars(exact)
+    assert exact == TracePattern(TraceCategory.CORE, TimestampKind.MODIFIED, "^C:/Kelvin$")
+    assert hash(exact) == hash((TraceCategory.CORE, TimestampKind.MODIFIED, "^C:/Kelvin$"))
+
+
+@pytest.mark.parametrize(
     "pattern, path",
     [
         ("/sun$", "C:/\u017fun"),  # long s folds to s
         ("kelvin", "C:/\u212aelvin"),  # Kelvin sign folds to k
         ("i\\.dat", "C:/\u0130.dat"),  # dotted capital I folds to i
+        ("^C:/sun$", "C:/\u017fun"),  # exact patterns too
+        ("^C:/kelvin$", "C:/\u212aelvin"),
+        ("^C:/i\\.dat$", "C:/\u0130.dat"),
     ],
 )
 def test_non_ascii_paths_always_run_the_regex(pattern, path):
@@ -144,6 +257,29 @@ def test_non_ascii_paths_always_run_the_regex(pattern, path):
     assert [s.object_path for s in match_pack(pack, [record])[("A", TraceCategory.CORE)]] == [
         path
     ]
+
+
+@pytest.mark.parametrize("path", ["c:/A.DAT", "c:/A.DAT\n", "C:/a.dat\n\n", "C:/a.da"])
+def test_an_exact_pattern_also_matches_before_a_final_newline(path):
+    pack = parse_signature_pack("action: A\nthreshold: 5\ncore modified ^C:/a\\.dat$\n")
+    records = [ObjectRecord(path=path, modified=9)]
+    assert match_pack(pack, records) == reference_buckets(pack, records)
+    assert len(match_pack(pack, records)[("A", TraceCategory.CORE)]) == (
+        path.lower() in ("c:/a.dat", "c:/a.dat\n")
+    )
+
+
+def test_exact_sources_sharing_a_lookup_key_add_one_state_per_bucket():
+    sources = ("^C:/A$", "^c:/a$", "^C:/a\\\n$", ".*/a")
+    traces = tuple(
+        TracePattern(TraceCategory.SUPPORTING, TimestampKind.MODIFIED, source)
+        for source in sources
+    )
+    pack = SignaturePack([Signature("A", 5, traces)])
+    records = [ObjectRecord(path="c:/a\n", modified=1), ObjectRecord(path="C:/A", modified=2)]
+    matched = match_pack(pack, records)
+    assert matched == reference_buckets(pack, records)
+    assert [s.value for s in matched[("A", TraceCategory.SUPPORTING)]] == [1, 2]
 
 
 def test_one_record_adds_one_state_per_bucket_and_kind():

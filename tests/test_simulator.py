@@ -388,6 +388,15 @@ def test_derived_categories_follow_update_behavior():
     )
 
 
+def test_derived_patterns_are_exact_and_matching_ascii_paths_compiles_no_regex():
+    scenario, records, _ = run_basic_scenario()
+    pack = derive_signatures(scenario.specs)
+    traces = [trace for sig in pack for trace in sig.traces]
+    assert traces and all(trace.exact is not None for trace in traces)
+    assert reconstruct(records, pack)
+    assert [trace.source for trace in traces if "regex" in vars(trace)] == []
+
+
 def test_actions_without_update_targets_are_omitted():
     silent = ActionSpec("silent", 10, (PathVariant(creates=frozenset({"/o/x"})),))
     assert len(derive_signatures({"silent": silent})) == 0

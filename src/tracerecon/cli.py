@@ -166,16 +166,20 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
 
 _JSON_SEPARATORS = (",", ":")
 _TRUTH_SLICE = 4096
+# One compact write object, its keys in sorted order.
+_WRITE_JSON = '{"default":%s,"instance":%d,"kind":"%s","path":%s,"value":%d}'
+_JSON_BOOLS = ("false", "true")
 
 
 def _write_truth(fh, seed: int, truth) -> None:
     """Write the ground truth as compact JSON with sorted keys, plus a newline.
 
-    The bytes equal one ``json.dumps`` of the whole document, but the writes
-    are converted and encoded a slice at a time: each slice goes through the
-    C encoder (``json.dump`` streams through the pure-Python one), and the
-    document is never held whole in memory.  ``"writes"`` is the last key
-    in sorted order, so the head closes over it.
+    The bytes equal one ``json.dumps(..., sort_keys=True)`` of the whole
+    document.  Each write is formatted straight into its object by one
+    template; each distinct path is quoted once by ``json.dumps`` (ASCII
+    escapes, as in the whole-document dump) and reused.  The writes go out
+    a slice at a time, so the document is never held whole in memory.
+    ``"writes"`` is the last key in sorted order, so the head closes over it.
     """
     head = {
         "seed": seed,
@@ -186,20 +190,17 @@ def _write_truth(fh, seed: int, truth) -> None:
     }
     fh.write(json.dumps(head, sort_keys=True, separators=_JSON_SEPARATORS)[:-1])
     fh.write(',"writes":[')
+    quoted: dict[str, str] = {}
     for start in range(0, len(truth.writes), _TRUTH_SLICE):
-        chunk = [
-            {
-                "instance": w.instance_index,
-                "path": w.path,
-                "kind": w.kind.value,
-                "value": w.value,
-                "default": w.is_default,
-            }
-            for w in truth.writes[start:start + _TRUTH_SLICE]
-        ]
+        chunk = []
+        for index, path, kind, value, is_default in truth.writes[start:start + _TRUTH_SLICE]:
+            text = quoted.get(path)
+            if text is None:
+                text = quoted[path] = json.dumps(path)
+            chunk.append(_WRITE_JSON % (_JSON_BOOLS[is_default], index, kind.value, text, value))
         if start:
             fh.write(",")
-        fh.write(json.dumps(chunk, sort_keys=True, separators=_JSON_SEPARATORS)[1:-1])
+        fh.write(",".join(chunk))
     fh.write("]}\n")
 
 

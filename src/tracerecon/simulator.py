@@ -44,7 +44,7 @@ import random
 import re
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .bodyfile import _DELETED_SUFFIX, MAX_TIME
 from .model import (
@@ -65,8 +65,8 @@ from .signatures import (
     _read_blocks,
 )
 
-# An object map: path -> {kind -> value}.  Plain dicts keep simulation state
-# cheap to copy; records are materialized only at the export boundary.
+# An object map: path -> {kind -> value}.  A simulation updates one such map
+# in place; records are materialized only at the export boundary.
 SimState = dict[str, dict[TimestampKind, int]]
 
 UpdateTarget = tuple[str, TimestampKind]
@@ -165,8 +165,7 @@ class TruthInstance:
     variant: int
 
 
-@dataclass(frozen=True)
-class TruthWrite:
+class TruthWrite(NamedTuple):
     instance_index: int
     path: str
     kind: TimestampKind
@@ -193,12 +192,12 @@ def apply_instance(
     tau: Timestamp,
     rng: random.Random,
 ) -> tuple[SimState, list[WriteRecord]]:
-    """Apply one instance; returns the new state plus the writes performed.
+    """Apply one instance to ``state`` in place; returns it plus the writes performed.
 
-    The input state is not mutated: the new state shares the inner dicts of
-    every path the variant leaves alone and copies only the paths it
-    touches.  Targets are processed in the variant's sorted
-    :attr:`PathVariant.order`.
+    A path the variant touches for the first time is added at the end of
+    ``state``; every other path keeps its place and its inner dict, and
+    touched inner dicts are updated in place.  Targets are processed in the
+    variant's sorted :attr:`PathVariant.order`.
     """
     if not 0 <= variant_index < len(spec.variants):
         raise SimulationError(
@@ -207,18 +206,18 @@ def apply_instance(
     if tau < 0:
         raise SimulationError("instance time must be non-negative")
     touched, updates, defaults = spec.variants[variant_index].order
-    new_state: SimState = dict(state)
     for path in touched:
-        new_state[path] = dict(state.get(path, {}))
+        if path not in state:
+            state[path] = {}
     writes: list[WriteRecord] = []
     for path, kind in updates:
         value = tau + rng.randint(0, spec.threshold)
-        new_state[path][kind] = value
+        state[path][kind] = value
         writes.append((path, kind, value, False))
     for path, kind, default in defaults:
-        new_state[path][kind] = default
+        state[path][kind] = default
         writes.append((path, kind, default, True))
-    return new_state, writes
+    return state, writes
 
 
 def simulate(
@@ -231,7 +230,7 @@ def simulate(
 
     Returns the final snapshot as records (sorted by path; objects that
     never received a timestamp are unobservable and are dropped) plus the
-    ground-truth log.
+    ground-truth log.  ``initial`` is copied once and left as it was.
     """
     rng = random.Random(seed)
     state: SimState = {path: dict(times) for path, times in initial.items()}
@@ -248,10 +247,7 @@ def simulate(
         )
         state, instance_writes = apply_instance(state, spec, variant, entry.tau, rng)
         instances.append(TruthInstance(index, entry.action, entry.tau, variant))
-        writes.extend(
-            TruthWrite(index, path, kind, value, is_default)
-            for path, kind, value, is_default in instance_writes
-        )
+        writes.extend([TruthWrite(index, *write) for write in instance_writes])
     return export_records(state), GroundTruth(tuple(instances), tuple(writes))
 
 

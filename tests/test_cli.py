@@ -4,14 +4,16 @@ import json
 import random
 import sys
 import tracemalloc
+from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from tracerecon import parse_bodyfile, parse_scenario, simulate
+from tracerecon import TimestampKind, parse_bodyfile, parse_scenario, simulate
 from tracerecon.bodyfile import MAX_TIME
-from tracerecon.cli import main
+from tracerecon.cli import _write_truth, main
+from tracerecon.simulator import GroundTruth, TruthInstance, TruthWrite
 
 import casedata
 from conftest import FIXTURES, PACKAGED_SIG_DIR
@@ -411,6 +413,66 @@ def test_simulate_truth_json_equals_one_dumps_of_the_whole_log(capsys, tmp_path,
     }
     expected = json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
     assert (tmp_path / "truth.json").read_text(encoding="utf-8") == expected
+
+
+# Characters a JSON string must escape, or that encoders are known to treat
+# differently: quote, backslash, controls, DEL, the JS line separator, an
+# astral character and both halves of a surrogate pair, alone.
+_AWKWARD = ('"', "\\", "\x00", "\n", "\x1f", "\x7f", "\u2028", "\U0001F600", "\ud800", "\udfff")
+_truth_text = st.text(st.one_of(st.characters(), st.sampled_from(_AWKWARD)), max_size=8)
+
+
+@st.composite
+def ground_truths(draw):
+    instances = draw(st.lists(st.builds(
+        TruthInstance, st.integers(0, 10**6), _truth_text,
+        st.integers(1, MAX_TIME), st.integers(0, 3),
+    ), max_size=3))
+    paths = draw(st.lists(_truth_text, min_size=1, max_size=4))  # repeats reuse a quote
+    writes = draw(st.lists(st.builds(
+        TruthWrite, st.integers(0, 10**6), st.sampled_from(paths),
+        st.sampled_from(TimestampKind), st.integers(0, MAX_TIME), st.booleans(),
+    ), max_size=12))
+    return GroundTruth(tuple(instances), tuple(writes))
+
+
+@settings(max_examples=300)
+@given(ground_truths(), st.integers(), st.integers(1, 5))
+def test_write_truth_equals_one_dumps_of_the_document(truth, seed, slice_size):
+    document = {
+        "seed": seed,
+        "instances": [
+            {"index": i.index, "action": i.action, "tau": i.tau, "variant": i.variant}
+            for i in truth.instances
+        ],
+        "writes": [
+            {"instance": w.instance_index, "path": w.path, "kind": w.kind.value,
+             "value": w.value, "default": w.is_default}
+            for w in truth.writes
+        ],
+    }
+    out = io.StringIO()
+    with mock.patch("tracerecon.cli._TRUTH_SLICE", slice_size):
+        _write_truth(out, seed, truth)
+    assert out.getvalue() == json.dumps(document, sort_keys=True, separators=(",", ":")) + "\n"
+
+
+SIMULATE_GOLDENS = FIXTURES / "simulate"
+
+
+@pytest.mark.parametrize("golden, scenario, seed", [
+    ("scenario_basic-seed5", FIXTURES / "scenario_basic.scn", 5),
+    ("picks-seed1", SIMULATE_GOLDENS / "picks.scn", 1),  # da, oa, '?' picks, two variants
+])
+def test_simulate_check_reproduces_its_golden_bytes(capsys, tmp_path, golden, scenario, seed):
+    code, out, err = run(
+        capsys, "simulate", str(scenario), "--seed", str(seed), "--out", str(tmp_path), "--check"
+    )
+    assert (code, err) == (0, "")
+    expected = SIMULATE_GOLDENS / golden
+    assert out.encode("utf-8") == (expected / "check.out").read_bytes()
+    for name in ("metadata.body", "truth.json"):
+        assert (tmp_path / name).read_bytes() == (expected / name).read_bytes(), name
 
 
 def test_simulate_different_seed_changes_the_metadata(capsys, tmp_path):

@@ -1,5 +1,6 @@
 import copy
 import io
+import pickle
 import random
 
 import pytest
@@ -94,11 +95,15 @@ def test_created_objects_exist_afterward_with_the_variant_timestamps():
     assert state["/obj/marker"] == {}  # created but never timestamped
 
 
-def test_input_state_is_not_mutated():
+def test_apply_instance_updates_the_state_it_is_given_in_place():
     spec = single_target_spec()
-    before = {"/obj/a": {MOD: 7}}
-    apply_instance(before, spec, 0, 1000, random.Random(1))
-    assert before == {"/obj/a": {MOD: 7}}
+    untouched, touched = {MOD: 3}, {MOD: 7}
+    state = {"/obj/z": untouched, "/obj/a": touched}
+    new_state, writes = apply_instance(state, spec, 0, 1000, random.Random(1))
+    assert new_state is state
+    assert list(state) == ["/obj/z", "/obj/a"]
+    assert state["/obj/z"] is untouched and untouched == {MOD: 3}
+    assert state["/obj/a"] is touched and touched == {MOD: writes[0][2]}
 
 
 def reference_apply(state, spec, variant_index, tau, rng):
@@ -144,11 +149,9 @@ def variants_and_states(draw):
 def test_apply_instance_equals_the_full_copy_reference(variant_and_state, tau, seed):
     variant, state = variant_and_state
     spec = ActionSpec("app", 30, (variant,))
-    before = copy.deepcopy(state)
     rng, ref_rng = random.Random(seed), random.Random(seed)
+    ref_state, ref_writes = reference_apply(copy.deepcopy(state), spec, 0, tau, ref_rng)
     new_state, writes = apply_instance(state, spec, 0, tau, rng)
-    ref_state, ref_writes = reference_apply(state, spec, 0, tau, ref_rng)
-    assert state == before
     assert new_state == ref_state and list(new_state) == list(ref_state)
     assert writes == ref_writes
     assert rng.random() == ref_rng.random()
@@ -185,6 +188,23 @@ def test_empty_schedule_is_the_identity():
     assert truth.writes == ()
 
 
+def test_simulate_does_not_mutate_its_initial_map():
+    spec = ActionSpec(
+        "app", 50, (PathVariant(updates=frozenset({("/obj/a", MOD), ("/obj/new", MOD)})),)
+    )
+    times = {MOD: 7, CRE: 3}
+    initial = {"/obj/a": times, "/obj/other": {CRE: 1}}
+    before = copy.deepcopy(initial)
+    schedule = InstanceSchedule.of([ScheduleEntry("app", 1000, 0)])
+    records, truth = simulate(initial, {"app": spec}, schedule, seed=3)
+    assert initial == before and initial["/obj/a"] is times
+    written = {(w.path, w.kind): w.value for w in truth.writes}
+    assert written[("/obj/a", MOD)] != 7
+    assert {r.path: r.timestamps for r in records}["/obj/a"] == {
+        MOD: written[("/obj/a", MOD)], CRE: 3,
+    }
+
+
 def test_same_seed_same_output():
     specs = {"app": single_target_spec()}
     schedule = InstanceSchedule.of(
@@ -195,6 +215,28 @@ def test_same_seed_same_output():
     assert first == second
     different = simulate({}, specs, schedule, seed=43)
     assert different != first  # overwhelmingly likely with a 51-wide window
+
+
+def test_truth_writes_are_immutable_named_records_that_pickle():
+    write = TruthWrite(2, "/obj/a", MOD, 1005, False)
+    assert write == TruthWrite(
+        instance_index=2, path="/obj/a", kind=MOD, value=1005, is_default=False
+    )
+    assert TruthWrite._fields == ("instance_index", "path", "kind", "value", "is_default")
+    assert (write.instance_index, write.path, write.kind, write.value, write.is_default) == (
+        2, "/obj/a", MOD, 1005, False,
+    )
+    with pytest.raises(AttributeError):
+        write.value = 1
+    twin = TruthWrite(2, "/obj/a", MOD, 1005, False)
+    assert twin == write and hash(twin) == hash(write)
+    assert TruthWrite(2, "/obj/a", MOD, 1005, True) != write
+    truth = GroundTruth(
+        (TruthInstance(2, "app", 1000, 0),), (write, TruthWrite(2, "/obj/d", CRE, 9, True))
+    )
+    restored = pickle.loads(pickle.dumps(truth))
+    assert restored == truth
+    assert type(restored.writes[0]) is TruthWrite and restored.writes[1].is_default
 
 
 def test_unknown_action_is_fatal():

@@ -30,23 +30,24 @@ An error about one line names that line; an error about a whole block
 Patterns are matched case-insensitively against full normalized paths with
 search semantics (a pattern may match anywhere; a trailing ``$`` is honored).
 
-A pack forms its match buckets once, when it is built: one per (action,
-category) and one per shared group, the set of actions a shared trace is
-evidence for.  Matching (:func:`match_pack`) walks the records once for the
-whole pack and fills every bucket.  Each distinct (pattern, kind) pair is
-tried once per record, and its regex runs only when the pattern's required
-literal (for ``.*/Prefetch/Firefox\\.EXE-.*\\.pf``,
-``/prefetch/firefox.exe-``) occurs in the lowered path, in the spirit of
-multi-pattern prefilters such as Aho-Corasick and Hyperscan.  For an *exact*
-pattern, ``^`` then literal characters then ``$`` (as the simulator derives
-for every target path), that prefilter becomes a hash lookup: the matcher
-finds every exact hit of an ASCII path with one dict lookup of the lowered
-path per timestamp kind, and a path ending in ``\\n`` is found under the
-literal plus ``\\n``, since ``$`` also matches before a final newline.  Only
-non-ASCII paths run an exact pattern's regex, because case-insensitive
-regex matching folds ``ſ``, ``K`` and ``İ`` differently from ``str.lower``;
-an exact regex is therefore compiled on first use, where any other pattern
-compiles when it is loaded.
+A pack forms its match buckets once, when it is built: one per action for
+its core and one for its supporting traces, and one per shared group, the
+set of actions a shared trace is evidence for.  Matching (:func:`match_pack`)
+walks the records once for the whole pack and fills every bucket.  Each
+distinct (pattern, kind) pair is tried once per record, and its regex runs
+only when the pattern's required literal (for
+``.*/Prefetch/Firefox\\.EXE-.*\\.pf``, ``/prefetch/firefox.exe-``) occurs in
+the lowered path, in the spirit of multi-pattern prefilters such as
+Aho-Corasick and Hyperscan.  A trace of one object path, built by
+:meth:`TracePattern.for_path` (as the simulator derives one per target
+path), skips even that: the matcher finds every such hit of an ASCII path
+with one dict lookup of the lowered path per timestamp kind, and a path
+ending in ``\\n`` is found under the path plus ``\\n``, since ``$`` also
+matches before a final newline.  Only non-ASCII paths run a path trace's
+regex, because case-insensitive regex matching folds ``ſ``, ``K`` and ``İ``
+differently from ``str.lower``; an ASCII path trace therefore compiles its
+regex on first use, where any other pattern compiles when it is built.  A
+``^...$`` line in a signature file is an ordinary pattern.
 """
 
 from __future__ import annotations
@@ -85,23 +86,32 @@ class SignatureError(BlockFileError):
 class TracePattern:
     """One trace rule: category, timestamp kind, and a path regex.
 
-    ``exact`` is the lower-cased literal of an exact source (see
-    :func:`exact_literal`) and None for any other.  An exact source always
-    compiles, so its regex is compiled only when first used; any other is
-    compiled at once, so a bad pattern fails at load time, not at match time.
+    The regex is compiled at once, so a bad pattern fails at load time, not
+    at match time.  ``exact`` is None except on a trace of one ASCII object
+    path built by :meth:`for_path`, where it is the lowered path and the
+    regex is compiled only when first used.
     """
 
     category: TraceCategory
     kind: TimestampKind
     source: str
-    exact: str | None = field(init=False, compare=False, repr=False)
+    # __init__ leaves this field alone, so for_path sets it before __post_init__ reads it.
+    exact: str | None = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if not self.source:
             raise ValueError("trace pattern must not be empty")
-        object.__setattr__(self, "exact", exact_literal(self.source))
         if self.exact is None:
             self.regex  # compile now: the property caches it
+
+    @classmethod
+    def for_path(cls, category: TraceCategory, kind: TimestampKind, path: str) -> TracePattern:
+        """The trace of exactly the object ``path``, with source ``^`` + escaped path + ``$``."""
+        trace = cls.__new__(cls)
+        if path.isascii():
+            object.__setattr__(trace, "exact", path.lower())
+        trace.__init__(category, kind, "^" + re.escape(path) + "$")
+        return trace
 
     @cached_property
     def regex(self) -> re.Pattern:
@@ -130,18 +140,19 @@ class Signature:
 # pair listed by several signatures refers to the same on-disk evidence.
 SharedKey = tuple[str, TimestampKind]
 
-# A match bucket: one action's traces of one category, or one shared group
-# keyed by its candidate-action set.
+# A match bucket: one action's core or supporting traces, or one shared
+# group keyed by its candidate-action set.
 Bucket = tuple[str, TraceCategory] | frozenset[str]
 
 
 class SignaturePack:
     """An immutable set of signatures and the match buckets they define.
 
-    ``buckets`` maps every signature's three (action, category) buckets, then
-    every shared group in sorted candidate order, to their patterns.  A
-    group lists once each shared (source, kind) pair whose candidates, the
-    signatures listing the pair in any category, are its key.
+    ``buckets`` maps every signature's (action, CORE) and (action,
+    SUPPORTING) buckets, then every shared group in sorted candidate order,
+    to their patterns.  A group lists once each shared (source, kind) pair
+    whose candidates, the signatures listing the pair in any category, are
+    its key.
     """
 
     def __init__(self, signatures: Iterable[Signature]):
@@ -153,7 +164,7 @@ class SignaturePack:
             if sig.action_name in self._by_name:
                 raise SignatureError(None, f"duplicate action name in pack: {sig.action_name!r}")
             self._by_name[sig.action_name] = sig
-            for category in TraceCategory:
+            for category in (TraceCategory.CORE, TraceCategory.SUPPORTING):
                 self.buckets[(sig.action_name, category)] = tuple(
                     t for t in sig.traces if t.category is category
                 )
@@ -161,9 +172,10 @@ class SignaturePack:
                 listed.setdefault((trace.source, trace.kind), set()).add(sig.action_name)
         groups: dict[frozenset[str], dict[SharedKey, TracePattern]] = {}
         for sig in self.signatures:
-            for trace in self.buckets[(sig.action_name, TraceCategory.SHARED)]:
-                key = (trace.source, trace.kind)
-                groups.setdefault(frozenset(listed[key]), {}).setdefault(key, trace)
+            for trace in sig.traces:
+                if trace.category is TraceCategory.SHARED:
+                    key = (trace.source, trace.kind)
+                    groups.setdefault(frozenset(listed[key]), {}).setdefault(key, trace)
         for candidates in sorted(groups, key=sorted):
             self.buckets[candidates] = tuple(groups[candidates].values())
 
@@ -240,6 +252,8 @@ def _read_blocks(
         elif name is None:
             raise error(line_no, f"line before 'action:': {line!r}")
         elif line.startswith("threshold:"):
+            if threshold is not None:
+                raise error(line_no, "unexpected second 'threshold:' in block")
             raw_value = line[len("threshold:"):].strip()
             try:
                 threshold = int(raw_value)
@@ -306,21 +320,18 @@ def _class_end(source: str, start: int) -> int | None:
     return None
 
 
-def _literal_runs(source: str) -> tuple[list[str], str] | None:
-    """The runs of literal characters in ``source`` and the constructs between them.
+def required_literal(source: str) -> str | None:
+    """Lower-cased ASCII text that every match of ``source`` must contain.
 
     Reads the pattern as a plain concatenation: ASCII characters, ``\\``
     before punctuation, ``.``, ``[...]``, ``^``, ``$`` and the quantifiers
     ``* + ?``.  Classes, dots, anchors and quantifiers end a run of literal
-    characters, and a quantifier also drops the character it applies to.
-    Returns the runs and, as one string, the first character of each
-    construct, so ``runs[i]`` and ``runs[i + 1]`` are separated by
-    ``breaks[i]``.  Any other construct (alternation, groups, counted
-    repeats, ``\\`` before a letter or digit, non-ASCII text) gives None.
+    characters, and a quantifier also drops the character it applies to; the
+    longest run is the literal.  Any other construct (alternation, groups,
+    counted repeats, ``\\`` before a letter or digit, non-ASCII text), or no
+    literal character at all, gives None: such patterns always run their regex.
     """
-    runs: list[str] = []
-    breaks: list[str] = []
-    run = ""
+    longest = run = ""
     i = 0
     while i < len(source):
         token = _TOKEN.match(source, i)
@@ -345,44 +356,8 @@ def _literal_runs(source: str) -> tuple[list[str], str] | None:
             run = run[:-1]  # non-empty only when the previous token was a literal
         elif special not in ".^$":
             return None
-        runs.append(run)
-        breaks.append(special)
-        run = ""
-    runs.append(run)
-    return runs, "".join(breaks)
-
-
-def required_literal(source: str) -> str | None:
-    """Lower-cased ASCII text that every match of ``source`` must contain.
-
-    The longest run of literal characters :func:`_literal_runs` finds.  A
-    pattern it cannot read, or one without literal characters, gives None:
-    such patterns always run their regex.
-    """
-    scanned = _literal_runs(source)
-    if scanned is None:
-        return None
-    runs, _ = scanned
-    return max(runs, key=len).lower() or None
-
-
-def exact_literal(source: str) -> str | None:
-    """Lower-cased text of an *exact* source: ``^``, literal characters, ``$``.
-
-    Searched case-insensitively, an exact source matches an ASCII path
-    exactly when the lowered path is its literal, or its literal followed by
-    ``\\n``, since ``$`` also matches before a final newline.  Any other
-    source gives None.
-    """
-    if not (source.startswith("^") and source.endswith("$")):
-        return None  # without scanning: most patterns of a scan pack end here
-    scanned = _literal_runs(source)
-    if scanned is None:
-        return None
-    runs, breaks = scanned
-    if breaks == "^$" and not runs[0] and runs[1] and not runs[2]:
-        return runs[1].lower()
-    return None
+        longest, run = max(longest, run, key=len), ""
+    return max(longest, run, key=len).lower() or None
 
 
 # A match-plan entry: required literal, regex search, and the buckets fed.
@@ -402,17 +377,17 @@ def match_pack(
     nothing.
 
     Patterns are collapsed to unique (source, kind) pairs, each listing the
-    buckets it feeds.  Exact pairs (:func:`exact_literal`) are indexed per
-    kind under their literal and under their literal plus ``\\n`` (``$``
-    also matches before a final newline), so an ASCII path finds all of its
-    exact hits with one dict lookup of the lowered path per kind, and their
-    regexes are never compiled.  Any other pair searches a record's path
-    with its regex only when the pattern's :func:`required_literal` occurs
-    in the lowered path, so most records cost one substring test per
-    pattern.  Non-ASCII paths run every regex, exact ones included:
-    case-insensitive regex matching folds characters such as ``ſ`` (to
-    ``s``) and ``İ`` (to ``i``) differently from ``str.lower``.  Kinds
-    without exact pairs skip the lookup.
+    buckets it feeds.  Pairs whose trace has an ``exact`` path
+    (:meth:`TracePattern.for_path`) are indexed per kind under that path and
+    under the path plus ``\\n`` (``$`` also matches before a final newline),
+    so an ASCII path finds all of their hits with one dict lookup of the
+    lowered path per kind, and their regexes are never compiled.  Any other
+    pair searches a record's path with its regex only when the pattern's
+    :func:`required_literal` occurs in the lowered path, so most records cost
+    one substring test per pattern.  Non-ASCII paths run every regex, those
+    of path traces included: case-insensitive regex matching folds
+    characters such as ``ſ`` (to ``s``) and ``İ`` (to ``i``) differently from
+    ``str.lower``.  Kinds with no indexed pair skip the lookup.
     """
     buckets: dict[Bucket, list[TraceState]] = {}
     feeds: dict[SharedKey, tuple[TracePattern, list[Bucket]]] = {}

@@ -41,7 +41,6 @@ from __future__ import annotations
 
 import itertools
 import random
-import re
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping, NamedTuple, Sequence
@@ -297,7 +296,7 @@ def derive_signatures(specs: Mapping[str, ActionSpec]) -> SignaturePack:
                 category = TraceCategory.CORE
             else:
                 category = TraceCategory.SUPPORTING
-            traces.append(TracePattern(category, kind, "^" + re.escape(path) + "$"))
+            traces.append(TracePattern.for_path(category, kind, path))
         signatures.append(Signature(spec.name, spec.threshold, tuple(traces)))
     return SignaturePack(signatures)
 
@@ -444,16 +443,26 @@ def _target_path(line_no: int, keyword: str, text: str) -> str:
     return path
 
 
+def _is_header(line_no: int, line: str, header: str) -> bool:
+    """Whether ``line`` is the bare ``header``; text after its colon is an error."""
+    if not line.startswith(header):
+        return False
+    if line != header:
+        rest = line[len(header):].strip()
+        raise ScenarioError(line_no, f"unexpected text after {header!r}: {rest!r}")
+    return True
+
+
 def parse_scenario(text: str) -> Scenario:
     """Parse scenario text; structural problems raise :class:`ScenarioError`."""
     lines = _content_lines(text)
-    blocks = itertools.takewhile(lambda item: not item[1].startswith("schedule:"), lines)
+    blocks = itertools.takewhile(lambda item: not _is_header(*item, "schedule:"), lines)
     specs: dict[str, ActionSpec] = {}
     for block in _read_blocks(blocks, ScenarioError):
         # One (updates, defaults, creates) triple per variant.
         variants: list[tuple[set, set, set]] = []
         for line_no, line in block.body:
-            if line.startswith("variant:"):
+            if _is_header(line_no, line, "variant:"):
                 variants.append((set(), set(), set()))
                 continue
             parts = line.split(None, 1)

@@ -58,7 +58,7 @@ def reference_buckets(pack, objects):
             [trace for trace in sig.traces if trace.category is category], objects
         )
         for sig in pack
-        for category in TraceCategory
+        for category in (TraceCategory.CORE, TraceCategory.SUPPORTING)
     }
     for candidates, patterns in reference_groups(pack).items():
         buckets[candidates] = match_patterns(patterns, objects)

@@ -25,6 +25,8 @@ SCN = "action: a\nthreshold: 5\n"
         ("action: A\n\naction: B\n", "unexpected second 'action:' in block (line 3)"),
         ("action: A\nthreshold: ten\n", "threshold is not an integer: 'ten' (line 2)"),
         ("action: A\nthreshold: 0\n", "threshold must be positive, got 0 (line 2)"),
+        ("action: A\nthreshold: 10\nthreshold: 99999\ncore modified x\n",
+         "unexpected second 'threshold:' in block (line 3)"),
         ("action: A\ncore modified x\n", "action 'A' is missing a 'threshold:' line (line 1)"),
         ("action: A\ncore modified x\n---\n",
          "action 'A' is missing a 'threshold:' line (line 1)"),
@@ -57,6 +59,12 @@ def test_signature_errors_read_exactly(text, message):
         ("action: a\naction: b\n", "unexpected second 'action:' in block (line 2)"),
         ("action: a\nthreshold: x\n", "threshold is not an integer: 'x' (line 2)"),
         ("action: a\nthreshold: -3\n", "threshold must be positive, got -3 (line 2)"),
+        ("action: a\nthreshold: 5\n# c\nthreshold: 5\n",
+         "unexpected second 'threshold:' in block (line 4)"),
+        (SCN + "variant: 7 junk\nma modified /x\n",
+         "unexpected text after 'variant:': '7 junk' (line 3)"),
+        (SCN + "ma modified /x\nschedule: 100 a 0\n200 a 0\n",
+         "unexpected text after 'schedule:': '100 a 0' (line 4)"),
         ("action: a\nma modified /x\nschedule:\n",
          "action 'a' is missing a 'threshold:' line (line 1)"),
         (SCN + "ma modified /x\n---\naction: a\n", "duplicate action name 'a' (line 5)"),

@@ -15,12 +15,7 @@ from tracerecon import (
     parse_signature_pack,
 )
 from tracerecon.model import TraceState
-from tracerecon.signatures import (
-    Signature,
-    TracePattern,
-    exact_literal,
-    required_literal,
-)
+from tracerecon.signatures import Signature, TracePattern, required_literal
 
 from reference_matcher import reference_buckets, reference_groups
 
@@ -51,6 +46,12 @@ patterns = st.lists(st.sampled_from(PIECES), min_size=1, max_size=5).map("".join
 kinds = st.sampled_from(list(TimestampKind))
 categories = st.sampled_from(list(TraceCategory))
 times = st.one_of(st.none(), st.integers(1, 4))
+case_changes = st.sampled_from((str, str.lower, str.upper, str.swapcase))
+CORE, MODIFIED = TraceCategory.CORE, TimestampKind.MODIFIED
+
+
+def pack_of(*traces):
+    return SignaturePack([Signature("A", 5, traces)])
 
 
 def path_pools():
@@ -66,14 +67,13 @@ def drawn_paths(pool):
                      st.sampled_from(pool), st.booleans())
 
 
-def exact_sources(paths):
-    """``^`` + an escaped path with its case changed + ``$``, as the simulator derives."""
-    case_changes = st.sampled_from((str, str.lower, str.upper, str.swapcase))
+def anchored_sources(paths):
+    """``^`` + an escaped path with its case changed + ``$``, as regex text."""
     return st.builds(lambda path, change: "^" + re.escape(change(path)) + "$", paths,
                      case_changes)
 
 
-# Sources one step from exact, which must not take the exact lookup.
+# Sources one step from anchoring one path.
 NEAR_EXACT = ("^a\\$", "^a^b$", "^ab*$", "^a.$", "a$", "^a", "^$")
 NEAR_EXACT_FORMS = ("^{}", "{}$", "^{}\\$", "^{}.$", "^^{}$", "^{}$$", "^{}*$")
 
@@ -83,6 +83,17 @@ def near_exact_sources(paths):
     built = st.builds(lambda path, form: form.format(re.escape(path)), paths,
                       st.sampled_from(NEAR_EXACT_FORMS))
     return st.one_of(fixed, built.filter(_compiles))
+
+
+# A trace maker: ``TracePattern`` or ``TracePattern.for_path``, and its text.
+def regex_traces(sources):
+    return sources.map(lambda source: (TracePattern, source))
+
+
+def path_traces(paths):
+    """Paths with their case changed, for :meth:`TracePattern.for_path`."""
+    return st.builds(lambda path, change: (TracePattern.for_path, change(path)), paths,
+                     case_changes)
 
 
 @st.composite
@@ -98,25 +109,29 @@ def records(draw, paths):
 
 
 @st.composite
-def packs(draw, sources=patterns, min_pool=1):
+def packs(draw, makers=regex_traces(patterns), min_pool=1):
     """Signatures drawing their traces from one shared pool, so the same
     (pattern, kind) pair often appears under several actions and categories."""
-    pool = draw(st.lists(st.tuples(sources, kinds), min_size=min_pool, max_size=6))
+    pool = draw(st.lists(st.tuples(makers, kinds), min_size=min_pool, max_size=6))
     signatures = []
     for name in ("A", "B", "C")[: draw(st.integers(1, 3))]:
         picks = draw(st.lists(st.tuples(categories, st.sampled_from(pool)), min_size=1,
                               max_size=5))
-        traces = tuple(TracePattern(cat, kind, source) for cat, (source, kind) in picks)
+        traces = tuple(make(cat, kind, text) for cat, ((make, text), kind) in picks)
         signatures.append(Signature(name, draw(st.integers(1, 60)), traces))
     return SignaturePack(signatures)
 
 
 @st.composite
 def packs_and_records(draw):
-    """A pack whose exact and near-exact sources are built from the records' paths."""
+    """A pack whose path traces and anchored and near-exact sources are built
+    from the records' paths."""
     paths = drawn_paths(draw(path_pools()))
-    sources = st.one_of(exact_sources(paths), near_exact_sources(paths), patterns)
-    return draw(packs(sources, min_pool=3)), draw(records(paths))
+    makers = st.one_of(
+        path_traces(paths),
+        regex_traces(st.one_of(anchored_sources(paths), near_exact_sources(paths), patterns)),
+    )
+    return draw(packs(makers, min_pool=3)), draw(records(paths))
 
 
 @settings(max_examples=400, deadline=None)
@@ -176,110 +191,136 @@ def test_required_literal_examples(source, literal):
 
 
 @pytest.mark.parametrize(
-    "source, literal",
+    "path, exact",
     [
-        ("^C:/Windows/x\\.dat$", "c:/windows/x.dat"),
-        ("^" + re.escape("C:/Program Files (x86)/a-b #1.txt") + "$",
-         "c:/program files (x86)/a-b #1.txt"),
-        ("^a\\$$", "a$"),
-        ("^\\^$", "^"),
-        ("^a\\\n$", "a\n"),
-        ("^a\\$", None),
-        ("^a^b$", None),
-        ("^ab*$", None),
-        ("^a.$", None),
-        ("a$", None),
-        ("^a", None),
-        ("^$", None),
-        ("^a$$", None),
-        ("^a$b\\$", None),
-        ("^^a$", None),
-        ("x^a$", None),
-        ("^[a]$", None),
-        ("^a|b$", None),
-        ("^(a)$", None),
-        ("^\\d$", None),
-        ("^\u017f$", None),
-        ("^a{2}$", None),
+        ("C:/Windows/x.dat", "c:/windows/x.dat"),
+        ("C:/Program Files (x86)/a-b #1.txt", "c:/program files (x86)/a-b #1.txt"),
+        ("a$", "a$"),
+        ("^", "^"),
+        ("a\n", "a\n"),
+        ("\u017f", None),
     ],
 )
-def test_exact_literal_examples(source, literal):
-    assert exact_literal(source) == literal
+def test_for_path_exact_examples(path, exact):
+    trace = TracePattern.for_path(CORE, MODIFIED, path)
+    assert trace.exact == exact
+    assert ("regex" in vars(trace)) == (exact is None)  # a non-ASCII path compiles at once
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text(PATH_CHARS + "\n$^*\\", min_size=1, max_size=8), categories, kinds)
+def test_for_path_equals_the_pattern_of_its_source(path, category, kind):
+    trace = TracePattern.for_path(category, kind, path)
+    plain = TracePattern(category, kind, "^" + re.escape(path) + "$")
+    assert trace == plain and hash(trace) == hash(plain) and repr(trace) == repr(plain)
+    assert trace.exact == (path.lower() if path.isascii() else None)
+
+
+# Sources that the parser once told apart from exact ones by reading them.
+ANCHORED = (
+    "^C:/Windows/x\\.dat$", "^" + re.escape("C:/Program Files (x86)/a-b #1.txt") + "$",
+    "^a\\$$", "^\\^$", "^a\\\n$", "^a\\$", "^a^b$", "^ab*$", "^a.$", "a$", "^a", "^$",
+    "^a$$", "^a$b\\$", "^^a$", "x^a$", "^[a]$", "^a|b$", "^(a)$", "^\\d$", "^\u017f$", "^a{2}$",
+)
+PROBE_PATHS = (
+    "C:/Windows/x.dat", "c:/WINDOWS/X.DAT\n", "C:/Program Files (x86)/a-b #1.txt", "a$", "A$\n",
+    "^", "a\n", "a\n\n", "a", "ab", "abb", "aa", "x^a", "b", "1", "S", "\u017f", "\n",
+)
+
+
+@pytest.mark.parametrize("source", ANCHORED)
+def test_an_anchored_source_is_an_ordinary_pattern(source):
+    trace = TracePattern(CORE, MODIFIED, source)
+    assert trace.exact is None and "regex" in vars(trace)
+    pack = pack_of(trace)
+    records = [ObjectRecord(path=path, modified=9) for path in PROBE_PATHS]
+    assert match_pack(pack, records) == reference_buckets(pack, records)
+
+
+line_sources = st.one_of(patterns, anchored_sources(st.text(ASCII_PATH_CHARS, min_size=1,
+                                                             max_size=8)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(line_sources.filter(lambda source: source == source.strip()), min_size=1,
+                max_size=5))
+def test_every_trace_of_a_parsed_pack_is_an_ordinary_pattern(sources):
+    pack = parse_signature_pack(
+        "action: A\nthreshold: 5\n" + "".join(f"core modified {s}\n" for s in sources)
+    )
+    assert all(t.exact is None and "regex" in vars(t) for t in pack.get("A").traces)
 
 
 ascii_texts = st.text(ASCII_PATH_CHARS + "\n", min_size=1, max_size=6)
 
 
 @settings(max_examples=500, deadline=None)
-@given(st.one_of(patterns, exact_sources(ascii_texts)), st.data())
-def test_an_exact_source_matches_an_ascii_path_exactly_when_the_lookup_does(source, data):
-    literal = exact_literal(source)
-    if literal is None:
-        return
+@given(st.builds(lambda path, change: change(path), ascii_texts, case_changes), st.data())
+def test_an_exact_source_matches_an_ascii_path_exactly_when_the_lookup_does(path, data):
+    trace = TracePattern.for_path(CORE, MODIFIED, path)
+    literal = trace.exact
     near = drawn_paths([literal, literal[:-1] or "x", literal + "a"])
-    path = data.draw(st.one_of(ascii_texts, near, near.map(str.swapcase)))
-    found = re.search(source, path, re.IGNORECASE) is not None
-    assert found == (path.lower() in (literal, literal + "\n"))
+    candidate = data.draw(st.one_of(ascii_texts, near, near.map(str.swapcase)))
+    found = re.search(trace.source, candidate, re.IGNORECASE) is not None
+    assert found == (candidate.lower() in (literal, literal + "\n"))
 
 
 def test_an_exact_pattern_compiles_its_regex_only_when_a_path_needs_it():
-    pack = parse_signature_pack(
-        "action: A\nthreshold: 5\ncore modified ^C:/Kelvin$\nsupport modified .*/x\n"
-    )
-    exact, inexact = pack.get("A").traces
+    (parsed,) = parse_signature_pack(
+        "action: A\nthreshold: 5\ncore modified ^C:/Kelvin$\n"
+    ).get("A").traces
+    assert parsed.exact is None and "regex" in vars(parsed)  # compiled at load
+    exact = TracePattern.for_path(CORE, MODIFIED, "C:/Kelvin")
+    inexact = TracePattern(TraceCategory.SUPPORTING, MODIFIED, ".*/x")
+    pack = pack_of(exact, inexact)
     assert exact.exact == "c:/kelvin" and inexact.exact is None
     assert "regex" not in vars(exact) and "regex" in vars(inexact)
     match_pack(pack, [ObjectRecord(path="c:/KELVIN", modified=1)])
     assert "regex" not in vars(exact)
     hit = ObjectRecord(path="c:/\u212aelvin", modified=2)  # Kelvin sign folds to k
-    assert match_pack(pack, [hit])[("A", TraceCategory.CORE)] == [
-        TraceState(hit.path, TimestampKind.MODIFIED, 2)
-    ]
+    assert match_pack(pack, [hit])[("A", CORE)] == [TraceState(hit.path, MODIFIED, 2)]
     assert "regex" in vars(exact)
-    assert exact == TracePattern(TraceCategory.CORE, TimestampKind.MODIFIED, "^C:/Kelvin$")
-    assert hash(exact) == hash((TraceCategory.CORE, TimestampKind.MODIFIED, "^C:/Kelvin$"))
+    assert exact == parsed == TracePattern(CORE, MODIFIED, "^C:/Kelvin$")
+    assert hash(exact) == hash((CORE, MODIFIED, "^C:/Kelvin$"))
 
 
 @pytest.mark.parametrize(
-    "pattern, path",
+    "make, text, path",
     [
-        ("/sun$", "C:/\u017fun"),  # long s folds to s
-        ("kelvin", "C:/\u212aelvin"),  # Kelvin sign folds to k
-        ("i\\.dat", "C:/\u0130.dat"),  # dotted capital I folds to i
-        ("^C:/sun$", "C:/\u017fun"),  # exact patterns too
-        ("^C:/kelvin$", "C:/\u212aelvin"),
-        ("^C:/i\\.dat$", "C:/\u0130.dat"),
+        (TracePattern, "/sun$", "C:/\u017fun"),  # long s folds to s
+        (TracePattern, "kelvin", "C:/\u212aelvin"),  # Kelvin sign folds to k
+        (TracePattern, "i\\.dat", "C:/\u0130.dat"),  # dotted capital I folds to i
+        (TracePattern.for_path, "C:/sun", "C:/\u017fun"),  # path traces too
+        (TracePattern.for_path, "C:/kelvin", "C:/\u212aelvin"),
+        (TracePattern.for_path, "C:/i.dat", "C:/\u0130.dat"),
     ],
 )
-def test_non_ascii_paths_always_run_the_regex(pattern, path):
-    pack = parse_signature_pack(f"action: A\nthreshold: 5\ncore modified {pattern}\n")
+def test_non_ascii_paths_always_run_the_regex(make, text, path):
+    pack = pack_of(make(CORE, MODIFIED, text))
     record = ObjectRecord(path=path, modified=9)
-    assert [s.object_path for s in match_pack(pack, [record])[("A", TraceCategory.CORE)]] == [
-        path
-    ]
+    assert [s.object_path for s in match_pack(pack, [record])[("A", CORE)]] == [path]
 
 
 @pytest.mark.parametrize("path", ["c:/A.DAT", "c:/A.DAT\n", "C:/a.dat\n\n", "C:/a.da"])
 def test_an_exact_pattern_also_matches_before_a_final_newline(path):
-    pack = parse_signature_pack("action: A\nthreshold: 5\ncore modified ^C:/a\\.dat$\n")
+    pack = pack_of(TracePattern.for_path(CORE, MODIFIED, "C:/a.dat"))
     records = [ObjectRecord(path=path, modified=9)]
     assert match_pack(pack, records) == reference_buckets(pack, records)
-    assert len(match_pack(pack, records)[("A", TraceCategory.CORE)]) == (
+    assert len(match_pack(pack, records)[("A", CORE)]) == (
         path.lower() in ("c:/a.dat", "c:/a.dat\n")
     )
 
 
 def test_exact_sources_sharing_a_lookup_key_add_one_state_per_bucket():
-    sources = ("^C:/A$", "^c:/a$", "^C:/a\\\n$", ".*/a")
+    support = TraceCategory.SUPPORTING
     traces = tuple(
-        TracePattern(TraceCategory.SUPPORTING, TimestampKind.MODIFIED, source)
-        for source in sources
-    )
-    pack = SignaturePack([Signature("A", 5, traces)])
+        TracePattern.for_path(support, MODIFIED, path) for path in ("C:/A", "c:/a", "C:/a\n")
+    ) + (TracePattern(support, MODIFIED, ".*/a"),)
+    pack = pack_of(*traces)
     records = [ObjectRecord(path="c:/a\n", modified=1), ObjectRecord(path="C:/A", modified=2)]
     matched = match_pack(pack, records)
     assert matched == reference_buckets(pack, records)
-    assert [s.value for s in matched[("A", TraceCategory.SUPPORTING)]] == [1, 2]
+    assert [s.value for s in matched[("A", support)]] == [1, 2]
 
 
 def test_one_record_adds_one_state_per_bucket_and_kind():

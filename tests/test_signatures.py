@@ -8,6 +8,7 @@ from tracerecon import (
     SignaturePack,
     TimestampKind,
     TraceCategory,
+    TraceState,
     load_metadata,
     match_pack,
     merge_packs,
@@ -37,7 +38,8 @@ def test_browser_pack_shapes(ff3_pack, ie8_pack):
     assert ff3.threshold == casedata.FF3_THRESHOLD
     assert len(ff3_pack.buckets[(casedata.FF3, CORE)]) == 2
     assert len(ff3_pack.buckets[(casedata.FF3, SUPPORT)]) == 5
-    assert len(ff3_pack.buckets[(casedata.FF3, SHARED)]) == 0
+    assert not any(trace.category is SHARED for trace in ff3.traces)
+    assert (casedata.FF3, SHARED) not in ff3_pack.buckets and shared_groups(ff3_pack) == {}
 
     (ie8,) = ie8_pack.signatures
     assert ie8.threshold == casedata.IE8_THRESHOLD
@@ -99,7 +101,9 @@ def test_ie8_matching_reproduces_the_computer2_rows(ie8_pack):
 def test_empty_object_list_matches_nothing(browser_pack):
     matched = match_pack(browser_pack, [])
     assert set(matched) == {
-        (action, category) for action in (casedata.FF3, casedata.IE8) for category in TraceCategory
+        (action, category)
+        for action in (casedata.FF3, casedata.IE8)
+        for category in (CORE, SUPPORT)
     }
     assert all(states == [] for states in matched.values())
 
@@ -160,8 +164,11 @@ def test_shared_pattern_produces_identical_states_under_each_signature():
     )
     record = ObjectRecord(path="C:/sys/lib.dll", modified=77)
     matched = match_pack(pack, [record])
-    assert matched[("A", SHARED)] == matched[("B", SHARED)] == matched[frozenset({"A", "B"})]
-    assert len(matched[("A", SHARED)]) == 1
+    # one group bucket holds the state for both signatures; neither has its own
+    assert matched[frozenset({"A", "B"})] == [
+        TraceState(record.path, TimestampKind.MODIFIED, 77)
+    ]
+    assert ("A", SHARED) not in matched and ("B", SHARED) not in matched
     assert shared_groups(pack) == {
         frozenset({"A", "B"}): [(".*/lib\\.dll$", TimestampKind.MODIFIED)]
     }
@@ -198,7 +205,7 @@ def test_buckets_list_signatures_first_then_groups_in_sorted_candidate_order():
         "action: A\nthreshold: 5\nshared modified ab\nshared modified ab\n"
         "core modified zz\n"
     )
-    signature_buckets = [(name, category) for name in "CBA" for category in TraceCategory]
+    signature_buckets = [(name, category) for name in "CBA" for category in (CORE, SUPPORT)]
     groups = [frozenset("ABC"), frozenset("B"), frozenset("BC")]
     assert list(pack.buckets) == signature_buckets + groups
     assert list(match_pack(pack, [])) == list(pack.buckets)

@@ -309,7 +309,17 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # buffered output meets a closed pipe only here
+        return code
+    except BrokenPipeError as exc:
+        # The reader closed stdout; point it at devnull so the flush at exit
+        # cannot fail again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        print(f"error: cannot write output: {exc.strerror}", file=sys.stderr)
+        return EXIT_IO
     except IngestError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO

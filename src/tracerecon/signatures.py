@@ -38,15 +38,16 @@ distinct (pattern, kind) pair is tried once per record, and its regex runs
 only when the pattern's required literal (for
 ``.*/Prefetch/Firefox\\.EXE-.*\\.pf``, ``/prefetch/firefox.exe-``) occurs in
 the lowered path, in the spirit of multi-pattern prefilters such as
-Aho-Corasick and Hyperscan.  A trace of one object path, built by
-:meth:`TracePattern.for_path` (as the simulator derives one per target
-path), skips even that: the matcher finds every such hit of an ASCII path
-with one dict lookup of the lowered path per timestamp kind, and a path
+Aho-Corasick and Hyperscan.  Each record path is folded once into that
+lowered key: a non-ASCII path first maps ``İ`` and ``ı`` to ``i``, ``ſ``
+to ``s`` and the Kelvin sign ``K`` to ``k``, the only non-ASCII characters
+that case-insensitive matching equates with an ASCII one.  A trace of one
+object path, built by :meth:`TracePattern.for_path` (as the simulator derives
+one per target path), skips even the literal test: the matcher finds every
+such hit with one dict lookup of the key per timestamp kind, and a path
 ending in ``\\n`` is found under the path plus ``\\n``, since ``$`` also
-matches before a final newline.  Only non-ASCII paths run a path trace's
-regex, because case-insensitive regex matching folds ``ſ``, ``K`` and ``İ``
-differently from ``str.lower``; an ASCII path trace therefore compiles its
-regex on first use, where any other pattern compiles when it is built.  A
+matches before a final newline.  Such a trace of an ASCII path compiles its
+regex only on first use, where any other pattern compiles when it is built.  A
 ``^...$`` line in a signature file is an ordinary pattern.
 """
 
@@ -202,9 +203,16 @@ _KIND_WORDS = {k.value: k for k in TimestampKind}
 
 
 def _content_lines(text: str) -> Iterator[tuple[int, str]]:
-    """Numbered, stripped block-file lines, split only at ``\\n``; blanks and comments dropped."""
+    """Numbered, stripped block-file lines, split only at ``\\n``; blanks and comments dropped.
+
+    A space or tab escaped by an odd run of trailing backslashes is kept.
+    """
     for line_no, raw in enumerate(text.split("\n"), start=1):
         line = raw.strip()
+        if line.endswith("\\"):
+            after = raw.lstrip()[len(line):len(line) + 1]
+            if after in (" ", "\t") and (len(line) - len(line.rstrip("\\"))) % 2:
+                line += after
         if line and not line.startswith("#"):
             yield line_no, line
 
@@ -360,8 +368,13 @@ def required_literal(source: str) -> str | None:
     return max(longest, run, key=len).lower() or None
 
 
-# A match-plan entry: required literal, regex search, and the buckets fed.
-_Entry = tuple[str | None, Callable, tuple[Bucket, ...]]
+# A match-plan entry: required literal ("" if none), regex search, and the buckets fed.
+_Entry = tuple[str, Callable, tuple[Bucket, ...]]
+
+# The non-ASCII characters that case-insensitive regex matching equates with
+# an ASCII letter, mapped to that letter.  ``"\u0130".lower()`` is two
+# characters, so the table is applied before ``lower()``.
+_FOLD = str.maketrans({"\u0130": "i", "\u0131": "i", "\u017f": "s", "\u212a": "k"})
 
 
 def match_pack(
@@ -377,17 +390,18 @@ def match_pack(
     nothing.
 
     Patterns are collapsed to unique (source, kind) pairs, each listing the
-    buckets it feeds.  Pairs whose trace has an ``exact`` path
+    buckets it feeds.  Each record path is folded once into a key: lowered,
+    after ``_FOLD`` maps the ``İ``, ``ı``, ``ſ`` or Kelvin sign of a
+    non-ASCII path to the ASCII letter case-insensitive matching equates it
+    with.  Pairs whose trace has an ``exact`` path
     (:meth:`TracePattern.for_path`) are indexed per kind under that path and
     under the path plus ``\\n`` (``$`` also matches before a final newline),
-    so an ASCII path finds all of their hits with one dict lookup of the
-    lowered path per kind, and their regexes are never compiled.  Any other
-    pair searches a record's path with its regex only when the pattern's
-    :func:`required_literal` occurs in the lowered path, so most records cost
-    one substring test per pattern.  Non-ASCII paths run every regex, those
-    of path traces included: case-insensitive regex matching folds
-    characters such as ``ſ`` (to ``s``) and ``İ`` (to ``i``) differently from
-    ``str.lower``.  Kinds with no indexed pair skip the lookup.
+    so one dict lookup of the key per kind finds all of their hits, and their
+    regexes are never compiled.  Any other pair searches the path with its
+    regex only when the pattern's :func:`required_literal` occurs in the key,
+    so most records cost one substring test per pattern.  The key contains
+    every ASCII literal a match needs, and equals an exact key exactly when
+    the ``^...$`` regex matches.  Kinds with no indexed pair skip the lookup.
     """
     buckets: dict[Bucket, list[TraceState]] = {}
     feeds: dict[SharedKey, tuple[TracePattern, list[Bucket]]] = {}
@@ -396,52 +410,38 @@ def match_pack(
         for trace in patterns:
             feeds.setdefault((trace.source, trace.kind), (trace, []))[1].append(bucket)
 
-    # Per kind: the regex entries of inexact pairs, and for exact pairs the
-    # buckets fed under each indexed key plus the entries non-ASCII paths run.
+    # Per kind: the regex entries of inexact pairs, and the buckets fed under
+    # each indexed key of exact pairs, in first-fed order.
     by_kind: dict[TimestampKind, list[_Entry]] = {}
-    exact_by_kind: dict[TimestampKind, tuple[dict[str, list[Bucket]], list[_Entry]]] = {}
+    index_by_kind: dict[TimestampKind, dict[str, dict[Bucket, None]]] = {}
     for (source, kind), (trace, fed) in feeds.items():
         targets = tuple(dict.fromkeys(fed))
         entries = by_kind.setdefault(kind, [])
         if trace.exact is None:
-            entries.append((required_literal(source), trace.regex.search, targets))
+            entries.append((required_literal(source) or "", trace.regex.search, targets))
             continue
-        index, fallback = exact_by_kind.setdefault(kind, ({}, []))
+        index = index_by_kind.setdefault(kind, {})
         for key in (trace.exact, trace.exact + "\n"):
-            index.setdefault(key, []).extend(targets)
-        # Looked up on each call, so the regex compiles only if a path needs it.
-        fallback.append((None, lambda path, trace=trace: trace.regex.search(path), targets))
-    plan = []
-    for kind, entries in by_kind.items():
-        exact = None
-        if kind in exact_by_kind:
-            index, fallback = exact_by_kind[kind]
-            lookup = {key: tuple(dict.fromkeys(fed)) for key, fed in index.items()}
-            exact = (lookup, fallback + entries)
-        plan.append((kind.value, kind, entries, exact))
+            index.setdefault(key, {}).update(dict.fromkeys(targets))
+    plan = [
+        (kind.value, kind, entries, index_by_kind.get(kind)) for kind, entries in by_kind.items()
+    ]
 
     for record in records:
         path = record.path
-        lowered = path.lower()
-        ascii_path = path.isascii()
-        for field_name, kind, entries, exact in plan:
+        key = path.lower() if path.isascii() else path.translate(_FOLD).lower()
+        for field_name, kind, entries, lookup in plan:
             value = getattr(record, field_name)
             if value is None:
                 continue
             state = None
-            if exact is not None:
-                lookup, every_entry = exact
-                if not ascii_path:
-                    entries = every_entry
-                elif (hits := lookup.get(lowered)) is not None:
-                    state = TraceState(path, kind, value)
-                    filled: set[Bucket] = set(hits)
-                    for target in hits:
-                        buckets[target].append(state)
+            if lookup is not None and (hits := lookup.get(key)) is not None:
+                state = TraceState(path, kind, value)
+                filled: set[Bucket] = set(hits)
+                for target in hits:
+                    buckets[target].append(state)
             for literal, search, targets in entries:
-                if literal is not None and ascii_path and literal not in lowered:
-                    continue
-                if search(path) is None:
+                if literal not in key or search(path) is None:
                     continue
                 if state is None:
                     state = TraceState(path, kind, value)

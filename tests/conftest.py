@@ -5,10 +5,9 @@ import pytest
 
 from tracerecon import merge_packs, parse_signature_pack
 
-FIXTURES = Path(__file__).parent / "fixtures"
-PACKAGED_SIG_DIR = (
-    Path(__file__).parent.parent / "src" / "tracerecon" / "data" / "signatures"
-)
+ROOT = Path(__file__).parent.parent
+FIXTURES = ROOT / "tests" / "fixtures"
+PACKAGED_SIG_DIR = ROOT / "src" / "tracerecon" / "data" / "signatures"
 
 
 def epoch(y, mo, d, h, mi, s):

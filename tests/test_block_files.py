@@ -40,6 +40,10 @@ SCN = "action: a\nthreshold: 5\n"
          "regex does not compile: unterminated character set at position 0 (line 3)"),
         (SIG + "core modified a{4294967296}\n",
          "regex does not compile: the repetition number is too large (line 3)"),
+        (SIG + "core modified .*/a\\\n",
+         "regex does not compile: bad escape (end of pattern) at position 4 (line 3)"),
+        (SIG + "core modified .*/a\\\r\n",
+         "regex does not compile: bad escape (end of pattern) at position 4 (line 3)"),
         ("action: A\n# none\nthreshold: 10\n---\n",
          "action 'A' defines no trace patterns (line 1)"),
     ],

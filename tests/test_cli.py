@@ -1,7 +1,9 @@
 import csv
 import io
 import json
+import os
 import random
+import subprocess
 import sys
 import tracemalloc
 from unittest import mock
@@ -16,7 +18,7 @@ from tracerecon.cli import _write_truth, main
 from tracerecon.simulator import GroundTruth, TruthInstance, TruthWrite
 
 import casedata
-from conftest import FIXTURES, PACKAGED_SIG_DIR
+from conftest import FIXTURES, PACKAGED_SIG_DIR, ROOT
 
 FF3_SIG = str(PACKAGED_SIG_DIR / "ff3.sig")
 IE8_SIG = str(PACKAGED_SIG_DIR / "ie8.sig")
@@ -265,6 +267,41 @@ def test_scan_skips_times_beyond_year_9999(capsys, tmp_path):
     assert "1 detections" in err
     (row,) = csv.DictReader(io.StringIO(out))
     assert row["interval_end"] == "2011-07-24T14:02:31Z"
+
+
+def scan_into_a_closed_pipe(*argv):
+    """Run ``scan`` in a child process whose stdout pipe has no reader left."""
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    python_path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    # Buffered, as stdout into a pipe is by default, so output can also wait for the flush.
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    try:
+        return subprocess.run(
+            [sys.executable, "-m", "tracerecon.cli", "scan", *argv],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            env={**env, "PYTHONPATH": python_path},
+            text=True,
+            timeout=60,
+        )
+    finally:
+        os.close(write_end)
+
+
+def test_scan_into_a_closed_pipe_exits_2_without_a_traceback(tmp_path):
+    # 300 detections are far more than one stdout buffer, so a write fails
+    # mid-report; the ten of computer1 fail only when stdout is flushed.
+    sig = tmp_path / "many.sig"
+    sig.write_text("".join(f"action: a{i}\nthreshold: 5\ncore modified /f{i}$\n---\n"
+                           for i in range(300)))
+    body = tmp_path / "many.body"
+    body.write_text("".join(f"0|C:/f{i}|1|r|0|0|1|0|{1000 + i}|0|0\n" for i in range(300)))
+    error = "error: cannot write output: Broken pipe\n"
+    result = scan_into_a_closed_pipe(str(body), str(sig), "--format", "records")
+    assert (result.returncode, result.stderr) == (2, error)
+    result = scan_into_a_closed_pipe(C1, FF3_SIG, IE8_SIG)
+    assert (result.returncode, result.stderr) == (2, "10 detections\n" + error)
 
 
 # --- calibrate -------------------------------------------------------------

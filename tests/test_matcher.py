@@ -1,6 +1,7 @@
 """The one-pass matcher against the per-bucket reference it replaced."""
 
 import re
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -15,7 +16,7 @@ from tracerecon import (
     parse_signature_pack,
 )
 from tracerecon.model import TraceState
-from tracerecon.signatures import Signature, TracePattern, required_literal
+from tracerecon.signatures import _FOLD, Signature, TracePattern, required_literal
 
 from reference_matcher import reference_buckets, reference_groups
 
@@ -152,12 +153,28 @@ def test_pack_groups_equal_the_reference_groups_in_sorted_order(pack):
         assert [(trace.source, trace.kind) for trace in group] == list(dict.fromkeys(pairs))
 
 
+def folded(path):
+    return path.translate(_FOLD).lower()
+
+
 @settings(max_examples=500, deadline=None)
-@given(patterns, st.text(ASCII_PATH_CHARS, min_size=1, max_size=12))
-def test_a_match_on_an_ascii_path_contains_the_required_literal(source, path):
+@given(patterns, st.text(PATH_CHARS, min_size=1, max_size=12))
+def test_a_match_contains_the_required_literal_in_the_folded_path(source, path):
     literal = required_literal(source)
     if literal is not None and re.search(source, path, re.IGNORECASE):
-        assert literal in path.lower()
+        assert literal in folded(path)
+
+
+def test_the_fold_table_is_every_non_ascii_character_ignorecase_equates_with_ascii():
+    non_ascii = "".join(map(chr, range(0x80, sys.maxunicode + 1)))  # surrogates included
+    partners: dict[str, set[str]] = {}
+    for char in map(chr, range(128)):
+        for match in re.compile(re.escape(char), re.IGNORECASE).findall(non_ascii):
+            partners.setdefault(match, set()).add(char)
+    fold = {chr(code): letter for code, letter in _FOLD.items()}
+    assert partners == {char: {letter, letter.upper()} for char, letter in fold.items()}
+    for char, letter in fold.items():
+        assert folded(char) == letter and letter.isascii() and len(letter) == 1
 
 
 @pytest.mark.parametrize(
@@ -279,7 +296,7 @@ def test_an_exact_pattern_compiles_its_regex_only_when_a_path_needs_it():
     assert "regex" not in vars(exact)
     hit = ObjectRecord(path="c:/\u212aelvin", modified=2)  # Kelvin sign folds to k
     assert match_pack(pack, [hit])[("A", CORE)] == [TraceState(hit.path, MODIFIED, 2)]
-    assert "regex" in vars(exact)
+    assert "regex" not in vars(exact)  # the folded path found it by lookup
     assert exact == parsed == TracePattern(CORE, MODIFIED, "^C:/Kelvin$")
     assert hash(exact) == hash((CORE, MODIFIED, "^C:/Kelvin$"))
 
@@ -290,12 +307,14 @@ def test_an_exact_pattern_compiles_its_regex_only_when_a_path_needs_it():
         (TracePattern, "/sun$", "C:/\u017fun"),  # long s folds to s
         (TracePattern, "kelvin", "C:/\u212aelvin"),  # Kelvin sign folds to k
         (TracePattern, "i\\.dat", "C:/\u0130.dat"),  # dotted capital I folds to i
+        (TracePattern, "i\\.dat", "C:/\u0131.dat"),  # dotless small i folds to i
         (TracePattern.for_path, "C:/sun", "C:/\u017fun"),  # path traces too
         (TracePattern.for_path, "C:/kelvin", "C:/\u212aelvin"),
         (TracePattern.for_path, "C:/i.dat", "C:/\u0130.dat"),
+        (TracePattern.for_path, "C:/i.dat", "C:/\u0131.dat"),
     ],
 )
-def test_non_ascii_paths_always_run_the_regex(make, text, path):
+def test_a_non_ascii_path_folds_to_the_ascii_letters_the_regex_matches(make, text, path):
     pack = pack_of(make(CORE, MODIFIED, text))
     record = ObjectRecord(path=path, modified=9)
     assert [s.object_path for s in match_pack(pack, [record])[("A", CORE)]] == [path]

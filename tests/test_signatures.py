@@ -132,6 +132,28 @@ def test_no_cross_kind_leakage():
     assert match_pack(pack, [record])[("A", CORE)] == []
 
 
+@pytest.mark.parametrize(
+    "line, source",
+    [
+        ("core modified .*/a\\ \n", ".*/a\\ "),
+        ("core modified .*/a\\ \r\n", ".*/a\\ "),  # the CRLF's \r is still dropped
+        ("core modified .*/a\\\t \n", ".*/a\\\t"),
+        ("core modified .*/a\\\\\\  \n", ".*/a\\\\\\ "),
+        ("core modified .*/a\\\\ \n", ".*/a\\\\"),  # an even run escapes nothing
+    ],
+)
+def test_a_pattern_keeps_the_whitespace_a_trailing_backslash_escapes(line, source):
+    (trace,) = parse_signature_pack("action: A\nthreshold: 5\n" + line).get("A").traces
+    assert trace.source == source
+
+
+def test_a_pattern_ending_in_an_escaped_space_matches_the_space():
+    pack = parse_signature_pack("action: A\nthreshold: 5\ncore modified .*/a\\ \n")
+    hit = ObjectRecord(path="C:/x/a ", modified=1)
+    miss = ObjectRecord(path="C:/x/a", modified=2)
+    assert [s.object_path for s in match_pack(pack, [hit, miss])[("A", CORE)]] == [hit.path]
+
+
 def test_end_anchor_is_honored():
     pack = parse_signature_pack("action: A\nthreshold: 5\ncore modified .*/startupCache$\n")
     hit = ObjectRecord(path="C:/p/default/startupCache", modified=1)

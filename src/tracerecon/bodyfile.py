@@ -12,7 +12,10 @@ Field layout, bit-exact::
 Every input of the package, a file or stdin, is opened in binary by
 :func:`open_input` and split only at ``\\n``.  A bodyfile is streamed:
 :func:`read_bodyfile` decodes and parses one line at a time and yields its
-record, so memory stays flat as the input grows.  A bodyfile record drops its
+record, so memory stays flat as the input grows.  Given a path test, such
+as ``scan``'s prefilter of its packs, it still checks and diagnoses every
+line but builds a record only for a path the test accepts, since on a
+typical disk few paths can match.  A bodyfile record drops its
 trailing ``\\r`` characters, so a raw ``\\r`` inside a name is kept.  ``|`` is
 forbidden inside fields, and the four time fields are decimal epoch
 seconds where 0 means "absent"; values beyond 9999-12-31T23:59:59Z cannot
@@ -85,11 +88,12 @@ def _time_error(raws: list[str]) -> ValueError:
     raise AssertionError(f"no time field is bad in {raws!r}")
 
 
-def _parse_line(line: str) -> ObjectRecord:
+def _parse_line(line: str, wanted: Callable[[str], bool] | None) -> ObjectRecord | None:
     """Build the record of one line; raises ValueError with a reason on bad input.
 
     Every check of ``ObjectRecord(...)`` is made here, with the parser's own
     message, so the record is built without running them a second time.
+    A valid line whose normalized name ``wanted`` rejects gives None.
     """
     fields = line.split("|")
     if len(fields) != FIELD_COUNT:
@@ -118,6 +122,8 @@ def _parse_line(line: str) -> ObjectRecord:
         raise ValueError(f"empty name: {fields[1]!r}")
     if not (atime or mtime or ctime or crtime):
         raise ValueError(f"no usable timestamps: {fields[1]!r}")
+    if wanted is not None and not wanted(name):
+        return None
     record = object.__new__(ObjectRecord)  # the checks are made: skip __init__
     record.__dict__.update(
         path=name,
@@ -131,23 +137,29 @@ def _parse_line(line: str) -> ObjectRecord:
 
 
 def _records(
-    lines: Iterable[str], report: Callable[[ParseDiagnostic], object]
+    lines: Iterable[str],
+    report: Callable[[ParseDiagnostic], object],
+    wanted: Callable[[str], bool] | None = None,
 ) -> Iterator[ObjectRecord]:
     """The records of ``lines`` in input order; each diagnostic goes to ``report``.
 
     Lines are numbered from 1 and drop their trailing ``\\n`` and ``\\r``
-    characters.  Blank lines and ``#`` lines are skipped silently.
+    characters.  Blank lines and ``#`` lines are skipped silently.  Every
+    other line is checked, but a record is built only when ``wanted`` is
+    None or accepts its path.
     """
     for line_no, raw in enumerate(lines, start=1):
         line = raw.rstrip("\r\n")
-        if not line.strip() or line.lstrip().startswith("#"):
+        head = line.lstrip()
+        if not head or head[0] == "#":
             continue
         try:
-            record = _parse_line(line)
+            record = _parse_line(line, wanted)
         except ValueError as exc:
             report(ParseDiagnostic(line_no, str(exc)))
             continue
-        yield record
+        if record is not None:
+            yield record
 
 
 def parse_bodyfile(text: str) -> tuple[list[ObjectRecord], list[ParseDiagnostic]]:
@@ -191,14 +203,20 @@ def read_input(source: str | Path, what: str) -> bytes:
             raise _read_error(what, source, exc) from exc
 
 
-def read_bodyfile(stream: IO[bytes], source: str | Path) -> Iterator[ObjectRecord]:
+def read_bodyfile(
+    stream: IO[bytes], source: str | Path, wanted: Callable[[str], bool] | None = None
+) -> Iterator[ObjectRecord]:
     """Yield the records of a binary bodyfile stream as its lines are read.
 
     Each line is decoded on its own with ``surrogateescape``, which gives
     the text of decoding the whole input, since byte 0x0A never occurs
     inside a multi-byte UTF-8 sequence.  Nothing but the current line is
     held.  Each diagnostic is logged as it is reached, naming ``source``; a
-    failed read raises :class:`IngestError`.
+    failed read raises :class:`IngestError`.  Every line is checked and
+    diagnosed, but with ``wanted`` (for ``scan``,
+    :func:`~tracerecon.signatures.path_prefilter` of its pack) a record is
+    yielded only for a path the test accepts, after backslashes become
+    ``/`` and a ``(deleted)`` suffix is removed.
     """
 
     def report(diag: ParseDiagnostic) -> None:
@@ -206,7 +224,7 @@ def read_bodyfile(stream: IO[bytes], source: str | Path) -> Iterator[ObjectRecor
 
     lines = map(methodcaller("decode", "utf-8", "surrogateescape"), stream)
     try:
-        yield from _records(lines, report)
+        yield from _records(lines, report, wanted)
     except OSError as exc:
         raise _read_error("metadata", source, exc) from exc
 

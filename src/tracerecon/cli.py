@@ -30,6 +30,7 @@ from .signatures import (
     _content_lines,
     merge_packs,
     parse_signature_pack,
+    path_prefilter,
 )
 from .simulator import (
     SimulationError,
@@ -137,10 +138,12 @@ def _load_packs(pack_paths: list[str]) -> SignaturePack:
 
 def cmd_scan(args: argparse.Namespace) -> int:
     # The bodyfile opens before the packs load, so an unreadable one exits 2
-    # ahead of a bad pack; its records then stream straight into the matcher.
+    # ahead of a bad pack; its records then stream straight into the matcher,
+    # built only for the paths the packs' prefilter lets through.
     with open_input(args.metadata, "metadata") as stream:
         pack = _load_packs(args.signatures)
-        approximations = reconstruct(read_bodyfile(stream, args.metadata), pack)
+        records = read_bodyfile(stream, args.metadata, path_prefilter(pack))
+        approximations = reconstruct(records, pack)
     label = args.label or Path(args.metadata).stem  # "-" for stdin
     rows = [_row_cells(a, label, args.utc_display) for a in approximations]
     _EMITTERS[args.format](rows, sys.stdout)
@@ -310,11 +313,12 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         code = args.func(args)
-        sys.stdout.flush()  # buffered output meets a closed pipe only here
+        sys.stdout.flush()  # buffered output may meet a closed pipe or full disk only here
         return code
-    except BrokenPipeError as exc:
-        # The reader closed stdout; point it at devnull so the flush at exit
-        # cannot fail again.
+    except OSError as exc:
+        # Commands wrap every other OSError, so this one came from writing
+        # stdout (a closed pipe, a full disk); point stdout at devnull so the
+        # flush at exit cannot fail again.
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)

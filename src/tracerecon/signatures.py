@@ -49,6 +49,12 @@ ending in ``\\n`` is found under the path plus ``\\n``, since ``$`` also
 matches before a final newline.  Such a trace of an ASCII path compiles its
 regex only on first use, where any other pattern compiles when it is built.  A
 ``^...$`` line in a signature file is an ordinary pattern.
+
+:func:`path_prefilter` applies the literal test before a record exists:
+one regex, built from a trie of the pack's literals and exact paths, tells
+whether a path's key (:func:`fold`) holds any of them.  ``scan`` hands it
+to :func:`~tracerecon.bodyfile.read_bodyfile`, which then builds a record
+only for an accepted path.  A path it rejects would add no trace state.
 """
 
 from __future__ import annotations
@@ -377,6 +383,65 @@ _Entry = tuple[str, Callable, tuple[Bucket, ...]]
 _FOLD = str.maketrans({"\u0130": "i", "\u0131": "i", "\u017f": "s", "\u212a": "k"})
 
 
+def fold(path: str) -> str:
+    """The key a path is matched under: lowered, after ``_FOLD`` for a non-ASCII path."""
+    return path.lower() if path.isascii() else path.translate(_FOLD).lower()
+
+
+def _trie_source(node: dict[str, dict]) -> str:
+    """Regex text that matches, where it starts, any literal of the trie below ``node``.
+
+    A chain of single children becomes one escaped run, so groups nest only
+    where literals branch.  ``""`` marks the node where a literal ends.
+    """
+    branches = []
+    for char, child in node.items():
+        run = char
+        while len(child) == 1 and "" not in child:
+            ((char, child),) = child.items()
+            run += char
+        branches.append(re.escape(run) + ("" if "" in child else _trie_source(child)))
+    return branches[0] if len(branches) == 1 else "(?:" + "|".join(branches) + ")"
+
+
+def path_prefilter(pack: SignaturePack) -> Callable[[str], bool] | None:
+    """A test that is false only for a path no pattern of ``pack`` can match.
+
+    It searches :func:`fold` of the path with one regex: a trie of every
+    pattern's :func:`required_literal`, or of its ``exact`` key for a trace
+    built by :meth:`TracePattern.for_path`.  A literal that extends a shorter
+    one is dropped, since a key holding it holds the shorter one too.  A
+    match needs its literal in the folded key, and an exact hit needs the
+    key to equal the exact one, so a path the test rejects adds no state in
+    :func:`match_pack`.  None when some pattern has no literal, when there is
+    no pattern, or when the trie is too deep for ``re`` to compile: then
+    every path goes to the matcher.
+    """
+    literals = set()
+    for patterns in pack.buckets.values():
+        for trace in patterns:
+            literal = trace.exact or required_literal(trace.source)
+            if literal is None:
+                return None
+            literals.add(literal)
+    trie: dict[str, dict] = {}
+    for literal in sorted(literals, key=len):
+        node = trie
+        for char in literal:
+            node = node.setdefault(char, {})
+            if "" in node:
+                break  # a shorter literal ends here
+        else:
+            node[""] = {}
+    if not trie:
+        return None
+    try:
+        search = re.compile(_trie_source(trie)).search
+    except RecursionError:
+        return None
+    return lambda path: search(fold(path)) is not None
+
+
 def match_pack(
     pack: SignaturePack, records: Iterable[ObjectRecord]
 ) -> dict[Bucket, list[TraceState]]:
@@ -429,7 +494,7 @@ def match_pack(
 
     for record in records:
         path = record.path
-        key = path.lower() if path.isascii() else path.translate(_FOLD).lower()
+        key = fold(path)
         for field_name, kind, entries, lookup in plan:
             value = getattr(record, field_name)
             if value is None:

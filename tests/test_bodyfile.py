@@ -3,17 +3,22 @@ import logging
 from contextlib import contextmanager
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tracerecon import (
     IngestError,
     ObjectRecord,
+    SignaturePack,
+    TimestampKind,
+    TraceCategory,
     load_metadata,
+    match_pack,
     parse_bodyfile,
     write_bodyfile,
 )
 from tracerecon.bodyfile import MAX_TIME, format_record, read_bodyfile
+from tracerecon.signatures import Signature, TracePattern, path_prefilter
 
 from conftest import FIXTURES
 
@@ -278,11 +283,18 @@ line_bytes = st.one_of(
     st.lists(field_bytes, max_size=12).map(b"|".join),
     st.sampled_from([b"", b"  ", b"# comment", b"  #x|1", b"\r", b"\xc2\x85"]),
 )
-stream_bytes = st.builds(
-    lambda lines, last: b"".join(line + end for line, end in lines) + last,
-    st.lists(st.tuples(line_bytes, st.sampled_from(LINE_ENDS)), max_size=12),
-    st.one_of(st.just(b""), line_bytes),  # a last line without its newline
-)
+
+
+def streams(lines):
+    """Bodyfile bytes of up to 13 ``lines`` with assorted line ends."""
+    return st.builds(
+        lambda body, last: b"".join(line + end for line, end in body) + last,
+        st.lists(st.tuples(lines, st.sampled_from(LINE_ENDS)), max_size=12),
+        st.one_of(st.just(b""), lines),  # a last line without its newline
+    )
+
+
+stream_bytes = streams(line_bytes)
 
 
 @given(stream_bytes)
@@ -303,6 +315,43 @@ def test_the_stream_reads_what_whole_text_parsing_reads(data):
         )
         assert type(record) is ObjectRecord
         assert record == checked and hash(record) == hash(checked)
+
+
+# Literals that names built from FIELD_PIECES hold: ``c:/a`` as typed, ``:/b``
+# only once ``C:\b`` has its backslash normalized, and ``(deleted`` only where
+# the suffix is not removed, as in ``C:/a (deleted)x``.
+PREFILTER_PACK = SignaturePack([
+    Signature("A", 5, (
+        TracePattern(TraceCategory.CORE, TimestampKind.MODIFIED, ".*c:/a"),
+        TracePattern(TraceCategory.SUPPORTING, TimestampKind.ACCESSED, ":/b"),
+        TracePattern.for_path(TraceCategory.SHARED, TimestampKind.CREATED, "C:/a"),
+    )),
+    Signature("B", 9, (
+        TracePattern.for_path(TraceCategory.SHARED, TimestampKind.CREATED, "C:/a"),
+        TracePattern(TraceCategory.CORE, TimestampKind.METACHANGED, "\\(deleted"),
+    )),
+])
+
+
+# Lines whose numbers all parse, so most are records, named from FIELD_PIECES.
+valid_record_bytes = st.builds(
+    lambda name, numbers: b"|".join([b"0", name, b"1", b"r", *numbers]),
+    st.lists(st.sampled_from(FIELD_PIECES), min_size=1, max_size=3).map(b"".join),
+    st.lists(st.sampled_from(NUMBERS[:4]), min_size=7, max_size=7),
+)
+
+
+@settings(max_examples=300)
+@given(st.one_of(stream_bytes, streams(st.one_of(line_bytes, valid_record_bytes))))
+def test_the_prefilter_changes_neither_matches_nor_diagnostics(data):
+    wanted = path_prefilter(PREFILTER_PACK)
+    with _logged() as every_message:
+        records = list(read_bodyfile(io.BytesIO(data), "in.body"))
+    with _logged() as messages:
+        kept = list(read_bodyfile(io.BytesIO(data), "in.body", wanted))
+    assert kept == [record for record in records if wanted(record.path)]
+    assert match_pack(PREFILTER_PACK, kept) == match_pack(PREFILTER_PACK, records)
+    assert messages == every_message
 
 
 # zero time values read back as absent, so present times start at 1; the

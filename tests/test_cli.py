@@ -1,4 +1,5 @@
 import csv
+import errno
 import io
 import json
 import os
@@ -269,22 +270,27 @@ def test_scan_skips_times_beyond_year_9999(capsys, tmp_path):
     assert row["interval_end"] == "2011-07-24T14:02:31Z"
 
 
+def run_with_stdout(stdout, *argv):
+    """Run ``trace-recon`` in a child process writing its stdout to the descriptor ``stdout``."""
+    python_path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    # Buffered, as stdout into a pipe or file is by default, so output can also wait for the flush.
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    return subprocess.run(
+        [sys.executable, "-m", "tracerecon.cli", *argv],
+        stdout=stdout,
+        stderr=subprocess.PIPE,
+        env={**env, "PYTHONPATH": python_path},
+        text=True,
+        timeout=60,
+    )
+
+
 def scan_into_a_closed_pipe(*argv):
     """Run ``scan`` in a child process whose stdout pipe has no reader left."""
     read_end, write_end = os.pipe()
     os.close(read_end)
-    python_path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
-    # Buffered, as stdout into a pipe is by default, so output can also wait for the flush.
-    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
     try:
-        return subprocess.run(
-            [sys.executable, "-m", "tracerecon.cli", "scan", *argv],
-            stdout=write_end,
-            stderr=subprocess.PIPE,
-            env={**env, "PYTHONPATH": python_path},
-            text=True,
-            timeout=60,
-        )
+        return run_with_stdout(write_end, "scan", *argv)
     finally:
         os.close(write_end)
 
@@ -302,6 +308,22 @@ def test_scan_into_a_closed_pipe_exits_2_without_a_traceback(tmp_path):
     assert (result.returncode, result.stderr) == (2, error)
     result = scan_into_a_closed_pipe(C1, FF3_SIG, IE8_SIG)
     assert (result.returncode, result.stderr) == (2, "10 detections\n" + error)
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full device")
+@pytest.mark.parametrize(
+    "argv, stderr",
+    [
+        (("scan", C1, FF3_SIG, IE8_SIG), "10 detections\n"),
+        (("calibrate", str(FIXTURES / "calibration_ie8.txt")), ""),
+    ],
+)
+def test_output_onto_a_full_disk_exits_2_without_a_traceback(argv, stderr):
+    # Every write to /dev/full fails with ENOSPC, here when stdout is flushed.
+    with open("/dev/full", "wb") as full:
+        result = run_with_stdout(full.fileno(), *argv)
+    error = f"error: cannot write output: {os.strerror(errno.ENOSPC)}\n"
+    assert (result.returncode, result.stderr) == (2, stderr + error)
 
 
 # --- calibrate -------------------------------------------------------------

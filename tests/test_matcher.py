@@ -16,7 +16,13 @@ from tracerecon import (
     parse_signature_pack,
 )
 from tracerecon.model import TraceState
-from tracerecon.signatures import _FOLD, Signature, TracePattern, required_literal
+from tracerecon.signatures import (
+    _FOLD,
+    Signature,
+    TracePattern,
+    path_prefilter,
+    required_literal,
+)
 
 from reference_matcher import reference_buckets, reference_groups
 
@@ -140,6 +146,52 @@ def packs_and_records(draw):
 def test_match_pack_equals_the_reference_on_every_bucket(pack_and_records):
     pack, objects = pack_and_records
     assert match_pack(pack, objects) == reference_buckets(pack, objects)
+
+
+def has_literal(trace):
+    return bool(trace.exact or required_literal(trace.source))
+
+
+@settings(max_examples=400, deadline=None)
+@given(packs_and_records())
+def test_the_prefilter_accepts_every_path_a_trace_of_the_pack_matches(pack_and_records):
+    pack, objects = pack_and_records
+    traces = [trace for patterns in pack.buckets.values() for trace in patterns]
+    wanted = path_prefilter(pack)
+    assert (wanted is None) == (not all(map(has_literal, traces)))
+    if wanted is not None:
+        for record in objects:
+            if any(trace.matches(record.path) for trace in traces):
+                assert wanted(record.path)
+
+
+@pytest.mark.parametrize(
+    "sources, accepted, rejected",
+    [
+        # "/cookies/x" extends "/cookies/", so only the shorter one is searched.
+        ((".*/Cookies/.*\\.txt", ".*/COOKIES/x", "firefox\\.exe-"),
+         ["C:/cookies/a.txt", "c:/x/FIREFOX.EXE-1.pf", "D:/COO\u212aIES/"],
+         ["C:/cookie/x", "firefox.ex", ""]),
+        (("^a\\.b$", "a\\.b"), ["a.b", "xA.Bx"], ["a-b", "ab"]),
+    ],
+)
+def test_prefilter_examples(sources, accepted, rejected):
+    wanted = path_prefilter(pack_of(*(TracePattern(CORE, MODIFIED, s) for s in sources)))
+    assert [wanted(path) for path in accepted + rejected] == (
+        [True] * len(accepted) + [False] * len(rejected)
+    )
+
+
+def test_a_pack_with_a_pattern_without_a_literal_or_with_no_pattern_has_no_prefilter():
+    pack = pack_of(TracePattern(CORE, MODIFIED, "a|b"), TracePattern(CORE, MODIFIED, "abc"))
+    assert path_prefilter(pack) is None
+    assert path_prefilter(SignaturePack([])) is None
+
+
+def test_a_trie_too_deep_to_compile_gives_no_prefilter_rather_than_an_error():
+    # Each path branches off the last one a character further in.
+    pack = pack_of(*(TracePattern.for_path(CORE, MODIFIED, "a" * n + "b") for n in range(1500)))
+    assert path_prefilter(pack) is None
 
 
 @settings(max_examples=200, deadline=None)

@@ -15,7 +15,10 @@ Every input of the package, a file or stdin, is opened in binary by
 record, so memory stays flat as the input grows.  Given a path test, such
 as ``scan``'s prefilter of its packs, it still checks and diagnoses every
 line but builds a record only for a path the test accepts, since on a
-typical disk few paths can match.  A bodyfile record drops its
+typical disk few paths can match.  One compiled regex checks a typical
+line whole and converts its times only for a wanted path; the fields are
+split and checked one at a time only for the lines it rejects, which gives
+the same records and diagnostics.  A bodyfile record drops its
 trailing ``\\r`` characters, so a raw ``\\r`` inside a name is kept.  ``|`` is
 forbidden inside fields, and the four time fields are decimal epoch
 seconds where 0 means "absent"; values beyond 9999-12-31T23:59:59Z cannot
@@ -69,32 +72,35 @@ class ParseDiagnostic:
 
 _TIME_LABELS = ("atime", "mtime", "ctime", "crtime")
 
-
-def _time_error(raws: list[str]) -> ValueError:
-    """The error naming the first of the four time fields that is not a valid time.
-
-    :func:`_parse_line` checks all four at once and calls this only when
-    that check fails, to report the field the way a field-by-field check would.
-    """
-    for label, raw in zip(_TIME_LABELS, raws):
-        try:
-            value = int(raw)
-        except ValueError:
-            return ValueError(f"{label} is not an integer: {raw!r}")
-        if value < 0:
-            return ValueError(f"{label} is negative: {value}")
-        if value > MAX_TIME:
-            return ValueError(f"{label} is beyond 9999-12-31T23:59:59Z: {value}")
-    raise AssertionError(f"no time field is bad in {raws!r}")
+# The lines that every check of _parse_fields accepts in its plainest form:
+# eleven fields; a name that is not empty and does not end in ")", so it holds
+# no (deleted) suffix; UID, GID and size of at most 18 ASCII digits, which
+# int() reads under any digit limit; and four times of at most 11 digits,
+# below MAX_TIME, not all zero.  Every other line takes the field-by-field path.
+_PLAIN_LINE = re.compile(
+    r"[^|]*\|([^|]*[^|)])\|[^|]*\|[^|]*\|-?[0-9]{1,18}\|-?[0-9]{1,18}\|-?[0-9]{1,18}"
+    r"\|(?!0+\|0+\|0+\|0+\Z)([0-9]{1,11})\|([0-9]{1,11})\|([0-9]{1,11})\|([0-9]{1,11})"
+)
 
 
-def _parse_line(line: str, wanted: Callable[[str], bool] | None) -> ObjectRecord | None:
-    """Build the record of one line; raises ValueError with a reason on bad input.
+def _record(
+    name: str, atime: int, mtime: int, ctime: int, crtime: int, deleted: bool
+) -> ObjectRecord:
+    """The record of a checked line, built without running ObjectRecord's checks again."""
+    record = object.__new__(ObjectRecord)
+    record.__dict__.update(
+        path=name,
+        accessed=atime or None,
+        modified=mtime or None,
+        metachanged=ctime or None,
+        created=crtime or None,
+        deleted=deleted,
+    )
+    return record
 
-    Every check of ``ObjectRecord(...)`` is made here, with the parser's own
-    message, so the record is built without running them a second time.
-    A valid line whose normalized name ``wanted`` rejects gives None.
-    """
+
+def _parse_fields(line: str, wanted: Callable[[str], bool] | None) -> ObjectRecord | None:
+    """:func:`_parse_line` for any line, checking one split field at a time."""
     fields = line.split("|")
     if len(fields) != FIELD_COUNT:
         raise ValueError(f"expected {FIELD_COUNT} fields, found {len(fields)}")
@@ -102,17 +108,17 @@ def _parse_line(line: str, wanted: Callable[[str], bool] | None) -> ObjectRecord
         int(fields[4]), int(fields[5]), int(fields[6])  # UID, GID, size: checked, not kept
     except ValueError:
         raise ValueError("UID/GID/size fields must be integers") from None
-    try:
-        atime, mtime, ctime, crtime = map(int, fields[7:])
-    except ValueError:
-        raise _time_error(fields[7:]) from None
-    if not (
-        0 <= atime <= MAX_TIME
-        and 0 <= mtime <= MAX_TIME
-        and 0 <= ctime <= MAX_TIME
-        and 0 <= crtime <= MAX_TIME
-    ):
-        raise _time_error(fields[7:])
+    times = []
+    for label, raw in zip(_TIME_LABELS, fields[7:]):
+        try:
+            value = int(raw)
+        except ValueError:
+            raise ValueError(f"{label} is not an integer: {raw!r}") from None
+        if value < 0:
+            raise ValueError(f"{label} is negative: {value}")
+        if value > MAX_TIME:
+            raise ValueError(f"{label} is beyond 9999-12-31T23:59:59Z: {value}")
+        times.append(value)
     name = fields[1].replace("\\", "/")
     # A name holds no newline, so the suffix can only match before a final ")".
     suffix = _DELETED_SUFFIX.search(name) if name.endswith(")") else None
@@ -120,20 +126,31 @@ def _parse_line(line: str, wanted: Callable[[str], bool] | None) -> ObjectRecord
         name = name[:suffix.start()]
     if not name:
         raise ValueError(f"empty name: {fields[1]!r}")
-    if not (atime or mtime or ctime or crtime):
+    if not any(times):
         raise ValueError(f"no usable timestamps: {fields[1]!r}")
     if wanted is not None and not wanted(name):
         return None
-    record = object.__new__(ObjectRecord)  # the checks are made: skip __init__
-    record.__dict__.update(
-        path=name,
-        accessed=atime or None,
-        modified=mtime or None,
-        metachanged=ctime or None,
-        created=crtime or None,
-        deleted=suffix is not None,
-    )
-    return record
+    return _record(name, *times, suffix is not None)
+
+
+def _parse_line(line: str, wanted: Callable[[str], bool] | None) -> ObjectRecord | None:
+    """Build the record of one line; raises ValueError with a reason on bad input.
+
+    Every check of ``ObjectRecord(...)`` is made here, with the parser's own
+    message, so the record is built without running them a second time.
+    A valid line whose normalized name ``wanted`` rejects gives None.  One
+    regex checks a typical line, and converts none of its numbers when
+    ``wanted`` rejects the name; the lines it rejects go to
+    :func:`_parse_fields`, which gives the same result for any line.
+    """
+    match = _PLAIN_LINE.fullmatch(line)
+    if match is None:
+        return _parse_fields(line, wanted)
+    name, atime, mtime, ctime, crtime = match.groups()
+    name = name.replace("\\", "/")
+    if wanted is not None and not wanted(name):
+        return None
+    return _record(name, int(atime), int(mtime), int(ctime), int(crtime), False)
 
 
 def _records(

@@ -267,6 +267,17 @@ def always_updated_targets(spec: ActionSpec) -> frozenset[UpdateTarget]:
     return frozenset(targets)
 
 
+def shared_targets(specs: Mapping[str, ActionSpec]) -> frozenset[UpdateTarget]:
+    """Targets that more than one action updates: shared evidence for each."""
+    seen: set[UpdateTarget] = set()
+    shared: set[UpdateTarget] = set()
+    for spec in specs.values():
+        targets = set().union(*(variant.updates for variant in spec.variants))
+        shared |= seen & targets
+        seen |= targets
+    return frozenset(shared)
+
+
 def derive_signatures(specs: Mapping[str, ActionSpec]) -> SignaturePack:
     """Build the signature pack a scenario's action set implies.
 
@@ -276,12 +287,7 @@ def derive_signatures(specs: Mapping[str, ActionSpec]) -> SignaturePack:
     patterns.  Actions with no update targets are unobservable and are
     omitted.
     """
-    owners: dict[UpdateTarget, set[str]] = {}
-    for spec in specs.values():
-        for variant in spec.variants:
-            for target in variant.updates:
-                owners.setdefault(target, set()).add(spec.name)
-
+    shared = shared_targets(specs)
     signatures = []
     for spec in specs.values():
         all_targets = {t for variant in spec.variants for t in variant.updates}
@@ -290,7 +296,7 @@ def derive_signatures(specs: Mapping[str, ActionSpec]) -> SignaturePack:
         always = always_updated_targets(spec)
         traces = []
         for path, kind in sorted(all_targets, key=lambda t: (t[0], t[1].value)):
-            if len(owners[(path, kind)]) > 1:
+            if (path, kind) in shared:
                 category = TraceCategory.SHARED
             elif (path, kind) in always:
                 category = TraceCategory.CORE

@@ -1,4 +1,5 @@
 import io
+import itertools
 import logging
 from contextlib import contextmanager
 
@@ -17,6 +18,7 @@ from tracerecon import (
     parse_bodyfile,
     write_bodyfile,
 )
+from tracerecon import bodyfile
 from tracerecon.bodyfile import MAX_TIME, format_record, read_bodyfile
 from tracerecon.signatures import Signature, TracePattern, path_prefilter
 
@@ -265,7 +267,12 @@ FIELD_PIECES = [
     b"\xc2\x85", b"\xe2\x80\xa8", b"\xff", b"\xe2\x80", b"\xf0\x9f\x98", b"x", b"7",
 ]
 NUMBERS = [b"1311516151", b"7", b"0", str(MAX_TIME).encode(), b"-1",
-           str(MAX_TIME + 1).encode(), b" 7", b"x", b"\xff", b""]
+           str(MAX_TIME + 1).encode(), b" 7", b"x", b"\xff", b"",
+           # where the line regex stops and int() goes on: 11 and 12 digits,
+           # zero padding, signs, "_", a non-ASCII digit, 19 digits and a
+           # number past int()'s default limit of 4,300 digits
+           b"99999999999", b"100000000000", b"0001311516151", b"00", b"-0", b"+5",
+           b"1_000", "\u0661".encode(), b"9" * 19, b"9" * 5000]
 LINE_ENDS = [b"\n", b"\r\n", b"\r\r\n", b"\xff\n", b"\xe2\x80\n", b"\xc2\x85\n", b"\xe2\x80\xa8\n"]
 field_bytes = st.lists(
     st.one_of(st.sampled_from(FIELD_PIECES), st.binary(max_size=2)), max_size=3
@@ -352,6 +359,64 @@ def test_the_prefilter_changes_neither_matches_nor_diagnostics(data):
     assert kept == [record for record in records if wanted(record.path)]
     assert match_pack(PREFILTER_PACK, kept) == match_pack(PREFILTER_PACK, records)
     assert messages == every_message
+
+
+def _outcome(parse, line, wanted):
+    try:
+        record = parse(line, wanted)
+    except ValueError as exc:
+        return "error", str(exc)
+    return "record", None if record is None else (type(record), vars(record))
+
+
+def _assert_both_paths_agree(line, prefiltered):
+    wanted = path_prefilter(PREFILTER_PACK) if prefiltered else None
+    assert _outcome(bodyfile._parse_line, line, wanted) == _outcome(
+        bodyfile._parse_fields, line, wanted
+    )
+
+
+@settings(max_examples=500)
+@given(st.one_of(line_bytes, valid_record_bytes), st.booleans())
+def test_the_line_regex_agrees_with_field_by_field_parsing(data, prefiltered):
+    _assert_both_paths_agree(data.decode("utf-8", "surrogateescape"), prefiltered)
+
+
+def _with_fields(line, replacements):
+    fields = line.split("|")
+    for position, text in replacements.items():
+        fields[position] = text
+    return "|".join(fields)
+
+
+# Each boundary number alone in each numeric field of a plain line, and every
+# spelling of four zero times, which too few random lines reach.
+BOUNDARY_LINES = [
+    _with_fields(PREFETCH_LINE, {position: number.decode("utf-8", "surrogateescape")})
+    for position in range(4, 11)
+    for number in NUMBERS
+] + [
+    _with_fields(PREFETCH_LINE, dict(zip(range(7, 11), zeros)))
+    for zeros in itertools.product(["0", "00"], repeat=4)
+]
+
+
+@pytest.mark.parametrize("prefiltered", [False, True])
+def test_boundary_numbers_read_alike_on_both_paths(prefiltered):
+    for line in BOUNDARY_LINES:
+        _assert_both_paths_agree(line, prefiltered)
+
+
+def test_a_plain_line_is_read_without_splitting_its_fields(monkeypatch):
+    def split_fields(line, wanted):
+        raise AssertionError(f"split: {line!r}")
+
+    monkeypatch.setattr(bodyfile, "_parse_fields", split_fields)
+    records, diagnostics = parse_bodyfile(PREFETCH_LINE.replace("/", "\\") + "\n")
+    assert diagnostics == []
+    assert records == [
+        ObjectRecord("C:/WINDOWS/Prefetch/FIREFOX.EXE-28641590.pf", *[1311516151] * 3, 1293332784)
+    ]
 
 
 # zero time values read back as absent, so present times start at 1; the

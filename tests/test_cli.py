@@ -558,6 +558,27 @@ def test_simulate_check_passes_on_a_sound_scenario(capsys, tmp_path):
     assert "no-false-positives: PASS" in out
 
 
+def test_simulate_check_asks_no_most_recent_instance_of_shared_evidence(capsys, tmp_path):
+    # Both actions always update /a, so it is a shared trace of each and the
+    # engine reports no most-recent instance from it.
+    scenario = tmp_path / "shared.scn"
+    scenario.write_text(
+        "action: A\nthreshold: 5\nma modified /a\n---\n"
+        "action: B\nthreshold: 5\nma modified /a\n---\n"
+        "schedule:\n5 A 0\n"
+    )
+    code, out, err = run(
+        capsys, "simulate", str(scenario), "--out", str(tmp_path / "o"), "--check"
+    )
+    assert (code, err) == (0, "")
+    assert out.splitlines() == [
+        "interval-soundness: PASS",
+        "count-bound: PASS",
+        "most-recent-coverage: PASS",
+        "no-false-positives: PASS",
+    ]
+
+
 def test_simulate_unknown_action_exits_3(capsys, tmp_path):
     bad = tmp_path / "bad.scn"
     bad.write_text("action: a\nthreshold: 5\nma modified /x\nschedule:\n10 ghost 0\n")

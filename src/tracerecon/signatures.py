@@ -124,6 +124,12 @@ class TracePattern:
     def regex(self) -> re.Pattern:
         return re.compile(self.source, re.IGNORECASE)
 
+    @cached_property
+    def literal(self) -> str | None:
+        """What a path's :func:`fold` key must hold to match: ``exact`` if set, else
+        :func:`required_literal` of the source.  Worked out on first use, once."""
+        return self.exact or required_literal(self.source)
+
     def matches(self, path: str) -> bool:
         return self.regex.search(path) is not None
 
@@ -211,8 +217,10 @@ _KIND_WORDS = {k.value: k for k in TimestampKind}
 def _content_lines(text: str) -> Iterator[tuple[int, str]]:
     """Numbered, stripped block-file lines, split only at ``\\n``; blanks and comments dropped.
 
-    A space or tab escaped by an odd run of trailing backslashes is kept.
+    A space or tab escaped by an odd run of trailing backslashes is kept.  One
+    leading UTF-8 byte-order mark, as some Windows editors write, is dropped.
     """
+    text = text.removeprefix("\ufeff")
     for line_no, raw in enumerate(text.split("\n"), start=1):
         line = raw.strip()
         if line.endswith("\\"):
@@ -374,9 +382,6 @@ def required_literal(source: str) -> str | None:
     return max(longest, run, key=len).lower() or None
 
 
-# A match-plan entry: required literal ("" if none), regex search, and the buckets fed.
-_Entry = tuple[str, Callable, tuple[Bucket, ...]]
-
 # The non-ASCII characters that case-insensitive regex matching equates with
 # an ASCII letter, mapped to that letter.  ``"\u0130".lower()`` is two
 # characters, so the table is applied before ``lower()``.
@@ -408,22 +413,18 @@ def path_prefilter(pack: SignaturePack) -> Callable[[str], bool] | None:
     """A test that is false only for a path no pattern of ``pack`` can match.
 
     It searches :func:`fold` of the path with one regex: a trie of every
-    pattern's :func:`required_literal`, or of its ``exact`` key for a trace
-    built by :meth:`TracePattern.for_path`.  A literal that extends a shorter
-    one is dropped, since a key holding it holds the shorter one too.  A
-    match needs its literal in the folded key, and an exact hit needs the
-    key to equal the exact one, so a path the test rejects adds no state in
-    :func:`match_pack`.  None when some pattern has no literal, when there is
-    no pattern, or when the trie is too deep for ``re`` to compile: then
-    every path goes to the matcher.
+    pattern's :attr:`TracePattern.literal`, its ``exact`` key for a trace
+    built by :meth:`TracePattern.for_path` and its :func:`required_literal`
+    otherwise.  A literal that extends a shorter one is dropped, since a key
+    holding it holds the shorter one too.  A match needs its literal in the
+    folded key, and an exact hit needs the key to equal the exact one, so a
+    path the test rejects adds no state in :func:`match_pack`.  None when
+    some pattern has no literal, when there is no pattern, or when the trie
+    is too deep for ``re`` to compile: then every path goes to the matcher.
     """
-    literals = set()
-    for patterns in pack.buckets.values():
-        for trace in patterns:
-            literal = trace.exact or required_literal(trace.source)
-            if literal is None:
-                return None
-            literals.add(literal)
+    literals = {trace.literal for patterns in pack.buckets.values() for trace in patterns}
+    if not literals or None in literals:
+        return None
     trie: dict[str, dict] = {}
     for literal in sorted(literals, key=len):
         node = trie
@@ -433,8 +434,6 @@ def path_prefilter(pack: SignaturePack) -> Callable[[str], bool] | None:
                 break  # a shorter literal ends here
         else:
             node[""] = {}
-    if not trie:
-        return None
     try:
         search = re.compile(_trie_source(trie)).search
     except RecursionError:
@@ -455,18 +454,18 @@ def match_pack(
     nothing.
 
     Patterns are collapsed to unique (source, kind) pairs, each listing the
-    buckets it feeds.  Each record path is folded once into a key: lowered,
-    after ``_FOLD`` maps the ``İ``, ``ı``, ``ſ`` or Kelvin sign of a
-    non-ASCII path to the ASCII letter case-insensitive matching equates it
-    with.  Pairs whose trace has an ``exact`` path
-    (:meth:`TracePattern.for_path`) are indexed per kind under that path and
-    under the path plus ``\\n`` (``$`` also matches before a final newline),
-    so one dict lookup of the key per kind finds all of their hits, and their
+    buckets it feeds, and grouped by kind.  Each record path is folded once
+    into a key (:func:`fold`).  Pairs whose trace has an ``exact`` path
+    (:meth:`TracePattern.for_path`) are indexed under that path and under
+    the path plus ``\\n`` (``$`` also matches before a final newline), so
+    one dict lookup of the key per kind finds all of their hits, and their
     regexes are never compiled.  Any other pair searches the path with its
-    regex only when the pattern's :func:`required_literal` occurs in the key,
-    so most records cost one substring test per pattern.  The key contains
+    regex only when its :attr:`~TracePattern.literal` occurs in the key, so
+    most records cost one substring test per pattern.  The key contains
     every ASCII literal a match needs, and equals an exact key exactly when
-    the ``^...$`` regex matches.  Kinds with no indexed pair skip the lookup.
+    the ``^...$`` regex matches.  For each record and kind, the buckets fed
+    by the lookup's hit and by every regex hit form one hit set, and each
+    bucket in it gets the same one state.
     """
     buckets: dict[Bucket, list[TraceState]] = {}
     feeds: dict[SharedKey, tuple[TracePattern, list[Bucket]]] = {}
@@ -475,46 +474,34 @@ def match_pack(
         for trace in patterns:
             feeds.setdefault((trace.source, trace.kind), (trace, []))[1].append(bucket)
 
-    # Per kind: the regex entries of inexact pairs, and the buckets fed under
-    # each indexed key of exact pairs, in first-fed order.
-    by_kind: dict[TimestampKind, list[_Entry]] = {}
-    index_by_kind: dict[TimestampKind, dict[str, dict[Bucket, None]]] = {}
-    for (source, kind), (trace, fed) in feeds.items():
-        targets = tuple(dict.fromkeys(fed))
-        entries = by_kind.setdefault(kind, [])
+    # Per kind, under its record field name: the kind, the (literal, regex
+    # search, buckets fed) entry of each inexact pair, and the buckets fed
+    # under each indexed key of the exact pairs.
+    plan: dict[str, tuple[TimestampKind, list, dict[str, dict[Bucket, None]]]] = {}
+    for (_, kind), (trace, fed) in feeds.items():
+        targets = dict.fromkeys(fed)
+        _, entries, index = plan.setdefault(kind.value, (kind, [], {}))
         if trace.exact is None:
-            entries.append((required_literal(source) or "", trace.regex.search, targets))
+            entries.append((trace.literal or "", trace.regex.search, targets))
             continue
-        index = index_by_kind.setdefault(kind, {})
         for key in (trace.exact, trace.exact + "\n"):
-            index.setdefault(key, {}).update(dict.fromkeys(targets))
-    plan = [
-        (kind.value, kind, entries, index_by_kind.get(kind)) for kind, entries in by_kind.items()
-    ]
+            index.setdefault(key, {}).update(targets)
 
     for record in records:
         path = record.path
         key = fold(path)
-        for field_name, kind, entries, lookup in plan:
+        for field_name, (kind, entries, index) in plan.items():
             value = getattr(record, field_name)
             if value is None:
                 continue
-            state = None
-            if lookup is not None and (hits := lookup.get(key)) is not None:
+            hits = dict(index.get(key, ()))
+            for literal, search, targets in entries:
+                if literal in key and search(path) is not None:
+                    hits.update(targets)
+            if hits:
                 state = TraceState(path, kind, value)
-                filled: set[Bucket] = set(hits)
                 for target in hits:
                     buckets[target].append(state)
-            for literal, search, targets in entries:
-                if literal not in key or search(path) is None:
-                    continue
-                if state is None:
-                    state = TraceState(path, kind, value)
-                    filled = set()
-                for target in targets:
-                    if target not in filled:
-                        filled.add(target)
-                        buckets[target].append(state)
     for states in buckets.values():
         states.sort(key=trace_sort_key)
     return buckets

@@ -521,14 +521,17 @@ def parse_scenario(text: str) -> Scenario:
 
     entries: list[ScheduleEntry] = []
     for line_no, line in lines:
-        tokens = line.split()
-        if len(tokens) < 3:
+        # The action name is the text between the epoch and the variant, kept
+        # as written, so a name with a tab or a run of spaces still matches.
+        head = line.split(None, 1)
+        tail = head[1].rsplit(None, 1) if len(head) == 2 else []
+        if len(tail) != 2:
             raise ScenarioError(line_no, "schedule entry needs '<epoch> <action> <variant|?>'")
+        epoch_token, (action_name, variant_token) = head[0], tail
         try:
-            tau = int(tokens[0])
+            tau = int(epoch_token)
         except ValueError:
-            raise ScenarioError(line_no, f"bad epoch value {tokens[0]!r}")
-        action_name = " ".join(tokens[1:-1])
+            raise ScenarioError(line_no, f"bad epoch value {epoch_token!r}")
         spec = specs.get(action_name)
         if spec is None:
             raise ScenarioError(line_no, f"unknown action in schedule: {action_name!r}")
@@ -536,7 +539,6 @@ def parse_scenario(text: str) -> Scenario:
             raise ScenarioError(line_no, f"epoch plus threshold is past {_LAST_TIME}: {tau}")
         if tau == 0:
             raise ScenarioError(line_no, f"epoch 0 can write time 0, which {_READS_AS_ABSENT}")
-        variant_token = tokens[-1]
         if variant_token == "?":
             variant: int | None = None
         else:

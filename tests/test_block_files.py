@@ -132,3 +132,22 @@ def test_parsers_raise_only_their_error_at_a_real_line(parse, error, lines):
         parse("\n".join(lines))
     except error as exc:
         assert 1 <= exc.line_no <= len(lines)
+
+
+@pytest.mark.parametrize(
+    "parse, error", [(parse_signature_pack, SignatureError), (parse_scenario, ScenarioError)]
+)
+def test_only_one_leading_byte_order_mark_is_dropped(parse, error):
+    with pytest.raises(error) as exc_info:
+        parse("\ufeff\ufeffaction: A\n")
+    assert str(exc_info.value) == "line before 'action:': '\\ufeffaction: A' (line 1)"
+    with pytest.raises(error) as exc_info:
+        parse("\ufeff\n# c\n\ufeffthreshold: 5\n")
+    assert str(exc_info.value) == "line before 'action:': '\\ufeffthreshold: 5' (line 3)"
+
+
+def test_a_byte_order_mark_inside_a_pattern_stays_in_it():
+    text = SIG + "core modified a\ufeffb\n"
+    (trace,) = parse_signature_pack("\ufeff" + text).get("A").traces
+    assert trace.source == "a\ufeffb"
+    assert parse_signature_pack("\ufeff" + text).get("A") == parse_signature_pack(text).get("A")

@@ -657,6 +657,71 @@ def test_simulate_keeps_a_lone_cr_inside_a_scenario_line(capsys, tmp_path):
     assert err == "error: unrecognized line: 'mx /c' (line 4)\n"
 
 
+# --- a byte-order mark at the start of a file ------------------------------------
+
+# A UTF-8 byte-order mark, as Windows Notepad writes one at the start of a file.
+BOMS = pytest.mark.parametrize("bom", [b"", b"\xef\xbb\xbf"], ids=["plain", "bom"])
+
+
+@BOMS
+def test_scan_reads_a_pack_that_starts_with_a_byte_order_mark(capsys, tmp_path, bom):
+    pack = tmp_path / "ff3.sig"
+    pack.write_bytes(bom + (PACKAGED_SIG_DIR / "ff3.sig").read_bytes())
+    assert run(capsys, "scan", C1, str(pack)) == run(capsys, "scan", C1, FF3_SIG)
+
+    pack.write_bytes(bom + b"action: A\nthreshold: 5\ncore modified x\ncore bogus x\n")
+    code, _, err = run(capsys, "scan", C1, str(pack))
+    assert code == 3
+    assert err == f"error: {pack}: unknown timestamp kind 'bogus' (line 4)\n"
+
+
+@BOMS
+def test_calibrate_reads_samples_that_start_with_a_byte_order_mark(capsys, tmp_path, bom):
+    samples = tmp_path / "samples.txt"
+    samples.write_bytes(bom + b"1\n2\n4\n")
+    code, out, _ = run(capsys, "calibrate", str(samples))
+    assert code == 0
+    assert out.startswith("n: 3\nmean: 2.33333\n")
+
+    samples.write_bytes(bom + b"1\n2\nx\n")
+    code, _, err = run(capsys, "calibrate", str(samples))
+    assert code == 3
+    assert err == "error: line 3: not a duration: 'x'\n"
+
+
+def test_simulate_reads_a_scenario_that_starts_with_a_byte_order_mark(capsys, tmp_path):
+    # Without the mark, test_simulate_check_reproduces_its_golden_bytes runs the same.
+    scenario = tmp_path / "bom.scn"
+    scenario.write_bytes(b"\xef\xbb\xbf" + (FIXTURES / "scenario_basic.scn").read_bytes())
+    out_dir = tmp_path / "out"
+    code, out, err = run(
+        capsys, "simulate", str(scenario), "--seed", "5", "--out", str(out_dir), "--check"
+    )
+    assert (code, err) == (0, "")
+    expected = SIMULATE_GOLDENS / "scenario_basic-seed5"
+    assert out.encode("utf-8") == (expected / "check.out").read_bytes()
+    for name in ("metadata.body", "truth.json"):
+        assert (out_dir / name).read_bytes() == (expected / name).read_bytes(), name
+
+
+# --- action names with a tab or a run of spaces ---------------------------------
+
+
+@pytest.mark.parametrize("name", ["open  viewer", "open\tviewer"])
+def test_simulate_schedules_an_action_name_with_a_tab_or_a_run_of_spaces(
+    capsys, tmp_path, name
+):
+    scenario = tmp_path / "names.scn"
+    scenario.write_text(
+        f"action: {name}\nthreshold: 5\nma modified /v\nschedule:\n100 {name} 0\n",
+        encoding="utf-8",
+    )
+    code, _, err = run(capsys, "simulate", str(scenario), "--out", str(tmp_path / "o"))
+    assert (code, err) == (0, "")
+    truth = json.loads((tmp_path / "o" / "truth.json").read_text(encoding="utf-8"))
+    assert [i["action"] for i in truth["instances"]] == [name]
+
+
 # --- no input gives a traceback -----------------------------------------------
 
 # Pieces of the bodyfile, signature, sample and scenario grammars, mixed with

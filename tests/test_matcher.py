@@ -194,6 +194,25 @@ def test_a_trie_too_deep_to_compile_gives_no_prefilter_rather_than_an_error():
     assert path_prefilter(pack) is None
 
 
+def test_each_trace_literal_is_worked_out_once_for_prefilter_and_matcher(monkeypatch):
+    calls = []
+
+    def counted(source):
+        calls.append(source)
+        return required_literal(source)
+
+    monkeypatch.setattr("tracerecon.signatures.required_literal", counted)
+    pack = parse_signature_pack(
+        "action: A\nthreshold: 5\ncore modified .*/Cookies/.*\\.txt\nshared created ^c:/x$\n"
+        "---\naction: B\nthreshold: 5\nshared created ^c:/x$\nsupport accessed a\\.dat\n"
+    )
+    assert calls == []  # loading a pack works out no literal
+    assert path_prefilter(pack) is not None
+    assert sorted(calls) == [".*/Cookies/.*\\.txt", "^c:/x$", "a\\.dat"]
+    match_pack(pack, [ObjectRecord(path="C:/cookies/a.txt", modified=1, created=2)])
+    assert len(calls) == 3
+
+
 @settings(max_examples=200, deadline=None)
 @given(packs())
 def test_pack_groups_equal_the_reference_groups_in_sorted_order(pack):

@@ -19,7 +19,7 @@ from tracerecon import (
     reconstruct,
     simulate,
 )
-from tracerecon.simulator import always_updated_targets
+from tracerecon.simulator import core_targets
 
 SCENARIO = Path(__file__).parent.parent / "tests" / "fixtures" / "scenario_basic.scn"
 
@@ -55,11 +55,7 @@ for approx in results:
     )
 print()
 
-report = oracle_check(
-    truth,
-    results,
-    {name: always_updated_targets(spec) for name, spec in scenario.specs.items()},
-)
+report = oracle_check(truth, results, core_targets(scenario.specs))
 print("Oracle verdict")
 print("--------------")
 for line in report.summary_lines():

@@ -265,7 +265,8 @@ def format_record(record: ObjectRecord) -> str:
     or ends in a ``(deleted)`` marker, or, on a deleted record, in
     whitespace that the marker's removal would take too.  So does a time
     that would not read back: 0, which reads as absent, or one past
-    :data:`MAX_TIME`, which the parser rejects.
+    :data:`MAX_TIME`, which the parser rejects.  The message names the
+    first such time in atime, mtime, ctime, crtime order.
     """
     path = record.path
     name = path + (" (deleted)" if record.deleted else "")
@@ -278,20 +279,13 @@ def format_record(record: ObjectRecord) -> str:
         or (record.deleted and path[-1:].isspace())
     ):
         raise ValueError(f"path would not read back as itself: {path!r}")
-    present = (record.accessed, record.modified, record.metachanged, record.created)
-    times = (
-        record.accessed or 0,
-        record.modified or 0,
-        record.metachanged or 0,
-        record.created or 0,
-    )
-    if 0 in present or max(times) > MAX_TIME:
-        label, value = next(
-            (label, value)
-            for label, value in zip(_TIME_LABELS, present)
-            if value is not None and not 0 < value <= MAX_TIME
-        )
-        raise ValueError(f"{label} would not read back as itself: {value}")
+    times = []
+    for label, value in zip(
+        _TIME_LABELS, (record.accessed, record.modified, record.metachanged, record.created)
+    ):
+        if value is not None and not 0 < value <= MAX_TIME:
+            raise ValueError(f"{label} would not read back as itself: {value}")
+        times.append(value or 0)
     return "0|{}|0|-|0|0|0|{}|{}|{}|{}".format(name, *times)
 
 

@@ -34,11 +34,10 @@ from .signatures import (
 )
 from .simulator import (
     SimulationError,
-    always_updated_targets,
+    core_targets,
     derive_signatures,
     oracle_check,
     parse_scenario,
-    shared_targets,
     simulate,
 )
 
@@ -224,14 +223,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     if args.check:
         pack = derive_signatures(scenario.specs)
         results = reconstruct(records, pack)
-        # The targets derive_signatures makes CORE: a shared target is never
-        # evidence of a most-recent instance.
-        shared = shared_targets(scenario.specs)
-        core_targets = {
-            name: always_updated_targets(spec) - shared
-            for name, spec in scenario.specs.items()
-        }
-        report = oracle_check(truth, results, core_targets)
+        report = oracle_check(truth, results, core_targets(scenario.specs))
         for line in report.summary_lines():
             print(line)
         if not report.ok:

@@ -453,39 +453,37 @@ def match_pack(
     each contribute.  A record lacking the referenced timestamp contributes
     nothing.
 
-    Patterns are collapsed to unique (source, kind) pairs, each listing the
-    buckets it feeds, and grouped by kind.  Each record path is folded once
-    into a key (:func:`fold`).  Pairs whose trace has an ``exact`` path
-    (:meth:`TracePattern.for_path`) are indexed under that path and under
-    the path plus ``\\n`` (``$`` also matches before a final newline), so
-    one dict lookup of the key per kind finds all of their hits, and their
-    regexes are never compiled.  Any other pair searches the path with its
-    regex only when its :attr:`~TracePattern.literal` occurs in the key, so
-    most records cost one substring test per pattern.  The key contains
-    every ASCII literal a match needs, and equals an exact key exactly when
-    the ``^...$`` regex matches.  For each record and kind, the buckets fed
-    by the lookup's hit and by every regex hit form one hit set, and each
-    bucket in it gets the same one state.
+    One pass over ``pack.buckets`` builds a plan per kind.  Each trace
+    whose path is ``exact`` (:meth:`TracePattern.for_path`) is indexed under
+    that path and under the path plus ``\\n`` (``$`` also matches before a
+    final newline), so one dict lookup per record and kind finds all of
+    their hits, and their regexes are never compiled.  Every other trace
+    joins the entry of its source within its kind, so each (source, kind)
+    pair is tried once per record, feeding every bucket that lists it.
+    Each record path is folded once into a key (:func:`fold`), and an
+    entry's regex searches the path only when the entry's
+    :attr:`~TracePattern.literal` occurs in the key, so most records cost
+    one substring test per pair.  The key contains every ASCII literal a
+    match needs, and equals an exact key exactly when the ``^...$`` regex
+    matches.  For each record and kind, the buckets fed by the lookup's hit
+    and by every regex hit form one hit set, and each bucket in it gets the
+    same one state.
     """
     buckets: dict[Bucket, list[TraceState]] = {}
-    feeds: dict[SharedKey, tuple[TracePattern, list[Bucket]]] = {}
+    # Per kind, under its record field name: the kind, the (literal, regex
+    # search, buckets fed) entry of each inexact source, and the buckets fed
+    # under each indexed key of the exact traces.
+    plan: dict[str, tuple[TimestampKind, dict[str, tuple], dict[str, dict[Bucket, None]]]] = {}
     for bucket, patterns in pack.buckets.items():
         buckets[bucket] = []
         for trace in patterns:
-            feeds.setdefault((trace.source, trace.kind), (trace, []))[1].append(bucket)
-
-    # Per kind, under its record field name: the kind, the (literal, regex
-    # search, buckets fed) entry of each inexact pair, and the buckets fed
-    # under each indexed key of the exact pairs.
-    plan: dict[str, tuple[TimestampKind, list, dict[str, dict[Bucket, None]]]] = {}
-    for (_, kind), (trace, fed) in feeds.items():
-        targets = dict.fromkeys(fed)
-        _, entries, index = plan.setdefault(kind.value, (kind, [], {}))
-        if trace.exact is None:
-            entries.append((trace.literal or "", trace.regex.search, targets))
-            continue
-        for key in (trace.exact, trace.exact + "\n"):
-            index.setdefault(key, {}).update(targets)
+            _, entries, index = plan.setdefault(trace.kind.value, (trace.kind, {}, {}))
+            if trace.exact is None:
+                entry = (trace.literal or "", trace.regex.search, {})
+                entries.setdefault(trace.source, entry)[2][bucket] = None
+                continue
+            for key in (trace.exact, trace.exact + "\n"):
+                index.setdefault(key, {})[bucket] = None
 
     for record in records:
         path = record.path
@@ -495,7 +493,7 @@ def match_pack(
             if value is None:
                 continue
             hits = dict(index.get(key, ()))
-            for literal, search, targets in entries:
+            for literal, search, targets in entries.values():
                 if literal in key and search(path) is not None:
                     hits.update(targets)
             if hits:

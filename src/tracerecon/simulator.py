@@ -95,7 +95,8 @@ class PathVariant:
     def __post_init__(self) -> None:
         overlap = self.updates & {(path, kind) for path, kind, _ in self.defaults}
         if overlap:
-            raise ValueError(f"update and default targets overlap: {sorted(overlap)}")
+            listed = sorted(overlap, key=lambda t: (t[0], t[1].value))  # kinds do not compare
+            raise ValueError(f"update and default targets overlap: {listed}")
 
     @cached_property
     def order(
@@ -180,23 +181,21 @@ class GroundTruth:
     writes: tuple[TruthWrite, ...]
 
 
-# (path, kind, written value, is_default) as performed by one instance
-WriteRecord = tuple[str, TimestampKind, int, bool]
-
-
 def apply_instance(
     state: SimState,
     spec: ActionSpec,
     variant_index: int,
     tau: Timestamp,
     rng: random.Random,
-) -> tuple[SimState, list[WriteRecord]]:
-    """Apply one instance to ``state`` in place; returns it plus the writes performed.
+    index: int,
+) -> tuple[SimState, list[TruthWrite]]:
+    """Apply instance ``index`` to ``state`` in place; returns it plus its writes.
 
-    A path the variant touches for the first time is added at the end of
-    ``state``; every other path keeps its place and its inner dict, and
-    touched inner dicts are updated in place.  Targets are processed in the
-    variant's sorted :attr:`PathVariant.order`.
+    Each write is a :class:`TruthWrite` of instance ``index``, ready for the
+    ground-truth log.  A path the variant touches for the first time is
+    added at the end of ``state``; every other path keeps its place and its
+    inner dict, and touched inner dicts are updated in place.  Targets are
+    processed in the variant's sorted :attr:`PathVariant.order`.
     """
     if not 0 <= variant_index < len(spec.variants):
         raise SimulationError(
@@ -208,14 +207,14 @@ def apply_instance(
     for path in touched:
         if path not in state:
             state[path] = {}
-    writes: list[WriteRecord] = []
+    writes: list[TruthWrite] = []
     for path, kind in updates:
         value = tau + rng.randint(0, spec.threshold)
         state[path][kind] = value
-        writes.append((path, kind, value, False))
+        writes.append(TruthWrite(index, path, kind, value, False))
     for path, kind, default in defaults:
         state[path][kind] = default
-        writes.append((path, kind, default, True))
+        writes.append(TruthWrite(index, path, kind, default, True))
     return state, writes
 
 
@@ -244,9 +243,9 @@ def simulate(
             if entry.variant is not None
             else rng.randrange(len(spec.variants))
         )
-        state, instance_writes = apply_instance(state, spec, variant, entry.tau, rng)
+        state, instance_writes = apply_instance(state, spec, variant, entry.tau, rng, index)
         instances.append(TruthInstance(index, entry.action, entry.tau, variant))
-        writes.extend([TruthWrite(index, *write) for write in instance_writes])
+        writes.extend(instance_writes)
     return export_records(state), GroundTruth(tuple(instances), tuple(writes))
 
 
@@ -276,6 +275,17 @@ def shared_targets(specs: Mapping[str, ActionSpec]) -> frozenset[UpdateTarget]:
         shared |= seen & targets
         seen |= targets
     return frozenset(shared)
+
+
+def core_targets(specs: Mapping[str, ActionSpec]) -> dict[str, frozenset[UpdateTarget]]:
+    """Each action's core targets: updated by every variant and by no other action.
+
+    These are exactly the targets :func:`derive_signatures` makes CORE, so
+    they are the ones :func:`oracle_check` expects the most recent instance
+    to leave as evidence.  A shared target is never such evidence.
+    """
+    shared = shared_targets(specs)
+    return {name: always_updated_targets(spec) - shared for name, spec in specs.items()}
 
 
 def derive_signatures(specs: Mapping[str, ActionSpec]) -> SignaturePack:
@@ -346,7 +356,7 @@ class OracleReport:
 def oracle_check(
     truth: GroundTruth,
     results: Sequence[ActionInstanceApproximation],
-    core_targets: Mapping[str, frozenset[UpdateTarget]] | None = None,
+    core_targets: Mapping[str, frozenset[UpdateTarget]],
 ) -> OracleReport:
     """Verify reconstruction output directly against the ground truth.
 
@@ -357,9 +367,9 @@ def oracle_check(
     * count-bound: an action is never reported more often than it truly ran
       (clusters may merge true instances, never exceed them);
     * most-recent-coverage: when an action's last true instance wrote at
-      least one of its core targets, the reported most-recent approximation
-      exists and its interval contains that instance's time (checked only
-      when ``core_targets`` is provided);
+      least one of its targets in ``core_targets`` (by action name; see
+      :func:`core_targets`), the reported most-recent approximation exists
+      and its interval contains that instance's time;
     * no-false-positives: nothing is reported for actions that never ran.
     """
     violations: list[OracleViolation] = []
@@ -402,33 +412,32 @@ def oracle_check(
                 )
             )
 
-    if core_targets is not None:
-        # One pass over the write log finds the last instances that wrote core.
-        lasts: dict[int, TruthInstance] = {}
-        for instances in true_instances.values():
-            last = max(instances, key=lambda i: (i.tau, i.index))
-            lasts[last.index] = last
-        wrote_core = {
-            lasts[w.instance_index]
-            for w in truth.writes
-            if w.instance_index in lasts
-            and not w.is_default
-            and (w.path, w.kind) in core_targets.get(lasts[w.instance_index].action, frozenset())
-        }
-        for last in sorted(wrote_core, key=lambda i: i.action):
-            if not any(
-                a.interval.contains(last.tau)
-                for a in reported_by_action.get(last.action, [])
-                if a.rank is InstanceRank.MOST_RECENT
-            ):
-                violations.append(
-                    OracleViolation(
-                        "most-recent-coverage",
-                        last.action,
-                        f"last true instance at {last.tau} is not covered by a "
-                        f"most-recent approximation",
-                    )
+    # One pass over the write log finds the last instances that wrote core.
+    lasts: dict[int, TruthInstance] = {}
+    for instances in true_instances.values():
+        last = max(instances, key=lambda i: (i.tau, i.index))
+        lasts[last.index] = last
+    wrote_core = {
+        lasts[w.instance_index]
+        for w in truth.writes
+        if w.instance_index in lasts
+        and not w.is_default
+        and (w.path, w.kind) in core_targets.get(lasts[w.instance_index].action, frozenset())
+    }
+    for last in sorted(wrote_core, key=lambda i: i.action):
+        if not any(
+            a.interval.contains(last.tau)
+            for a in reported_by_action.get(last.action, [])
+            if a.rank is InstanceRank.MOST_RECENT
+        ):
+            violations.append(
+                OracleViolation(
+                    "most-recent-coverage",
+                    last.action,
+                    f"last true instance at {last.tau} is not covered by a "
+                    f"most-recent approximation",
                 )
+            )
 
     return OracleReport(tuple(violations))
 

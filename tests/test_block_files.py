@@ -90,6 +90,9 @@ def test_signature_errors_read_exactly(text, message):
         (SCN + "ma modified /x\nda modified 3 /x\nschedule:\n",
          "update and default targets overlap: "
          "[('/x', <TimestampKind.MODIFIED: 'modified'>)] (line 1)"),
+        (SCN + "ma accessed /p\nma modified /p\nda accessed 1 /p\nda modified 1 /p\n",
+         "update and default targets overlap: [('/p', <TimestampKind.ACCESSED: 'accessed'>), "
+         "('/p', <TimestampKind.MODIFIED: 'modified'>)] (line 1)"),
         (SCN + "ma modified /x\nschedule:\n10 a\n",
          "schedule entry needs '<epoch> <action> <variant|?>' (line 5)"),
         (SCN + "ma modified /x\nschedule:\nten a 0\n", "bad epoch value 'ten' (line 5)"),

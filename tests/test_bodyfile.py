@@ -213,6 +213,7 @@ def test_a_path_that_would_read_back_as_another_cannot_be_serialized(path, delet
         ({"modified": 0}, "mtime would not read back as itself: 0"),
         ({"modified": 5, "created": 0}, "crtime would not read back as itself: 0"),
         ({"accessed": MAX_TIME + 1}, f"atime would not read back as itself: {MAX_TIME + 1}"),
+        ({"accessed": 0, "created": MAX_TIME + 1}, "atime would not read back as itself: 0"),
     ],
 )
 def test_a_time_that_would_not_read_back_cannot_be_serialized(times, message):

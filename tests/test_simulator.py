@@ -39,6 +39,7 @@ from tracerecon.simulator import (
     TruthWrite,
     always_updated_targets,
     apply_instance,
+    core_targets,
     export_records,
 )
 from tracerecon.bodyfile import MAX_TIME
@@ -64,19 +65,19 @@ def single_target_spec(name="app", threshold=50, path="/obj/a"):
 
 def test_update_lands_within_the_threshold_window():
     spec = single_target_spec(threshold=50)
-    state, writes = apply_instance({}, spec, 0, 1000, random.Random(1))
+    state, writes = apply_instance({}, spec, 0, 1000, random.Random(1), 4)
     value = state["/obj/a"][MOD]
     assert 1000 <= value <= 1050
-    assert writes == [("/obj/a", MOD, value, False)]
+    assert writes == [TruthWrite(4, "/obj/a", MOD, value, False)]
 
 
 def test_default_write_is_exact():
     spec = ActionSpec(
         "installer", 50, (PathVariant(defaults=frozenset({("/obj/d", CRE, 500)})),)
     )
-    state, writes = apply_instance({}, spec, 0, 1000, random.Random(1))
+    state, writes = apply_instance({}, spec, 0, 1000, random.Random(1), 0)
     assert state["/obj/d"][CRE] == 500
-    assert writes == [("/obj/d", CRE, 500, True)]
+    assert writes == [TruthWrite(0, "/obj/d", CRE, 500, True)]
 
 
 def test_created_objects_exist_afterward_with_the_variant_timestamps():
@@ -90,7 +91,7 @@ def test_created_objects_exist_afterward_with_the_variant_timestamps():
             ),
         ),
     )
-    state, _ = apply_instance({}, spec, 0, 100, random.Random(0))
+    state, _ = apply_instance({}, spec, 0, 100, random.Random(0), 0)
     assert MOD in state["/obj/new"]
     assert state["/obj/marker"] == {}  # created but never timestamped
 
@@ -99,15 +100,18 @@ def test_apply_instance_updates_the_state_it_is_given_in_place():
     spec = single_target_spec()
     untouched, touched = {MOD: 3}, {MOD: 7}
     state = {"/obj/z": untouched, "/obj/a": touched}
-    new_state, writes = apply_instance(state, spec, 0, 1000, random.Random(1))
+    new_state, writes = apply_instance(state, spec, 0, 1000, random.Random(1), 0)
     assert new_state is state
     assert list(state) == ["/obj/z", "/obj/a"]
     assert state["/obj/z"] is untouched and untouched == {MOD: 3}
-    assert state["/obj/a"] is touched and touched == {MOD: writes[0][2]}
+    assert state["/obj/a"] is touched and touched == {MOD: writes[0].value}
 
 
-def reference_apply(state, spec, variant_index, tau, rng):
-    """apply_instance as it was before it stopped copying untouched paths."""
+def reference_apply(state, spec, variant_index, tau, rng, index):
+    """apply_instance as it was before it stopped copying untouched paths.
+
+    It writes the same ``TruthWrite`` log entries as apply_instance does now.
+    """
     variant = spec.variants[variant_index]
     new_state = {path: dict(times) for path, times in state.items()}
     writes = []
@@ -116,10 +120,10 @@ def reference_apply(state, spec, variant_index, tau, rng):
     for path, kind in sorted(variant.updates, key=lambda t: (t[0], t[1].value)):
         value = tau + rng.randint(0, spec.threshold)
         new_state.setdefault(path, {})[kind] = value
-        writes.append((path, kind, value, False))
+        writes.append(TruthWrite(index, path, kind, value, False))
     for path, kind, default in sorted(variant.defaults, key=lambda t: (t[0], t[1].value, t[2])):
         new_state.setdefault(path, {})[kind] = default
-        writes.append((path, kind, default, True))
+        writes.append(TruthWrite(index, path, kind, default, True))
     return new_state, writes
 
 
@@ -145,13 +149,13 @@ def variants_and_states(draw):
     return variant, state
 
 
-@given(variants_and_states(), st.integers(0, 1000), st.integers(0, 2**16))
-def test_apply_instance_equals_the_full_copy_reference(variant_and_state, tau, seed):
+@given(variants_and_states(), st.integers(0, 1000), st.integers(0, 2**16), st.integers(0, 9))
+def test_apply_instance_equals_the_full_copy_reference(variant_and_state, tau, seed, index):
     variant, state = variant_and_state
     spec = ActionSpec("app", 30, (variant,))
     rng, ref_rng = random.Random(seed), random.Random(seed)
-    ref_state, ref_writes = reference_apply(copy.deepcopy(state), spec, 0, tau, ref_rng)
-    new_state, writes = apply_instance(state, spec, 0, tau, rng)
+    ref_state, ref_writes = reference_apply(copy.deepcopy(state), spec, 0, tau, ref_rng, index)
+    new_state, writes = apply_instance(state, spec, 0, tau, rng, index)
     assert new_state == ref_state and list(new_state) == list(ref_state)
     assert writes == ref_writes
     assert rng.random() == ref_rng.random()
@@ -159,7 +163,7 @@ def test_apply_instance_equals_the_full_copy_reference(variant_and_state, tau, s
 
 def test_bad_variant_index_is_fatal():
     with pytest.raises(SimulationError):
-        apply_instance({}, single_target_spec(), 3, 1000, random.Random(1))
+        apply_instance({}, single_target_spec(), 3, 1000, random.Random(1), 0)
 
 
 def test_update_and_default_targets_must_be_disjoint():
@@ -430,6 +434,23 @@ def test_derived_categories_follow_update_behavior():
     )
 
 
+@settings(max_examples=150)
+@given(scenario_texts())
+def test_core_targets_are_exactly_the_targets_derived_as_core(text):
+    try:
+        scenario = parse_scenario(text)
+    except ScenarioError:
+        assume(False)
+    pack = derive_signatures(scenario.specs)
+    traces = {signature.action_name: signature.traces for signature in pack}
+    targets = core_targets(scenario.specs)
+    assert list(targets) == list(scenario.specs)
+    for name, core in targets.items():
+        derived = [t for t in traces.get(name, ()) if t.category is TraceCategory.CORE]
+        expected = [TracePattern.for_path(TraceCategory.CORE, kind, path) for path, kind in core]
+        assert sorted(derived, key=repr) == sorted(expected, key=repr)
+
+
 def test_derived_patterns_are_exact_and_matching_ascii_paths_compiles_no_regex():
     scenario, records, _ = run_basic_scenario()
     pack = derive_signatures(scenario.specs)
@@ -473,7 +494,7 @@ def test_fabricated_interval_fails_soundness_with_a_counterexample():
         InstanceRank.PAST,
         ConfidenceNote.DEFINITE,
     )
-    report = oracle_check(truth, [bogus])
+    report = oracle_check(truth, [bogus], {})
     assert not report.ok
     assert report.failed_properties() == {"interval-soundness"}
     assert any("[10, 20]" in v.detail for v in report.violations)
@@ -488,7 +509,7 @@ def test_unscheduled_action_with_results_is_a_false_positive():
         InstanceRank.MOST_RECENT,
         ConfidenceNote.DEFINITE,
     )
-    report = oracle_check(truth, [phantom])
+    report = oracle_check(truth, [phantom], {})
     assert report.failed_properties() == {"no-false-positives"}
 
 
@@ -496,7 +517,7 @@ def test_overcounting_fails_the_count_bound():
     scenario, records, truth = run_basic_scenario()
     results = reconstruct(records, derive_signatures(scenario.specs))
     doubled = results + [r for r in results if r.action_name == "open viewer"]
-    report = oracle_check(truth, doubled)
+    report = oracle_check(truth, doubled, {})
     assert "count-bound" in report.failed_properties()
 
 

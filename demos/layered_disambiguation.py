@@ -7,52 +7,22 @@ two objects it always touches (core) and three it touches irregularly
 executions of ActionX and then, by elimination, one execution of ActionY.
 """
 
-import calendar
+from pathlib import Path
 
-from tracerecon import ObjectRecord, match_pack, parse_signature_pack, reconstruct
+from tracerecon import load_metadata, match_pack, parse_signature_pack, reconstruct
 from tracerecon.engine import analyze_action, shared_attributions
 
-
-def utc(y, mo, d, h, mi, s):
-    return calendar.timegm((y, mo, d, h, mi, s, 0, 0, 0))
+FIXTURES = Path(__file__).parent.parent / "tests" / "fixtures"
 
 
 def show(label, value):
     print(f"  {label}: {value}")
 
 
-# The post-mortem observation: one surviving "modified" time per object.
-OBSERVED = {
-    "o1": utc(2010, 4, 14, 19, 28, 25),  # ActionX, always updated
-    "o2": utc(2010, 4, 14, 19, 28, 32),  # ActionX, always updated
-    "o3": utc(2010, 4, 14, 19, 28, 18),  # ActionX, irregular
-    "o4": utc(2010, 4, 14, 19, 28, 34),  # ActionX, irregular
-    "o5": utc(2010, 4, 14, 15, 13, 25),  # ActionX, irregular (stale!)
-    "o6": utc(2010, 4, 14, 19, 28, 25),  # shared by ActionX and ActionY
-    "o7": utc(2010, 5, 2, 9, 45, 2),     # shared by ActionX and ActionY
-}
-
-PACK = parse_signature_pack("""
-action: ActionX
-threshold: 30
-core modified .*/objects/o1$
-core modified .*/objects/o2$
-support modified .*/objects/o3$
-support modified .*/objects/o4$
-support modified .*/objects/o5$
-shared modified .*/objects/o6$
-shared modified .*/objects/o7$
----
-action: ActionY
-threshold: 30
-shared modified .*/objects/o6$
-shared modified .*/objects/o7$
-""")
-
-objects = [
-    ObjectRecord(path=f"C:/example/objects/{name}", modified=value)
-    for name, value in OBSERVED.items()
-]
+# The pack, and the post-mortem observation: one surviving "modified" time
+# for each of the objects o1..o7.
+PACK = parse_signature_pack((FIXTURES / "worked_example.sig").read_text())
+objects = load_metadata(FIXTURES / "worked_example.body")
 
 print("Step 1 - ActionX on its own evidence")
 print("------------------------------------")

@@ -33,7 +33,7 @@ print()
 records, truth = simulate({}, scenario.specs, scenario.schedule, seed=2024)
 print(f"Final state: {len(records)} observable objects")
 for record in records:
-    times = ", ".join(f"{k.value}={v}" for k, v in sorted(record.timestamps.items(), key=lambda i: i[0].value))
+    times = ", ".join(f"{k.value}={v}" for k, v in sorted(record.timestamps.items()))
     print(f"  {record.path}: {times}")
 print()
 

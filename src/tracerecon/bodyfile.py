@@ -43,14 +43,15 @@ from operator import methodcaller
 from pathlib import Path
 from typing import IO, Callable, ContextManager, Iterable, Iterator
 
-from .model import ObjectRecord
+from .model import ObjectRecord, read_int
 
 log = logging.getLogger(__name__)
 
 FIELD_COUNT = 11
 
-# 9999-12-31T23:59:59Z, the last second datetime can represent.
+# The last second datetime can represent, and its text in messages.
 MAX_TIME = 253402300799
+LAST_TIME = "9999-12-31T23:59:59Z"
 
 _DELETED_SUFFIX = re.compile(r"\s*\(deleted(?:-realloc)?\)$")
 
@@ -105,19 +106,20 @@ def _parse_fields(line: str, wanted: Callable[[str], bool] | None) -> ObjectReco
     if len(fields) != FIELD_COUNT:
         raise ValueError(f"expected {FIELD_COUNT} fields, found {len(fields)}")
     try:
-        int(fields[4]), int(fields[5]), int(fields[6])  # UID, GID, size: checked, not kept
+        # UID, GID and size are checked, not kept.
+        read_int(fields[4]), read_int(fields[5]), read_int(fields[6])
     except ValueError:
         raise ValueError("UID/GID/size fields must be integers") from None
     times = []
     for label, raw in zip(_TIME_LABELS, fields[7:]):
         try:
-            value = int(raw)
+            value = read_int(raw)
         except ValueError:
             raise ValueError(f"{label} is not an integer: {raw!r}") from None
         if value < 0:
             raise ValueError(f"{label} is negative: {value}")
         if value > MAX_TIME:
-            raise ValueError(f"{label} is beyond 9999-12-31T23:59:59Z: {value}")
+            raise ValueError(f"{label} is beyond {LAST_TIME}: {value}")
         times.append(value)
     name = fields[1].replace("\\", "/")
     # A name holds no newline, so the suffix can only match before a final ")".

@@ -52,10 +52,6 @@ class Cluster:
     def newest(self) -> Timestamp:
         return self.members[-1].value
 
-    @property
-    def span(self) -> int:
-        return self.newest - self.oldest
-
 
 @dataclass(frozen=True)
 class SharedAttribution:

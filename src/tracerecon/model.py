@@ -6,6 +6,8 @@ instance that wrote it within a bounded delay, so observed values can be
 mapped back to the interval of time in which the causing instance must have
 occurred; :func:`instance_interval` is that mapping's one definition.  The
 types here are plain immutable values; every operation is a pure function.
+Every reader of numbers in input text uses :func:`read_int`, so no result
+depends on the interpreter's ``int()`` digit limit.
 """
 
 from __future__ import annotations
@@ -19,14 +21,32 @@ Timestamp = int
 
 EPOCH_FLOOR: Timestamp = 0
 
+# The lowest digit limit sys.set_int_max_str_digits accepts: int() reads text
+# of this length under any limit.
+_INT_TEXT_MAX = 640
+
+
+def read_int(text: str) -> int:
+    """``int(text)``; text longer than 640 characters raises ValueError."""
+    if len(text) > _INT_TEXT_MAX:
+        raise ValueError(f"number text longer than {_INT_TEXT_MAX} characters")
+    return int(text)
+
 
 class TimestampKind(Enum):
-    """Which of an object's timestamps a value is; the value names its ObjectRecord field."""
+    """Which of an object's timestamps a value is; the value names its ObjectRecord field.
+
+    Kinds are ordered by their value, so a sort of (path, kind) pairs needs
+    no key and gives the same order on every run.
+    """
 
     ACCESSED = "accessed"
     MODIFIED = "modified"
     CREATED = "created"
     METACHANGED = "metachanged"
+
+    def __lt__(self, other: TimestampKind) -> bool:
+        return self.value < other.value
 
 
 class InstanceRank(Enum):
@@ -117,11 +137,6 @@ class TimeInterval:
 
     def contains(self, value: Timestamp) -> bool:
         return self.start <= value <= self.end
-
-    @property
-    def width(self) -> int:
-        """Interval width in seconds."""
-        return self.end - self.start
 
 
 @dataclass(frozen=True)

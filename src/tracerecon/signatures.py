@@ -61,12 +61,13 @@ from __future__ import annotations
 
 import itertools
 import re
+import warnings
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
 from typing import Callable, Iterable, Iterator
 
-from .model import ObjectRecord, TimestampKind, TraceState, trace_sort_key
+from .model import ObjectRecord, TimestampKind, TraceState, read_int, trace_sort_key
 
 
 class TraceCategory(Enum):
@@ -195,9 +196,6 @@ class SignaturePack:
     def __iter__(self) -> Iterator[Signature]:
         return iter(self.signatures)
 
-    def __len__(self) -> int:
-        return len(self.signatures)
-
     def get(self, action_name: str) -> Signature:
         return self._by_name[action_name]
 
@@ -278,7 +276,7 @@ def _read_blocks(
                 raise error(line_no, "unexpected second 'threshold:' in block")
             raw_value = line[len("threshold:"):].strip()
             try:
-                threshold = int(raw_value)
+                threshold = read_int(raw_value)
             except ValueError:
                 raise error(line_no, f"threshold is not an integer: {raw_value!r}") from None
             if threshold <= 0:
@@ -292,31 +290,36 @@ def parse_signature_pack(text: str) -> SignaturePack:
 
     Any structural problem (unknown category or kind word, non-positive
     threshold, regex that does not compile, missing fields) is a fatal
-    :class:`SignatureError` naming the offending line.
+    :class:`SignatureError` naming the offending line.  A regex that ``re``
+    only warns about (a possible nested set, a global flag not at the start)
+    does not compile either, on every Python.
     """
     signatures: list[Signature] = []
-    for block in _read_blocks(_content_lines(text), SignatureError):
-        traces: list[TracePattern] = []
-        for line_no, line in block.body:
-            parts = line.split(None, 2)
-            if len(parts) != 3:
-                raise SignatureError(line_no, f"malformed trace line: {line!r}")
-            cat_word, kind_word, pattern = parts
-            if cat_word not in _CATEGORY_WORDS:
-                raise SignatureError(line_no, f"unknown category {cat_word!r}")
-            if kind_word not in _KIND_WORDS:
-                raise SignatureError(line_no, f"unknown timestamp kind {kind_word!r}")
-            try:
-                traces.append(
-                    TracePattern(_CATEGORY_WORDS[cat_word], _KIND_WORDS[kind_word], pattern)
+    # Set once per pack: a filter per pattern would slow every compile.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for block in _read_blocks(_content_lines(text), SignatureError):
+            traces: list[TracePattern] = []
+            for line_no, line in block.body:
+                parts = line.split(None, 2)
+                if len(parts) != 3:
+                    raise SignatureError(line_no, f"malformed trace line: {line!r}")
+                cat_word, kind_word, pattern = parts
+                if cat_word not in _CATEGORY_WORDS:
+                    raise SignatureError(line_no, f"unknown category {cat_word!r}")
+                if kind_word not in _KIND_WORDS:
+                    raise SignatureError(line_no, f"unknown timestamp kind {kind_word!r}")
+                try:
+                    traces.append(
+                        TracePattern(_CATEGORY_WORDS[cat_word], _KIND_WORDS[kind_word], pattern)
+                    )
+                except (re.error, OverflowError, RecursionError, Warning) as exc:
+                    raise SignatureError(line_no, f"regex does not compile: {exc}") from None
+            if not traces:
+                raise SignatureError(
+                    block.line_no, f"action {block.name!r} defines no trace patterns"
                 )
-            except (re.error, OverflowError, RecursionError) as exc:
-                raise SignatureError(line_no, f"regex does not compile: {exc}") from None
-        if not traces:
-            raise SignatureError(
-                block.line_no, f"action {block.name!r} defines no trace patterns"
-            )
-        signatures.append(Signature(block.name, block.threshold, tuple(traces)))
+            signatures.append(Signature(block.name, block.threshold, tuple(traces)))
     return SignaturePack(signatures)
 
 

@@ -45,13 +45,14 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
-from .bodyfile import _DELETED_SUFFIX, MAX_TIME
+from .bodyfile import _DELETED_SUFFIX, LAST_TIME, MAX_TIME
 from .model import (
     ActionInstanceApproximation,
     InstanceRank,
     ObjectRecord,
     TimestampKind,
     Timestamp,
+    read_int,
 )
 from .signatures import (
     BlockFileError,
@@ -72,7 +73,6 @@ UpdateTarget = tuple[str, TimestampKind]
 DefaultTarget = tuple[str, TimestampKind, int]
 
 
-_LAST_TIME = "9999-12-31T23:59:59Z"  # MAX_TIME, the last time the exported bodyfile holds
 _READS_AS_ABSENT = "would read back from the exported bodyfile as absent"
 
 
@@ -95,7 +95,7 @@ class PathVariant:
     def __post_init__(self) -> None:
         overlap = self.updates & {(path, kind) for path, kind, _ in self.defaults}
         if overlap:
-            listed = sorted(overlap, key=lambda t: (t[0], t[1].value))  # kinds do not compare
+            listed = sorted(overlap)
             raise ValueError(f"update and default targets overlap: {listed}")
 
     @cached_property
@@ -109,8 +109,8 @@ class PathVariant:
         variant, on the first instance that runs it.
         """
         creates = sorted(self.creates)
-        updates = tuple(sorted(self.updates, key=lambda t: (t[0], t[1].value)))
-        defaults = tuple(sorted(self.defaults, key=lambda t: (t[0], t[1].value, t[2])))
+        updates = tuple(sorted(self.updates))
+        defaults = tuple(sorted(self.defaults))
         touched = [*creates, *(t[0] for t in updates), *(t[0] for t in defaults)]
         return tuple(dict.fromkeys(touched)), updates, defaults
 
@@ -195,14 +195,13 @@ def apply_instance(
     ground-truth log.  A path the variant touches for the first time is
     added at the end of ``state``; every other path keeps its place and its
     inner dict, and touched inner dicts are updated in place.  Targets are
-    processed in the variant's sorted :attr:`PathVariant.order`.
+    processed in the variant's sorted :attr:`PathVariant.order`.  ``tau``
+    is not checked again: a :class:`ScheduleEntry` is never negative.
     """
     if not 0 <= variant_index < len(spec.variants):
         raise SimulationError(
             f"action {spec.name!r} has no variant {variant_index}"
         )
-    if tau < 0:
-        raise SimulationError("instance time must be non-negative")
     touched, updates, defaults = spec.variants[variant_index].order
     for path in touched:
         if path not in state:
@@ -305,7 +304,7 @@ def derive_signatures(specs: Mapping[str, ActionSpec]) -> SignaturePack:
             continue
         always = always_updated_targets(spec)
         traces = []
-        for path, kind in sorted(all_targets, key=lambda t: (t[0], t[1].value)):
+        for path, kind in sorted(all_targets):
             if (path, kind) in shared:
                 category = TraceCategory.SHARED
             elif (path, kind) in always:
@@ -507,7 +506,7 @@ def parse_scenario(text: str) -> Scenario:
             if len(value_and_path) != 2:
                 raise ScenarioError(line_no, "'da' needs '<kind> <default epoch> <path>'")
             try:
-                default = int(value_and_path[0])
+                default = read_int(value_and_path[0])
             except ValueError:
                 raise ScenarioError(line_no, f"bad default epoch {value_and_path[0]!r}")
             if default < 0:
@@ -515,7 +514,7 @@ def parse_scenario(text: str) -> Scenario:
             if default == 0:
                 raise ScenarioError(line_no, f"default epoch 0 {_READS_AS_ABSENT}")
             if default > MAX_TIME:
-                raise ScenarioError(line_no, f"default epoch is past {_LAST_TIME}: {default}")
+                raise ScenarioError(line_no, f"default epoch is past {LAST_TIME}: {default}")
             defaults.add((_target_path(line_no, keyword, value_and_path[1]), kind, default))
         if not variants:
             raise ScenarioError(block.line_no, f"action {block.name!r} defines no variants")
@@ -538,21 +537,21 @@ def parse_scenario(text: str) -> Scenario:
             raise ScenarioError(line_no, "schedule entry needs '<epoch> <action> <variant|?>'")
         epoch_token, (action_name, variant_token) = head[0], tail
         try:
-            tau = int(epoch_token)
+            tau = read_int(epoch_token)
         except ValueError:
             raise ScenarioError(line_no, f"bad epoch value {epoch_token!r}")
         spec = specs.get(action_name)
         if spec is None:
             raise ScenarioError(line_no, f"unknown action in schedule: {action_name!r}")
         if tau > MAX_TIME - spec.threshold:
-            raise ScenarioError(line_no, f"epoch plus threshold is past {_LAST_TIME}: {tau}")
+            raise ScenarioError(line_no, f"epoch plus threshold is past {LAST_TIME}: {tau}")
         if tau == 0:
             raise ScenarioError(line_no, f"epoch 0 can write time 0, which {_READS_AS_ABSENT}")
         if variant_token == "?":
             variant: int | None = None
         else:
             try:
-                variant = int(variant_token)
+                variant = read_int(variant_token)
             except ValueError:
                 raise ScenarioError(
                     line_no, f"variant must be an index or '?': {variant_token!r}"

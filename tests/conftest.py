@@ -2,12 +2,19 @@ import calendar
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 
 from tracerecon import merge_packs, parse_signature_pack
 
 ROOT = Path(__file__).parent.parent
 FIXTURES = ROOT / "tests" / "fixtures"
 PACKAGED_SIG_DIR = ROOT / "src" / "tracerecon" / "data" / "signatures"
+
+# Hypothesis loads its "ci" profile when CI is set, and that profile replays
+# the same examples on every run.  Registering the loaded profile again, with
+# fresh examples, reloads it; print_blob still prints each failure's
+# @reproduce_failure line.
+settings.register_profile("ci", parent=settings.get_profile("ci"), derandomize=False)
 
 
 def epoch(y, mo, d, h, mi, s):

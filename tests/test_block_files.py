@@ -12,6 +12,8 @@ from tracerecon import ScenarioError, SignatureError, parse_scenario, parse_sign
 
 SIG = "action: A\nthreshold: 5\n"
 SCN = "action: a\nthreshold: 5\n"
+# The longest number text read under every int() digit limit Python accepts.
+LONGEST = "9" * 640
 
 
 @pytest.mark.parametrize(
@@ -25,6 +27,8 @@ SCN = "action: a\nthreshold: 5\n"
         ("action: A\n\naction: B\n", "unexpected second 'action:' in block (line 3)"),
         ("action: A\nthreshold: ten\n", "threshold is not an integer: 'ten' (line 2)"),
         ("action: A\nthreshold: 0\n", "threshold must be positive, got 0 (line 2)"),
+        (f"action: A\nthreshold: 9{LONGEST}\n",
+         f"threshold is not an integer: '9{LONGEST}' (line 2)"),
         ("action: A\nthreshold: 10\nthreshold: 99999\ncore modified x\n",
          "unexpected second 'threshold:' in block (line 3)"),
         ("action: A\ncore modified x\n", "action 'A' is missing a 'threshold:' line (line 1)"),
@@ -44,6 +48,10 @@ SCN = "action: a\nthreshold: 5\n"
          "regex does not compile: bad escape (end of pattern) at position 4 (line 3)"),
         (SIG + "core modified .*/a\\\r\n",
          "regex does not compile: bad escape (end of pattern) at position 4 (line 3)"),
+        # re only warns about a possible nested set; the pattern is used by no
+        # other test, since re's cache would return it without the warning.
+        (SIG + "core modified /q/[[:blank:]]\n",
+         "regex does not compile: Possible nested set at position 4 (line 3)"),
         ("action: A\n# none\nthreshold: 10\n---\n",
          "action 'A' defines no trace patterns (line 1)"),
     ],
@@ -96,6 +104,8 @@ def test_signature_errors_read_exactly(text, message):
         (SCN + "ma modified /x\nschedule:\n10 a\n",
          "schedule entry needs '<epoch> <action> <variant|?>' (line 5)"),
         (SCN + "ma modified /x\nschedule:\nten a 0\n", "bad epoch value 'ten' (line 5)"),
+        (SCN + f"ma modified /x\nschedule:\n9{LONGEST} a 0\n",
+         f"bad epoch value '9{LONGEST}' (line 5)"),
         (SCN + "ma modified /x\nschedule:\n10 ghost 0\n",
          "unknown action in schedule: 'ghost' (line 5)"),
         (SCN + "ma modified /x\nschedule:\n10 a x\n",
@@ -114,6 +124,18 @@ def test_scenario_errors_read_exactly(text, message):
     with pytest.raises(ScenarioError) as exc_info:
         parse_scenario(text)
     assert str(exc_info.value) == message
+
+
+def test_a_global_flag_not_at_the_start_does_not_load():
+    # Python 3.10 only warns about it and later versions refuse it, each in
+    # its own words, so only the error is checked.
+    with pytest.raises(SignatureError):
+        parse_signature_pack(SIG + "core modified q(?i)r\n")
+
+
+def test_a_number_of_640_characters_is_still_read():
+    pack = parse_signature_pack("action: A\nthreshold: " + LONGEST + "\ncore modified x\n")
+    assert pack.get("A").threshold == int(LONGEST)
 
 
 TOKENS = [

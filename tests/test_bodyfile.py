@@ -1,6 +1,7 @@
 import io
 import itertools
 import logging
+import sys
 from contextlib import contextmanager
 
 import pytest
@@ -10,12 +11,14 @@ from hypothesis import strategies as st
 from tracerecon import (
     IngestError,
     ObjectRecord,
+    SignatureError,
     SignaturePack,
     TimestampKind,
     TraceCategory,
     load_metadata,
     match_pack,
     parse_bodyfile,
+    parse_signature_pack,
     write_bodyfile,
 )
 from tracerecon import bodyfile
@@ -406,6 +409,26 @@ BOUNDARY_LINES = [
 def test_boundary_numbers_read_alike_on_both_paths(prefiltered):
     for line in BOUNDARY_LINES:
         _assert_both_paths_agree(line, prefiltered)
+
+
+def test_no_result_depends_on_the_int_digit_limit():
+    # 640 is the lowest limit Python accepts, 0 means none.
+    bodyfile_text = "\n".join(BOUNDARY_LINES)
+    pack_text = "action: A\nthreshold: " + "9" * 5000 + "\ncore modified x\n"
+
+    def read_all():
+        with pytest.raises(SignatureError) as exc_info:
+            parse_signature_pack(pack_text)
+        return parse_bodyfile(bodyfile_text), str(exc_info.value)
+
+    limit = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(640)
+        capped = read_all()
+        sys.set_int_max_str_digits(0)
+        assert read_all() == capped
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def test_a_plain_line_is_read_without_splitting_its_fields(monkeypatch):

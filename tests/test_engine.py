@@ -116,7 +116,7 @@ def test_clustering_is_a_partition_with_bounded_spans(values, threshold):
     assert sorted(m.value for m in regrouped) == sorted(values)
     assert len(regrouped) == len(states)
     for c in clusters:
-        assert c.span <= threshold
+        assert c.newest - c.oldest <= threshold
     for earlier, later in zip(clusters, clusters[1:]):
         assert later.oldest - earlier.oldest > threshold
 
@@ -382,7 +382,7 @@ def test_instance_window_is_threshold_plus_evidence_span(browser_pack):
     for computer in ("computer1", "computer2"):
         for approx in reconstruct(load_metadata(FIXTURES / f"{computer}.body"), browser_pack):
             span = max(s.value for s in approx.evidence) - approx.detected
-            assert approx.interval.width == thresholds[approx.action_name] + span
+            assert approx.interval.end - approx.interval.start == thresholds[approx.action_name] + span
 
 
 def test_per_row_and_per_object_encodings_reconstruct_identically(ff3_pack):

@@ -79,7 +79,7 @@ def test_comments_blanks_and_trailing_separator_are_tolerated():
     pack = parse_signature_pack(
         "# header\n\naction: A\n# inner\nthreshold: 5\ncore modified x\n---\n\n"
     )
-    assert len(pack) == 1
+    assert len(pack.signatures) == 1
 
 
 def test_ff3_matching_reproduces_the_computer1_rows(ff3_pack):

@@ -21,11 +21,12 @@ from tracerecon import (
     parse_signature_pack,
     write_bodyfile,
 )
-from tracerecon import bodyfile
+from tracerecon import bodyfile, signatures
 from tracerecon.bodyfile import MAX_TIME, format_record, read_bodyfile
 from tracerecon.signatures import Signature, TracePattern, path_prefilter
 
 from conftest import FIXTURES
+from reference_ingest import reference_ingest
 
 PREFETCH_LINE = (
     "0|C:/WINDOWS/Prefetch/FIREFOX.EXE-28641590.pf|1234|r/rrwxrwxrwx|0|0|5120"
@@ -225,11 +226,15 @@ def test_a_time_that_would_not_read_back_cannot_be_serialized(times, message):
 
 
 class _Failing(io.BytesIO):
-    """A binary stream whose second line cannot be read."""
+    """A binary stream whose first read gives one line and whose second read fails."""
 
-    def __iter__(self):
-        yield b"0|C:/a|1|r|0|0|1|0|5|0|0\n"
-        raise OSError(5, "Input/output error")
+    def __init__(self):
+        super().__init__(b"0|C:/a|1|r|0|0|1|0|5|0|0\n")
+
+    def read(self, size=-1):
+        if self.tell():
+            raise OSError(5, "Input/output error")
+        return super().read(size)
 
 
 def test_a_failed_read_is_an_ingest_error_naming_the_source():
@@ -310,7 +315,8 @@ stream_bytes = streams(line_bytes)
 
 @given(stream_bytes)
 def test_the_stream_reads_what_whole_text_parsing_reads(data):
-    expected, diagnostics = parse_bodyfile(data.decode("utf-8", "surrogateescape"))
+    expected, diagnostics = reference_ingest(data)
+    assert parse_bodyfile(data.decode("utf-8", "surrogateescape")) == (expected, diagnostics)
     with _logged() as messages:
         records = list(read_bodyfile(io.BytesIO(data), "in.body"))
     assert records == expected
@@ -363,6 +369,65 @@ def test_the_prefilter_changes_neither_matches_nor_diagnostics(data):
     assert kept == [record for record in records if wanted(record.path)]
     assert match_pack(PREFILTER_PACK, kept) == match_pack(PREFILTER_PACK, records)
     assert messages == every_message
+
+
+@settings(max_examples=400)
+@given(
+    st.one_of(stream_bytes, streams(st.one_of(line_bytes, valid_record_bytes))),
+    st.sampled_from([1, 2, 7, 64, bodyfile._BLOCK_SIZE]),
+    st.sampled_from([0, signatures._FIND_LITERALS]),
+    st.sampled_from([0.0, bodyfile._SEARCH_SHARE, 1.0]),
+    st.booleans(),
+)
+def test_the_block_reader_reads_what_the_line_reader_reads(
+    data, block_size, find_literals, search_share, prefiltered
+):
+    # With find_literals 0 the prefilter searches a block with its trie regex;
+    # with search_share 0 a block after one that gave a record is read line
+    # by line, and with 1 every block is searched.
+    wanted = path_prefilter(PREFILTER_PACK) if prefiltered else None
+    expected, diagnostics = reference_ingest(data, wanted)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(bodyfile, "_BLOCK_SIZE", block_size)
+        patch.setattr(signatures, "_FIND_LITERALS", find_literals)
+        patch.setattr(bodyfile, "_SEARCH_SHARE", search_share)
+        with _logged() as messages:
+            records = list(read_bodyfile(io.BytesIO(data), "in.body", wanted))
+    assert records == expected
+    assert messages == [f"in.body: {diag}" for diag in diagnostics]
+
+
+def test_only_candidates_and_lines_that_are_not_plain_are_parsed_alone(monkeypatch):
+    parsed, parse = [], bodyfile._parse_line
+
+    def parse_line(line, wanted):
+        parsed.append(line)
+        return parse(line, wanted)
+
+    plain = "0|C:/x/{}|1|r|0|0|1|5|5|5|5"
+    lines = [plain.format(i) for i in range(50)]
+    lines[10] = plain.format("C:/A")  # a candidate: its name holds "c:/a"
+    lines[20] = plain.format("gone (deleted)")  # not plain: a (deleted) suffix
+    lines[30] = "0|bad"
+    data = "\r\n".join(lines).encode() + b"\n"
+    monkeypatch.setattr(bodyfile, "_parse_line", parse_line)
+    with _logged() as messages:
+        records = list(read_bodyfile(io.BytesIO(data), "in.body", path_prefilter(PREFILTER_PACK)))
+    assert parsed == [lines[10], lines[20], lines[30]]
+    assert [record.path for record in records] == ["C:/x/C:/A"]
+    assert messages == ["in.body: line 31: expected 11 fields, found 2"]
+
+
+def test_lines_that_hold_eleven_fields_only_together_are_each_diagnosed():
+    plain = "0|C:/x|1|r|0|0|1|5|5|5|5"
+    for cut in range(1, len(plain)):
+        data = f"{plain}\n{plain[:cut]}\n{plain[cut:]}\n{plain}\n".encode()
+        for wanted in (None, path_prefilter(PREFILTER_PACK)):
+            expected, diagnostics = reference_ingest(data, wanted)
+            with _logged() as messages:
+                records = list(read_bodyfile(io.BytesIO(data), "in.body", wanted))
+            assert records == expected
+            assert messages == [f"in.body: {diag}" for diag in diagnostics]
 
 
 def _outcome(parse, line, wanted):

@@ -16,10 +16,12 @@ from tracerecon import (
     parse_signature_pack,
 )
 from tracerecon.model import TraceState
+from tracerecon import signatures
 from tracerecon.signatures import (
     _FOLD,
     Signature,
     TracePattern,
+    fold,
     path_prefilter,
     required_literal,
 )
@@ -165,6 +167,45 @@ def test_the_prefilter_accepts_every_path_a_trace_of_the_pack_matches(pack_and_r
                 assert wanted(record.path)
 
 
+@settings(max_examples=300, deadline=None)
+@given(packs_and_records(), st.sampled_from([0, signatures._FIND_LITERALS]))
+def test_the_prefilter_hits_every_start_of_a_minimal_literal(
+    pack_and_records, find_literals
+):
+    pack, objects = pack_and_records
+    wanted = path_prefilter(pack)
+    if wanted is None:
+        return
+    literals = {trace.literal for patterns in pack.buckets.values() for trace in patterns}
+    minimal = wanted.literals
+    assert set(minimal) <= literals
+    assert all(any(short in literal for short in minimal) for literal in literals)
+    assert not any(short in long for short in minimal for long in minimal if short != long)
+    text = "\n".join(record.path.replace("\\", "/") for record in objects)
+    key = fold(text)
+
+    def starts(strings):
+        return {pos for pos in range(len(key)) if any(key.startswith(s, pos) for s in strings)}
+
+    # With find_literals 0 the trie regex searches, otherwise str.find.
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(signatures, "_FIND_LITERALS", find_literals)
+        hits = wanted.hits(text)
+    assert hits == sorted(set(hits))
+    assert starts(minimal) <= set(hits) <= starts(literals)
+
+
+@pytest.mark.parametrize("find_literals", [0, signatures._FIND_LITERALS])
+def test_prefilter_hits_examples(find_literals):
+    # ".*aab" holds "aa", so only "aa" and "ab" are searched; hits overlap.
+    sources = ("ab", "aa", ".*aab")
+    wanted = path_prefilter(pack_of(*(TracePattern(CORE, MODIFIED, s) for s in sources)))
+    assert wanted.literals == ("aa", "ab")
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(signatures, "_FIND_LITERALS", find_literals)
+        assert wanted.hits("xAAAb\naB\n\u212a") == [1, 2, 3, 6]
+
+
 @pytest.mark.parametrize(
     "sources, accepted, rejected",
     [
@@ -246,6 +287,14 @@ def test_the_fold_table_is_every_non_ascii_character_ignorecase_equates_with_asc
     assert partners == {char: {letter, letter.upper()} for char, letter in fold.items()}
     for char, letter in fold.items():
         assert folded(char) == letter and letter.isascii() and len(letter) == 1
+
+
+def test_every_character_folds_to_one():
+    # A position in a folded block is the same position in the block only if
+    # no character, lone surrogates included, folds to more or fewer than one.
+    every = "".join(map(chr, range(sys.maxunicode + 1)))
+    assert [char for char in every if len(char.translate(_FOLD).lower()) != 1] == []
+    assert len(fold(every)) == len(every)
 
 
 @pytest.mark.parametrize(

@@ -169,8 +169,9 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
 
 _JSON_SEPARATORS = (",", ":")
 _TRUTH_SLICE = 4096
-# One compact write object, its keys in sorted order.
-_WRITE_JSON = '{"default":%s,"instance":%d,"kind":"%s","path":%s,"value":%d}'
+# One compact write object, its keys in sorted order; a target's template
+# keeps %d for the instance index and the value.
+_WRITE_JSON = '{"default":%s,"instance":%%d,"kind":"%s","path":%s,"value":%%d}'
 _JSON_BOOLS = ("false", "true")
 
 
@@ -178,10 +179,11 @@ def _write_truth(fh, seed: int, truth) -> None:
     """Write the ground truth as compact JSON with sorted keys, plus a newline.
 
     The bytes equal one ``json.dumps(..., sort_keys=True)`` of the whole
-    document.  Each write is formatted straight into its object by one
-    template; each distinct path is quoted once by ``json.dumps`` (ASCII
-    escapes, as in the whole-document dump) and reused.  The writes go out
-    a slice at a time, so the document is never held whole in memory.
+    document.  Each distinct (path, kind, default) target gets one template
+    the first time it is seen, its path quoted by ``json.dumps`` (ASCII
+    escapes, as in the whole-document dump) with ``%`` doubled; each write
+    is then one ``template % (index, value)``.  The writes go out a slice
+    at a time, so the document is never held whole in memory.
     ``"writes"`` is the last key in sorted order, so the head closes over it.
     """
     head = {
@@ -193,14 +195,16 @@ def _write_truth(fh, seed: int, truth) -> None:
     }
     fh.write(json.dumps(head, sort_keys=True, separators=_JSON_SEPARATORS)[:-1])
     fh.write(',"writes":[')
-    quoted: dict[str, str] = {}
+    forms: dict[tuple, str] = {}
     for start in range(0, len(truth.writes), _TRUTH_SLICE):
         chunk = []
         for index, path, kind, value, is_default in truth.writes[start:start + _TRUTH_SLICE]:
-            text = quoted.get(path)
-            if text is None:
-                text = quoted[path] = json.dumps(path)
-            chunk.append(_WRITE_JSON % (_JSON_BOOLS[is_default], index, kind.value, text, value))
+            target = path, kind, is_default
+            form = forms.get(target)
+            if form is None:
+                quoted = json.dumps(path).replace("%", "%%")
+                form = forms[target] = _WRITE_JSON % (_JSON_BOOLS[is_default], kind.value, quoted)
+            chunk.append(form % (index, value))
         if start:
             fh.write(",")
         fh.write(",".join(chunk))

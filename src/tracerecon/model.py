@@ -38,12 +38,19 @@ class TimestampKind(Enum):
 
     Kinds are ordered by their value, so a sort of (path, kind) pairs needs
     no key and gives the same order on every run.
+
+    A kind hashes by identity, a C slot, where Enum's own ``__hash__`` is a
+    Python call (``hash(self._name_)``) on every dict or set lookup.  No
+    output depends on the hash: a name's hash already changes with
+    ``PYTHONHASHSEED``, and every output is byte-stable under any hash seed.
     """
 
     ACCESSED = "accessed"
     MODIFIED = "modified"
     CREATED = "created"
     METACHANGED = "metachanged"
+
+    __hash__ = object.__hash__
 
     def __lt__(self, other: TimestampKind) -> bool:
         return self.value < other.value

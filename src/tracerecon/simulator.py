@@ -5,7 +5,10 @@ through the same program touch different objects).  Executing an instance at
 time ``tau`` writes each of the variant's update targets to ``tau + delay``
 with a delay drawn uniformly from ``[0, threshold]`` whole seconds, writes
 each default target to its fixed value, and creates listed objects that do
-not yet exist.  Later instances overwrite earlier values.
+not yet exist.  Later instances overwrite earlier values.  A delay is drawn
+by the standard library's own rejection rule on ``getrandbits`` (the bit
+length of ``threshold + 1``, drawn again while not below it), so a seed
+gives the same draws as ``random.randint(0, threshold)``.
 
 Running a scripted schedule against an initial object map produces a final
 metadata snapshot together with a ground-truth log of every instance and
@@ -181,6 +184,10 @@ class GroundTruth:
     writes: tuple[TruthWrite, ...]
 
 
+# The C constructor that TruthWrite._make uses; TruthWrite(...) is a Python call.
+_new_write = tuple.__new__
+
+
 def apply_instance(
     state: SimState,
     spec: ActionSpec,
@@ -207,13 +214,21 @@ def apply_instance(
         if path not in state:
             state[path] = {}
     writes: list[TruthWrite] = []
+    # randint(0, threshold) as the stdlib draws it, without its Python frames:
+    # bound.bit_length() random bits, drawn again until below the bound.
+    bound = spec.threshold + 1
+    bits = bound.bit_length()
+    getrandbits = rng.getrandbits
     for path, kind in updates:
-        value = tau + rng.randint(0, spec.threshold)
+        delay = getrandbits(bits)
+        while delay >= bound:
+            delay = getrandbits(bits)
+        value = tau + delay
         state[path][kind] = value
-        writes.append(TruthWrite(index, path, kind, value, False))
+        writes.append(_new_write(TruthWrite, (index, path, kind, value, False)))
     for path, kind, default in defaults:
         state[path][kind] = default
-        writes.append(TruthWrite(index, path, kind, default, True))
+        writes.append(_new_write(TruthWrite, (index, path, kind, default, True)))
     return state, writes
 
 

@@ -276,8 +276,11 @@ def test_scan_skips_times_beyond_year_9999(capsys, tmp_path):
     assert row["interval_end"] == "2011-07-24T14:02:31Z"
 
 
-def run_with_stdout(stdout, *argv):
-    """Run ``trace-recon`` in a child process writing its stdout to the descriptor ``stdout``."""
+def run_with_stdout(stdout, *argv, **env_vars):
+    """Run ``trace-recon`` in a child process writing its stdout to the descriptor ``stdout``.
+
+    ``env_vars`` are set in the child's environment on top of this process's.
+    """
     python_path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
     # Buffered, as stdout into a pipe or file is by default, so output can also wait for the flush.
     env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
@@ -285,7 +288,7 @@ def run_with_stdout(stdout, *argv):
         [sys.executable, "-m", "tracerecon.cli", *argv],
         stdout=stdout,
         stderr=subprocess.PIPE,
-        env={**env, "PYTHONPATH": python_path},
+        env={**env, "PYTHONPATH": python_path, **env_vars},
         text=True,
         timeout=60,
     )
@@ -456,16 +459,10 @@ def test_simulate_writes_deterministic_outputs(capsys, tmp_path):
     ]
 
 
-def test_simulate_truth_json_equals_one_dumps_of_the_whole_log(capsys, tmp_path, monkeypatch):
-    monkeypatch.setattr("tracerecon.cli._TRUTH_SLICE", 2)  # several slices on a small log
-    scenario = FIXTURES / "scenario_basic.scn"
-    assert run(capsys, "simulate", str(scenario), "--seed", "5", "--out", str(tmp_path))[0] == 0
-
-    parsed = parse_scenario(scenario.read_text())
-    _, truth = simulate({}, parsed.specs, parsed.schedule, 5)
-    assert len(truth.writes) > 4
-    payload = {
-        "seed": 5,
+def truth_json(seed, truth):
+    """The truth document as one ``json.dumps`` of the whole log, plus a newline."""
+    document = {
+        "seed": seed,
         "instances": [
             {"index": i.index, "action": i.action, "tau": i.tau, "variant": i.variant}
             for i in truth.instances
@@ -476,14 +473,49 @@ def test_simulate_truth_json_equals_one_dumps_of_the_whole_log(capsys, tmp_path,
             for w in truth.writes
         ],
     }
-    expected = json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
-    assert (tmp_path / "truth.json").read_text(encoding="utf-8") == expected
+    return json.dumps(document, sort_keys=True, separators=(",", ":")) + "\n"
+
+
+def test_simulate_truth_json_equals_one_dumps_of_the_whole_log(capsys, tmp_path, monkeypatch):
+    monkeypatch.setattr("tracerecon.cli._TRUTH_SLICE", 2)  # several slices on a small log
+    scenario = FIXTURES / "scenario_basic.scn"
+    assert run(capsys, "simulate", str(scenario), "--seed", "5", "--out", str(tmp_path))[0] == 0
+
+    parsed = parse_scenario(scenario.read_text())
+    _, truth = simulate({}, parsed.specs, parsed.schedule, 5)
+    assert len(truth.writes) > 4
+    assert (tmp_path / "truth.json").read_text(encoding="utf-8") == truth_json(5, truth)
+
+
+def test_simulate_truth_json_keeps_a_percent_sign_in_a_path(capsys, tmp_path):
+    # Each target's truth template holds its quoted path; a % there must not format.
+    scenario = tmp_path / "percent.scn"
+    scenario.write_text(
+        "action: percent\n"
+        "threshold: 30\n"
+        "ma modified /obj/100% %d %%\n"
+        "ma accessed /obj/%d\n"
+        "da created 1200000000 /obj/%%\n"
+        "---\n"
+        "schedule:\n"
+        "1300000000 percent 0\n"
+        "1300000100 percent 0\n",
+        encoding="utf-8",
+    )
+    out_dir = tmp_path / "out"
+    assert run(capsys, "simulate", str(scenario), "--seed", "3", "--out", str(out_dir))[0] == 0
+
+    parsed = parse_scenario(scenario.read_text(encoding="utf-8"))
+    _, truth = simulate({}, parsed.specs, parsed.schedule, 3)
+    assert {w.path for w in truth.writes} == {"/obj/100% %d %%", "/obj/%d", "/obj/%%"}
+    assert (out_dir / "truth.json").read_text(encoding="utf-8") == truth_json(3, truth)
 
 
 # Characters a JSON string must escape, or that encoders are known to treat
 # differently: quote, backslash, controls, DEL, the JS line separator, an
-# astral character and both halves of a surrogate pair, alone.
-_AWKWARD = ('"', "\\", "\x00", "\n", "\x1f", "\x7f", "\u2028", "\U0001F600", "\ud800", "\udfff")
+# astral character and both halves of a surrogate pair, alone; and %, which
+# a truth template must not read as a format.
+_AWKWARD = ('"', "\\", "%", "\x00", "\n", "\x1f", "\x7f", "\u2028", "\U0001F600", "\ud800", "\udfff")
 _truth_text = st.text(st.one_of(st.characters(), st.sampled_from(_AWKWARD)), max_size=8)
 
 
@@ -504,22 +536,10 @@ def ground_truths(draw):
 @settings(max_examples=300)
 @given(ground_truths(), st.integers(), st.integers(1, 5))
 def test_write_truth_equals_one_dumps_of_the_document(truth, seed, slice_size):
-    document = {
-        "seed": seed,
-        "instances": [
-            {"index": i.index, "action": i.action, "tau": i.tau, "variant": i.variant}
-            for i in truth.instances
-        ],
-        "writes": [
-            {"instance": w.instance_index, "path": w.path, "kind": w.kind.value,
-             "value": w.value, "default": w.is_default}
-            for w in truth.writes
-        ],
-    }
     out = io.StringIO()
     with mock.patch("tracerecon.cli._TRUTH_SLICE", slice_size):
         _write_truth(out, seed, truth)
-    assert out.getvalue() == json.dumps(document, sort_keys=True, separators=(",", ":")) + "\n"
+    assert out.getvalue() == truth_json(seed, truth)
 
 
 SIMULATE_GOLDENS = FIXTURES / "simulate"
@@ -538,6 +558,30 @@ def test_simulate_check_reproduces_its_golden_bytes(capsys, tmp_path, golden, sc
     assert out.encode("utf-8") == (expected / "check.out").read_bytes()
     for name in ("metadata.body", "truth.json"):
         assert (tmp_path / name).read_bytes() == (expected / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("hash_seed", ["0", "1"])
+def test_outputs_do_not_depend_on_the_hash_seed(capsys, tmp_path, hash_seed):
+    # Kinds hash by identity and strings by PYTHONHASHSEED; no set or dict
+    # order either gives may reach the output.
+    golden = SIMULATE_GOLDENS / "picks-seed1"
+    out_dir = tmp_path / "sim"
+    with open(tmp_path / "check.out", "wb") as fh:
+        result = run_with_stdout(
+            fh, "simulate", str(SIMULATE_GOLDENS / "picks.scn"), "--seed", "1",
+            "--out", str(out_dir), "--check", PYTHONHASHSEED=hash_seed,
+        )
+    assert (result.returncode, result.stderr) == (0, "")
+    assert (tmp_path / "check.out").read_bytes() == (golden / "check.out").read_bytes()
+    for name in ("metadata.body", "truth.json"):
+        assert (out_dir / name).read_bytes() == (golden / name).read_bytes(), name
+
+    code, expected, _ = run(capsys, "scan", C1, "--format", "csv")
+    assert code == 0
+    with open(tmp_path / "scan.csv", "wb") as fh:
+        result = run_with_stdout(fh, "scan", C1, "--format", "csv", PYTHONHASHSEED=hash_seed)
+    assert result.returncode == 0
+    assert (tmp_path / "scan.csv").read_bytes() == expected.encode("utf-8")
 
 
 def test_simulate_different_seed_changes_the_metadata(capsys, tmp_path):

@@ -110,7 +110,8 @@ def test_apply_instance_updates_the_state_it_is_given_in_place():
 def reference_apply(state, spec, variant_index, tau, rng, index):
     """apply_instance as it was before it stopped copying untouched paths.
 
-    It writes the same ``TruthWrite`` log entries as apply_instance does now.
+    It writes the same ``TruthWrite`` log entries as apply_instance does now,
+    and draws each delay with ``rng.randint``, the rule apply_instance copies.
     """
     variant = spec.variants[variant_index]
     new_state = {path: dict(times) for path, times in state.items()}
@@ -149,16 +150,29 @@ def variants_and_states(draw):
     return variant, state
 
 
-@given(variants_and_states(), st.integers(0, 1000), st.integers(0, 2**16), st.integers(0, 9))
-def test_apply_instance_equals_the_full_copy_reference(variant_and_state, tau, seed, index):
+# Thresholds at every bit-length edge of the delay bound threshold + 1, where
+# the redraw loop rejects most (2**k) or fewest (2**k - 1) draws.
+EDGE_THRESHOLDS = sorted({1, 2} | {t for k in range(1, 41) for t in (2**k - 1, 2**k, 2**k + 1)})
+
+
+@given(
+    variants_and_states(),
+    st.one_of(st.sampled_from(EDGE_THRESHOLDS), st.integers(1, 2**40)),
+    st.integers(0, 1000),
+    st.integers(0, 2**16),
+    st.integers(0, 9),
+)
+def test_apply_instance_equals_the_full_copy_reference(
+    variant_and_state, threshold, tau, seed, index
+):
     variant, state = variant_and_state
-    spec = ActionSpec("app", 30, (variant,))
+    spec = ActionSpec("app", threshold, (variant,))
     rng, ref_rng = random.Random(seed), random.Random(seed)
     ref_state, ref_writes = reference_apply(copy.deepcopy(state), spec, 0, tau, ref_rng, index)
     new_state, writes = apply_instance(state, spec, 0, tau, rng, index)
     assert new_state == ref_state and list(new_state) == list(ref_state)
     assert writes == ref_writes
-    assert rng.random() == ref_rng.random()
+    assert rng.getstate() == ref_rng.getstate()
 
 
 def test_bad_variant_index_is_fatal():

@@ -11,30 +11,23 @@ Field layout, bit-exact::
 
 Every input of the package, a file or stdin, is opened in binary by
 :func:`open_input` and split only at ``\\n``.  A bodyfile is streamed:
-:func:`read_bodyfile` reads it in blocks of whole lines, 16 KiB at a time,
-decodes each block whole and yields its records, so memory stays flat as
-the input grows.  Given a path test, such as ``scan``'s prefilter of its
-packs, it still checks and diagnoses every line but builds a record only
-for a path the test accepts, since on a typical disk few paths can match.
-The prefilter finds in a whole block the lines that hold one of its
-literals, and between them one regex call checks a run of plain lines
-(lines that every check accepts in its simplest form), which the test
-would reject.  Only the lines a run stops at, candidates and lines that
-are not plain, are parsed on their own, so the records and diagnostics are
-those of reading line by line; without a prefilter every line is, and so
-is every line of a block that follows one where most lines gave records.
-One compiled regex checks a line parsed on its own and converts its times
-only for a wanted path; the fields are split and checked one at a time
-only for the lines it rejects, which gives the same records and
-diagnostics.  :func:`parse_bodyfile` reads its text as one block.  A
-bodyfile record drops its trailing ``\\r`` characters, so a raw ``\\r``
-inside a name is kept.  ``|`` is forbidden inside fields, and the four time
-fields are decimal epoch seconds where 0 means "absent"; values beyond
-9999-12-31T23:59:59Z cannot be rendered and are rejected, and so is a name
-left empty once its ``(deleted)`` suffix is removed.  Lines beginning with
-``#`` and blank lines are ignored.  Names are UTF-8; bytes that do not
-decode are kept as lone surrogates (``surrogateescape``), since TSK writes
-file names as the raw bytes it found.
+:func:`read_bodyfile` reads it in blocks of whole lines, up to 16 KiB at a
+time, decodes each block whole and yields its records, so memory stays
+flat as the input grows.  Every line is checked and diagnosed; given the
+``hits`` of ``scan``'s prefilter, a record is yielded only for a candidate
+line, by the one rule that :func:`_block_records` describes.  A line parsed
+on its own is checked whole by one compiled regex, and its fields are
+split and checked one at a time only when that regex rejects it, which
+gives the same records and diagnostics.  :func:`parse_bodyfile` reads its
+text as one block.  A bodyfile record drops its trailing ``\\r``
+characters, so a raw ``\\r`` inside a name is kept.  ``|`` is forbidden
+inside fields, and the four time fields are decimal epoch seconds where 0
+means "absent"; values beyond 9999-12-31T23:59:59Z cannot be rendered and
+are rejected, and so is a name left empty once its ``(deleted)`` suffix is
+removed.  Lines beginning with ``#`` and blank lines are ignored.  Names
+are UTF-8; bytes that do not decode are kept as lone surrogates
+(``surrogateescape``), since TSK writes file names as the raw bytes it
+found.
 
 NTFS-oriented kind mapping: ``atime`` is Accessed, ``mtime`` is Modified,
 ``crtime`` is Created and ``ctime`` is carried as MetaChanged.
@@ -117,13 +110,6 @@ _PLAIN_RUN = re.compile("(?:" + _plain("[^\\x00\\n|]", "[^\\x00\\n)|]", "(?:") +
 # with 64 KiB and 13 MiB with 1 MiB, and larger blocks are not faster.
 _BLOCK_SIZE = 16384
 
-# Where more than this share of a block's lines give records, finding the
-# hits of the next block costs more than its runs save, so that block is
-# read line by line.  With candidates spread at random over 3,000 lines,
-# both ways took the same time at 40% and reading every line was 11% faster
-# at 75%; a scan-shared-dense block keeps 73% of its lines.
-_SEARCH_SHARE = 0.4
-
 
 def _record(
     name: str, atime: int, mtime: int, ctime: int, crtime: int, deleted: bool
@@ -141,7 +127,7 @@ def _record(
     return record
 
 
-def _parse_fields(line: str, wanted: Callable[[str], bool] | None) -> ObjectRecord | None:
+def _parse_fields(line: str) -> ObjectRecord:
     """:func:`_parse_line` for any line, checking one split field at a time."""
     fields = line.split("|")
     if len(fields) != FIELD_COUNT:
@@ -171,68 +157,60 @@ def _parse_fields(line: str, wanted: Callable[[str], bool] | None) -> ObjectReco
         raise ValueError(f"empty name: {fields[1]!r}")
     if not any(times):
         raise ValueError(f"no usable timestamps: {fields[1]!r}")
-    if wanted is not None and not wanted(name):
-        return None
     return _record(name, *times, suffix is not None)
 
 
-def _parse_line(line: str, wanted: Callable[[str], bool] | None) -> ObjectRecord | None:
+def _parse_line(line: str) -> ObjectRecord:
     """Build the record of one line; raises ValueError with a reason on bad input.
 
     Every check of ``ObjectRecord(...)`` is made here, with the parser's own
     message, so the record is built without running them a second time.
-    A valid line whose normalized name ``wanted`` rejects gives None.  One
-    regex checks a typical line, and converts none of its numbers when
-    ``wanted`` rejects the name; the lines it rejects go to
+    One regex checks a typical line; the lines it rejects go to
     :func:`_parse_fields`, which gives the same result for any line.
     """
     match = _PLAIN_LINE.fullmatch(line)
     if match is None:
-        return _parse_fields(line, wanted)
+        return _parse_fields(line)
     name, atime, mtime, ctime, crtime = match.groups()
     name = name.replace("\\", "/")
-    if wanted is not None and not wanted(name):
-        return None
     return _record(name, int(atime), int(mtime), int(ctime), int(crtime), False)
 
 
 def _block_records(
     blocks: Iterable[str],
     report: Callable[[ParseDiagnostic], object],
-    wanted: Callable[[str], bool] | None = None,
+    hits: Callable[[str], list[int]] | None = None,
 ) -> Iterator[ObjectRecord]:
     """The records of ``blocks`` in input order; each diagnostic goes to ``report``.
 
     The blocks, joined, are the input text; each ends where a line does,
     except the last, whose last line may have no ``\\n``.  Lines are
     numbered from 1 and drop their trailing ``\\r`` characters.  Blank
-    lines and ``#`` lines are skipped silently.  Every other line is
-    checked, but a record is built only when ``wanted`` is None or accepts
-    its path.
+    lines and ``#`` lines are skipped silently, and every other line is
+    checked and diagnosed.
 
-    When ``wanted`` has ``hits``, as the test of
-    :func:`~tracerecon.signatures.path_prefilter` does, it finds in each
-    block, with backslashes made ``/``, where the literals a wanted path
-    must hold start.  A line without a hit is a path the test rejects, so
-    one :data:`_PLAIN_RUN` call checks a whole run of such lines and builds
-    nothing.  Only the line where a run stops, being a candidate or not
-    plain, goes to :func:`_parse_line` with ``wanted``, so the test still
-    decides on every record and each diagnostic keeps its text and line
-    number.  Without ``hits`` every line is a candidate, and so is every
-    line of a block after one in which more than :data:`_SEARCH_SHARE` of
-    the lines gave records.
+    This is the one candidate rule of ingest.  ``hits`` (for ``scan``, the
+    :func:`~tracerecon.signatures.path_prefilter` of its pack) gives, for a
+    block with backslashes made ``/``, positions where the prefilter's
+    literals start, at least one in each line that holds one.  A line's
+    record is yielded exactly when a hit starts inside that line, its
+    ``\\n`` included; without ``hits``, every line's record is.  A hit
+    may lie outside the name, in the MD5 or mode field or in a
+    ``(deleted)`` suffix that is removed; such a record adds no trace
+    state, since :func:`~tracerecon.signatures.match_pack` decides what
+    matches.  One :data:`_PLAIN_RUN` call checks each run of lines without
+    a hit and builds nothing.  Only a line where a run stops, being a
+    candidate or not plain, goes to :func:`_parse_line`, so each diagnostic
+    keeps its text and line number.
     """
-    find_hits = getattr(wanted, "hits", None)
-    search = find_hits is not None  # whether this block is searched for hits
     line_no = 0
     for block in blocks:
-        first_line_no, kept = line_no, 0
         end = len(block)
         after = end + 1  # past every position a line starts at
-        hits = iter(find_hits(block.replace("\\", "/")) if search else ())
+        found = iter(hits(block.replace("\\", "/")) if hits else ())
         # The first hit at or after pos; without hits it stays 0, so that
         # every line holds one.
-        hit = next(hits, after) if search else 0
+        hit = next(found, after) if hits else 0
         pos = 0
         while pos < end:
             line_end = block.find("\n", pos)
@@ -254,22 +232,20 @@ def _block_records(
             line_no += 1
             line = block[pos:line_end].rstrip("\r")
             pos = line_end + 1
-            if search:
+            candidate = hit < pos
+            if hits:
                 while hit < pos:
-                    hit = next(hits, after)
+                    hit = next(found, after)
             head = line.lstrip()
             if not head or head[0] == "#":
                 continue
             try:
-                record = _parse_line(line, wanted)
+                record = _parse_line(line)
             except ValueError as exc:
                 report(ParseDiagnostic(line_no, str(exc)))
                 continue
-            if record is not None:
-                kept += 1
+            if candidate:
                 yield record
-        if find_hits is not None:
-            search = kept <= _SEARCH_SHARE * (line_no - first_line_no)
 
 
 def parse_bodyfile(text: str) -> tuple[list[ObjectRecord], list[ParseDiagnostic]]:
@@ -289,12 +265,13 @@ def parse_bodyfile(text: str) -> tuple[list[ObjectRecord], list[ParseDiagnostic]
 def _blocks(stream: IO[bytes]) -> Iterator[str]:
     """The text of ``stream`` in blocks of whole lines, each decoded with ``surrogateescape``.
 
-    Each read of :data:`_BLOCK_SIZE` bytes is cut after its last ``\\n``,
-    and the rest starts the next block; only the last block may end
-    without one.
+    Each ``read1`` of at most :data:`_BLOCK_SIZE` bytes, which waits for no
+    more than one read of the underlying file or pipe, is cut after its last
+    ``\\n``, and the rest starts the next block; only the last block may
+    end without one.
     """
     buffer = bytearray()
-    while data := stream.read(_BLOCK_SIZE):
+    while data := stream.read1(_BLOCK_SIZE):
         buffer += data
         cut = data.rfind(b"\n") + 1
         if cut:
@@ -334,29 +311,27 @@ def read_input(source: str | Path, what: str) -> bytes:
 
 
 def read_bodyfile(
-    stream: IO[bytes], source: str | Path, wanted: Callable[[str], bool] | None = None
+    stream: IO[bytes], source: str | Path, hits: Callable[[str], list[int]] | None = None
 ) -> Iterator[ObjectRecord]:
-    """Yield the records of a binary bodyfile stream as its blocks are read.
+    """Yield the records of a buffered binary bodyfile stream as its blocks are read.
 
-    Each block of :data:`_BLOCK_SIZE` bytes, cut after its last ``\\n``, is
-    decoded whole with ``surrogateescape``, which gives the text of decoding
-    the whole input, since byte 0x0A never occurs inside a multi-byte UTF-8
-    sequence; the partial line after the cut starts the next block.  Nothing
-    but the current block is held.  Each diagnostic is logged as it is
-    reached, naming ``source``; a failed read raises :class:`IngestError`.
-    Every line is checked and diagnosed, but with ``wanted`` (for ``scan``,
-    :func:`~tracerecon.signatures.path_prefilter` of its pack) a record is
-    yielded only for a path the test accepts, after backslashes become
-    ``/`` and a ``(deleted)`` suffix is removed.  A prefilter's ``hits``
-    pick the lines to test in each block; a plain callable is asked about
-    every line.
+    Each block, cut after its last ``\\n``, is decoded whole with
+    ``surrogateescape``, which gives the text of decoding the whole input,
+    since byte 0x0A never occurs inside a multi-byte UTF-8 sequence; the
+    partial line after the cut starts the next block.  Each block is read
+    by one ``read1``, so the lines of a pipe are read as they arrive.
+    Nothing but the current block is held.  Each diagnostic is logged as it
+    is reached, naming ``source``; a failed read raises
+    :class:`IngestError`.  With ``hits``, the prefilter of
+    :func:`~tracerecon.signatures.path_prefilter`, only the records of
+    candidate lines are yielded, by the rule of :func:`_block_records`.
     """
 
     def report(diag: ParseDiagnostic) -> None:
         log.warning("%s: %s", source, diag)
 
     try:
-        yield from _block_records(_blocks(stream), report, wanted)
+        yield from _block_records(_blocks(stream), report, hits)
     except OSError as exc:
         raise _read_error("metadata", source, exc) from exc
 

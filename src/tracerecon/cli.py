@@ -139,7 +139,7 @@ def _load_packs(pack_paths: list[str]) -> SignaturePack:
 def cmd_scan(args: argparse.Namespace) -> int:
     # The bodyfile opens before the packs load, so an unreadable one exits 2
     # ahead of a bad pack; its records then stream straight into the matcher,
-    # built only for the paths the packs' prefilter lets through.
+    # built only for the lines where the packs' prefilter hits.
     with open_input(args.metadata, "metadata") as stream:
         pack = _load_packs(args.signatures)
         records = read_bodyfile(stream, args.metadata, path_prefilter(pack))

@@ -50,17 +50,14 @@ matches before a final newline.  Such a trace of an ASCII path compiles its
 regex only on first use, where any other pattern compiles when it is built.  A
 ``^...$`` line in a signature file is an ordinary pattern.
 
-:func:`path_prefilter` applies the literal test before a record exists:
-one regex, built from a trie of the pack's literals and exact paths, tells
-whether a path's key (:func:`fold`) holds any of them.  ``scan`` hands it
-to :func:`~tracerecon.bodyfile.read_bodyfile`, which then builds a record
-only for an accepted path.  A path it rejects would add no trace state.
-The test also finds its minimal literals, those that hold no shorter one,
-in a whole folded block of lines at once (``hits``), so the reader runs
-per-line code only on the lines that hold one: with few literals by one
-``str.find`` pass each, with many by the trie regex.  A fold maps every
-character to exactly one, so a position in the folded block is the same
-position in the block.
+:func:`path_prefilter` applies the literal test before a record exists.
+Its ``hits`` finds the pack's literals in a whole folded block of bodyfile
+lines at once, with few literals by one ``str.find`` pass each, with many
+by one regex of a trie of them, and
+:func:`~tracerecon.bodyfile.read_bodyfile` builds records only for the
+lines they pick, by the rule of its block reader.  A line without a hit
+would add no trace state.  A fold maps every character to exactly one, so
+a position in the folded block is the same position in the block.
 """
 
 from __future__ import annotations
@@ -401,10 +398,11 @@ _FOLDED_CHAR = re.compile("[\u0130\u0131\u017f\u212a]").search
 
 # A prefilter with at most this many minimal literals finds them in a text
 # with one str.find loop per literal; with more, its trie regex is cheaper.
-# On a 4 MB bodyfile (x86_64, 2 vCPUs, Python 3.11) each find pass took about
-# 1.8 ms, and the trie search about 31 ms when its literals share no first
-# characters, as the packaged packs' do; on a 156 KB bodyfile 206 literals
-# took 12.9 ms by find and 0.5 ms by trie.
+# On a 4 MB bodyfile with few hits (x86_64, 2 vCPUs, Python 3.11), hits()
+# for the packaged packs' 6 literals, which share no first characters, took
+# about 14 ms by find and 37 ms by trie, the fold included; on a 156 KB
+# bodyfile that hits in 73% of its lines, 206 literals took 18 ms by find
+# and 1.0 ms by trie.
 _FIND_LITERALS = 16
 
 
@@ -435,28 +433,28 @@ def _trie_source(node: dict[str, dict]) -> str:
     return branches[0] if len(branches) == 1 else "(?:" + "|".join(branches) + ")"
 
 
-def path_prefilter(pack: SignaturePack) -> Callable[[str], bool] | None:
-    """A test that is false only for a path no pattern of ``pack`` can match.
+def path_prefilter(pack: SignaturePack) -> Callable[[str], list[int]] | None:
+    """Where ``pack``'s literals start in a text (``hits``), or None if some path needs none.
 
-    It searches :func:`fold` of the path with one regex: a trie of every
-    pattern's :attr:`TracePattern.literal`, its ``exact`` key for a trace
-    built by :meth:`TracePattern.for_path` and its :func:`required_literal`
-    otherwise.  A literal that extends a shorter one is dropped, since a key
-    holding it holds the shorter one too.  A match needs its literal in the
+    Each pattern has one literal: its ``exact`` key for a trace built by
+    :meth:`TracePattern.for_path`, its :func:`required_literal` otherwise
+    (:attr:`TracePattern.literal`).  A match needs its literal in the
     folded key, and an exact hit needs the key to equal the exact one, so a
-    path the test rejects adds no state in :func:`match_pack`.  None when
-    some pattern has no literal, when there is no pattern, or when the trie
-    is too deep for ``re`` to compile: then every path goes to the matcher.
-
-    The test also carries ``literals``, the minimal literal set (each
-    literal that holds no shorter one), and ``hits(text)``, which finds
-    those literals in a whole text at once: every position in ``fold(text)``
-    where one starts, in order.  With at most ``_FIND_LITERALS`` literals
-    each is found by a ``str.find`` loop; with more the trie regex is
-    searched, which may also hit where a longer literal that holds one
-    starts.  Each character folds to one, so a line of ``text`` folds to
-    the same stretch of the folded text, and every line whose own key holds
-    a literal has a hit inside it.
+    path whose key holds no literal adds no state in :func:`match_pack`.
+    ``hits`` searches :func:`fold` of ``text`` and gives, in order,
+    positions where a literal starts.  A literal that holds a shorter one
+    is not searched, as a line holding it holds the shorter one too.  With
+    at most ``_FIND_LITERALS`` literals left, each is found by a
+    ``str.find`` loop; with more, one regex of a trie of every literal is
+    searched, which may also hit where a longer literal starts.  After a
+    hit, a search goes on at the next line, so a line gives at most one hit
+    per ``str.find`` loop, or one for the trie.  Each character folds to
+    one, so a line of ``text`` folds to the same stretch of the folded
+    text, and every line whose key holds a literal has a hit inside it.
+    :func:`~tracerecon.bodyfile.read_bodyfile` picks its candidate lines by
+    these hits.  None when some pattern has no literal, when there is no
+    pattern, or when the trie is too deep for ``re`` to compile: then every
+    record is built.
     """
     literals = {trace.literal for patterns in pack.buckets.values() for trace in patterns}
     if not literals or None in literals:
@@ -480,9 +478,6 @@ def path_prefilter(pack: SignaturePack) -> Callable[[str], bool] | None:
     # trie finds one that starts further in.
     minimal = tuple(literal for literal in kept if search(literal, 1) is None)
 
-    def wanted(path: str) -> bool:
-        return search(fold(path)) is not None
-
     def hits(text: str) -> list[int]:
         key = fold(text)
         found = []
@@ -491,17 +486,18 @@ def path_prefilter(pack: SignaturePack) -> Callable[[str], bool] | None:
                 hit = key.find(literal)
                 while hit >= 0:
                     found.append(hit)
-                    hit = key.find(literal, hit + 1)
+                    line_end = key.find("\n", hit)
+                    hit = key.find(literal, line_end + 1) if line_end >= 0 else -1
             return sorted(found)
         match = search(key)
         while match is not None:
             hit = match.start()
             found.append(hit)
-            match = search(key, hit + 1)
+            line_end = key.find("\n", hit)
+            match = search(key, line_end + 1) if line_end >= 0 else None
         return found
 
-    wanted.literals, wanted.hits = minimal, hits  # type: ignore[attr-defined]
-    return wanted
+    return hits
 
 
 def match_pack(

@@ -23,7 +23,7 @@ from tracerecon import (
 )
 from tracerecon import bodyfile, signatures
 from tracerecon.bodyfile import MAX_TIME, format_record, read_bodyfile
-from tracerecon.signatures import Signature, TracePattern, path_prefilter
+from tracerecon.signatures import Signature, TracePattern, fold, path_prefilter
 
 from conftest import FIXTURES
 from reference_ingest import reference_ingest
@@ -226,15 +226,15 @@ def test_a_time_that_would_not_read_back_cannot_be_serialized(times, message):
 
 
 class _Failing(io.BytesIO):
-    """A binary stream whose first read gives one line and whose second read fails."""
+    """A binary stream whose first ``read1`` gives one line and whose second fails."""
 
     def __init__(self):
         super().__init__(b"0|C:/a|1|r|0|0|1|0|5|0|0\n")
 
-    def read(self, size=-1):
+    def read1(self, size=-1):
         if self.tell():
             raise OSError(5, "Input/output error")
-        return super().read(size)
+        return super().read1(size)
 
 
 def test_a_failed_read_is_an_ingest_error_naming_the_source():
@@ -348,6 +348,13 @@ PREFILTER_PACK = SignaturePack([
         TracePattern(TraceCategory.CORE, TimestampKind.METACHANGED, "\\(deleted"),
     )),
 ])
+PREFILTER_LITERALS = {
+    trace.literal for patterns in PREFILTER_PACK.buckets.values() for trace in patterns
+}
+
+
+def _holds_literal(record):
+    return any(literal in fold(record.path) for literal in PREFILTER_LITERALS)
 
 
 # Lines whose numbers all parse, so most are records, named from FIELD_PIECES.
@@ -361,12 +368,13 @@ valid_record_bytes = st.builds(
 @settings(max_examples=300)
 @given(st.one_of(stream_bytes, streams(st.one_of(line_bytes, valid_record_bytes))))
 def test_the_prefilter_changes_neither_matches_nor_diagnostics(data):
-    wanted = path_prefilter(PREFILTER_PACK)
     with _logged() as every_message:
         records = list(read_bodyfile(io.BytesIO(data), "in.body"))
     with _logged() as messages:
-        kept = list(read_bodyfile(io.BytesIO(data), "in.body", wanted))
-    assert kept == [record for record in records if wanted(record.path)]
+        kept = list(read_bodyfile(io.BytesIO(data), "in.body", path_prefilter(PREFILTER_PACK)))
+    rest = iter(records)
+    assert all(record in rest for record in kept)  # a subsequence of the records
+    assert list(filter(_holds_literal, kept)) == list(filter(_holds_literal, records))
     assert match_pack(PREFILTER_PACK, kept) == match_pack(PREFILTER_PACK, records)
     assert messages == every_message
 
@@ -376,23 +384,19 @@ def test_the_prefilter_changes_neither_matches_nor_diagnostics(data):
     st.one_of(stream_bytes, streams(st.one_of(line_bytes, valid_record_bytes))),
     st.sampled_from([1, 2, 7, 64, bodyfile._BLOCK_SIZE]),
     st.sampled_from([0, signatures._FIND_LITERALS]),
-    st.sampled_from([0.0, bodyfile._SEARCH_SHARE, 1.0]),
     st.booleans(),
 )
 def test_the_block_reader_reads_what_the_line_reader_reads(
-    data, block_size, find_literals, search_share, prefiltered
+    data, block_size, find_literals, prefiltered
 ):
-    # With find_literals 0 the prefilter searches a block with its trie regex;
-    # with search_share 0 a block after one that gave a record is read line
-    # by line, and with 1 every block is searched.
-    wanted = path_prefilter(PREFILTER_PACK) if prefiltered else None
-    expected, diagnostics = reference_ingest(data, wanted)
+    # With find_literals 0 the prefilter searches a block with its trie regex.
+    hits = path_prefilter(PREFILTER_PACK) if prefiltered else None
+    expected, diagnostics = reference_ingest(data, PREFILTER_LITERALS if prefiltered else None)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(bodyfile, "_BLOCK_SIZE", block_size)
         patch.setattr(signatures, "_FIND_LITERALS", find_literals)
-        patch.setattr(bodyfile, "_SEARCH_SHARE", search_share)
         with _logged() as messages:
-            records = list(read_bodyfile(io.BytesIO(data), "in.body", wanted))
+            records = list(read_bodyfile(io.BytesIO(data), "in.body", hits))
     assert records == expected
     assert messages == [f"in.body: {diag}" for diag in diagnostics]
 
@@ -400,21 +404,23 @@ def test_the_block_reader_reads_what_the_line_reader_reads(
 def test_only_candidates_and_lines_that_are_not_plain_are_parsed_alone(monkeypatch):
     parsed, parse = [], bodyfile._parse_line
 
-    def parse_line(line, wanted):
+    def parse_line(line):
         parsed.append(line)
-        return parse(line, wanted)
+        return parse(line)
 
     plain = "0|C:/x/{}|1|r|0|0|1|5|5|5|5"
     lines = [plain.format(i) for i in range(50)]
     lines[10] = plain.format("C:/A")  # a candidate: its name holds "c:/a"
-    lines[20] = plain.format("gone (deleted)")  # not plain: a (deleted) suffix
+    # Not plain, and a candidate only by "(deleted" in the suffix it drops.
+    lines[20] = plain.format("gone (deleted)")
+    lines[25] = plain.format("(25)")  # not plain: a name that ends in ")"
     lines[30] = "0|bad"
     data = "\r\n".join(lines).encode() + b"\n"
     monkeypatch.setattr(bodyfile, "_parse_line", parse_line)
     with _logged() as messages:
         records = list(read_bodyfile(io.BytesIO(data), "in.body", path_prefilter(PREFILTER_PACK)))
-    assert parsed == [lines[10], lines[20], lines[30]]
-    assert [record.path for record in records] == ["C:/x/C:/A"]
+    assert parsed == [lines[10], lines[20], lines[25], lines[30]]
+    assert [record.path for record in records] == ["C:/x/C:/A", "C:/x/gone"]
     assert messages == ["in.body: line 31: expected 11 fields, found 2"]
 
 
@@ -422,33 +428,30 @@ def test_lines_that_hold_eleven_fields_only_together_are_each_diagnosed():
     plain = "0|C:/x|1|r|0|0|1|5|5|5|5"
     for cut in range(1, len(plain)):
         data = f"{plain}\n{plain[:cut]}\n{plain[cut:]}\n{plain}\n".encode()
-        for wanted in (None, path_prefilter(PREFILTER_PACK)):
-            expected, diagnostics = reference_ingest(data, wanted)
+        for hits, literals in ((None, None), (path_prefilter(PREFILTER_PACK), PREFILTER_LITERALS)):
+            expected, diagnostics = reference_ingest(data, literals)
             with _logged() as messages:
-                records = list(read_bodyfile(io.BytesIO(data), "in.body", wanted))
+                records = list(read_bodyfile(io.BytesIO(data), "in.body", hits))
             assert records == expected
             assert messages == [f"in.body: {diag}" for diag in diagnostics]
 
 
-def _outcome(parse, line, wanted):
+def _outcome(parse, line):
     try:
-        record = parse(line, wanted)
+        record = parse(line)
     except ValueError as exc:
         return "error", str(exc)
-    return "record", None if record is None else (type(record), vars(record))
+    return "record", type(record), vars(record)
 
 
-def _assert_both_paths_agree(line, prefiltered):
-    wanted = path_prefilter(PREFILTER_PACK) if prefiltered else None
-    assert _outcome(bodyfile._parse_line, line, wanted) == _outcome(
-        bodyfile._parse_fields, line, wanted
-    )
+def _assert_both_paths_agree(line):
+    assert _outcome(bodyfile._parse_line, line) == _outcome(bodyfile._parse_fields, line)
 
 
 @settings(max_examples=500)
-@given(st.one_of(line_bytes, valid_record_bytes), st.booleans())
-def test_the_line_regex_agrees_with_field_by_field_parsing(data, prefiltered):
-    _assert_both_paths_agree(data.decode("utf-8", "surrogateescape"), prefiltered)
+@given(st.one_of(line_bytes, valid_record_bytes))
+def test_the_line_regex_agrees_with_field_by_field_parsing(data):
+    _assert_both_paths_agree(data.decode("utf-8", "surrogateescape"))
 
 
 def _with_fields(line, replacements):
@@ -470,10 +473,9 @@ BOUNDARY_LINES = [
 ]
 
 
-@pytest.mark.parametrize("prefiltered", [False, True])
-def test_boundary_numbers_read_alike_on_both_paths(prefiltered):
+def test_boundary_numbers_read_alike_on_both_paths():
     for line in BOUNDARY_LINES:
-        _assert_both_paths_agree(line, prefiltered)
+        _assert_both_paths_agree(line)
 
 
 def test_no_result_depends_on_the_int_digit_limit():
@@ -497,7 +499,7 @@ def test_no_result_depends_on_the_int_digit_limit():
 
 
 def test_a_plain_line_is_read_without_splitting_its_fields(monkeypatch):
-    def split_fields(line, wanted):
+    def split_fields(line):
         raise AssertionError(f"split: {line!r}")
 
     monkeypatch.setattr(bodyfile, "_parse_fields", split_fields)

@@ -4,6 +4,7 @@ import io
 import json
 import os
 import random
+import select
 import subprocess
 import sys
 import tracemalloc
@@ -13,9 +14,16 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from tracerecon import TimestampKind, parse_bodyfile, parse_scenario, simulate
+from tracerecon import (
+    TimestampKind,
+    parse_bodyfile,
+    parse_scenario,
+    parse_signature_pack,
+    simulate,
+)
 from tracerecon.bodyfile import MAX_TIME
 from tracerecon.cli import _write_truth, main
+from tracerecon.signatures import path_prefilter
 from tracerecon.simulator import GroundTruth, TruthInstance, TruthWrite
 
 import casedata
@@ -119,7 +127,7 @@ def test_scan_bad_pack_exits_3_before_any_bodyfile_diagnostic(capsys, caplog, tm
 
 
 class _FailingStdin:
-    """Stands in for ``sys.stdin``: its buffer's first read gives one line, its second fails."""
+    """Stands in for ``sys.stdin``: its buffer's first ``read1`` gives one line, its second fails."""
 
     closed = False
 
@@ -127,7 +135,7 @@ class _FailingStdin:
         self.buffer = self
         self.reads = 0
 
-    def read(self, size=-1):
+    def read1(self, size=-1):
         self.reads += 1
         if self.reads > 1:
             raise OSError(5, "Input/output error")
@@ -144,6 +152,45 @@ def test_scan_read_failure_mid_stream_exits_2_and_leaves_stdin_open(capsys, monk
     assert (code, out) == (2, "")
     assert err == "error: cannot read metadata -: [Errno 5] Input/output error\n"
     assert sys.stdin is stdin and not stdin.closed
+
+
+# Packs, each with lines its prefilter makes candidates: lines whose literal
+# lies outside the path the matcher sees, and with "/" alone every line.
+_FALSE_CANDIDATES = [
+    # "/prefetch/firefox.exe-" only in the MD5 and in the mode field
+    ((PACKAGED_SIG_DIR / "ff3.sig").read_text(encoding="utf-8"), [
+        "C:/WINDOWS/Prefetch/FIREFOX.EXE-1.pf|C:/x|1|r/rrwxrwxrwx|0|0|1|5|1311516100|5|5",
+        "0|C:/y|1|C:/WINDOWS/Prefetch/FIREFOX.EXE-2.pf|0|0|1|5|1311516100|5|5",
+    ]),
+    # "x (deleted" only in a suffix that is removed; the last line keeps it
+    ("action: A\nthreshold: 5\ncore modified .*x \\(deleted\n", [
+        "0|C:/x (deleted)|1|r|0|0|1|5|1311516100|5|5",
+        "0|C:/x (deleted-realloc)|1|r|0|0|1|5|1311516110|5|5",
+        "0|C:/x (deleted)y|1|r|0|0|1|5|1311516120|5|5",
+    ]),
+    # "/" alone: every line is a candidate, and most lines hold several
+    ("action: A\nthreshold: 5\ncore modified /\n", ["0|C://x/y/|1|r|0|0|1|5|5|5|5"]),
+]
+
+
+@pytest.mark.parametrize("pack_text, lines", _FALSE_CANDIDATES, ids=["md5-mode", "deleted", "slash"])
+def test_scan_gives_the_same_output_with_and_without_the_prefilter(
+    capsys, caplog, monkeypatch, tmp_path, pack_text, lines
+):
+    sig = tmp_path / "pack.sig"
+    sig.write_text(pack_text)
+    hits = path_prefilter(parse_signature_pack(pack_text))
+    assert all(hits(line) for line in lines)
+    body = tmp_path / "in.body"
+    with open(C1, encoding="utf-8") as fh:
+        body.write_text(fh.read() + "0|bad\n" + "\n".join(lines) + "\n")
+    outcomes = []
+    for prefilter in (path_prefilter, lambda pack: None):
+        monkeypatch.setattr("tracerecon.cli.path_prefilter", prefilter)
+        caplog.clear()
+        outcomes.append((run(capsys, "scan", str(body), str(sig)), caplog.messages))
+    assert outcomes[0] == outcomes[1]
+    assert outcomes[0][1] == [f"{body}: line 10: expected 11 fields, found 2"]
 
 
 def _noise_bodyfile(path, count):
@@ -276,22 +323,46 @@ def test_scan_skips_times_beyond_year_9999(capsys, tmp_path):
     assert row["interval_end"] == "2011-07-24T14:02:31Z"
 
 
+def _child_env(**env_vars):
+    """This process's environment for a ``trace-recon`` child, with ``env_vars`` on top."""
+    python_path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    # Buffered, as stdout into a pipe or file is by default, so output can also wait for the flush.
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    return {**env, "PYTHONPATH": python_path, **env_vars}
+
+
 def run_with_stdout(stdout, *argv, **env_vars):
     """Run ``trace-recon`` in a child process writing its stdout to the descriptor ``stdout``.
 
     ``env_vars`` are set in the child's environment on top of this process's.
     """
-    python_path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
-    # Buffered, as stdout into a pipe or file is by default, so output can also wait for the flush.
-    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
     return subprocess.run(
         [sys.executable, "-m", "tracerecon.cli", *argv],
         stdout=stdout,
         stderr=subprocess.PIPE,
-        env={**env, "PYTHONPATH": python_path, **env_vars},
+        env=_child_env(**env_vars),
         text=True,
         timeout=60,
     )
+
+
+def test_scan_of_stdin_reports_a_line_before_stdin_closes():
+    with subprocess.Popen(
+        [sys.executable, "-m", "tracerecon.cli", "scan", "-", FF3_SIG],
+        stdin=subprocess.PIPE,
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=_child_env(),
+    ) as child:
+        try:
+            child.stdin.write(b"0|bad\n")
+            child.stdin.flush()
+            ready, _, _ = select.select([child.stderr], [], [], 5)
+            assert ready, "no diagnostic within 5 s of the line"
+            assert child.stderr.readline() == b"-: line 1: expected 11 fields, found 2\n"
+        finally:
+            _, err = child.communicate(timeout=60)  # closes stdin
+    assert (child.returncode, err) == (0, b"0 detections\n")
 
 
 def scan_into_a_closed_pipe(*argv):

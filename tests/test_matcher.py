@@ -159,51 +159,48 @@ def has_literal(trace):
 def test_the_prefilter_accepts_every_path_a_trace_of_the_pack_matches(pack_and_records):
     pack, objects = pack_and_records
     traces = [trace for patterns in pack.buckets.values() for trace in patterns]
-    wanted = path_prefilter(pack)
-    assert (wanted is None) == (not all(map(has_literal, traces)))
-    if wanted is not None:
+    hits = path_prefilter(pack)
+    assert (hits is None) == (not all(map(has_literal, traces)))
+    if hits is not None:
         for record in objects:
             if any(trace.matches(record.path) for trace in traces):
-                assert wanted(record.path)
+                assert hits(record.path)
 
 
 @settings(max_examples=300, deadline=None)
 @given(packs_and_records(), st.sampled_from([0, signatures._FIND_LITERALS]))
-def test_the_prefilter_hits_every_start_of_a_minimal_literal(
-    pack_and_records, find_literals
-):
+def test_the_prefilter_hits_every_line_that_holds_a_literal(pack_and_records, find_literals):
     pack, objects = pack_and_records
-    wanted = path_prefilter(pack)
-    if wanted is None:
+    hits = path_prefilter(pack)
+    if hits is None:
         return
     literals = {trace.literal for patterns in pack.buckets.values() for trace in patterns}
-    minimal = wanted.literals
-    assert set(minimal) <= literals
-    assert all(any(short in literal for short in minimal) for literal in literals)
-    assert not any(short in long for short in minimal for long in minimal if short != long)
     text = "\n".join(record.path.replace("\\", "/") for record in objects)
     key = fold(text)
-
-    def starts(strings):
-        return {pos for pos in range(len(key)) if any(key.startswith(s, pos) for s in strings)}
-
     # With find_literals 0 the trie regex searches, otherwise str.find.
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(signatures, "_FIND_LITERALS", find_literals)
-        hits = wanted.hits(text)
-    assert hits == sorted(set(hits))
-    assert starts(minimal) <= set(hits) <= starts(literals)
+        found = hits(text)
+    assert found == sorted(set(found))
+    assert all(any(key.startswith(literal, hit) for literal in literals) for hit in found)
+    start = 0
+    for line in key.split("\n"):
+        end = start + len(line)
+        if any(literal in line for literal in literals):
+            assert any(start <= hit <= end for hit in found)
+        start = end + 1
 
 
 @pytest.mark.parametrize("find_literals", [0, signatures._FIND_LITERALS])
 def test_prefilter_hits_examples(find_literals):
-    # ".*aab" holds "aa", so only "aa" and "ab" are searched; hits overlap.
+    # ".*aab" holds "aa", so only "aa" and "ab" are searched.  After a hit the
+    # search goes on at the next line: str.find gives each literal's first
+    # hit in a line, the trie regex the line's first hit.
     sources = ("ab", "aa", ".*aab")
-    wanted = path_prefilter(pack_of(*(TracePattern(CORE, MODIFIED, s) for s in sources)))
-    assert wanted.literals == ("aa", "ab")
+    hits = path_prefilter(pack_of(*(TracePattern(CORE, MODIFIED, s) for s in sources)))
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(signatures, "_FIND_LITERALS", find_literals)
-        assert wanted.hits("xAAAb\naB\n\u212a") == [1, 2, 3, 6]
+        assert hits("xAAAb\naB\n\u212a") == ([1, 3, 6] if find_literals else [1, 6])
 
 
 @pytest.mark.parametrize(
@@ -217,8 +214,8 @@ def test_prefilter_hits_examples(find_literals):
     ],
 )
 def test_prefilter_examples(sources, accepted, rejected):
-    wanted = path_prefilter(pack_of(*(TracePattern(CORE, MODIFIED, s) for s in sources)))
-    assert [wanted(path) for path in accepted + rejected] == (
+    hits = path_prefilter(pack_of(*(TracePattern(CORE, MODIFIED, s) for s in sources)))
+    assert [bool(hits(path)) for path in accepted + rejected] == (
         [True] * len(accepted) + [False] * len(rejected)
     )
 

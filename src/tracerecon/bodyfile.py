@@ -15,11 +15,11 @@ Every input of the package, a file or stdin, is opened in binary by
 time, decodes each block whole and yields its records, so memory stays
 flat as the input grows.  Every line is checked and diagnosed; given the
 ``hits`` of ``scan``'s prefilter, a record is yielded only for a candidate
-line, by the one rule that :func:`_block_records` describes.  A line parsed
-on its own is checked whole by one compiled regex, and its fields are
-split and checked one at a time only when that regex rejects it, which
-gives the same records and diagnostics.  :func:`parse_bodyfile` reads its
-text as one block.  A bodyfile record drops its trailing ``\\r``
+line, by the rule of :func:`~tracerecon.signatures.path_prefilter`.  A
+line parsed on its own is checked whole by one compiled regex, and its
+fields are split and checked one at a time only when that regex rejects
+it, which gives the same records and diagnostics.  :func:`parse_bodyfile`
+reads its text as one block.  A bodyfile record drops its trailing ``\\r``
 characters, so a raw ``\\r`` inside a name is kept.  ``|`` is forbidden
 inside fields, and the four time fields are decimal epoch seconds where 0
 means "absent"; values beyond 9999-12-31T23:59:59Z cannot be rendered and
@@ -35,6 +35,7 @@ NTFS-oriented kind mapping: ``atime`` is Accessed, ``mtime`` is Modified,
 
 from __future__ import annotations
 
+import itertools
 import logging
 import re
 import sys
@@ -189,53 +190,41 @@ def _block_records(
     lines and ``#`` lines are skipped silently, and every other line is
     checked and diagnosed.
 
-    This is the one candidate rule of ingest.  ``hits`` (for ``scan``, the
-    :func:`~tracerecon.signatures.path_prefilter` of its pack) gives, for a
-    block with backslashes made ``/``, positions where the prefilter's
-    literals start, at least one in each line that holds one.  A line's
-    record is yielded exactly when a hit starts inside that line, its
-    ``\\n`` included; without ``hits``, every line's record is.  A hit
-    may lie outside the name, in the MD5 or mode field or in a
-    ``(deleted)`` suffix that is removed; such a record adds no trace
-    state, since :func:`~tracerecon.signatures.match_pack` decides what
-    matches.  One :data:`_PLAIN_RUN` call checks each run of lines without
-    a hit and builds nothing.  Only a line where a run stops, being a
+    With ``hits`` (for ``scan``, the
+    :func:`~tracerecon.signatures.path_prefilter` of its pack, which states
+    the candidate rule), each block, with backslashes made ``/``, is
+    searched once, and a line's record is yielded exactly when ``hits``
+    lists the line's start; without ``hits``, every line's record is.  One
+    :data:`_PLAIN_RUN` call checks the run of lines before the next
+    candidate and builds nothing.  Only a line where a run stops, being a
     candidate or not plain, goes to :func:`_parse_line`, so each diagnostic
     keeps its text and line number.
     """
     line_no = 0
     for block in blocks:
         end = len(block)
-        after = end + 1  # past every position a line starts at
-        found = iter(hits(block.replace("\\", "/")) if hits else ())
-        # The first hit at or after pos; without hits it stays 0, so that
-        # every line holds one.
-        hit = next(found, after) if hits else 0
+        # Without hits, every start is 0, so that every line is a candidate.
+        starts = iter(hits(block.replace("\\", "/"))) if hits else itertools.repeat(0)
+        start = next(starts, end)
         pos = 0
         while pos < end:
+            if start > pos:
+                # The run ends where the next candidate starts: a match cut
+                # off inside a line backtracks through all of it before failing.
+                stop = _PLAIN_RUN.match(block, pos, start).end()
+                line_no += block.count("\n", pos, stop)
+                if stop == end:
+                    break
+                pos = stop
             line_end = block.find("\n", pos)
             if line_end < 0:
                 line_end = end
-            if hit > line_end:
-                # The run ends where the hit's line starts: a match cut off
-                # inside a line backtracks through all of it before failing.
-                hit_line = block.rfind("\n", pos, hit) + 1
-                stop = _PLAIN_RUN.match(block, pos, hit_line).end()
-                if stop > pos:
-                    line_no += block.count("\n", pos, stop)
-                    if stop == end:
-                        break
-                    pos = stop
-                    line_end = block.find("\n", pos)
-                    if line_end < 0:
-                        line_end = end
             line_no += 1
             line = block[pos:line_end].rstrip("\r")
+            candidate = start <= pos
+            if candidate:
+                start = next(starts, end)
             pos = line_end + 1
-            candidate = hit < pos
-            if hits:
-                while hit < pos:
-                    hit = next(found, after)
             head = line.lstrip()
             if not head or head[0] == "#":
                 continue
@@ -323,8 +312,8 @@ def read_bodyfile(
     Nothing but the current block is held.  Each diagnostic is logged as it
     is reached, naming ``source``; a failed read raises
     :class:`IngestError`.  With ``hits``, the prefilter of
-    :func:`~tracerecon.signatures.path_prefilter`, only the records of
-    candidate lines are yielded, by the rule of :func:`_block_records`.
+    :func:`~tracerecon.signatures.path_prefilter`, only the records of the
+    candidate lines it lists are yielded.
     """
 
     def report(diag: ParseDiagnostic) -> None:

@@ -50,14 +50,10 @@ matches before a final newline.  Such a trace of an ASCII path compiles its
 regex only on first use, where any other pattern compiles when it is built.  A
 ``^...$`` line in a signature file is an ordinary pattern.
 
-:func:`path_prefilter` applies the literal test before a record exists.
-Its ``hits`` finds the pack's literals in a whole folded block of bodyfile
-lines at once, with few literals by one ``str.find`` pass each, with many
-by one regex of a trie of them, and
-:func:`~tracerecon.bodyfile.read_bodyfile` builds records only for the
-lines they pick, by the rule of its block reader.  A line without a hit
-would add no trace state.  A fold maps every character to exactly one, so
-a position in the folded block is the same position in the block.
+:func:`path_prefilter` applies the literal test before a record exists:
+its ``hits`` lists the candidate lines of a whole block of bodyfile lines,
+by the rule stated there, and :func:`~tracerecon.bodyfile.read_bodyfile`
+builds records only for them.
 """
 
 from __future__ import annotations
@@ -396,13 +392,13 @@ def required_literal(source: str) -> str | None:
 _FOLD = str.maketrans({"\u0130": "i", "\u0131": "i", "\u017f": "s", "\u212a": "k"})
 _FOLDED_CHAR = re.compile("[\u0130\u0131\u017f\u212a]").search
 
-# A prefilter with at most this many minimal literals finds them in a text
-# with one str.find loop per literal; with more, its trie regex is cheaper.
-# On a 4 MB bodyfile with few hits (x86_64, 2 vCPUs, Python 3.11), hits()
-# for the packaged packs' 6 literals, which share no first characters, took
-# about 14 ms by find and 37 ms by trie, the fold included; on a 156 KB
-# bodyfile that hits in 73% of its lines, 206 literals took 18 ms by find
-# and 1.0 ms by trie.
+# A prefilter with at most this many literals finds them in a text with one
+# str.find loop per literal; with more, its trie regex is cheaper.  On a
+# 4 MB bodyfile with few hits (Intel Xeon, 2 vCPUs, Python 3.11), hits() for
+# the packaged packs' 6 literals, which share no first characters, took
+# about 13 ms by find and 33-42 ms by trie, the fold included; on a 156 KB
+# bodyfile that hits in 73% of its lines, 206 literals took 15-19 ms by find
+# and 1.1-1.5 ms by trie.
 _FIND_LITERALS = 16
 
 
@@ -421,7 +417,9 @@ def _trie_source(node: dict[str, dict]) -> str:
     """Regex text that matches, where it starts, any literal of the trie below ``node``.
 
     A chain of single children becomes one escaped run, so groups nest only
-    where literals branch.  ``""`` marks the node where a literal ends.
+    where literals branch.  ``""`` marks the node where a literal ends, and
+    the branch ends there: a longer literal below it starts only where this
+    one starts too.
     """
     branches = []
     for char, child in node.items():
@@ -434,68 +432,62 @@ def _trie_source(node: dict[str, dict]) -> str:
 
 
 def path_prefilter(pack: SignaturePack) -> Callable[[str], list[int]] | None:
-    """Where ``pack``'s literals start in a text (``hits``), or None if some path needs none.
+    """The candidate lines of a text for ``pack`` (``hits``), or None if some path needs none.
 
     Each pattern has one literal: its ``exact`` key for a trace built by
     :meth:`TracePattern.for_path`, its :func:`required_literal` otherwise
     (:attr:`TracePattern.literal`).  A match needs its literal in the
     folded key, and an exact hit needs the key to equal the exact one, so a
     path whose key holds no literal adds no state in :func:`match_pack`.
-    ``hits`` searches :func:`fold` of ``text`` and gives, in order,
-    positions where a literal starts.  A literal that holds a shorter one
-    is not searched, as a line holding it holds the shorter one too.  With
-    at most ``_FIND_LITERALS`` literals left, each is found by a
-    ``str.find`` loop; with more, one regex of a trie of every literal is
-    searched, which may also hit where a longer literal starts.  After a
-    hit, a search goes on at the next line, so a line gives at most one hit
-    per ``str.find`` loop, or one for the trie.  Each character folds to
+
+    This is the one candidate rule of ingest: ``hits(text)`` gives, sorted
+    and without repeats, the start of each line of ``text`` in which a
+    literal starts, in :func:`fold` of ``text``.  Each character folds to
     one, so a line of ``text`` folds to the same stretch of the folded
-    text, and every line whose key holds a literal has a hit inside it.
-    :func:`~tracerecon.bodyfile.read_bodyfile` picks its candidate lines by
-    these hits.  None when some pattern has no literal, when there is no
-    pattern, or when the trie is too deep for ``re`` to compile: then every
-    record is built.
+    text.  With at most ``_FIND_LITERALS`` literals, each is found by a
+    ``str.find`` loop; with more, one regex of a trie of every literal is
+    searched, whose branch ends where a shorter literal ends.  After a hit,
+    a search goes on at the next line.
+    :func:`~tracerecon.bodyfile.read_bodyfile` builds a record only for a
+    line listed.  A literal may start outside a bodyfile line's name, in
+    its MD5 or mode field or in a ``(deleted)`` suffix that is removed;
+    such a record adds no trace state, since :func:`match_pack` alone
+    decides what matches.  None when some pattern has no literal, when
+    there is no pattern, or when the trie is too deep for ``re`` to
+    compile: then every line is a candidate.
     """
     literals = {trace.literal for patterns in pack.buckets.values() for trace in patterns}
     if not literals or None in literals:
         return None
     trie: dict[str, dict] = {}
-    kept = []
-    for literal in sorted(sorted(literals), key=len):
+    for literal in sorted(literals):
         node = trie
         for char in literal:
             node = node.setdefault(char, {})
-            if "" in node:
-                break  # a shorter literal ends here
-        else:
-            node[""] = {}
-            kept.append(literal)
+        node[""] = {}
     try:
         search = re.compile(_trie_source(trie)).search
     except RecursionError:
         return None
-    # A kept literal starts with no shorter one, so it holds one only if the
-    # trie finds one that starts further in.
-    minimal = tuple(literal for literal in kept if search(literal, 1) is None)
 
     def hits(text: str) -> list[int]:
         key = fold(text)
-        found = []
-        if len(minimal) <= _FIND_LITERALS:
-            for literal in minimal:
+        starts = []
+        if len(literals) <= _FIND_LITERALS:
+            for literal in literals:
                 hit = key.find(literal)
                 while hit >= 0:
-                    found.append(hit)
+                    starts.append(key.rfind("\n", 0, hit) + 1)
                     line_end = key.find("\n", hit)
                     hit = key.find(literal, line_end + 1) if line_end >= 0 else -1
-            return sorted(found)
+            return sorted(set(starts))
         match = search(key)
         while match is not None:
             hit = match.start()
-            found.append(hit)
+            starts.append(key.rfind("\n", 0, hit) + 1)
             line_end = key.find("\n", hit)
             match = search(key, line_end + 1) if line_end >= 0 else None
-        return found
+        return starts
 
     return hits
 

@@ -5,7 +5,7 @@ import sys
 from contextlib import contextmanager
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tracerecon import (
@@ -334,12 +334,14 @@ def test_the_stream_reads_what_whole_text_parsing_reads(data):
         assert record == checked and hash(record) == hash(checked)
 
 
-# Literals that names built from FIELD_PIECES hold: ``c:/a`` as typed, ``:/b``
-# only once ``C:\b`` has its backslash normalized, and ``(deleted`` only where
-# the suffix is not removed, as in ``C:/a (deleted)x``.
+# Literals that names built from FIELD_PIECES hold: ``c:/a`` as typed, ``c:/ax``,
+# which holds ``c:/a``, ``:/b`` only once ``C:\b`` has its backslash
+# normalized, and ``(deleted`` only where the suffix is not removed, as in
+# ``C:/a (deleted)x``.
 PREFILTER_PACK = SignaturePack([
     Signature("A", 5, (
         TracePattern(TraceCategory.CORE, TimestampKind.MODIFIED, ".*c:/a"),
+        TracePattern(TraceCategory.SUPPORTING, TimestampKind.MODIFIED, ".*c:/ax"),
         TracePattern(TraceCategory.SUPPORTING, TimestampKind.ACCESSED, ":/b"),
         TracePattern.for_path(TraceCategory.SHARED, TimestampKind.CREATED, "C:/a"),
     )),
@@ -386,6 +388,13 @@ def test_the_prefilter_changes_neither_matches_nor_diagnostics(data):
     st.sampled_from([0, signatures._FIND_LITERALS]),
     st.booleans(),
 )
+# A plain line that is no candidate, then a last line without "\n" that is
+# one: the plain run stops at the candidate, which ends with the text.
+@example(b"0|C:/x|1|r|0|0|1|5|5|5|5\n0|C:/a|1|r|0|0|1|5|5|5|5",
+         bodyfile._BLOCK_SIZE, signatures._FIND_LITERALS, True)
+# The same with a last line that is not plain.
+@example(b"0|C:/x|1|r|0|0|1|5|5|5|5\n0|C:/a (deleted)|1|r|0|0|1|5|5|5|5",
+         bodyfile._BLOCK_SIZE, signatures._FIND_LITERALS, True)
 def test_the_block_reader_reads_what_the_line_reader_reads(
     data, block_size, find_literals, prefiltered
 ):

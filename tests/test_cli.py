@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import errno
 import io
 import json
@@ -21,6 +22,7 @@ from tracerecon import (
     parse_signature_pack,
     simulate,
 )
+from tracerecon import cli
 from tracerecon.bodyfile import MAX_TIME
 from tracerecon.cli import _write_truth, main
 from tracerecon.signatures import path_prefilter
@@ -262,6 +264,13 @@ def test_scan_uses_signature_dir_from_environment(capsys, monkeypatch):
     assert code == 0
     actions = {row["action"] for row in csv.DictReader(io.StringIO(out))}
     assert actions == {casedata.FF3, casedata.IE8}
+
+
+def test_scan_with_no_pack_in_the_signature_dir_exits_2(capsys, monkeypatch, tmp_path):
+    monkeypatch.setenv("TRACE_RECON_SIG_DIR", str(tmp_path))
+    code, out, err = run(capsys, "scan", C1)
+    assert (code, out) == (2, "")
+    assert err == f"error: no *.sig files found in {tmp_path}\n"
 
 
 def test_scan_defaults_to_the_packaged_signatures(capsys):
@@ -715,6 +724,34 @@ def test_simulate_scenario_that_is_not_utf8_exits_3(capsys, tmp_path):
     assert code == 3
     assert err.startswith("error: ")
     assert "latin1.scn" in err
+
+
+def test_simulate_check_exits_1_when_an_oracle_property_fails(capsys, tmp_path, monkeypatch):
+    real = cli.reconstruct
+
+    def reconstruct(records, pack):
+        results = real(records, pack)
+        return results + [dataclasses.replace(results[0], action_name="never ran")]
+
+    monkeypatch.setattr(cli, "reconstruct", reconstruct)
+    code, out, err = run(
+        capsys, "simulate", str(FIXTURES / "scenario_basic.scn"), "--seed", "11",
+        "--out", str(tmp_path / "run"), "--check",
+    )
+    assert (code, err) == (1, "")
+    lines = out.splitlines()
+    assert "no-false-positives: FAIL" in lines
+    assert "  no-false-positives: never ran: 1 instance(s) reported for an action that never ran" in lines
+
+
+def test_simulate_onto_an_existing_file_exits_2(capsys, tmp_path):
+    out_file = tmp_path / "taken"
+    out_file.write_text("")
+    code, out, err = run(
+        capsys, "simulate", str(FIXTURES / "scenario_basic.scn"), "--out", str(out_file)
+    )
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: cannot write outputs to {out_file}: ")
 
 
 def test_simulate_missing_scenario_exits_2(capsys, tmp_path):

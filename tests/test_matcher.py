@@ -182,31 +182,30 @@ def test_the_prefilter_hits_every_line_that_holds_a_literal(pack_and_records, fi
         patch.setattr(signatures, "_FIND_LITERALS", find_literals)
         found = hits(text)
     assert found == sorted(set(found))
-    assert all(any(key.startswith(literal, hit) for literal in literals) for hit in found)
-    start = 0
-    for line in key.split("\n"):
-        end = start + len(line)
+    starts = [0] + [i + 1 for i, char in enumerate(key) if char == "\n"]
+    assert set(found) <= set(starts)
+    for start, line in zip(starts, key.split("\n")):
         if any(literal in line for literal in literals):
-            assert any(start <= hit <= end for hit in found)
-        start = end + 1
+            assert start in found
 
 
 @pytest.mark.parametrize("find_literals", [0, signatures._FIND_LITERALS])
 def test_prefilter_hits_examples(find_literals):
-    # ".*aab" holds "aa", so only "aa" and "ab" are searched.  After a hit the
-    # search goes on at the next line: str.find gives each literal's first
-    # hit in a line, the trie regex the line's first hit.
+    # ".*aab" holds "aa" and is searched as well.  Each line that holds a
+    # literal is listed once by the start of the line, however many hits it
+    # has, whether str.find or the trie regex finds them.
     sources = ("ab", "aa", ".*aab")
     hits = path_prefilter(pack_of(*(TracePattern(CORE, MODIFIED, s) for s in sources)))
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(signatures, "_FIND_LITERALS", find_literals)
-        assert hits("xAAAb\naB\n\u212a") == ([1, 3, 6] if find_literals else [1, 6])
+        assert hits("xAAAb\naB\n\u212a") == [0, 6]
 
 
 @pytest.mark.parametrize(
     "sources, accepted, rejected",
     [
-        # "/cookies/x" extends "/cookies/", so only the shorter one is searched.
+        # "/cookies/x" extends "/cookies/": a path holds the longer one only
+        # where it holds the shorter one too.
         ((".*/Cookies/.*\\.txt", ".*/COOKIES/x", "firefox\\.exe-"),
          ["C:/cookies/a.txt", "c:/x/FIREFOX.EXE-1.pf", "D:/COO\u212aIES/"],
          ["C:/cookie/x", "firefox.ex", ""]),

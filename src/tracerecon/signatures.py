@@ -34,23 +34,25 @@ A pack forms its match buckets once, when it is built: one per action for
 its core and one for its supporting traces, and one per shared group, the
 set of actions a shared trace is evidence for.  Matching (:func:`match_pack`)
 walks the records once for the whole pack and fills every bucket.  Each
-distinct (pattern, kind) pair is tried once per record, and its regex runs
-only when the pattern's required literal (for
-``.*/Prefetch/Firefox\\.EXE-.*\\.pf``, ``/prefetch/firefox.exe-``) occurs in
-the lowered path, in the spirit of multi-pattern prefilters such as
-Aho-Corasick and Hyperscan.  Each record path is folded once into that
-lowered key: a non-ASCII path first maps ``İ`` and ``ı`` to ``i``, ``ſ``
-to ``s`` and the Kelvin sign ``K`` to ``k``, the only non-ASCII characters
-that case-insensitive matching equates with an ASCII one.  A trace of one
-object path, built by :meth:`TracePattern.for_path` (as the simulator derives
-one per target path), skips even the literal test: the matcher finds every
-such hit with one dict lookup of the key per timestamp kind, and a path
-ending in ``\\n`` is found under the path plus ``\\n``, since ``$`` also
-matches before a final newline.  Such a trace of an ASCII path compiles its
-regex only on first use, where any other pattern compiles when it is built.  A
+pattern has a required literal that every match holds in the lowered path
+(for ``.*/Prefetch/Firefox\\.EXE-.*\\.pf``, ``/prefetch/firefox.exe-``).  A
+pack's literal index, built on first use, finds the literals a path holds
+with one regex of a trie of them all, as in RE2's prefilter atoms and Cox's
+trigram index, and each distinct (pattern, kind) pair runs its regex only
+on a path that holds its literal, or on every path if it has none.  Each
+record path is folded once into that lowered key: a non-ASCII path first
+maps ``İ`` and ``ı`` to ``i``, ``ſ`` to ``s`` and the Kelvin sign ``K`` to
+``k``, the only non-ASCII characters that case-insensitive matching
+equates with an ASCII one.  A trace of one object path, built by
+:meth:`TracePattern.for_path` (as the simulator derives one per target
+path), skips the index: the matcher finds every such hit with one dict
+lookup of the key per timestamp kind, and a path ending in ``\\n`` is
+found under the path plus ``\\n``, since ``$`` also matches before a final
+newline.  Such a trace of an ASCII path compiles its regex only on first
+use, where any other pattern compiles when it is built.  A
 ``^...$`` line in a signature file is an ordinary pattern.
 
-:func:`path_prefilter` applies the literal test before a record exists:
+:func:`path_prefilter` searches the same index before a record exists:
 its ``hits`` lists the candidate lines of a whole block of bodyfile lines,
 by the rule stated there, and :func:`~tracerecon.bodyfile.read_bodyfile`
 builds records only for them.
@@ -70,9 +72,20 @@ from .model import ObjectRecord, TimestampKind, TraceState, read_int, trace_sort
 
 
 class TraceCategory(Enum):
+    """How an action updates a trace: on every execution, irregularly, or shared.
+
+    A category hashes by identity, a C slot, where Enum's own ``__hash__`` is
+    a Python call (``hash(self._name_)``) on every dict or set lookup, such
+    as each ``(action, category)`` bucket key.  No output depends on the
+    hash: a name's hash already changes with ``PYTHONHASHSEED``, and every
+    output is byte-stable under any hash seed.
+    """
+
     CORE = "core"
     SUPPORTING = "support"
     SHARED = "shared"
+
+    __hash__ = object.__hash__
 
 
 class BlockFileError(ValueError):
@@ -197,6 +210,11 @@ class SignaturePack:
 
     def get(self, action_name: str) -> Signature:
         return self._by_name[action_name]
+
+    @cached_property
+    def _literal_index(self) -> _LiteralIndex:
+        """Built on first use, so loading a pack works out no literal."""
+        return _LiteralIndex(self)
 
 
 def merge_packs(packs: Iterable[SignaturePack]) -> SignaturePack:
@@ -323,25 +341,14 @@ def parse_signature_pack(text: str) -> SignaturePack:
 
 
 # One token of a pattern: a run of characters that are not special, an
-# escape, or one special character.
-_TOKEN = re.compile(r"([^\\.^$*+?{}\[\]|()]+)|\\(.?)|(.)", re.DOTALL)
-
-
-def _class_end(source: str, start: int) -> int | None:
-    """Index of the ``]`` closing the character class opened at ``start``."""
-    i = start + 1
-    if source[i:i + 1] == "^":
-        i += 1
-    if source[i:i + 1] == "]":
-        i += 1  # a leading ']' is a member, not the end
-    while i < len(source):
-        if source[i] == "\\":
-            i += 2
-        elif source[i] == "]":
-            return i
-        else:
-            i += 1
-    return None
+# escape, a whole character class, or one other character.  A class may open
+# with ``^``, then with a ``]`` that is a member; each alternative there
+# excludes the others, so no backtracking can close a class earlier.  A ``[``
+# alone is a class that does not close.
+_TOKEN = re.compile(
+    r"[^\\.^$*+?{}\[\]|()]+|\\.?|\[(?:\^\]|\^(?!\])|\]|(?![\]^]))(?:[^\\\]]|\\.)*\]|.",
+    re.DOTALL,
+)
 
 
 def required_literal(source: str) -> str | None:
@@ -351,36 +358,32 @@ def required_literal(source: str) -> str | None:
     before punctuation, ``.``, ``[...]``, ``^``, ``$`` and the quantifiers
     ``* + ?``.  Classes, dots, anchors and quantifiers end a run of literal
     characters, and a quantifier also drops the character it applies to; the
-    longest run is the literal.  Any other construct (alternation, groups,
-    counted repeats, ``\\`` before a letter or digit, non-ASCII text), or no
-    literal character at all, gives None: such patterns always run their regex.
+    longest run is the literal, the first of equal ones.  Any other construct
+    (alternation, groups, counted repeats, ``\\`` before a letter or digit,
+    non-ASCII text, a class that does not close), or no literal character at
+    all, gives None: such patterns always run their regex.
     """
     longest = run = ""
-    i = 0
-    while i < len(source):
-        token = _TOKEN.match(source, i)
-        plain, escaped, special = token.groups()
-        i = token.end()
-        if plain is not None:
-            if not plain.isascii():
-                return None
-            run += plain
-            continue
-        if escaped is not None:
+    for token in _TOKEN.findall(source):
+        first = token[0]
+        if first == "\\":
+            escaped = token[1:]
             if not escaped or not escaped.isascii() or escaped.isalnum():
                 return None
             run += escaped
             continue
-        if special == "[":
-            end = _class_end(source, i - 1)
-            if end is None:
+        if first not in "[.^$*+?{}]|()":
+            if not token.isascii():
                 return None
-            i = end + 1
-        elif special in "*+?":
+            run += token
+            continue
+        if first in "*+?":
             run = run[:-1]  # non-empty only when the previous token was a literal
-        elif special not in ".^$":
+        elif first not in ".^$" and (first != "[" or len(token) == 1):
             return None
-        longest, run = max(longest, run, key=len), ""
+        if len(run) > len(longest):
+            longest = run
+        run = ""
     return max(longest, run, key=len).lower() or None
 
 
@@ -431,6 +434,57 @@ def _trie_source(node: dict[str, dict]) -> str:
     return branches[0] if len(branches) == 1 else "(?:" + "|".join(branches) + ")"
 
 
+class _LiteralIndex:
+    """The literals of a pack's traces, and one trie regex that finds them.
+
+    ``literals`` holds each trace's :attr:`~TracePattern.literal`, None
+    included.  ``search`` is the regex of a trie of the other literals,
+    or None when there are none or the trie is too deep for ``re`` to
+    compile.  It matches, at the first place at or after where it starts
+    that a literal starts, the shortest literal there, since the trie's
+    branch ends where a literal ends.  ``longer`` maps such a literal to the
+    longer literals that extend it, worked out while the trie is built.
+    """
+
+    def __init__(self, pack: SignaturePack):
+        self.literals = {trace.literal for patterns in pack.buckets.values() for trace in patterns}
+        self.longer: dict[str, list[str]] = {}
+        trie: dict[str, dict] = {}
+        for literal in sorted(self.literals - {None}):  # a literal before those extending it
+            node = trie
+            for depth, char in enumerate(literal):
+                if "" in node:
+                    self.longer.setdefault(literal[:depth], []).append(literal)
+                node = node.setdefault(char, {})
+            node[""] = {}
+        try:
+            self.search = re.compile(_trie_source(trie)).search if trie else None
+        except RecursionError:
+            self.search = None
+
+    def found(self, key: str) -> set[str | None]:
+        """None, and each literal that occurs in ``key``; every literal if ``search`` is None.
+
+        After a match at ``s``, each longer literal of the one matched is
+        tested at ``s``, and the search goes on at ``s + 1``, so overlapping,
+        nested and prefix literals are all found.
+        """
+        found: set[str | None] = {None}
+        search = self.search
+        if search is None:
+            return found | self.literals
+        match = search(key)
+        while match is not None:
+            start = match.start()
+            literal = match.group()
+            found.add(literal)
+            for longer in self.longer.get(literal, ()):
+                if key.startswith(longer, start):
+                    found.add(longer)
+            match = search(key, start + 1)
+        return found
+
+
 def path_prefilter(pack: SignaturePack) -> Callable[[str], list[int]] | None:
     """The candidate lines of a text for ``pack`` (``hits``), or None if some path needs none.
 
@@ -445,9 +499,9 @@ def path_prefilter(pack: SignaturePack) -> Callable[[str], list[int]] | None:
     literal starts, in :func:`fold` of ``text``.  Each character folds to
     one, so a line of ``text`` folds to the same stretch of the folded
     text.  With at most ``_FIND_LITERALS`` literals, each is found by a
-    ``str.find`` loop; with more, one regex of a trie of every literal is
-    searched, whose branch ends where a shorter literal ends.  After a hit,
-    a search goes on at the next line.
+    ``str.find`` loop; with more, the trie regex of the pack's literal
+    index, the one :func:`match_pack` searches, is.  After a hit, a search
+    goes on at the next line.
     :func:`~tracerecon.bodyfile.read_bodyfile` builds a record only for a
     line listed.  A literal may start outside a bodyfile line's name, in
     its MD5 or mode field or in a ``(deleted)`` suffix that is removed;
@@ -456,18 +510,9 @@ def path_prefilter(pack: SignaturePack) -> Callable[[str], list[int]] | None:
     there is no pattern, or when the trie is too deep for ``re`` to
     compile: then every line is a candidate.
     """
-    literals = {trace.literal for patterns in pack.buckets.values() for trace in patterns}
-    if not literals or None in literals:
-        return None
-    trie: dict[str, dict] = {}
-    for literal in sorted(literals):
-        node = trie
-        for char in literal:
-            node = node.setdefault(char, {})
-        node[""] = {}
-    try:
-        search = re.compile(_trie_source(trie)).search
-    except RecursionError:
+    index = pack._literal_index
+    literals, search = index.literals, index.search
+    if search is None or None in literals:
         return None
 
     def hits(text: str) -> list[int]:
@@ -504,53 +549,61 @@ def match_pack(
     each contribute.  A record lacking the referenced timestamp contributes
     nothing.
 
-    One pass over ``pack.buckets`` builds a plan per kind.  Each trace
-    whose path is ``exact`` (:meth:`TracePattern.for_path`) is indexed under
-    that path and under the path plus ``\\n`` (``$`` also matches before a
+    One pass over ``pack.buckets`` builds the plan.  Each trace whose
+    path is ``exact`` (:meth:`TracePattern.for_path`) is indexed under that
+    path and under the path plus ``\\n`` (``$`` also matches before a
     final newline), so one dict lookup per record and kind finds all of
     their hits, and their regexes are never compiled.  Every other trace
-    joins the entry of its source within its kind, so each (source, kind)
-    pair is tried once per record, feeding every bucket that lists it.
-    Each record path is folded once into a key (:func:`fold`), and an
-    entry's regex searches the path only when the entry's
-    :attr:`~TracePattern.literal` occurs in the key, so most records cost
-    one substring test per pair.  The key contains every ASCII literal a
-    match needs, and equals an exact key exactly when the ``^...$`` regex
-    matches.  For each record and kind, the buckets fed by the lookup's hit
-    and by every regex hit form one hit set, and each bucket in it gets the
-    same one state.
+    joins the entry of its (source, kind) pair, filed under the pair's
+    :attr:`~TracePattern.literal`, so each pair is tried at most once per
+    record, feeding every bucket that lists it.  Each record path is folded
+    once into a key (:func:`fold`).  Only when the pack has such entries,
+    its literal index finds the literals in the key with one trie regex,
+    and only the entries of those literals and of no literal run their
+    regexes; a record that holds no literal runs only the latter.  The key
+    contains every ASCII literal a match needs, and equals an exact key
+    exactly when the ``^...$`` regex matches.  For each record and kind,
+    the buckets fed by the lookup's hit and by every regex hit form one hit
+    set, and each bucket in it gets the same one state.
     """
     buckets: dict[Bucket, list[TraceState]] = {}
-    # Per kind, under its record field name: the kind, the (literal, regex
-    # search, buckets fed) entry of each inexact source, and the buckets fed
-    # under each indexed key of the exact traces.
-    plan: dict[str, tuple[TimestampKind, dict[str, tuple], dict[str, dict[Bucket, None]]]] = {}
+    # Under each kind's record field name, the buckets fed under each indexed
+    # key of its exact traces; and the (field name, regex search, buckets
+    # fed) entry of each inexact (source, kind) pair, under its literal.
+    lookups: dict[str, dict[str, dict[Bucket, None]]] = {}
+    entries: dict[tuple[str, str], tuple[str, Callable, dict[Bucket, None]]] = {}
+    by_literal: dict[str | None, list[tuple[str, Callable, dict[Bucket, None]]]] = {}
     for bucket, patterns in pack.buckets.items():
         buckets[bucket] = []
         for trace in patterns:
-            _, entries, index = plan.setdefault(trace.kind.value, (trace.kind, {}, {}))
+            field_name = trace.kind.value
             if trace.exact is None:
-                entry = (trace.literal or "", trace.regex.search, {})
-                entries.setdefault(trace.source, entry)[2][bucket] = None
+                entry = entries.get((trace.source, field_name))
+                if entry is None:
+                    entry = entries[trace.source, field_name] = (field_name, trace.regex.search, {})
+                    by_literal.setdefault(trace.literal, []).append(entry)
+                entry[2][bucket] = None
                 continue
             for key in (trace.exact, trace.exact + "\n"):
-                index.setdefault(key, {})[bucket] = None
+                lookups.setdefault(field_name, {}).setdefault(key, {})[bucket] = None
+    found = pack._literal_index.found if entries else lambda key: ()
 
     for record in records:
         path = record.path
         key = fold(path)
-        for field_name, (kind, entries, index) in plan.items():
-            value = getattr(record, field_name)
-            if value is None:
-                continue
-            hits = dict(index.get(key, ()))
-            for literal, search, targets in entries.values():
-                if literal in key and search(path) is not None:
-                    hits.update(targets)
-            if hits:
-                state = TraceState(path, kind, value)
-                for target in hits:
-                    buckets[target].append(state)
+        hits: dict[str, dict[Bucket, None]] = {}
+        for field_name, index in lookups.items():
+            targets = index.get(key)
+            if targets is not None and getattr(record, field_name) is not None:
+                hits[field_name] = dict(targets)
+        for literal in found(key):
+            for field_name, search, targets in by_literal.get(literal, ()):
+                if getattr(record, field_name) is not None and search(path) is not None:
+                    hits.setdefault(field_name, {}).update(targets)
+        for field_name, targets in hits.items():
+            state = TraceState(path, _KIND_WORDS[field_name], getattr(record, field_name))
+            for target in targets:
+                buckets[target].append(state)
     for states in buckets.values():
         states.sort(key=trace_sort_key)
     return buckets

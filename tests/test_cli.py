@@ -640,10 +640,38 @@ def test_simulate_check_reproduces_its_golden_bytes(capsys, tmp_path, golden, sc
         assert (tmp_path / name).read_bytes() == (expected / name).read_bytes(), name
 
 
+def _trio_pack_and_body(directory):
+    """A pack of four actions with shared groups of three and of two candidates,
+    and a bodyfile in which every group is hit; returns their paths."""
+    blocks, lines = [], []
+    for a, name in enumerate("ABCD"):
+        blocks.append(
+            f"action: {name}\nthreshold: 30\n"
+            f"core modified .*/{name}/state/core[0-9]+\\.dat\n"
+            f"support created .*/{name}/cache/c[0-9]+\\.tmp\n"
+            + "shared modified .*/Shared/trio/mru[0-9]+\\.dat\n" * (name != "D")
+            + "shared accessed .*/Shared/pair/mru[0-9]+\\.dat\n" * (name in "CD")
+        )
+        for run in range(3):  # the last run leaves the core file, each run a cache file
+            t = 1_000_000 + 10_000 * run + 1000 * a
+            lines.append(f"0|C:/{name}/cache/c{run}.tmp|1|r|0|0|1|0|0|0|{t - 5}")
+        lines.append(f"0|C:/{name}/state/core0.dat|1|r|0|0|1|0|{t}|0|0")
+    # The trio's writes: one that rules out no candidate, and one past the
+    # last runs of A and B but not of C.  The pair's: past C's but not D's.
+    for j, t in enumerate((1_005_500, 1_021_500)):
+        lines.append(f"0|C:/Shared/trio/mru{j}.dat|1|r|0|0|1|0|{t}|0|0")
+    lines.append("0|C:/Shared/pair/mru0.dat|1|r|0|0|1|1022500|0|0|0")
+    pack, body = directory / "trio.sig", directory / "trio.body"
+    pack.write_text("---\n".join(blocks))
+    body.write_text("\n".join(lines) + "\n")
+    return str(pack), str(body)
+
+
 @pytest.mark.parametrize("hash_seed", ["0", "1"])
 def test_outputs_do_not_depend_on_the_hash_seed(capsys, tmp_path, hash_seed):
-    # Kinds hash by identity and strings by PYTHONHASHSEED; no set or dict
-    # order either gives may reach the output.
+    # Kinds and categories hash by identity and strings by PYTHONHASHSEED,
+    # which also orders the literals the matcher finds in a path; no set or
+    # dict order either gives may reach the output.
     golden = SIMULATE_GOLDENS / "picks-seed1"
     out_dir = tmp_path / "sim"
     with open(tmp_path / "check.out", "wb") as fh:
@@ -656,12 +684,16 @@ def test_outputs_do_not_depend_on_the_hash_seed(capsys, tmp_path, hash_seed):
     for name in ("metadata.body", "truth.json"):
         assert (out_dir / name).read_bytes() == (golden / name).read_bytes(), name
 
-    code, expected, _ = run(capsys, "scan", C1, "--format", "csv")
-    assert code == 0
-    with open(tmp_path / "scan.csv", "wb") as fh:
-        result = run_with_stdout(fh, "scan", C1, "--format", "csv", PYTHONHASHSEED=hash_seed)
-    assert result.returncode == 0
-    assert (tmp_path / "scan.csv").read_bytes() == expected.encode("utf-8")
+    trio_pack, trio_body = _trio_pack_and_body(tmp_path)
+    for argv in ([C1], [trio_body, trio_pack]):
+        code, expected, _ = run(capsys, "scan", *argv, "--format", "csv")
+        assert code == 0
+        with open(tmp_path / "scan.csv", "wb") as fh:
+            result = run_with_stdout(fh, "scan", *argv, "--format", "csv",
+                                     PYTHONHASHSEED=hash_seed)
+        assert result.returncode == 0
+        assert (tmp_path / "scan.csv").read_bytes() == expected.encode("utf-8")
+    assert "trio,C,Past,1021470,1021500,1,shared-ambiguous" in expected  # the group of three
 
 
 def test_simulate_different_seed_changes_the_metadata(capsys, tmp_path):

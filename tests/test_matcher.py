@@ -4,7 +4,7 @@ import re
 import sys
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tracerecon import (
@@ -26,6 +26,7 @@ from tracerecon.signatures import (
     required_literal,
 )
 
+import reference_matcher
 from reference_matcher import reference_buckets, reference_groups
 
 # Pattern pieces: plain and escaped literals, quantified literals, classes,
@@ -57,6 +58,7 @@ categories = st.sampled_from(list(TraceCategory))
 times = st.one_of(st.none(), st.integers(1, 4))
 case_changes = st.sampled_from((str, str.lower, str.upper, str.swapcase))
 CORE, MODIFIED = TraceCategory.CORE, TimestampKind.MODIFIED
+SUPPORT, SHARED = TraceCategory.SUPPORTING, TraceCategory.SHARED
 
 
 def pack_of(*traces):
@@ -219,6 +221,86 @@ def test_prefilter_examples(sources, accepted, rejected):
     )
 
 
+@settings(max_examples=300, deadline=None)
+@given(packs_and_records())
+def test_the_literal_index_finds_every_literal_a_key_holds(pack_and_records):
+    pack, objects = pack_and_records
+    index = pack._literal_index
+    literals = index.literals - {None}
+    for record in objects:
+        key = fold(record.path)
+        expected = literals if index.search is None else {lit for lit in literals if lit in key}
+        assert index.found(key) == {None} | expected
+
+
+def match_equals_reference(pack, paths):
+    records = [ObjectRecord(path=path, accessed=1, modified=2, created=3) for path in paths]
+    matched = match_pack(pack, records)
+    assert matched == reference_buckets(pack, records)
+    return matched
+
+
+def pack_of_sources(*sources):
+    """Actions A, B and C with the same ``(category, kind, source)`` traces, so
+    each shared source is evidence for a group of all three."""
+    return SignaturePack([
+        Signature(name, 5, tuple(TracePattern(cat, kind, source) for cat, kind, source in sources))
+        for name in "ABC"
+    ])
+
+
+@pytest.mark.parametrize(
+    "sources, paths, found",
+    [
+        # Overlapping: the "/" that ends the first literal starts the second.
+        (((CORE, MODIFIED, ".*/Firefox/Profiles/"),
+          (SHARED, MODIFIED, ".*/Cookies/.*\\.txt")),
+         ["C:/firefox/profiles/cookies/a.txt", "C:/Firefox/Profiles/x", "c:/cookies/b.txt"],
+         {"/firefox/profiles/", "/cookies/"}),
+        # Prefix: "/app1" is the start of "/app10", "/app10" of "/app100/".
+        (((CORE, MODIFIED, ".*/App1"), (SUPPORT, MODIFIED, ".*/App10[a-z]*"),
+          (SHARED, TimestampKind.CREATED, ".*/App100/")),
+         ["C:/App100/x", "C:/App10x", "C:/App1/x", "C:/app2"],
+         {"/app1", "/app10", "/app100/"}),
+        # Nested: "core" inside "/state/core".
+        (((CORE, MODIFIED, ".*core[0-9]"), (SHARED, TimestampKind.ACCESSED, ".*/State/core[0-9]")),
+         ["C:/x/state/core1", "C:/core2", "C:/State/Core", "C:/STATE/CORE3"],
+         {"core", "/state/core"}),
+        # A pattern with no literal runs on every path, next to literal ones.
+        (((CORE, MODIFIED, "(?:a|b)\\.dat"), (SUPPORT, MODIFIED, ".*/x/a\\.dat"),
+          (SHARED, MODIFIED, "b\\.dat")),
+         ["C:/x/a.dat", "C:/b.dat", "c.dat", "C:/X/A.DAT"],
+         {"/x/a.dat"}),
+    ],
+)
+def test_the_literal_index_dispatches_the_regexes_of_every_literal_found(sources, paths, found):
+    pack = pack_of_sources(*sources)
+    matched = match_equals_reference(pack, paths)
+    assert pack._literal_index.found(fold(paths[0])) == {None} | found
+    assert matched[frozenset("ABC")]
+
+
+def test_exact_and_inexact_traces_in_one_pack_match_as_the_reference():
+    pack = SignaturePack([
+        Signature("A", 5, (TracePattern.for_path(CORE, MODIFIED, "C:/x/A.dat"),
+                           TracePattern(SHARED, MODIFIED, ".*/x/a\\.dat"))),
+        Signature("B", 5, (TracePattern(SUPPORT, MODIFIED, ".*/X/"),
+                           TracePattern(SHARED, MODIFIED, ".*/x/a\\.dat"))),
+    ])
+    matched = match_equals_reference(pack, ["c:/x/a.dat", "C:/X/A.DAT\n", "C:/x/b", "C:/y/a.dat"])
+    assert len(matched[("A", CORE)]) == 2 and len(matched[frozenset("AB")]) == 2
+
+
+def test_a_dispatch_trie_too_deep_to_compile_runs_every_inexact_entry():
+    # Each path branches off the last one a character further in.
+    deep = [TracePattern.for_path(CORE, MODIFIED, "a" * n + "b") for n in range(1500)]
+    inexact = (TracePattern(SUPPORT, MODIFIED, ".*/x"), TracePattern(SHARED, MODIFIED, "ab$"))
+    pack = SignaturePack([Signature("A", 5, (*deep, *inexact)), Signature("B", 5, inexact)])
+    assert pack._literal_index.search is None
+    matched = match_equals_reference(pack, ["ab", "aab", "C:/x", "C:/y", "/xab"])
+    assert len(matched[("A", SUPPORT)]) == 2 and len(matched[frozenset("AB")]) == 3
+
+
 def test_a_pack_with_a_pattern_without_a_literal_or_with_no_pattern_has_no_prefilter():
     pack = pack_of(TracePattern(CORE, MODIFIED, "a|b"), TracePattern(CORE, MODIFIED, "abc"))
     assert path_prefilter(pack) is None
@@ -238,7 +320,15 @@ def test_each_trace_literal_is_worked_out_once_for_prefilter_and_matcher(monkeyp
         calls.append(source)
         return required_literal(source)
 
+    indexes = []
+    build_index = signatures._LiteralIndex.__init__
+
+    def counted_build(index, pack):
+        indexes.append(pack)
+        build_index(index, pack)
+
     monkeypatch.setattr("tracerecon.signatures.required_literal", counted)
+    monkeypatch.setattr(signatures._LiteralIndex, "__init__", counted_build)
     pack = parse_signature_pack(
         "action: A\nthreshold: 5\ncore modified .*/Cookies/.*\\.txt\nshared created ^c:/x$\n"
         "---\naction: B\nthreshold: 5\nshared created ^c:/x$\nsupport accessed a\\.dat\n"
@@ -248,6 +338,11 @@ def test_each_trace_literal_is_worked_out_once_for_prefilter_and_matcher(monkeyp
     assert sorted(calls) == [".*/Cookies/.*\\.txt", "^c:/x$", "a\\.dat"]
     match_pack(pack, [ObjectRecord(path="C:/cookies/a.txt", modified=1, created=2)])
     assert len(calls) == 3
+    assert indexes == [pack]  # one literal index, and so one trie, per pack
+
+    exact_only = pack_of(TracePattern.for_path(CORE, MODIFIED, "C:/x"))
+    match_pack(exact_only, [ObjectRecord(path="c:/x", modified=1)])
+    assert indexes == [pack] and len(calls) == 3  # the matcher needs no trie for it
 
 
 @settings(max_examples=200, deadline=None)
@@ -291,6 +386,18 @@ def test_every_character_folds_to_one():
     every = "".join(map(chr, range(sys.maxunicode + 1)))
     assert [char for char in every if len(char.translate(_FOLD).lower()) != 1] == []
     assert len(fold(every)) == len(every)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.one_of(patterns, st.lists(st.sampled_from(PIECES + ("[", "]", "\\")), min_size=1,
+                                    max_size=6).map("".join)))
+@example("a[bc")  # a class that does not close
+@example("a[]b")  # nor does this one: its "]" is a member
+@example("ab\\")  # a trailing backslash
+@example("[]k]")  # a class whose leading "]" is a member
+@example("[^]k]ab")
+def test_required_literal_equals_the_token_by_token_reference(source):
+    assert required_literal(source) == reference_matcher.required_literal(source)
 
 
 @pytest.mark.parametrize(

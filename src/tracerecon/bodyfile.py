@@ -54,7 +54,8 @@ FIELD_COUNT = 11
 MAX_TIME = 253402300799
 LAST_TIME = "9999-12-31T23:59:59Z"
 
-_DELETED_SUFFIX = re.compile(r"\s*\(deleted(?:-realloc)?\)$")
+# The marker TSK appends to the name of a deleted file; a record's path drops it.
+DELETED_SUFFIX = re.compile(r"\s*\(deleted(?:-realloc)?\)$")
 
 
 class IngestError(Exception):
@@ -151,7 +152,7 @@ def _parse_fields(line: str) -> ObjectRecord:
         times.append(value)
     name = fields[1].replace("\\", "/")
     # A name holds no newline, so the suffix can only match before a final ")".
-    suffix = _DELETED_SUFFIX.search(name) if name.endswith(")") else None
+    suffix = DELETED_SUFFIX.search(name) if name.endswith(")") else None
     if suffix:
         name = name[:suffix.start()]
     if not name:
@@ -354,7 +355,7 @@ def format_record(record: ObjectRecord) -> str:
     if (
         "\\" in path
         or "\n" in path
-        or _DELETED_SUFFIX.search(path)
+        or DELETED_SUFFIX.search(path)
         or (record.deleted and path[-1:].isspace())
     ):
         raise ValueError(f"path would not read back as itself: {path!r}")

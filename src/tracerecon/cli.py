@@ -19,15 +19,14 @@ from datetime import datetime, timezone
 from importlib import resources
 from pathlib import Path
 
+from .blockfile import BlockFileError, content_lines
 from .bodyfile import IngestError, open_input, read_bodyfile, read_input, write_bodyfile
 from .calibration import DEFAULT_SIGMA_MULTIPLIER, CalibrationError, estimate_threshold
 from .engine import reconstruct
 from .model import ActionInstanceApproximation, Timestamp
 from .signatures import (
-    BlockFileError,
     SignatureError,
     SignaturePack,
-    _content_lines,
     merge_packs,
     parse_signature_pack,
     path_prefilter,
@@ -153,7 +152,7 @@ def cmd_scan(args: argparse.Namespace) -> int:
 
 def cmd_calibrate(args: argparse.Namespace) -> int:
     samples: list[float] = []
-    for line_no, line in _content_lines(_read_text(args.samples, "samples")):
+    for line_no, line in content_lines(_read_text(args.samples, "samples")):
         try:
             samples.append(float(line))
         except ValueError:

@@ -122,13 +122,15 @@ class TraceState:
     value: Timestamp
 
 
-def trace_sort_key(state: TraceState) -> tuple[Timestamp, str, str]:
+def trace_sort_key(state: TraceState) -> tuple[Timestamp, str, TimestampKind]:
     """Total ordering for trace states: by value, then path, then kind.
 
     The secondary keys make matching output independent of input order even
-    when several objects carry the same timestamp value.
+    when several objects carry the same timestamp value.  Kinds compare by
+    :meth:`TimestampKind.__lt__`, which a tuple calls only on a (value, path)
+    tie, since it tests its elements with ``==`` first.
     """
-    return (state.value, state.object_path, state.kind.value)
+    return (state.value, state.object_path, state.kind)
 
 
 @dataclass(frozen=True)

@@ -14,19 +14,14 @@ Categories:
 * ``shared`` - updatable by several actions; detection alone cannot say
   which one ran.
 
-Signature file grammar (line-oriented, UTF-8)::
+A signature file is a block file (:mod:`tracerecon.blockfile`): each block
+is one action, and each line of its body after the ``action:`` and
+``threshold:`` headers is one trace::
 
-    action: <name up to end of line>
-    threshold: <positive integer seconds>
     <core|support|shared> <accessed|modified|created|metachanged> <regex to end of line>
-    ... (one trace per line)
-    ---
 
-Blocks are separated by ``---``; ``#`` begins a comment line.  Signature and
-scenario files share this block grammar, and one reader handles what they
-share: comments, separators and the ``action:`` and ``threshold:`` headers.
-An error about one line names that line; an error about a whole block
-(missing threshold, no traces, duplicate name) names its ``action:`` line.
+A block with no trace is an error naming its ``action:`` line.
+
 Patterns are matched case-insensitively against full normalized paths with
 search semantics (a pattern may match anywhere; a trailing ``$`` is honored).
 
@@ -60,7 +55,6 @@ builds records only for them.
 
 from __future__ import annotations
 
-import itertools
 import re
 import warnings
 from dataclasses import dataclass, field
@@ -68,7 +62,8 @@ from enum import Enum
 from functools import cached_property
 from typing import Callable, Iterable, Iterator
 
-from .model import ObjectRecord, TimestampKind, TraceState, read_int, trace_sort_key
+from .blockfile import KIND_WORDS, BlockFileError, content_lines, read_blocks
+from .model import ObjectRecord, TimestampKind, TraceState, trace_sort_key
 
 
 class TraceCategory(Enum):
@@ -86,16 +81,6 @@ class TraceCategory(Enum):
     SHARED = "shared"
 
     __hash__ = object.__hash__
-
-
-class BlockFileError(ValueError):
-    """Fatal problem in a block file; carries the 1-based line number."""
-
-    def __init__(self, line_no: int | None, message: str):
-        self.line_no = line_no
-        self.message = message  # without the line suffix
-        suffix = f" (line {line_no})" if line_no is not None else ""
-        super().__init__(f"{message}{suffix}")
 
 
 class SignatureError(BlockFileError):
@@ -226,80 +211,6 @@ def merge_packs(packs: Iterable[SignaturePack]) -> SignaturePack:
 
 
 _CATEGORY_WORDS = {c.value: c for c in TraceCategory}
-_KIND_WORDS = {k.value: k for k in TimestampKind}
-
-
-def _content_lines(text: str) -> Iterator[tuple[int, str]]:
-    """Numbered, stripped block-file lines, split only at ``\\n``; blanks and comments dropped.
-
-    A space or tab escaped by an odd run of trailing backslashes is kept.  One
-    leading UTF-8 byte-order mark, as some Windows editors write, is dropped.
-    """
-    text = text.removeprefix("\ufeff")
-    for line_no, raw in enumerate(text.split("\n"), start=1):
-        line = raw.strip()
-        if line.endswith("\\"):
-            after = raw.lstrip()[len(line):len(line) + 1]
-            if after in (" ", "\t") and (len(line) - len(line.rstrip("\\"))) % 2:
-                line += after
-        if line and not line.startswith("#"):
-            yield line_no, line
-
-
-@dataclass(frozen=True)
-class _Block:
-    """One ``---``-separated block: its headers and its other lines."""
-
-    name: str
-    threshold: int
-    line_no: int  # of the ``action:`` line
-    body: list[tuple[int, str]]
-
-
-def _read_blocks(
-    lines: Iterable[tuple[int, str]], error: type[BlockFileError]
-) -> Iterator[_Block]:
-    """Group content lines into blocks, reading each block's headers.
-
-    Every line of a block other than ``action:`` and ``threshold:`` goes to
-    its body unread.  Problems are raised as ``error``; a block is checked
-    for a threshold when it closes, before its body is handed out.
-    """
-    names: set[str] = set()
-    name: str | None = None
-    threshold: int | None = None
-    start = 0
-    body: list[tuple[int, str]] = []
-    for line_no, line in itertools.chain(lines, [(0, "---")]):
-        if line == "---":
-            if name is not None:
-                if threshold is None:
-                    raise error(start, f"action {name!r} is missing a 'threshold:' line")
-                yield _Block(name, threshold, start, body)
-            name, threshold, body = None, None, []
-        elif line.startswith("action:"):
-            if name is not None:
-                raise error(line_no, "unexpected second 'action:' in block")
-            name, start = line[len("action:"):].strip(), line_no
-            if not name:
-                raise error(line_no, "empty action name")
-            if name in names:
-                raise error(line_no, f"duplicate action name {name!r}")
-            names.add(name)
-        elif name is None:
-            raise error(line_no, f"line before 'action:': {line!r}")
-        elif line.startswith("threshold:"):
-            if threshold is not None:
-                raise error(line_no, "unexpected second 'threshold:' in block")
-            raw_value = line[len("threshold:"):].strip()
-            try:
-                threshold = read_int(raw_value)
-            except ValueError:
-                raise error(line_no, f"threshold is not an integer: {raw_value!r}") from None
-            if threshold <= 0:
-                raise error(line_no, f"threshold must be positive, got {threshold}")
-        else:
-            body.append((line_no, line))
 
 
 def parse_signature_pack(text: str) -> SignaturePack:
@@ -315,7 +226,7 @@ def parse_signature_pack(text: str) -> SignaturePack:
     # Set once per pack: a filter per pattern would slow every compile.
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for block in _read_blocks(_content_lines(text), SignatureError):
+        for block in read_blocks(content_lines(text), SignatureError):
             traces: list[TracePattern] = []
             for line_no, line in block.body:
                 parts = line.split(None, 2)
@@ -324,11 +235,11 @@ def parse_signature_pack(text: str) -> SignaturePack:
                 cat_word, kind_word, pattern = parts
                 if cat_word not in _CATEGORY_WORDS:
                     raise SignatureError(line_no, f"unknown category {cat_word!r}")
-                if kind_word not in _KIND_WORDS:
+                if kind_word not in KIND_WORDS:
                     raise SignatureError(line_no, f"unknown timestamp kind {kind_word!r}")
                 try:
                     traces.append(
-                        TracePattern(_CATEGORY_WORDS[cat_word], _KIND_WORDS[kind_word], pattern)
+                        TracePattern(_CATEGORY_WORDS[cat_word], KIND_WORDS[kind_word], pattern)
                     )
                 except (re.error, OverflowError, RecursionError, Warning) as exc:
                     raise SignatureError(line_no, f"regex does not compile: {exc}") from None
@@ -601,7 +512,7 @@ def match_pack(
                 if getattr(record, field_name) is not None and search(path) is not None:
                     hits.setdefault(field_name, {}).update(targets)
         for field_name, targets in hits.items():
-            state = TraceState(path, _KIND_WORDS[field_name], getattr(record, field_name))
+            state = TraceState(path, KIND_WORDS[field_name], getattr(record, field_name))
             for target in targets:
                 buckets[target].append(state)
     for states in buckets.values():

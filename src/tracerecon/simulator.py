@@ -15,7 +15,9 @@ metadata snapshot together with a ground-truth log of every instance and
 every written value, against which reconstruction output can be verified
 independently of how the reconstruction is computed.
 
-Scenario file grammar (same family as signature files)::
+A scenario file is a block file (:mod:`tracerecon.blockfile`): each block
+is one action, whose body lists its path variants, and a ``schedule:``
+line after the last block opens the instances to run::
 
     action: <name up to end of line>
     threshold: <positive integer seconds>
@@ -27,13 +29,10 @@ Scenario file grammar (same family as signature files)::
     schedule:
     <epoch> <action name> <variant index, or ? for a seeded random pick>
 
-``#`` begins a comment; ``ma``/``da``/``oa`` lines before any ``variant:``
-line fall into an implicit first variant.  The reader behind signature
-files handles comments, separators and the ``action:`` and ``threshold:``
-headers; this module reads the rest of each block and the schedule.  An
-error about one line names that line; an error about a whole block
-(missing threshold, no variants, duplicate name, overlapping targets)
-names its ``action:`` line.  The export must scan back as the records
+``ma``/``da``/``oa`` lines before any ``variant:`` line fall into an
+implicit first variant; ``_VARIANT_LINES`` holds the reader of each.  A
+block with no variants or with overlapping targets is an error naming its
+``action:`` line.  The export must scan back as the records
 simulated: a path may not hold ``|`` or ``\\`` nor end in a bodyfile
 ``(deleted)`` marker, no default or schedule epoch may be 0 (a bodyfile's
 "absent"), and no default or ``epoch + threshold`` may pass
@@ -48,7 +47,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
-from .bodyfile import _DELETED_SUFFIX, LAST_TIME, MAX_TIME
+from .blockfile import KIND_WORDS, BlockFileError, content_lines, read_blocks
+from .bodyfile import DELETED_SUFFIX, LAST_TIME, MAX_TIME
 from .model import (
     ActionInstanceApproximation,
     InstanceRank,
@@ -57,16 +57,7 @@ from .model import (
     Timestamp,
     read_int,
 )
-from .signatures import (
-    BlockFileError,
-    Signature,
-    SignaturePack,
-    TraceCategory,
-    TracePattern,
-    _KIND_WORDS,
-    _content_lines,
-    _read_blocks,
-)
+from .signatures import Signature, SignaturePack, TraceCategory, TracePattern
 
 # An object map: path -> {kind -> value}.  A simulation updates one such map
 # in place; records are materialized only at the export boundary.
@@ -467,7 +458,7 @@ def _target_path(line_no: int, keyword: str, text: str) -> str:
     path = text.strip()
     if "\\" in path:
         raise ScenarioError(line_no, f"'{keyword}' path contains '\\', read back as '/'")
-    if _DELETED_SUFFIX.search(path):
+    if DELETED_SUFFIX.search(path):
         raise ScenarioError(line_no, f"'{keyword}' path ends in a bodyfile deletion marker")
     return path
 
@@ -482,12 +473,51 @@ def _is_header(line_no: int, line: str, header: str) -> bool:
     return True
 
 
+def _kind_and_rest(line_no: int, keyword: str, args: str) -> tuple[TimestampKind, str]:
+    """The timestamp kind that opens a target line's arguments, and the text after it."""
+    sub = args.split(None, 1)
+    if len(sub) != 2 or sub[0] not in KIND_WORDS:
+        raise ScenarioError(line_no, f"'{keyword}' needs a timestamp kind then its arguments")
+    return KIND_WORDS[sub[0]], sub[1]
+
+
+def _read_update(line_no: int, keyword: str, args: str) -> UpdateTarget:
+    """The (path, kind) target of an ``ma`` line."""
+    kind, path = _kind_and_rest(line_no, keyword, args)
+    return _target_path(line_no, keyword, path), kind
+
+
+def _read_default(line_no: int, keyword: str, args: str) -> DefaultTarget:
+    """The (path, kind, default epoch) target of a ``da`` line."""
+    kind, rest = _kind_and_rest(line_no, keyword, args)
+    value_and_path = rest.split(None, 1)
+    if len(value_and_path) != 2:
+        raise ScenarioError(line_no, "'da' needs '<kind> <default epoch> <path>'")
+    try:
+        default = read_int(value_and_path[0])
+    except ValueError:
+        raise ScenarioError(line_no, f"bad default epoch {value_and_path[0]!r}")
+    if default < 0:
+        raise ScenarioError(line_no, "default epoch must be non-negative")
+    if default == 0:
+        raise ScenarioError(line_no, f"default epoch 0 {_READS_AS_ABSENT}")
+    if default > MAX_TIME:
+        raise ScenarioError(line_no, f"default epoch is past {LAST_TIME}: {default}")
+    return _target_path(line_no, keyword, value_and_path[1]), kind, default
+
+
+# Each variant line's keyword, with the index of the set its target joins in
+# the (updates, defaults, creates) of a variant, and the reader of its
+# arguments, called with the line number, the keyword and the arguments.
+_VARIANT_LINES = {"ma": (0, _read_update), "da": (1, _read_default), "oa": (2, _target_path)}
+
+
 def parse_scenario(text: str) -> Scenario:
     """Parse scenario text; structural problems raise :class:`ScenarioError`."""
-    lines = _content_lines(text)
+    lines = content_lines(text)
     blocks = itertools.takewhile(lambda item: not _is_header(*item, "schedule:"), lines)
     specs: dict[str, ActionSpec] = {}
-    for block in _read_blocks(blocks, ScenarioError):
+    for block in read_blocks(blocks, ScenarioError):
         # One (updates, defaults, creates) triple per variant.
         variants: list[tuple[set, set, set]] = []
         for line_no, line in block.body:
@@ -496,7 +526,8 @@ def parse_scenario(text: str) -> Scenario:
                 continue
             parts = line.split(None, 1)
             keyword = parts[0]
-            if keyword not in ("ma", "da", "oa"):
+            entry = _VARIANT_LINES.get(keyword)
+            if entry is None:
                 raise ScenarioError(line_no, f"unrecognized line: {line!r}")
             if len(parts) != 2:
                 raise ScenarioError(line_no, f"'{keyword}' line is missing its arguments")
@@ -504,33 +535,8 @@ def parse_scenario(text: str) -> Scenario:
                 raise ScenarioError(line_no, f"'{keyword}' line contains the field separator '|'")
             if not variants:
                 variants.append((set(), set(), set()))
-            updates, defaults, creates = variants[-1]
-            if keyword == "oa":
-                creates.add(_target_path(line_no, keyword, parts[1]))
-                continue
-            sub = parts[1].split(None, 1)
-            if len(sub) != 2 or sub[0] not in _KIND_WORDS:
-                raise ScenarioError(
-                    line_no, f"'{keyword}' needs a timestamp kind then its arguments"
-                )
-            kind = _KIND_WORDS[sub[0]]
-            if keyword == "ma":
-                updates.add((_target_path(line_no, keyword, sub[1]), kind))
-                continue
-            value_and_path = sub[1].split(None, 1)
-            if len(value_and_path) != 2:
-                raise ScenarioError(line_no, "'da' needs '<kind> <default epoch> <path>'")
-            try:
-                default = read_int(value_and_path[0])
-            except ValueError:
-                raise ScenarioError(line_no, f"bad default epoch {value_and_path[0]!r}")
-            if default < 0:
-                raise ScenarioError(line_no, "default epoch must be non-negative")
-            if default == 0:
-                raise ScenarioError(line_no, f"default epoch 0 {_READS_AS_ABSENT}")
-            if default > MAX_TIME:
-                raise ScenarioError(line_no, f"default epoch is past {LAST_TIME}: {default}")
-            defaults.add((_target_path(line_no, keyword, value_and_path[1]), kind, default))
+            index, read = entry
+            variants[-1][index].add(read(line_no, keyword, parts[1]))
         if not variants:
             raise ScenarioError(block.line_no, f"action {block.name!r} defines no variants")
         try:

@@ -1,14 +1,24 @@
 """Signature and scenario files: exact error messages and line numbers.
 
 Both grammars share one block reader, so the header errors read the same in
-both; an error about a whole block names the block's ``action:`` line.
+both; an error about a whole block names the block's ``action:`` line.  Both
+parsers give the same result and the same error, at the same line, as the
+parsers of ``reference_blockfile``.
 """
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from tracerecon import ScenarioError, SignatureError, parse_scenario, parse_signature_pack
+import reference_blockfile
+from tracerecon import (
+    ScenarioError,
+    SignatureError,
+    SignaturePack,
+    parse_scenario,
+    parse_signature_pack,
+)
+from tracerecon.blockfile import BlockFileError
 
 SIG = "action: A\nthreshold: 5\n"
 SCN = "action: a\nthreshold: 5\n"
@@ -77,6 +87,9 @@ def test_signature_errors_read_exactly(text, message):
          "unexpected text after 'variant:': '7 junk' (line 3)"),
         (SCN + "ma modified /x\nschedule: 100 a 0\n200 a 0\n",
          "unexpected text after 'schedule:': '100 a 0' (line 4)"),
+        (SCN + "variant:x\nma modified /x\n", "unexpected text after 'variant:': 'x' (line 3)"),
+        (SCN + "ma modified /x\nschedule:x\n",
+         "unexpected text after 'schedule:': 'x' (line 4)"),
         ("action: a\nma modified /x\nschedule:\n",
          "action 'a' is missing a 'threshold:' line (line 1)"),
         (SCN + "ma modified /x\n---\naction: a\n", "duplicate action name 'a' (line 5)"),
@@ -138,13 +151,30 @@ def test_a_number_of_640_characters_is_still_read():
     assert pack.get("A").threshold == int(LONGEST)
 
 
+def test_tabs_separate_scenario_fields_as_spaces_do():
+    spaced = SCN + "ma modified /x\nda created 5 /y\nschedule:\n10 a 0\n20 a ?\n"
+    tabbed = SCN + "ma\tmodified\t/x\nda\tcreated \t5\t/y\nschedule:\n10\ta\t0\n20\t a\t?\n"
+    assert parse_scenario(tabbed) == parse_scenario(spaced)
+
+
+def test_tabs_separate_trace_fields_as_spaces_do():
+    spaced = parse_signature_pack(SIG + "core modified .*/a$\n")
+    tabbed = parse_signature_pack(SIG + "core\tmodified \t.*/a$\n")
+    assert tabbed.signatures == spaced.signatures
+
+
 TOKENS = [
     "action: A", "action: B", "action:", "threshold: 5", "threshold: 0", "threshold: x",
     "---", "# comment", "", "  ", "junk",
     "core modified x", "support created .*/a$", "shared accessed y", "core modified [",
-    "core modified a{4294967296}", "core bogus x", "core modified",
-    "variant:", "ma modified /x", "ma", "da created 5 /y", "da created -5 /y",
-    "oa /z", "schedule:", "10 A 0", "20 B ?", "-1 A 0", "5 A 9",
+    "core modified a{4294967296}", "core bogus x", "core modified", "core\tmodified\tx",
+    "variant:", "variant:x", "ma modified /x", "ma\tmodified\t/x", "ma", "da created 5 /y",
+    "da\tcreated\t5\t/y", "da created -5 /y", "oa /z", "schedule:", "schedule:x",
+    "10 A 0", "10\tA\t0", "20 B ?", "-1 A 0", "5 A 9",
+    # Lines that reach every check of a variant line's reader.
+    "mx modified /x", "ma someday /x", "oa a|b", "oa /p (deleted)", "ma modified C:\\w",
+    "da modified 5", "da modified nope /x", "da modified 0 /x", "da modified 253402300800 /x",
+    "da modified 3 /x", "ma modified /p", "oa /x",
 ]
 
 
@@ -176,3 +206,57 @@ def test_a_byte_order_mark_inside_a_pattern_stays_in_it():
     (trace,) = parse_signature_pack("\ufeff" + text).get("A").traces
     assert trace.source == "a\ufeffb"
     assert parse_signature_pack("\ufeff" + text).get("A") == parse_signature_pack(text).get("A")
+
+
+def _outcome(parse, text):
+    """What ``parse`` makes of ``text``: its result, or its error's type, message and line."""
+    try:
+        result = parse(text)
+    except BlockFileError as exc:
+        return type(exc), exc.message, exc.line_no
+    if isinstance(result, SignaturePack):
+        return result.signatures, result.buckets
+    return result
+
+
+# Each parser, with the parser it replaced.
+REFERENCES = [
+    (parse_signature_pack, reference_blockfile.parse_signature_pack),
+    (parse_scenario, reference_blockfile.parse_scenario),
+]
+
+
+@pytest.mark.parametrize("parse, reference", REFERENCES)
+@given(header=st.booleans(), lines=st.lists(st.sampled_from(TOKENS), max_size=14))
+def test_parsers_read_every_text_as_the_reference_does(parse, reference, header, lines):
+    text = "\n".join((["action: A", "threshold: 5"] if header else []) + lines)
+    assert _outcome(parse, text) == _outcome(reference, text)
+
+
+# Lines that keep a signature or scenario file valid after "action: A" and
+# "threshold: 5"; the last one opens a second action.
+VALID_LINES = {
+    parse_signature_pack: [
+        "core modified x", "support created .*/a$", "shared accessed y", "core\tmodified\tx",
+        "# c", "", "---\naction: B\nthreshold: 9",
+    ],
+    parse_scenario: [
+        "variant:", "ma modified /x", "ma\tmodified\t/y", "da created 5 /y",
+        "da\taccessed\t7\t/z", "oa /z", "oa /n", "# c", "", "---\naction: B\nthreshold: 9",
+    ],
+}
+SCHEDULE_LINES = ["10 A 0", "20\tA\t?", "30 A 1", "40 B 0", "50 B ?"]
+
+
+@pytest.mark.parametrize("parse, reference", REFERENCES)
+@given(data=st.data())
+def test_parsers_read_near_valid_files_as_the_reference_does(parse, reference, data):
+    lines = ["action: A", "threshold: 5"]
+    lines += data.draw(st.lists(st.sampled_from(VALID_LINES[parse]), max_size=12))
+    if parse is parse_scenario and data.draw(st.booleans()):
+        lines += ["schedule:", *data.draw(st.lists(st.sampled_from(SCHEDULE_LINES), max_size=4))]
+    if data.draw(st.booleans()):
+        index = data.draw(st.integers(0, len(lines)))
+        lines.insert(index, data.draw(st.sampled_from(TOKENS)))
+    text = "\n".join(lines)
+    assert _outcome(parse, text) == _outcome(reference, text)

@@ -349,7 +349,7 @@ class _LiteralIndex:
     """The literals of a pack's traces, and one trie regex that finds them.
 
     ``literals`` holds each trace's :attr:`~TracePattern.literal`, None
-    included.  ``search`` is the regex of a trie of the other literals,
+    included.  ``trie`` is the regex of a trie of the other literals,
     or None when there are none or the trie is too deep for ``re`` to
     compile.  It matches, at the first place at or after where it starts
     that a literal starts, the shortest literal there, since the trie's
@@ -369,21 +369,21 @@ class _LiteralIndex:
                 node = node.setdefault(char, {})
             node[""] = {}
         try:
-            self.search = re.compile(_trie_source(trie)).search if trie else None
+            self.trie = re.compile(_trie_source(trie)) if trie else None
         except RecursionError:
-            self.search = None
+            self.trie = None
 
     def found(self, key: str) -> set[str | None]:
-        """None, and each literal that occurs in ``key``; every literal if ``search`` is None.
+        """None, and each literal that occurs in ``key``; every literal if ``trie`` is None.
 
         After a match at ``s``, each longer literal of the one matched is
         tested at ``s``, and the search goes on at ``s + 1``, so overlapping,
         nested and prefix literals are all found.
         """
         found: set[str | None] = {None}
-        search = self.search
-        if search is None:
+        if self.trie is None:
             return found | self.literals
+        search = self.trie.search
         match = search(key)
         while match is not None:
             start = match.start()
@@ -409,10 +409,13 @@ def path_prefilter(pack: SignaturePack) -> Callable[[str], list[int]] | None:
     and without repeats, the start of each line of ``text`` in which a
     literal starts, in :func:`fold` of ``text``.  Each character folds to
     one, so a line of ``text`` folds to the same stretch of the folded
-    text.  With at most ``_FIND_LITERALS`` literals, each is found by a
-    ``str.find`` loop; with more, the trie regex of the pack's literal
-    index, the one :func:`match_pack` searches, is.  After a hit, a search
-    goes on at the next line.
+    text.  With at most ``_FIND_LITERALS`` literals, or when a literal holds
+    a newline, one ``str.find`` loop per literal finds its hits, going on
+    one character past each; otherwise one ``finditer`` pass of the trie
+    regex of the pack's literal index, the one :func:`match_pack` searches,
+    finds them.  A ``finditer`` match of a literal that holds a newline runs
+    into the next line and could hide a literal that starts there.  Each hit
+    adds the start of its line to one set, sorted once.
     :func:`~tracerecon.bodyfile.read_bodyfile` builds a record only for a
     line listed.  A literal may start outside a bodyfile line's name, in
     its MD5 or mode field or in a ``(deleted)`` suffix that is removed;
@@ -422,28 +425,23 @@ def path_prefilter(pack: SignaturePack) -> Callable[[str], list[int]] | None:
     compile: then every line is a candidate.
     """
     index = pack._literal_index
-    literals, search = index.literals, index.search
-    if search is None or None in literals:
+    literals, trie = index.literals, index.trie
+    if trie is None or None in literals:
         return None
+    has_newline = any("\n" in literal for literal in literals)
 
     def hits(text: str) -> list[int]:
         key = fold(text)
-        starts = []
-        if len(literals) <= _FIND_LITERALS:
+        if len(literals) <= _FIND_LITERALS or has_newline:
+            found = []
             for literal in literals:
                 hit = key.find(literal)
                 while hit >= 0:
-                    starts.append(key.rfind("\n", 0, hit) + 1)
-                    line_end = key.find("\n", hit)
-                    hit = key.find(literal, line_end + 1) if line_end >= 0 else -1
-            return sorted(set(starts))
-        match = search(key)
-        while match is not None:
-            hit = match.start()
-            starts.append(key.rfind("\n", 0, hit) + 1)
-            line_end = key.find("\n", hit)
-            match = search(key, line_end + 1) if line_end >= 0 else None
-        return starts
+                    found.append(hit)
+                    hit = key.find(literal, hit + 1)
+        else:
+            found = map(re.Match.start, trie.finditer(key))
+        return sorted({key.rfind("\n", 0, hit) + 1 for hit in found})
 
     return hits
 

@@ -201,6 +201,12 @@ def test_prefilter_hits_examples(find_literals):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(signatures, "_FIND_LITERALS", find_literals)
         assert hits("xAAAb\naB\n\u212a") == [0, 6]
+    # A match of "x\ny" runs into the line where "yz" starts; that line is listed too.
+    hits = path_prefilter(pack_of(TracePattern.for_path(CORE, MODIFIED, "x\ny"),
+                                  TracePattern(CORE, MODIFIED, "yz")))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(signatures, "_FIND_LITERALS", find_literals)
+        assert hits("ax\nyz\n") == [0, 3]
 
 
 @pytest.mark.parametrize(
@@ -229,7 +235,7 @@ def test_the_literal_index_finds_every_literal_a_key_holds(pack_and_records):
     literals = index.literals - {None}
     for record in objects:
         key = fold(record.path)
-        expected = literals if index.search is None else {lit for lit in literals if lit in key}
+        expected = literals if index.trie is None else {lit for lit in literals if lit in key}
         assert index.found(key) == {None} | expected
 
 
@@ -296,7 +302,7 @@ def test_a_dispatch_trie_too_deep_to_compile_runs_every_inexact_entry():
     deep = [TracePattern.for_path(CORE, MODIFIED, "a" * n + "b") for n in range(1500)]
     inexact = (TracePattern(SUPPORT, MODIFIED, ".*/x"), TracePattern(SHARED, MODIFIED, "ab$"))
     pack = SignaturePack([Signature("A", 5, (*deep, *inexact)), Signature("B", 5, inexact)])
-    assert pack._literal_index.search is None
+    assert pack._literal_index.trie is None
     matched = match_equals_reference(pack, ["ab", "aab", "C:/x", "C:/y", "/xab"])
     assert len(matched[("A", SUPPORT)]) == 2 and len(matched[frozenset("AB")]) == 3
 

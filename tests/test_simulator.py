@@ -560,6 +560,22 @@ def test_most_recent_coverage_counts_only_core_updates_of_the_last_instance():
     assert oracle_check(truth, [], {"app": frozenset({("/core", MOD)})}).ok
 
 
+@pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP item 8: another action's default write on a core target keeps it "
+    "core, so interval-soundness and most-recent-coverage fail",
+)
+def test_a_default_write_on_another_actions_core_target_passes_the_check():
+    scenario = parse_scenario(
+        "action: X\nthreshold: 10\nvariant:\nma modified /x/core\n---\n"
+        "action: Z\nthreshold: 10\nvariant:\nda modified 1000 /x/core\n"
+        "ma modified /z/core\n---\nschedule:\n100000 X 0\n200000 Z 0\n"
+    )
+    records, truth = simulate({}, scenario.specs, scenario.schedule, 0)
+    results = reconstruct(records, derive_signatures(scenario.specs))
+    assert oracle_check(truth, results, core_targets(scenario.specs)).ok
+
+
 # --- scenario files ------------------------------------------------------
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import json
 import math
 import os
@@ -167,23 +168,58 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
 
 
 _JSON_SEPARATORS = (",", ":")
-_TRUTH_SLICE = 4096
-# One compact write object, its keys in sorted order; a target's template
-# keeps %d for the instance index and the value.
-_WRITE_JSON = '{"default":%s,"instance":%%d,"kind":"%s","path":%s,"value":%%d}'
-_JSON_BOOLS = ("false", "true")
+_TRUTH_SLICE = 100  # instances per write call
+# One compact write object, its keys in sorted order: %d stays for the
+# instance index, and the value is %d for an update, the number for a default.
+_WRITE_JSON = '{"default":%s,"instance":%%d,"kind":"%s","path":%s,"value":%s}'
+
+
+def _instance_template(order) -> tuple[str, int, int]:
+    """The writes of one instance of a variant as one ``%`` template.
+
+    Returns the template, the number of update targets and the number of
+    arguments it takes: the instance index and value of each update, then
+    the index of each default.  Paths are quoted by ``json.dumps`` (ASCII
+    escapes, as in a whole-document dump) with ``%`` doubled.
+    """
+    _, updates, defaults = order
+    forms = [
+        _WRITE_JSON % ("false", kind.value, json.dumps(path).replace("%", "%%"), "%d")
+        for path, kind in updates
+    ]
+    forms += [
+        _WRITE_JSON % ("true", kind.value, json.dumps(path).replace("%", "%%"), default)
+        for path, kind, default in defaults
+    ]
+    return ",".join(forms), len(updates), 2 * len(updates) + len(defaults)
+
+
+def _instance_writes(truth):
+    """The JSON text of each instance's writes, for instances that wrote any.
+
+    Each variant order gets its template the first time an instance of it
+    is seen; an instance is then one ``template % args``.
+    """
+    templates: dict[int, tuple[str, int, int]] = {}
+    for instance, (order, values) in zip(truth.instances, truth.written):
+        known = templates.get(id(order))
+        if known is None:
+            known = templates[id(order)] = _instance_template(order)
+        template, updates, size = known
+        if size:
+            args = [instance.index] * size
+            args[1:2 * updates:2] = values
+            yield template % tuple(args)
 
 
 def _write_truth(fh, seed: int, truth) -> None:
     """Write the ground truth as compact JSON with sorted keys, plus a newline.
 
     The bytes equal one ``json.dumps(..., sort_keys=True)`` of the whole
-    document.  Each distinct (path, kind, default) target gets one template
-    the first time it is seen, its path quoted by ``json.dumps`` (ASCII
-    escapes, as in the whole-document dump) with ``%`` doubled; each write
-    is then one ``template % (index, value)``.  The writes go out a slice
-    at a time, so the document is never held whole in memory.
-    ``"writes"`` is the last key in sorted order, so the head closes over it.
+    document, whose ``"writes"`` list is ``truth.writes``.  The writes go
+    out ``_TRUTH_SLICE`` instances at a time, so the document is never held
+    whole in memory.  ``"writes"`` is the last key in sorted order, so the
+    head closes over it.
     """
     head = {
         "seed": seed,
@@ -194,19 +230,12 @@ def _write_truth(fh, seed: int, truth) -> None:
     }
     fh.write(json.dumps(head, sort_keys=True, separators=_JSON_SEPARATORS)[:-1])
     fh.write(',"writes":[')
-    forms: dict[tuple, str] = {}
-    for start in range(0, len(truth.writes), _TRUTH_SLICE):
-        chunk = []
-        for index, path, kind, value, is_default in truth.writes[start:start + _TRUTH_SLICE]:
-            target = path, kind, is_default
-            form = forms.get(target)
-            if form is None:
-                quoted = json.dumps(path).replace("%", "%%")
-                form = forms[target] = _WRITE_JSON % (_JSON_BOOLS[is_default], kind.value, quoted)
-            chunk.append(form % (index, value))
-        if start:
-            fh.write(",")
+    pieces = _instance_writes(truth)
+    separator = ""
+    while chunk := list(itertools.islice(pieces, _TRUTH_SLICE)):
+        fh.write(separator)
         fh.write(",".join(chunk))
+        separator = ","
     fh.write("]}\n")
 
 

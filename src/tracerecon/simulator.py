@@ -11,9 +11,13 @@ length of ``threshold + 1``, drawn again while not below it), so a seed
 gives the same draws as ``random.randint(0, threshold)``.
 
 Running a scripted schedule against an initial object map produces a final
-metadata snapshot together with a ground-truth log of every instance and
-every written value, against which reconstruction output can be verified
-independently of how the reconstruction is computed.
+metadata snapshot together with the ground truth, against which
+reconstruction output can be verified independently of how the
+reconstruction is computed.  Every instance of one (action, variant) writes
+the same targets in the same order, so the truth is kept per instance: the
+variant's :attr:`PathVariant.order` (shared by all its instances) and the
+values its update targets got.  The log of single writes is a view derived
+from these on demand.
 
 A scenario file is a block file (:mod:`tracerecon.blockfile`): each block
 is one action, whose body lists its path variants, and a ``schedule:``
@@ -65,6 +69,8 @@ SimState = dict[str, dict[TimestampKind, int]]
 
 UpdateTarget = tuple[str, TimestampKind]
 DefaultTarget = tuple[str, TimestampKind, int]
+# The paths a variant touches, its update targets and its default targets.
+VariantOrder = tuple[tuple[str, ...], tuple[UpdateTarget, ...], tuple[DefaultTarget, ...]]
 
 
 _READS_AS_ABSENT = "would read back from the exported bodyfile as absent"
@@ -93,9 +99,7 @@ class PathVariant:
             raise ValueError(f"update and default targets overlap: {listed}")
 
     @cached_property
-    def order(
-        self,
-    ) -> tuple[tuple[str, ...], tuple[UpdateTarget, ...], tuple[DefaultTarget, ...]]:
+    def order(self) -> VariantOrder:
         """The paths an instance touches, its updates and its defaults, sorted.
 
         Sorting fixes the order of the delay draws, so a simulation depends
@@ -169,14 +173,33 @@ class TruthWrite(NamedTuple):
 
 @dataclass(frozen=True)
 class GroundTruth:
-    """Everything that actually happened: instances and the values they wrote."""
+    """Everything that actually happened: instances and the values they wrote.
+
+    ``written`` holds one ``(order, values)`` pair per instance, in the
+    order of ``instances``: ``order`` is the :attr:`PathVariant.order` of
+    the variant it ran (the variant's own tuple, not a copy) and ``values``
+    the times its update targets got, one per ``order[1]`` entry.  Its
+    default targets got their fixed values.
+    """
 
     instances: tuple[TruthInstance, ...]
-    writes: tuple[TruthWrite, ...]
+    written: tuple[tuple[VariantOrder, tuple[int, ...]], ...]
 
-
-# The C constructor that TruthWrite._make uses; TruthWrite(...) is a Python call.
-_new_write = tuple.__new__
+    @cached_property
+    def writes(self) -> tuple[TruthWrite, ...]:
+        """Every single write, instance by instance: updates, then defaults."""
+        writes: list[TruthWrite] = []
+        for instance, ((_, updates, defaults), values) in zip(self.instances, self.written):
+            index = instance.index
+            writes += [
+                TruthWrite(index, path, kind, value, False)
+                for (path, kind), value in zip(updates, values)
+            ]
+            writes += [
+                TruthWrite(index, path, kind, default, True)
+                for path, kind, default in defaults
+            ]
+        return tuple(writes)
 
 
 def apply_instance(
@@ -185,16 +208,15 @@ def apply_instance(
     variant_index: int,
     tau: Timestamp,
     rng: random.Random,
-    index: int,
-) -> tuple[SimState, list[TruthWrite]]:
-    """Apply instance ``index`` to ``state`` in place; returns it plus its writes.
+) -> tuple[SimState, tuple[int, ...]]:
+    """Apply one instance to ``state`` in place; returns it plus its update values.
 
-    Each write is a :class:`TruthWrite` of instance ``index``, ready for the
-    ground-truth log.  A path the variant touches for the first time is
+    The values are those the variant's update targets got, in the order of
+    ``order[1]`` of its :attr:`PathVariant.order`; its default targets get
+    their fixed values.  A path the variant touches for the first time is
     added at the end of ``state``; every other path keeps its place and its
-    inner dict, and touched inner dicts are updated in place.  Targets are
-    processed in the variant's sorted :attr:`PathVariant.order`.  ``tau``
-    is not checked again: a :class:`ScheduleEntry` is never negative.
+    inner dict, and touched inner dicts are updated in place.  ``tau`` is
+    not checked again: a :class:`ScheduleEntry` is never negative.
     """
     if not 0 <= variant_index < len(spec.variants):
         raise SimulationError(
@@ -204,7 +226,7 @@ def apply_instance(
     for path in touched:
         if path not in state:
             state[path] = {}
-    writes: list[TruthWrite] = []
+    values: list[int] = []
     # randint(0, threshold) as the stdlib draws it, without its Python frames:
     # bound.bit_length() random bits, drawn again until below the bound.
     bound = spec.threshold + 1
@@ -216,11 +238,10 @@ def apply_instance(
             delay = getrandbits(bits)
         value = tau + delay
         state[path][kind] = value
-        writes.append(_new_write(TruthWrite, (index, path, kind, value, False)))
+        values.append(value)
     for path, kind, default in defaults:
         state[path][kind] = default
-        writes.append(_new_write(TruthWrite, (index, path, kind, default, True)))
-    return state, writes
+    return state, tuple(values)
 
 
 def simulate(
@@ -233,12 +254,12 @@ def simulate(
 
     Returns the final snapshot as records (sorted by path; objects that
     never received a timestamp are unobservable and are dropped) plus the
-    ground-truth log.  ``initial`` is copied once and left as it was.
+    ground truth.  ``initial`` is copied once and left as it was.
     """
     rng = random.Random(seed)
     state: SimState = {path: dict(times) for path, times in initial.items()}
     instances: list[TruthInstance] = []
-    writes: list[TruthWrite] = []
+    written: list[tuple[VariantOrder, tuple[int, ...]]] = []
     for index, entry in enumerate(schedule.entries):
         spec = specs.get(entry.action)
         if spec is None:
@@ -248,10 +269,10 @@ def simulate(
             if entry.variant is not None
             else rng.randrange(len(spec.variants))
         )
-        state, instance_writes = apply_instance(state, spec, variant, entry.tau, rng, index)
+        state, values = apply_instance(state, spec, variant, entry.tau, rng)
         instances.append(TruthInstance(index, entry.action, entry.tau, variant))
-        writes.extend(instance_writes)
-    return export_records(state), GroundTruth(tuple(instances), tuple(writes))
+        written.append((spec.variants[variant].order, values))
+    return export_records(state), GroundTruth(tuple(instances), tuple(written))
 
 
 def export_records(state: SimState) -> list[ObjectRecord]:
@@ -282,15 +303,30 @@ def shared_targets(specs: Mapping[str, ActionSpec]) -> frozenset[UpdateTarget]:
     return frozenset(shared)
 
 
+def _defaulted_targets(specs: Mapping[str, ActionSpec]) -> frozenset[UpdateTarget]:
+    """Targets that some variant of some action writes with a fixed default.
+
+    A default can overwrite the time an update left there, so such a target
+    is no action's evidence.
+    """
+    return frozenset(
+        (path, kind)
+        for spec in specs.values()
+        for variant in spec.variants
+        for path, kind, _ in variant.defaults
+    )
+
+
 def core_targets(specs: Mapping[str, ActionSpec]) -> dict[str, frozenset[UpdateTarget]]:
-    """Each action's core targets: updated by every variant and by no other action.
+    """Each action's core targets: updated by every variant and by no other
+    action, and written as a default by none.
 
     These are exactly the targets :func:`derive_signatures` makes CORE, so
     they are the ones :func:`oracle_check` expects the most recent instance
-    to leave as evidence.  A shared target is never such evidence.
+    to leave as evidence.  A shared or defaulted target is never such evidence.
     """
-    shared = shared_targets(specs)
-    return {name: always_updated_targets(spec) - shared for name, spec in specs.items()}
+    excluded = shared_targets(specs) | _defaulted_targets(specs)
+    return {name: always_updated_targets(spec) - excluded for name, spec in specs.items()}
 
 
 def derive_signatures(specs: Mapping[str, ActionSpec]) -> SignaturePack:
@@ -298,14 +334,15 @@ def derive_signatures(specs: Mapping[str, ActionSpec]) -> SignaturePack:
 
     A target updated by several actions is a shared trace for each of them;
     a single-action target updated by every variant is core, otherwise
-    supporting.  Default writes carry no causal timing and produce no
-    patterns.  Actions with no update targets are unobservable and are
-    omitted.
+    supporting.  Default writes carry no causal timing, so a target that any
+    variant of any action writes as a default produces no pattern.  Actions
+    left with no update targets are unobservable and are omitted.
     """
     shared = shared_targets(specs)
+    defaulted = _defaulted_targets(specs)
     signatures = []
     for spec in specs.values():
-        all_targets = {t for variant in spec.variants for t in variant.updates}
+        all_targets = {t for variant in spec.variants for t in variant.updates} - defaulted
         if not all_targets:
             continue
         always = always_updated_targets(spec)
@@ -371,10 +408,10 @@ def oracle_check(
       least one true instance of that action;
     * count-bound: an action is never reported more often than it truly ran
       (clusters may merge true instances, never exceed them);
-    * most-recent-coverage: when an action's last true instance wrote at
-      least one of its targets in ``core_targets`` (by action name; see
-      :func:`core_targets`), the reported most-recent approximation exists
-      and its interval contains that instance's time;
+    * most-recent-coverage: when the variant of an action's last true
+      instance updates at least one of its targets in ``core_targets`` (by
+      action name; see :func:`core_targets`), the reported most-recent
+      approximation exists and its interval contains that instance's time;
     * no-false-positives: nothing is reported for actions that never ran.
     """
     violations: list[OracleViolation] = []
@@ -417,28 +454,22 @@ def oracle_check(
                 )
             )
 
-    # One pass over the write log finds the last instances that wrote core.
-    lasts: dict[int, TruthInstance] = {}
-    for instances in true_instances.values():
+    # Only each action's last instance matters: did its variant update core?
+    written = {i.index: w for i, w in zip(truth.instances, truth.written)}
+    for action, instances in sorted(true_instances.items()):
         last = max(instances, key=lambda i: (i.tau, i.index))
-        lasts[last.index] = last
-    wrote_core = {
-        lasts[w.instance_index]
-        for w in truth.writes
-        if w.instance_index in lasts
-        and not w.is_default
-        and (w.path, w.kind) in core_targets.get(lasts[w.instance_index].action, frozenset())
-    }
-    for last in sorted(wrote_core, key=lambda i: i.action):
+        entry = written.get(last.index)
+        if entry is None or core_targets.get(action, frozenset()).isdisjoint(entry[0][1]):
+            continue
         if not any(
             a.interval.contains(last.tau)
-            for a in reported_by_action.get(last.action, [])
+            for a in reported_by_action.get(action, [])
             if a.rank is InstanceRank.MOST_RECENT
         ):
             violations.append(
                 OracleViolation(
                     "most-recent-coverage",
-                    last.action,
+                    action,
                     f"last true instance at {last.tau} is not covered by a "
                     f"most-recent approximation",
                 )

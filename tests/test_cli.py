@@ -20,20 +20,41 @@ from tracerecon import (
     parse_bodyfile,
     parse_scenario,
     parse_signature_pack,
+    reconstruct,
     simulate,
 )
 from tracerecon import cli
 from tracerecon.bodyfile import MAX_TIME
 from tracerecon.cli import _write_truth, main
+from tracerecon.model import (
+    ActionInstanceApproximation,
+    ConfidenceNote,
+    InstanceRank,
+    TimeInterval,
+    TraceState,
+)
 from tracerecon.signatures import path_prefilter
-from tracerecon.simulator import GroundTruth, TruthInstance, TruthWrite
+from tracerecon.simulator import (
+    ActionSpec,
+    GroundTruth,
+    InstanceSchedule,
+    PathVariant,
+    ScheduleEntry,
+    TruthInstance,
+    always_updated_targets,
+    core_targets,
+    derive_signatures,
+    oracle_check,
+)
 
 import casedata
+import reference_simulator
 from conftest import FIXTURES, PACKAGED_SIG_DIR, ROOT
 
 FF3_SIG = str(PACKAGED_SIG_DIR / "ff3.sig")
 IE8_SIG = str(PACKAGED_SIG_DIR / "ie8.sig")
 C1 = str(FIXTURES / "computer1.body")
+MOD = TimestampKind.MODIFIED
 
 
 def run(capsys, *argv):
@@ -600,17 +621,33 @@ _truth_text = st.text(st.one_of(st.characters(), st.sampled_from(_AWKWARD)), max
 
 
 @st.composite
+def path_variants(draw, paths):
+    """A variant over ``paths``; any of its three target sets may be empty."""
+    targets = st.tuples(st.sampled_from(paths), st.sampled_from(TimestampKind))
+    updates = draw(st.frozensets(targets, max_size=4))
+    defaults = draw(st.dictionaries(targets, st.integers(1, MAX_TIME), max_size=3))
+    creates = draw(st.frozensets(st.sampled_from(paths), max_size=2))
+    return PathVariant(
+        updates,
+        frozenset((p, k, v) for (p, k), v in defaults.items() if (p, k) not in updates),
+        creates,
+    )
+
+
+@st.composite
 def ground_truths(draw):
     instances = draw(st.lists(st.builds(
         TruthInstance, st.integers(0, 10**6), _truth_text,
         st.integers(1, MAX_TIME), st.integers(0, 3),
     ), max_size=3))
     paths = draw(st.lists(_truth_text, min_size=1, max_size=4))  # repeats reuse a quote
-    writes = draw(st.lists(st.builds(
-        TruthWrite, st.integers(0, 10**6), st.sampled_from(paths),
-        st.sampled_from(TimestampKind), st.integers(0, MAX_TIME), st.booleans(),
-    ), max_size=12))
-    return GroundTruth(tuple(instances), tuple(writes))
+    orders = [v.order for v in draw(st.lists(path_variants(paths), min_size=1, max_size=3))]
+    written = []
+    for _ in instances:
+        order = draw(st.sampled_from(orders))  # instances of one variant share its order
+        values = st.lists(st.integers(0, MAX_TIME), min_size=len(order[1]), max_size=len(order[1]))
+        written.append((order, tuple(draw(values))))
+    return GroundTruth(tuple(instances), tuple(written))
 
 
 @settings(max_examples=300)
@@ -620,6 +657,84 @@ def test_write_truth_equals_one_dumps_of_the_document(truth, seed, slice_size):
     with mock.patch("tracerecon.cli._TRUTH_SLICE", slice_size):
         _write_truth(out, seed, truth)
     assert out.getvalue() == truth_json(seed, truth)
+
+
+def test_write_truth_puts_no_comma_for_an_instance_that_writes_nothing():
+    writes = PathVariant(updates=frozenset({("/a", MOD)}), defaults=frozenset({("/b", MOD, 7)}))
+    silent = PathVariant(creates=frozenset({"/c"}))
+    truth = GroundTruth(
+        tuple(TruthInstance(i, "app", 100 * (i + 1), v) for i, v in enumerate((1, 0, 1, 0))),
+        ((silent.order, ()), (writes.order, (105,)), (silent.order, ()), (writes.order, (409,))),
+    )
+    for slice_size in (1, 2, 100):
+        out = io.StringIO()
+        with mock.patch("tracerecon.cli._TRUTH_SLICE", slice_size):
+            _write_truth(out, 3, truth)
+        assert out.getvalue() == truth_json(3, truth)
+        assert ",," not in out.getvalue() and "[," not in out.getvalue()
+
+
+@st.composite
+def simulations(draw):
+    """Specs over awkward paths, an initial map, and a schedule of fixed and '?' picks."""
+    paths = ["/" + path for path in draw(st.lists(_truth_text, min_size=1, max_size=4))]
+    specs = {}
+    for a in range(draw(st.integers(1, 3))):
+        variants = tuple(draw(st.lists(path_variants(paths), min_size=1, max_size=3)))
+        threshold = draw(st.one_of(st.integers(1, 300), st.integers(1, 2**40)))
+        specs[f"A{a}"] = ActionSpec(f"A{a}", threshold, variants)
+    entries = []
+    for _ in range(draw(st.integers(0, 6))):
+        name = draw(st.sampled_from(sorted(specs)))
+        variant = st.integers(0, len(specs[name].variants) - 1)
+        entries.append(ScheduleEntry(
+            name, draw(st.integers(1, 3000)), draw(st.one_of(st.none(), variant))
+        ))
+    initial = draw(st.dictionaries(
+        st.sampled_from(paths),
+        st.dictionaries(st.sampled_from(TimestampKind), st.integers(1, MAX_TIME), max_size=2),
+        max_size=2,
+    ))
+    return initial, specs, InstanceSchedule.of(entries)
+
+
+def approximations(names):
+    """Reported instances of the given actions or of one that never ran."""
+    return st.lists(st.builds(
+        lambda action, start, width, rank: ActionInstanceApproximation(
+            action, TimeInterval(start, start + width),
+            (TraceState("/e", MOD, start + width),), rank, ConfidenceNote.DEFINITE,
+        ),
+        st.sampled_from([*names, "ghost"]), st.integers(0, 3000), st.integers(0, 300),
+        st.sampled_from(InstanceRank),
+    ), max_size=4)
+
+
+@settings(max_examples=300, suppress_health_check=[HealthCheck.too_slow])
+@given(simulations(), st.integers(0, 3), st.integers(1, 5), st.data())
+def test_simulate_check_equals_the_per_write_reference(simulation, seed, slice_size, data):
+    initial, specs, schedule = simulation
+    records, truth = simulate(initial, specs, schedule, seed)
+    expected_records, expected = reference_simulator.simulate(initial, specs, schedule, seed)
+    assert records == expected_records
+    assert truth.instances == expected.instances
+    assert truth.writes == expected.writes
+
+    out, expected_out = io.StringIO(), io.StringIO()
+    with mock.patch("tracerecon.cli._TRUTH_SLICE", slice_size):
+        _write_truth(out, seed, truth)
+    with mock.patch.object(reference_simulator, "TRUTH_SLICE", slice_size):
+        reference_simulator.write_truth(expected_out, seed, expected)
+    assert out.getvalue() == expected_out.getvalue()
+
+    results = reconstruct(records, derive_signatures(specs))
+    fabricated = data.draw(approximations(sorted(specs)))
+    always = {name: always_updated_targets(spec) for name, spec in specs.items()}
+    for reported in (results, fabricated):
+        for targets in (core_targets(specs), always):
+            assert oracle_check(truth, reported, targets) == reference_simulator.oracle_check(
+                expected, reported, targets
+            )
 
 
 SIMULATE_GOLDENS = FIXTURES / "simulate"

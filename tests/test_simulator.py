@@ -60,24 +60,33 @@ def single_target_spec(name="app", threshold=50, path="/obj/a"):
     return ActionSpec(name, threshold, (PathVariant(updates=frozenset({(path, MOD)})),))
 
 
+def instance_writes(spec, variant_index, index, tau, values):
+    """The ``TruthWrite`` log of one applied instance, as ``GroundTruth.writes`` derives it."""
+    instance = TruthInstance(index, spec.name, tau, variant_index)
+    order = spec.variants[variant_index].order
+    return list(GroundTruth((instance,), ((order, values),)).writes)
+
+
 # --- applying one instance ----------------------------------------------
 
 
 def test_update_lands_within_the_threshold_window():
     spec = single_target_spec(threshold=50)
-    state, writes = apply_instance({}, spec, 0, 1000, random.Random(1), 4)
+    state, values = apply_instance({}, spec, 0, 1000, random.Random(1))
     value = state["/obj/a"][MOD]
     assert 1000 <= value <= 1050
-    assert writes == [TruthWrite(4, "/obj/a", MOD, value, False)]
+    assert values == (value,)
+    assert instance_writes(spec, 0, 4, 1000, values) == [TruthWrite(4, "/obj/a", MOD, value, False)]
 
 
 def test_default_write_is_exact():
     spec = ActionSpec(
         "installer", 50, (PathVariant(defaults=frozenset({("/obj/d", CRE, 500)})),)
     )
-    state, writes = apply_instance({}, spec, 0, 1000, random.Random(1), 0)
+    state, values = apply_instance({}, spec, 0, 1000, random.Random(1))
     assert state["/obj/d"][CRE] == 500
-    assert writes == [TruthWrite(0, "/obj/d", CRE, 500, True)]
+    assert values == ()
+    assert instance_writes(spec, 0, 0, 1000, values) == [TruthWrite(0, "/obj/d", CRE, 500, True)]
 
 
 def test_created_objects_exist_afterward_with_the_variant_timestamps():
@@ -91,7 +100,7 @@ def test_created_objects_exist_afterward_with_the_variant_timestamps():
             ),
         ),
     )
-    state, _ = apply_instance({}, spec, 0, 100, random.Random(0), 0)
+    state, _ = apply_instance({}, spec, 0, 100, random.Random(0))
     assert MOD in state["/obj/new"]
     assert state["/obj/marker"] == {}  # created but never timestamped
 
@@ -100,18 +109,19 @@ def test_apply_instance_updates_the_state_it_is_given_in_place():
     spec = single_target_spec()
     untouched, touched = {MOD: 3}, {MOD: 7}
     state = {"/obj/z": untouched, "/obj/a": touched}
-    new_state, writes = apply_instance(state, spec, 0, 1000, random.Random(1), 0)
+    new_state, values = apply_instance(state, spec, 0, 1000, random.Random(1))
     assert new_state is state
     assert list(state) == ["/obj/z", "/obj/a"]
     assert state["/obj/z"] is untouched and untouched == {MOD: 3}
-    assert state["/obj/a"] is touched and touched == {MOD: writes[0].value}
+    assert state["/obj/a"] is touched and touched == {MOD: values[0]}
 
 
 def reference_apply(state, spec, variant_index, tau, rng, index):
     """apply_instance as it was before it stopped copying untouched paths.
 
-    It writes the same ``TruthWrite`` log entries as apply_instance does now,
-    and draws each delay with ``rng.randint``, the rule apply_instance copies.
+    It writes the ``TruthWrite`` log entries that ``GroundTruth.writes``
+    derives now, and draws each delay with ``rng.randint``, the rule
+    apply_instance copies.
     """
     variant = spec.variants[variant_index]
     new_state = {path: dict(times) for path, times in state.items()}
@@ -169,15 +179,15 @@ def test_apply_instance_equals_the_full_copy_reference(
     spec = ActionSpec("app", threshold, (variant,))
     rng, ref_rng = random.Random(seed), random.Random(seed)
     ref_state, ref_writes = reference_apply(copy.deepcopy(state), spec, 0, tau, ref_rng, index)
-    new_state, writes = apply_instance(state, spec, 0, tau, rng, index)
+    new_state, values = apply_instance(state, spec, 0, tau, rng)
     assert new_state == ref_state and list(new_state) == list(ref_state)
-    assert writes == ref_writes
+    assert instance_writes(spec, 0, index, tau, values) == ref_writes
     assert rng.getstate() == ref_rng.getstate()
 
 
 def test_bad_variant_index_is_fatal():
     with pytest.raises(SimulationError):
-        apply_instance({}, single_target_spec(), 3, 1000, random.Random(1), 0)
+        apply_instance({}, single_target_spec(), 3, 1000, random.Random(1))
 
 
 def test_update_and_default_targets_must_be_disjoint():
@@ -249,12 +259,17 @@ def test_truth_writes_are_immutable_named_records_that_pickle():
     twin = TruthWrite(2, "/obj/a", MOD, 1005, False)
     assert twin == write and hash(twin) == hash(write)
     assert TruthWrite(2, "/obj/a", MOD, 1005, True) != write
-    truth = GroundTruth(
-        (TruthInstance(2, "app", 1000, 0),), (write, TruthWrite(2, "/obj/d", CRE, 9, True))
+    variant = PathVariant(
+        updates=frozenset({("/obj/a", MOD)}), defaults=frozenset({("/obj/d", CRE, 9)})
     )
+    truth = GroundTruth((TruthInstance(2, "app", 1000, 0),), ((variant.order, (1005,)),))
+    assert truth.writes == (write, TruthWrite(2, "/obj/d", CRE, 9, True))
     restored = pickle.loads(pickle.dumps(truth))
     assert restored == truth
     assert type(restored.writes[0]) is TruthWrite and restored.writes[1].is_default
+    # The bench builds a truth of instances alone, positionally, and pickles it.
+    bare = GroundTruth((TruthInstance(0, "app", 5, 1),), ())
+    assert pickle.loads(pickle.dumps(bare)) == bare and bare.writes == ()
 
 
 def test_unknown_action_is_fatal():
@@ -550,21 +565,19 @@ def test_missing_most_recent_coverage_is_reported():
 
 
 def test_most_recent_coverage_counts_only_core_updates_of_the_last_instance():
+    updates = PathVariant(updates=frozenset({("/core", MOD)}))
+    defaults = PathVariant(defaults=frozenset({("/core", MOD, 5)}))
     truth = GroundTruth(
-        instances=(TruthInstance(0, "app", 100, 0), TruthInstance(1, "app", 200, 0)),
-        writes=(
-            TruthWrite(0, "/core", MOD, 120, False),
-            TruthWrite(1, "/core", MOD, 5, True),
-        ),
+        instances=(TruthInstance(0, "app", 100, 0), TruthInstance(1, "app", 200, 1)),
+        written=((updates.order, (120,)), (defaults.order, ())),
+    )
+    assert truth.writes == (
+        TruthWrite(0, "/core", MOD, 120, False),
+        TruthWrite(1, "/core", MOD, 5, True),
     )
     assert oracle_check(truth, [], {"app": frozenset({("/core", MOD)})}).ok
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="ROADMAP item 8: another action's default write on a core target keeps it "
-    "core, so interval-soundness and most-recent-coverage fail",
-)
 def test_a_default_write_on_another_actions_core_target_passes_the_check():
     scenario = parse_scenario(
         "action: X\nthreshold: 10\nvariant:\nma modified /x/core\n---\n"
@@ -572,8 +585,53 @@ def test_a_default_write_on_another_actions_core_target_passes_the_check():
         "ma modified /z/core\n---\nschedule:\n100000 X 0\n200000 Z 0\n"
     )
     records, truth = simulate({}, scenario.specs, scenario.schedule, 0)
-    results = reconstruct(records, derive_signatures(scenario.specs))
+    pack = derive_signatures(scenario.specs)
+    # X's only target may hold Z's default, so it is no evidence of X.
+    assert [signature.action_name for signature in pack] == ["Z"]
+    assert core_targets(scenario.specs) == {"X": frozenset(), "Z": frozenset({("/z/core", MOD)})}
+    results = reconstruct(records, pack)
     assert oracle_check(truth, results, core_targets(scenario.specs)).ok
+
+
+ORACLE_PATHS = ("/a", "/b", "/c", "/d")
+oracle_targets = st.tuples(st.sampled_from(ORACLE_PATHS), st.sampled_from((MOD, CRE)))
+
+
+@st.composite
+def oracle_variants(draw):
+    """A variant over a few shared paths; its defaults avoid its own updates only."""
+    updates = draw(st.frozensets(oracle_targets, max_size=3))
+    defaults = draw(st.dictionaries(oracle_targets, st.integers(1, 10**6), max_size=2))
+    return PathVariant(
+        updates,
+        frozenset((p, k, v) for (p, k), v in defaults.items() if (p, k) not in updates),
+        draw(st.frozensets(st.sampled_from(ORACLE_PATHS), max_size=1)),
+    )
+
+
+@st.composite
+def oracle_worlds(draw):
+    """Up to three actions on four paths, so targets are often shared or defaulted
+    by another action, and instances close enough to overlap."""
+    specs = {}
+    for a in range(draw(st.integers(1, 3))):
+        variants = tuple(draw(st.lists(oracle_variants(), min_size=1, max_size=2)))
+        specs[f"A{a}"] = ActionSpec(f"A{a}", draw(st.integers(1, 100)), variants)
+    entries = [
+        ScheduleEntry(draw(st.sampled_from(sorted(specs))), draw(st.integers(1, 300)), None)
+        for _ in range(draw(st.integers(0, 6)))
+    ]
+    return specs, InstanceSchedule.of(entries)
+
+
+@settings(max_examples=300)
+@given(oracle_worlds(), st.integers(0, 3))
+def test_every_simulated_world_passes_its_own_check(world, seed):
+    specs, schedule = world
+    records, truth = simulate({}, specs, schedule, seed)
+    results = reconstruct(records, derive_signatures(specs))
+    report = oracle_check(truth, results, core_targets(specs))
+    assert report.ok, report.summary_lines()
 
 
 # --- scenario files ------------------------------------------------------

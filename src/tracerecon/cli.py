@@ -11,8 +11,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import itertools
-import json
 import math
 import os
 import sys
@@ -39,6 +37,7 @@ from .simulator import (
     oracle_check,
     parse_scenario,
     simulate,
+    write_truth,
 )
 
 SIG_DIR_ENV = "TRACE_RECON_SIG_DIR"
@@ -167,78 +166,6 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-_JSON_SEPARATORS = (",", ":")
-_TRUTH_SLICE = 100  # instances per write call
-# One compact write object, its keys in sorted order: %d stays for the
-# instance index, and the value is %d for an update, the number for a default.
-_WRITE_JSON = '{"default":%s,"instance":%%d,"kind":"%s","path":%s,"value":%s}'
-
-
-def _instance_template(order) -> tuple[str, int, int]:
-    """The writes of one instance of a variant as one ``%`` template.
-
-    Returns the template, the number of update targets and the number of
-    arguments it takes: the instance index and value of each update, then
-    the index of each default.  Paths are quoted by ``json.dumps`` (ASCII
-    escapes, as in a whole-document dump) with ``%`` doubled.
-    """
-    _, updates, defaults = order
-    forms = [
-        _WRITE_JSON % ("false", kind.value, json.dumps(path).replace("%", "%%"), "%d")
-        for path, kind in updates
-    ]
-    forms += [
-        _WRITE_JSON % ("true", kind.value, json.dumps(path).replace("%", "%%"), default)
-        for path, kind, default in defaults
-    ]
-    return ",".join(forms), len(updates), 2 * len(updates) + len(defaults)
-
-
-def _instance_writes(truth):
-    """The JSON text of each instance's writes, for instances that wrote any.
-
-    Each variant order gets its template the first time an instance of it
-    is seen; an instance is then one ``template % args``.
-    """
-    templates: dict[int, tuple[str, int, int]] = {}
-    for instance, (order, values) in zip(truth.instances, truth.written):
-        known = templates.get(id(order))
-        if known is None:
-            known = templates[id(order)] = _instance_template(order)
-        template, updates, size = known
-        if size:
-            args = [instance.index] * size
-            args[1:2 * updates:2] = values
-            yield template % tuple(args)
-
-
-def _write_truth(fh, seed: int, truth) -> None:
-    """Write the ground truth as compact JSON with sorted keys, plus a newline.
-
-    The bytes equal one ``json.dumps(..., sort_keys=True)`` of the whole
-    document, whose ``"writes"`` list is ``truth.writes``.  The writes go
-    out ``_TRUTH_SLICE`` instances at a time, so the document is never held
-    whole in memory.  ``"writes"`` is the last key in sorted order, so the
-    head closes over it.
-    """
-    head = {
-        "seed": seed,
-        "instances": [
-            {"index": i.index, "action": i.action, "tau": i.tau, "variant": i.variant}
-            for i in truth.instances
-        ],
-    }
-    fh.write(json.dumps(head, sort_keys=True, separators=_JSON_SEPARATORS)[:-1])
-    fh.write(',"writes":[')
-    pieces = _instance_writes(truth)
-    separator = ""
-    while chunk := list(itertools.islice(pieces, _TRUTH_SLICE)):
-        fh.write(separator)
-        fh.write(",".join(chunk))
-        separator = ","
-    fh.write("]}\n")
-
-
 def cmd_simulate(args: argparse.Namespace) -> int:
     scenario = parse_scenario(_read_text(Path(args.scenario), "scenario"))
     records, truth = simulate({}, scenario.specs, scenario.schedule, args.seed)
@@ -248,7 +175,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         with open(out_dir / "metadata.body", "w", encoding="utf-8", newline="") as fh:
             write_bodyfile(records, fh)
         with open(out_dir / "truth.json", "w", encoding="utf-8", newline="") as fh:
-            _write_truth(fh, args.seed, truth)
+            write_truth(fh, args.seed, truth)
     except OSError as exc:
         raise IngestError(f"cannot write outputs to {out_dir}: {exc}") from exc
 

@@ -239,7 +239,8 @@ def reconstruct(
 
     Resolved shared clusters append an extra instance for the surviving
     candidate unless they fall within one threshold of an instance already
-    known for it (then they merely corroborate it).  Shared evidence can
+    reported for it, its own or one a shared cluster appended before (then
+    they merely corroborate it).  Shared evidence can
     prove an action ran, but not that the run was its most recent, so
     appended instances rank as past ones.  Output is sorted newest-first
     and is a pure function of the inputs.  ``objects`` is iterated once.
@@ -249,18 +250,18 @@ def reconstruct(
         sig.action_name: analyze_action(sig, matched) for sig in pack
     }
 
-    approximations = [a for result in results.values() for a in result.instances]
-
+    reported = {name: list(result.instances) for name, result in results.items()}
     for attribution in shared_attributions(pack, matched, results):
         if attribution.resolved is None:
             continue
         owner = results[attribution.resolved]
+        known = reported[owner.action_name]
         if any(
             _span_gap(attribution.cluster, Cluster(instance.evidence)) <= owner.threshold
-            for instance in owner.instances
+            for instance in known
         ):
             continue
-        approximations.append(
+        known.append(
             _approximation(
                 owner.action_name,
                 owner.threshold,
@@ -270,5 +271,6 @@ def reconstruct(
             )
         )
 
+    approximations = [a for instances in reported.values() for a in instances]
     approximations.sort(key=lambda a: (-a.interval.end, -a.detected, a.action_name))
     return approximations

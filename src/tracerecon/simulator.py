@@ -16,8 +16,8 @@ reconstruction output can be verified independently of how the
 reconstruction is computed.  Every instance of one (action, variant) writes
 the same targets in the same order, so the truth is kept per instance: the
 variant's :attr:`PathVariant.order` (shared by all its instances) and the
-values its update targets got.  The log of single writes is a view derived
-from these on demand.
+values its update targets got.  :func:`write_truth` writes it as
+``truth.json``, one record per write.
 
 A scenario file is a block file (:mod:`tracerecon.blockfile`): each block
 is one action, whose body lists its path variants, and a ``schedule:``
@@ -46,10 +46,12 @@ simulated: a path may not hold ``|`` or ``\\`` nor end in a bodyfile
 from __future__ import annotations
 
 import itertools
+import json
 import random
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Iterable, Mapping, Sequence, TextIO
 
 from .blockfile import KIND_WORDS, BlockFileError, content_lines, read_blocks
 from .bodyfile import DELETED_SUFFIX, LAST_TIME, MAX_TIME
@@ -163,14 +165,6 @@ class TruthInstance:
     variant: int
 
 
-class TruthWrite(NamedTuple):
-    instance_index: int
-    path: str
-    kind: TimestampKind
-    value: int
-    is_default: bool
-
-
 @dataclass(frozen=True)
 class GroundTruth:
     """Everything that actually happened: instances and the values they wrote.
@@ -185,21 +179,79 @@ class GroundTruth:
     instances: tuple[TruthInstance, ...]
     written: tuple[tuple[VariantOrder, tuple[int, ...]], ...]
 
-    @cached_property
-    def writes(self) -> tuple[TruthWrite, ...]:
-        """Every single write, instance by instance: updates, then defaults."""
-        writes: list[TruthWrite] = []
-        for instance, ((_, updates, defaults), values) in zip(self.instances, self.written):
-            index = instance.index
-            writes += [
-                TruthWrite(index, path, kind, value, False)
-                for (path, kind), value in zip(updates, values)
-            ]
-            writes += [
-                TruthWrite(index, path, kind, default, True)
-                for path, kind, default in defaults
-            ]
-        return tuple(writes)
+
+_JSON_SEPARATORS = (",", ":")
+_TRUTH_SLICE = 100  # instances per write call
+# One compact write object, its keys in sorted order: %d stays for the
+# instance index, and the value is %d for an update, the number for a default.
+_WRITE_JSON = '{"default":%s,"instance":%%d,"kind":"%s","path":%s,"value":%s}'
+
+
+def _instance_template(order: VariantOrder) -> tuple[str, int, int]:
+    """The writes of one instance of a variant as one ``%`` template.
+
+    Returns the template, the number of update targets and the number of
+    arguments it takes: the instance index and value of each update, then
+    the index of each default.  Paths are quoted by ``json.dumps`` (ASCII
+    escapes, as in a whole-document dump) with ``%`` doubled.
+    """
+    _, updates, defaults = order
+    forms = [
+        _WRITE_JSON % ("false", kind.value, json.dumps(path).replace("%", "%%"), "%d")
+        for path, kind in updates
+    ]
+    forms += [
+        _WRITE_JSON % ("true", kind.value, json.dumps(path).replace("%", "%%"), default)
+        for path, kind, default in defaults
+    ]
+    return ",".join(forms), len(updates), 2 * len(updates) + len(defaults)
+
+
+def _instance_writes(truth: GroundTruth) -> Iterable[str]:
+    """The JSON text of each instance's writes, for instances that wrote any.
+
+    Each variant order gets its template the first time an instance of it
+    is seen; an instance is then one ``template % args``.
+    """
+    templates: dict[int, tuple[str, int, int]] = {}
+    for instance, (order, values) in zip(truth.instances, truth.written):
+        known = templates.get(id(order))
+        if known is None:
+            known = templates[id(order)] = _instance_template(order)
+        template, updates, size = known
+        if size:
+            args = [instance.index] * size
+            args[1:2 * updates:2] = values
+            yield template % tuple(args)
+
+
+def write_truth(fh: TextIO, seed: int, truth: GroundTruth) -> None:
+    """Write ``truth.json``: compact JSON with sorted keys, plus a newline.
+
+    The document holds the seed, the instances and one ``"writes"`` record
+    per write, instance by instance: its updates, then its defaults, each
+    as ``{"default", "instance", "kind", "path", "value"}``.  The bytes
+    equal one ``json.dumps(..., sort_keys=True)`` of the whole document.
+    The writes go out ``_TRUTH_SLICE`` instances at a time, so the document
+    is never held whole in memory.  ``"writes"`` is the last key in sorted
+    order, so the head closes over it.
+    """
+    head = {
+        "seed": seed,
+        "instances": [
+            {"index": i.index, "action": i.action, "tau": i.tau, "variant": i.variant}
+            for i in truth.instances
+        ],
+    }
+    fh.write(json.dumps(head, sort_keys=True, separators=_JSON_SEPARATORS)[:-1])
+    fh.write(',"writes":[')
+    pieces = _instance_writes(truth)
+    separator = ""
+    while chunk := list(itertools.islice(pieces, _TRUTH_SLICE)):
+        fh.write(separator)
+        fh.write(",".join(chunk))
+        separator = ","
+    fh.write("]}\n")
 
 
 def apply_instance(
@@ -285,36 +337,43 @@ def export_records(state: SimState) -> list[ObjectRecord]:
 
 
 def always_updated_targets(spec: ActionSpec) -> frozenset[UpdateTarget]:
-    """Targets written by every variant: the action's core evidence."""
+    """Targets updated by every variant; the shared and defaulted ones are not core."""
     targets = set(spec.variants[0].updates)
     for variant in spec.variants[1:]:
         targets &= variant.updates
     return frozenset(targets)
 
 
-def shared_targets(specs: Mapping[str, ActionSpec]) -> frozenset[UpdateTarget]:
-    """Targets that more than one action updates: shared evidence for each."""
-    seen: set[UpdateTarget] = set()
-    shared: set[UpdateTarget] = set()
-    for spec in specs.values():
-        targets = set().union(*(variant.updates for variant in spec.variants))
-        shared |= seen & targets
-        seen |= targets
-    return frozenset(shared)
+def _categories(specs: Mapping[str, ActionSpec]) -> dict[str, dict[UpdateTarget, TraceCategory]]:
+    """Each action's evidence targets, sorted, with the category of each.
 
-
-def _defaulted_targets(specs: Mapping[str, ActionSpec]) -> frozenset[UpdateTarget]:
-    """Targets that some variant of some action writes with a fixed default.
-
-    A default can overwrite the time an update left there, so such a target
-    is no action's evidence.
+    A target updated by several actions is a shared trace for each of them;
+    a single-action target updated by every variant is core, otherwise
+    supporting.  A default can overwrite the time an update left, so a
+    target that any variant of any action writes as a default is no
+    action's evidence and is left out.
     """
-    return frozenset(
+    updated = {
+        name: set().union(*(variant.updates for variant in spec.variants))
+        for name, spec in specs.items()
+    }
+    owners = Counter(target for targets in updated.values() for target in targets)
+    defaulted = {
         (path, kind)
         for spec in specs.values()
         for variant in spec.variants
         for path, kind, _ in variant.defaults
-    )
+    }
+    categories = {}
+    for name, spec in specs.items():
+        always = always_updated_targets(spec)
+        categories[name] = {
+            target: TraceCategory.SHARED if owners[target] > 1
+            else TraceCategory.CORE if target in always
+            else TraceCategory.SUPPORTING
+            for target in sorted(updated[name] - defaulted)
+        }
+    return categories
 
 
 def core_targets(specs: Mapping[str, ActionSpec]) -> dict[str, frozenset[UpdateTarget]]:
@@ -323,40 +382,32 @@ def core_targets(specs: Mapping[str, ActionSpec]) -> dict[str, frozenset[UpdateT
 
     These are exactly the targets :func:`derive_signatures` makes CORE, so
     they are the ones :func:`oracle_check` expects the most recent instance
-    to leave as evidence.  A shared or defaulted target is never such evidence.
+    to leave as evidence.
     """
-    excluded = shared_targets(specs) | _defaulted_targets(specs)
-    return {name: always_updated_targets(spec) - excluded for name, spec in specs.items()}
+    return {
+        name: frozenset(
+            target for target, category in targets.items() if category is TraceCategory.CORE
+        )
+        for name, targets in _categories(specs).items()
+    }
 
 
 def derive_signatures(specs: Mapping[str, ActionSpec]) -> SignaturePack:
     """Build the signature pack a scenario's action set implies.
 
-    A target updated by several actions is a shared trace for each of them;
-    a single-action target updated by every variant is core, otherwise
-    supporting.  Default writes carry no causal timing, so a target that any
-    variant of any action writes as a default produces no pattern.  Actions
-    left with no update targets are unobservable and are omitted.
+    Each action gets one exact trace per evidence target, in the category
+    :func:`_categories` gives it.  Actions left with no evidence targets
+    are unobservable and are omitted.
     """
-    shared = shared_targets(specs)
-    defaulted = _defaulted_targets(specs)
-    signatures = []
-    for spec in specs.values():
-        all_targets = {t for variant in spec.variants for t in variant.updates} - defaulted
-        if not all_targets:
-            continue
-        always = always_updated_targets(spec)
-        traces = []
-        for path, kind in sorted(all_targets):
-            if (path, kind) in shared:
-                category = TraceCategory.SHARED
-            elif (path, kind) in always:
-                category = TraceCategory.CORE
-            else:
-                category = TraceCategory.SUPPORTING
-            traces.append(TracePattern.for_path(category, kind, path))
-        signatures.append(Signature(spec.name, spec.threshold, tuple(traces)))
-    return SignaturePack(signatures)
+    categories = _categories(specs)
+    return SignaturePack(
+        Signature(spec.name, spec.threshold, tuple(
+            TracePattern.for_path(category, kind, path)
+            for (path, kind), category in categories[name].items()
+        ))
+        for name, spec in specs.items()
+        if categories[name]
+    )
 
 
 ORACLE_PROPERTIES = (

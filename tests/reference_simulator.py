@@ -4,7 +4,9 @@
 them all in one log, ``write_truth`` formats them one at a time and
 ``oracle_check`` walks the whole log to find what each action's last
 instance wrote.  So there is no variant template and no per-instance
-shortcut that could go wrong.
+shortcut that could go wrong.  ``writes_of`` derives the same log from a
+:class:`~tracerecon.simulator.GroundTruth`, for tests that read single
+writes.
 """
 
 from __future__ import annotations
@@ -13,15 +15,24 @@ import json
 import random
 from typing import NamedTuple
 
-from tracerecon.model import InstanceRank
+from tracerecon.model import InstanceRank, TimestampKind
 from tracerecon.simulator import (
     OracleReport,
     OracleViolation,
     SimulationError,
     TruthInstance,
-    TruthWrite,
     export_records,
 )
+
+
+class TruthWrite(NamedTuple):
+    """One write of one instance."""
+
+    instance_index: int
+    path: str
+    kind: TimestampKind
+    value: int
+    is_default: bool
 
 
 class ReferenceTruth(NamedTuple):
@@ -29,6 +40,19 @@ class ReferenceTruth(NamedTuple):
 
     instances: tuple[TruthInstance, ...]
     writes: tuple[TruthWrite, ...]
+
+
+def writes_of(truth) -> tuple[TruthWrite, ...]:
+    """Every single write of a ``GroundTruth``, instance by instance: updates, then defaults."""
+    writes: list[TruthWrite] = []
+    for instance, ((_, updates, defaults), values) in zip(truth.instances, truth.written):
+        index = instance.index
+        writes += [
+            TruthWrite(index, path, kind, value, False)
+            for (path, kind), value in zip(updates, values)
+        ]
+        writes += [TruthWrite(index, path, kind, default, True) for path, kind, default in defaults]
+    return tuple(writes)
 
 
 def apply_instance(state, spec, variant_index, tau, rng: random.Random, index):

@@ -25,7 +25,7 @@ from tracerecon import (
 )
 from tracerecon import cli
 from tracerecon.bodyfile import MAX_TIME
-from tracerecon.cli import _write_truth, main
+from tracerecon.cli import main
 from tracerecon.model import (
     ActionInstanceApproximation,
     ConfidenceNote,
@@ -45,6 +45,7 @@ from tracerecon.simulator import (
     core_targets,
     derive_signatures,
     oracle_check,
+    write_truth,
 )
 
 import casedata
@@ -571,20 +572,20 @@ def truth_json(seed, truth):
         "writes": [
             {"instance": w.instance_index, "path": w.path, "kind": w.kind.value,
              "value": w.value, "default": w.is_default}
-            for w in truth.writes
+            for w in reference_simulator.writes_of(truth)
         ],
     }
     return json.dumps(document, sort_keys=True, separators=(",", ":")) + "\n"
 
 
 def test_simulate_truth_json_equals_one_dumps_of_the_whole_log(capsys, tmp_path, monkeypatch):
-    monkeypatch.setattr("tracerecon.cli._TRUTH_SLICE", 2)  # several slices on a small log
+    monkeypatch.setattr("tracerecon.simulator._TRUTH_SLICE", 2)  # several slices on a small log
     scenario = FIXTURES / "scenario_basic.scn"
     assert run(capsys, "simulate", str(scenario), "--seed", "5", "--out", str(tmp_path))[0] == 0
 
     parsed = parse_scenario(scenario.read_text())
     _, truth = simulate({}, parsed.specs, parsed.schedule, 5)
-    assert len(truth.writes) > 4
+    assert len(reference_simulator.writes_of(truth)) > 4
     assert (tmp_path / "truth.json").read_text(encoding="utf-8") == truth_json(5, truth)
 
 
@@ -608,7 +609,7 @@ def test_simulate_truth_json_keeps_a_percent_sign_in_a_path(capsys, tmp_path):
 
     parsed = parse_scenario(scenario.read_text(encoding="utf-8"))
     _, truth = simulate({}, parsed.specs, parsed.schedule, 3)
-    assert {w.path for w in truth.writes} == {"/obj/100% %d %%", "/obj/%d", "/obj/%%"}
+    assert {w.path for w in reference_simulator.writes_of(truth)} == {"/obj/100% %d %%", "/obj/%d", "/obj/%%"}
     assert (out_dir / "truth.json").read_text(encoding="utf-8") == truth_json(3, truth)
 
 
@@ -654,8 +655,8 @@ def ground_truths(draw):
 @given(ground_truths(), st.integers(), st.integers(1, 5))
 def test_write_truth_equals_one_dumps_of_the_document(truth, seed, slice_size):
     out = io.StringIO()
-    with mock.patch("tracerecon.cli._TRUTH_SLICE", slice_size):
-        _write_truth(out, seed, truth)
+    with mock.patch("tracerecon.simulator._TRUTH_SLICE", slice_size):
+        write_truth(out, seed, truth)
     assert out.getvalue() == truth_json(seed, truth)
 
 
@@ -668,8 +669,8 @@ def test_write_truth_puts_no_comma_for_an_instance_that_writes_nothing():
     )
     for slice_size in (1, 2, 100):
         out = io.StringIO()
-        with mock.patch("tracerecon.cli._TRUTH_SLICE", slice_size):
-            _write_truth(out, 3, truth)
+        with mock.patch("tracerecon.simulator._TRUTH_SLICE", slice_size):
+            write_truth(out, 3, truth)
         assert out.getvalue() == truth_json(3, truth)
         assert ",," not in out.getvalue() and "[," not in out.getvalue()
 
@@ -718,11 +719,11 @@ def test_simulate_check_equals_the_per_write_reference(simulation, seed, slice_s
     expected_records, expected = reference_simulator.simulate(initial, specs, schedule, seed)
     assert records == expected_records
     assert truth.instances == expected.instances
-    assert truth.writes == expected.writes
+    assert reference_simulator.writes_of(truth) == expected.writes
 
     out, expected_out = io.StringIO(), io.StringIO()
-    with mock.patch("tracerecon.cli._TRUTH_SLICE", slice_size):
-        _write_truth(out, seed, truth)
+    with mock.patch("tracerecon.simulator._TRUTH_SLICE", slice_size):
+        write_truth(out, seed, truth)
     with mock.patch.object(reference_simulator, "TRUTH_SLICE", slice_size):
         reference_simulator.write_truth(expected_out, seed, expected)
     assert out.getvalue() == expected_out.getvalue()

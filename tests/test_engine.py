@@ -356,6 +356,32 @@ def test_resolved_shared_cluster_near_an_existing_instance_only_corroborates():
     assert [(a.action_name, a.detected) for a in out] == [("B", 5000), ("A", 1000)]
 
 
+def test_one_past_run_seen_through_two_shared_groups_is_reported_once():
+    # A's past run refreshed /s/one (shared with B) and /s/two (shared with
+    # C); both clusters resolve to A, and the second corroborates the
+    # instance the first appended instead of claiming a third run.
+    pack = parse_signature_pack(
+        "action: A\nthreshold: 10\ncore modified ^/a/core$\n"
+        "shared modified ^/s/one$\nshared modified ^/s/two$\n---\n"
+        "action: B\nthreshold: 10\ncore modified ^/b/core$\nshared modified ^/s/one$\n---\n"
+        "action: C\nthreshold: 10\ncore modified ^/c/core$\nshared modified ^/s/two$\n"
+    )
+    objects = [
+        ObjectRecord(path="/a/core", modified=1007),
+        ObjectRecord(path="/b/core", modified=102),
+        ObjectRecord(path="/c/core", modified=101),
+        ObjectRecord(path="/s/one", modified=507),
+        ObjectRecord(path="/s/two", modified=507),
+    ]
+    out = reconstruct(objects, pack)
+    assert [(a.action_name, a.rank, a.interval.start, a.note) for a in out] == [
+        ("A", InstanceRank.MOST_RECENT, 997, ConfidenceNote.DEFINITE),
+        ("A", InstanceRank.PAST, 497, ConfidenceNote.SHARED_AMBIGUOUS),
+        ("B", InstanceRank.MOST_RECENT, 92, ConfidenceNote.DEFINITE),
+        ("C", InstanceRank.MOST_RECENT, 91, ConfidenceNote.DEFINITE),
+    ]
+
+
 def test_empty_object_list_reconstructs_to_nothing(browser_pack):
     assert reconstruct([], browser_pack) == []
 

@@ -36,7 +36,6 @@ from tracerecon.simulator import (
     ScheduleEntry,
     SimState,
     TruthInstance,
-    TruthWrite,
     always_updated_targets,
     apply_instance,
     core_targets,
@@ -46,6 +45,7 @@ from tracerecon.bodyfile import MAX_TIME
 from tracerecon.signatures import TracePattern
 
 from conftest import FIXTURES
+from reference_simulator import TruthWrite, writes_of
 
 MOD = TimestampKind.MODIFIED
 CRE = TimestampKind.CREATED
@@ -61,10 +61,10 @@ def single_target_spec(name="app", threshold=50, path="/obj/a"):
 
 
 def instance_writes(spec, variant_index, index, tau, values):
-    """The ``TruthWrite`` log of one applied instance, as ``GroundTruth.writes`` derives it."""
+    """The ``TruthWrite`` log of one applied instance, derived from its ``GroundTruth``."""
     instance = TruthInstance(index, spec.name, tau, variant_index)
     order = spec.variants[variant_index].order
-    return list(GroundTruth((instance,), ((order, values),)).writes)
+    return list(writes_of(GroundTruth((instance,), ((order, values),))))
 
 
 # --- applying one instance ----------------------------------------------
@@ -119,8 +119,8 @@ def test_apply_instance_updates_the_state_it_is_given_in_place():
 def reference_apply(state, spec, variant_index, tau, rng, index):
     """apply_instance as it was before it stopped copying untouched paths.
 
-    It writes the ``TruthWrite`` log entries that ``GroundTruth.writes``
-    derives now, and draws each delay with ``rng.randint``, the rule
+    It writes the ``TruthWrite`` log entries that ``writes_of`` derives
+    from the truth now, and draws each delay with ``rng.randint``, the rule
     apply_instance copies.
     """
     variant = spec.variants[variant_index]
@@ -213,7 +213,7 @@ def test_empty_schedule_is_the_identity():
     records, truth = simulate(initial, {}, InstanceSchedule(()), seed=9)
     assert records == export_records(initial)
     assert truth.instances == ()
-    assert truth.writes == ()
+    assert truth.written == ()
 
 
 def test_simulate_does_not_mutate_its_initial_map():
@@ -226,7 +226,7 @@ def test_simulate_does_not_mutate_its_initial_map():
     schedule = InstanceSchedule.of([ScheduleEntry("app", 1000, 0)])
     records, truth = simulate(initial, {"app": spec}, schedule, seed=3)
     assert initial == before and initial["/obj/a"] is times
-    written = {(w.path, w.kind): w.value for w in truth.writes}
+    written = {(w.path, w.kind): w.value for w in writes_of(truth)}
     assert written[("/obj/a", MOD)] != 7
     assert {r.path: r.timestamps for r in records}["/obj/a"] == {
         MOD: written[("/obj/a", MOD)], CRE: 3,
@@ -245,31 +245,19 @@ def test_same_seed_same_output():
     assert different != first  # overwhelmingly likely with a 51-wide window
 
 
-def test_truth_writes_are_immutable_named_records_that_pickle():
-    write = TruthWrite(2, "/obj/a", MOD, 1005, False)
-    assert write == TruthWrite(
-        instance_index=2, path="/obj/a", kind=MOD, value=1005, is_default=False
-    )
-    assert TruthWrite._fields == ("instance_index", "path", "kind", "value", "is_default")
-    assert (write.instance_index, write.path, write.kind, write.value, write.is_default) == (
-        2, "/obj/a", MOD, 1005, False,
-    )
-    with pytest.raises(AttributeError):
-        write.value = 1
-    twin = TruthWrite(2, "/obj/a", MOD, 1005, False)
-    assert twin == write and hash(twin) == hash(write)
-    assert TruthWrite(2, "/obj/a", MOD, 1005, True) != write
+def test_ground_truth_pickles_whole_and_bare():
     variant = PathVariant(
         updates=frozenset({("/obj/a", MOD)}), defaults=frozenset({("/obj/d", CRE, 9)})
     )
     truth = GroundTruth((TruthInstance(2, "app", 1000, 0),), ((variant.order, (1005,)),))
-    assert truth.writes == (write, TruthWrite(2, "/obj/d", CRE, 9, True))
     restored = pickle.loads(pickle.dumps(truth))
     assert restored == truth
-    assert type(restored.writes[0]) is TruthWrite and restored.writes[1].is_default
+    assert writes_of(restored) == (
+        TruthWrite(2, "/obj/a", MOD, 1005, False), TruthWrite(2, "/obj/d", CRE, 9, True),
+    )
     # The bench builds a truth of instances alone, positionally, and pickles it.
     bare = GroundTruth((TruthInstance(0, "app", 5, 1),), ())
-    assert pickle.loads(pickle.dumps(bare)) == bare and bare.writes == ()
+    assert pickle.loads(pickle.dumps(bare)) == bare and writes_of(bare) == ()
 
 
 def test_unknown_action_is_fatal():
@@ -299,7 +287,7 @@ def test_every_nondefault_write_obeys_the_delay_bound():
     )
     _, truth = simulate({}, {"app": spec}, schedule, seed=11)
     tau_of = {i.index: i.tau for i in truth.instances}
-    for write in truth.writes:
+    for write in writes_of(truth):
         assert 0 <= write.value - tau_of[write.instance_index] <= 35
 
 
@@ -571,7 +559,7 @@ def test_most_recent_coverage_counts_only_core_updates_of_the_last_instance():
         instances=(TruthInstance(0, "app", 100, 0), TruthInstance(1, "app", 200, 1)),
         written=((updates.order, (120,)), (defaults.order, ())),
     )
-    assert truth.writes == (
+    assert writes_of(truth) == (
         TruthWrite(0, "/core", MOD, 120, False),
         TruthWrite(1, "/core", MOD, 5, True),
     )
@@ -590,6 +578,22 @@ def test_a_default_write_on_another_actions_core_target_passes_the_check():
     assert [signature.action_name for signature in pack] == ["Z"]
     assert core_targets(scenario.specs) == {"X": frozenset(), "Z": frozenset({("/z/core", MOD)})}
     results = reconstruct(records, pack)
+    assert oracle_check(truth, results, core_targets(scenario.specs)).ok
+
+
+def test_a_past_run_seen_through_two_shared_groups_passes_the_count_bound():
+    # A's first variant refreshes two targets, one shared with B and one
+    # with C; its one past run must not be reported once per shared group.
+    scenario = parse_scenario(
+        "action: A\nthreshold: 10\nvariant:\nma modified /a/core\n"
+        "ma modified /s/one\nma modified /s/two\nvariant:\nma modified /a/core\n---\n"
+        "action: B\nthreshold: 10\nma modified /b/core\nma modified /s/one\n---\n"
+        "action: C\nthreshold: 10\nma modified /c/core\nma modified /s/two\n---\n"
+        "schedule:\n100 B 0\n100 C 0\n500 A 0\n1000 A 1\n"
+    )
+    records, truth = simulate({}, scenario.specs, scenario.schedule, 1)
+    results = reconstruct(records, derive_signatures(scenario.specs))
+    assert [r.action_name for r in results].count("A") == 2
     assert oracle_check(truth, results, core_targets(scenario.specs)).ok
 
 

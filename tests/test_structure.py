@@ -1,4 +1,5 @@
-"""Module boundaries: no module of the package imports another's private name."""
+"""Module boundaries: no module of the package imports another's private name,
+and only the simulator reads the layout of its ground truth."""
 
 import ast
 from pathlib import Path
@@ -23,3 +24,17 @@ def test_no_module_imports_a_private_name_from_another():
     paths = sorted(PACKAGE.glob("*.py"))
     assert paths
     assert [name for path in paths for name in _private_imports(path)] == []
+
+
+def test_only_the_simulator_reads_the_ground_truth_layout():
+    # GroundTruth.written is one (order, values) pair per instance; the
+    # simulator writes truth.json and checks the oracle from it, so no
+    # other module needs to know that layout.
+    readers = [
+        path.name
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.stem != "simulator"
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Attribute) and node.attr == "written"
+    ]
+    assert readers == []

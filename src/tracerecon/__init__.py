@@ -11,73 +11,59 @@ verification.
 
 The package exports the documented library surface; everything else
 (clusters, per-action results, the matcher, simulator internals) is
-imported from its submodule.
+imported from its submodule.  An exported name loads its submodule on first
+use (PEP 562), so ``import tracerecon`` alone imports none of them, and
+``tracerecon.cli`` does not import the simulator or the calibration for a
+scan.
 """
 
-from .model import (
-    ActionInstanceApproximation,
-    ConfidenceNote,
-    InstanceRank,
-    ObjectRecord,
-    TimeInterval,
-    TimestampKind,
-    TraceState,
-)
-from .bodyfile import IngestError, ParseDiagnostic, load_metadata, parse_bodyfile, write_bodyfile
-from .signatures import (
-    SignatureError,
-    SignaturePack,
-    TraceCategory,
-    match_pack,
-    merge_packs,
-    parse_signature_pack,
-)
-from .calibration import (
-    CalibrationError,
-    ThresholdEstimate,
-    estimate_threshold,
-    threshold_from_stats,
-)
-from .engine import reconstruct
-from .simulator import (
-    ScenarioError,
-    SimulationError,
-    derive_signatures,
-    oracle_check,
-    parse_scenario,
-    simulate,
-)
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ActionInstanceApproximation",
-    "CalibrationError",
-    "ConfidenceNote",
-    "IngestError",
-    "InstanceRank",
-    "ObjectRecord",
-    "ParseDiagnostic",
-    "ScenarioError",
-    "SignatureError",
-    "SignaturePack",
-    "SimulationError",
-    "ThresholdEstimate",
-    "TimeInterval",
-    "TimestampKind",
-    "TraceCategory",
-    "TraceState",
-    "derive_signatures",
-    "estimate_threshold",
-    "load_metadata",
-    "match_pack",
-    "merge_packs",
-    "oracle_check",
-    "parse_bodyfile",
-    "parse_scenario",
-    "parse_signature_pack",
-    "reconstruct",
-    "simulate",
-    "threshold_from_stats",
-    "write_bodyfile",
-]
+# Each exported name and the submodule that defines it.
+_SUBMODULE = {
+    "ActionInstanceApproximation": "model",
+    "CalibrationError": "model",
+    "ConfidenceNote": "model",
+    "InstanceRank": "model",
+    "ObjectRecord": "model",
+    "SimulationError": "model",
+    "TimeInterval": "model",
+    "TimestampKind": "model",
+    "TraceState": "model",
+    "IngestError": "bodyfile",
+    "ParseDiagnostic": "bodyfile",
+    "load_metadata": "bodyfile",
+    "parse_bodyfile": "bodyfile",
+    "write_bodyfile": "bodyfile",
+    "SignatureError": "signatures",
+    "SignaturePack": "signatures",
+    "TraceCategory": "signatures",
+    "match_pack": "signatures",
+    "merge_packs": "signatures",
+    "parse_signature_pack": "signatures",
+    "ThresholdEstimate": "calibration",
+    "estimate_threshold": "calibration",
+    "threshold_from_stats": "calibration",
+    "reconstruct": "engine",
+    "ScenarioError": "simulator",
+    "derive_signatures": "simulator",
+    "oracle_check": "simulator",
+    "parse_scenario": "simulator",
+    "simulate": "simulator",
+}
+
+__all__ = sorted(_SUBMODULE)
+
+
+def __getattr__(name: str):
+    if name not in _SUBMODULE:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{_SUBMODULE[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

@@ -13,11 +13,7 @@ import statistics
 from dataclasses import dataclass
 from typing import Sequence
 
-DEFAULT_SIGMA_MULTIPLIER = 2.0
-
-
-class CalibrationError(ValueError):
-    pass
+from .model import DEFAULT_SIGMA_MULTIPLIER, CalibrationError
 
 
 @dataclass(frozen=True)

@@ -5,6 +5,10 @@ to exit codes: 0 success, 2 unreadable input, unwritable output or usage
 error, 3 parse failure (signature, scenario or sample data); ``simulate
 --check`` exits 1 when an oracle property fails.  All timestamps are UTC;
 output ordering never depends on input order or locale.
+
+Importing this module loads only what ``scan`` runs: ``simulate`` and
+``calibrate`` import :mod:`tracerecon.simulator` and
+:mod:`tracerecon.calibration` when they first run, so a scan loads neither.
 """
 
 from __future__ import annotations
@@ -15,14 +19,19 @@ import math
 import os
 import sys
 from datetime import datetime, timezone
-from importlib import resources
+from importlib import import_module
 from pathlib import Path
 
 from .blockfile import BlockFileError, content_lines
 from .bodyfile import IngestError, open_input, read_bodyfile, read_input, write_bodyfile
-from .calibration import DEFAULT_SIGMA_MULTIPLIER, CalibrationError, estimate_threshold
 from .engine import reconstruct
-from .model import ActionInstanceApproximation, Timestamp
+from .model import (
+    DEFAULT_SIGMA_MULTIPLIER,
+    ActionInstanceApproximation,
+    CalibrationError,
+    SimulationError,
+    Timestamp,
+)
 from .signatures import (
     SignatureError,
     SignaturePack,
@@ -30,15 +39,30 @@ from .signatures import (
     parse_signature_pack,
     path_prefilter,
 )
-from .simulator import (
-    SimulationError,
-    core_targets,
-    derive_signatures,
-    oracle_check,
-    parse_scenario,
-    simulate,
-    write_truth,
-)
+
+# The names only ``simulate`` and ``calibrate`` run, by the module that defines
+# them.  Each loads on its first lookup here and stays bound as a global of
+# this module, so ``scan`` never imports those modules.  The two commands read
+# them with ``from .cli import``, which sees whatever is bound here at the
+# call: a test's or a tracer's replacement too.
+_LATE_NAMES = {
+    "core_targets": "simulator",
+    "derive_signatures": "simulator",
+    "oracle_check": "simulator",
+    "parse_scenario": "simulator",
+    "simulate": "simulator",
+    "write_truth": "simulator",
+    "estimate_threshold": "calibration",
+}
+
+
+def __getattr__(name: str):
+    if name not in _LATE_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{_LATE_NAMES[name]}", __package__), name)
+    globals()[name] = value
+    return value
+
 
 SIG_DIR_ENV = "TRACE_RECON_SIG_DIR"
 
@@ -106,7 +130,7 @@ def default_signature_dir() -> Path:
     override = os.environ.get(SIG_DIR_ENV)
     if override:
         return Path(override)
-    return Path(str(resources.files("tracerecon") / "data" / "signatures"))
+    return Path(__file__).parent / "data" / "signatures"
 
 
 def _read_text(source: str | Path, what: str) -> str:
@@ -151,6 +175,8 @@ def cmd_scan(args: argparse.Namespace) -> int:
 
 
 def cmd_calibrate(args: argparse.Namespace) -> int:
+    from .cli import estimate_threshold
+
     samples: list[float] = []
     for line_no, line in content_lines(_read_text(args.samples, "samples")):
         try:
@@ -167,6 +193,15 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
+    from .cli import (
+        core_targets,
+        derive_signatures,
+        oracle_check,
+        parse_scenario,
+        simulate,
+        write_truth,
+    )
+
     scenario = parse_scenario(_read_text(Path(args.scenario), "scenario"))
     records, truth = simulate({}, scenario.specs, scenario.schedule, args.seed)
     out_dir = Path(args.out)

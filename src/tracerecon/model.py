@@ -33,6 +33,20 @@ def read_int(text: str) -> int:
     return int(text)
 
 
+# The simulator's and the calibration's errors and the calibration's default k
+# (of the cutoff ``mean + k * sigma``) live here, so the CLI can map those
+# errors to exit codes and offer that default without importing either module.
+DEFAULT_SIGMA_MULTIPLIER = 2.0
+
+
+class SimulationError(ValueError):
+    """A schedule that cannot run against its actions."""
+
+
+class CalibrationError(ValueError):
+    """Duration samples or statistics that give no threshold."""
+
+
 class TimestampKind(Enum):
     """Which of an object's timestamps a value is; the value names its ObjectRecord field.
 

@@ -59,6 +59,7 @@ from .model import (
     ActionInstanceApproximation,
     InstanceRank,
     ObjectRecord,
+    SimulationError,
     TimestampKind,
     Timestamp,
     read_int,
@@ -80,10 +81,6 @@ _READS_AS_ABSENT = "would read back from the exported bodyfile as absent"
 
 class ScenarioError(BlockFileError):
     """Fatal scenario-file problem."""
-
-
-class SimulationError(ValueError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -540,7 +537,8 @@ def _target_path(line_no: int, keyword: str, text: str) -> str:
     path = text.strip()
     if "\\" in path:
         raise ScenarioError(line_no, f"'{keyword}' path contains '\\', read back as '/'")
-    if DELETED_SUFFIX.search(path):
+    # DELETED_SUFFIX ends in r"\)$" and a stripped path ends in no newline.
+    if path.endswith(")") and DELETED_SUFFIX.search(path):
         raise ScenarioError(line_no, f"'{keyword}' path ends in a bodyfile deletion marker")
     return path
 

@@ -1,8 +1,16 @@
 """Module boundaries: no module of the package imports another's private name,
-and only the simulator reads the layout of its ground truth."""
+only the simulator reads the layout of its ground truth, the package exports
+its names lazily, and importing the CLI loads only what ``scan`` runs."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
+
+import tracerecon
 
 PACKAGE = Path(__file__).parent.parent / "src" / "tracerecon"
 
@@ -38,3 +46,55 @@ def test_only_the_simulator_reads_the_ground_truth_layout():
         if isinstance(node, ast.Attribute) and node.attr == "written"
     ]
     assert readers == []
+
+
+# What ``scan`` never runs: importing the CLI must not load these.
+NOT_FOR_SCAN = ("tracerecon.simulator", "tracerecon.calibration", "statistics",
+                "importlib.resources")
+
+
+def test_importing_the_cli_loads_nothing_scan_does_not_run():
+    # -S skips site, whose .pth files may import importlib.resources first.
+    probe = f"import sys, tracerecon.cli; print(sorted(set({NOT_FOR_SCAN!r}) & set(sys.modules)))"
+    child = subprocess.run(
+        [sys.executable, "-S", "-c", probe],
+        env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert (child.returncode, child.stdout, child.stderr) == (0, "[]\n", "")
+
+
+EXPORTS = [
+    "ActionInstanceApproximation", "CalibrationError", "ConfidenceNote", "IngestError",
+    "InstanceRank", "ObjectRecord", "ParseDiagnostic", "ScenarioError", "SignatureError",
+    "SignaturePack", "SimulationError", "ThresholdEstimate", "TimeInterval", "TimestampKind",
+    "TraceCategory", "TraceState", "derive_signatures", "estimate_threshold", "load_metadata",
+    "match_pack", "merge_packs", "oracle_check", "parse_bodyfile", "parse_scenario",
+    "parse_signature_pack", "reconstruct", "simulate", "threshold_from_stats", "write_bodyfile",
+]
+
+
+def test_star_import_binds_exactly_the_exports_each_from_its_submodule():
+    assert tracerecon.__all__ == EXPORTS
+    namespace = {}
+    exec("from tracerecon import *", namespace)
+    assert sorted(set(namespace) - {"__builtins__"}) == EXPORTS
+    for name in EXPORTS:
+        value = namespace[name]
+        assert (value.__name__, value.__module__.split(".")[0]) == (name, "tracerecon")
+        assert getattr(sys.modules[value.__module__], name) is value
+
+
+def test_the_package_lists_its_exports_and_rejects_unknown_names():
+    assert set(EXPORTS) <= set(dir(tracerecon))
+    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+        tracerecon.no_such_name
+
+
+def test_errors_the_cli_maps_are_one_class_each_wherever_imported():
+    from tracerecon import calibration, model, simulator
+
+    assert simulator.SimulationError is tracerecon.SimulationError is model.SimulationError
+    assert calibration.CalibrationError is tracerecon.CalibrationError is model.CalibrationError

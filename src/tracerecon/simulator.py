@@ -3,12 +3,11 @@
 An action is described by one or more path variants (different code paths
 through the same program touch different objects).  Executing an instance at
 time ``tau`` writes each of the variant's update targets to ``tau + delay``
-with a delay drawn uniformly from ``[0, threshold]`` whole seconds, writes
-each default target to its fixed value, and creates listed objects that do
-not yet exist.  Later instances overwrite earlier values.  A delay is drawn
-by the standard library's own rejection rule on ``getrandbits`` (the bit
-length of ``threshold + 1``, drawn again while not below it), so a seed
-gives the same draws as ``random.randint(0, threshold)``.
+with a delay drawn uniformly from ``[0, threshold]`` whole seconds and writes
+each default target to its fixed value.  Later instances overwrite earlier
+values.  A delay is drawn by the standard library's own rejection rule on
+``getrandbits`` (the bit length of ``threshold + 1``, drawn again while not
+below it), so a seed gives the same draws as ``random.randint(0, threshold)``.
 
 Running a scripted schedule against an initial object map produces a final
 metadata snapshot together with the ground truth, against which
@@ -28,19 +27,19 @@ line after the last block opens the instances to run::
     variant:
     ma <accessed|modified|created|metachanged> <object path to end of line>
     da <accessed|modified|created|metachanged> <default epoch> <object path>
-    oa <object path to end of line>
     ---
     schedule:
     <epoch> <action name> <variant index, or ? for a seeded random pick>
 
-``ma``/``da``/``oa`` lines before any ``variant:`` line fall into an
-implicit first variant; ``_VARIANT_LINES`` holds the reader of each.  A
-block with no variants or with overlapping targets is an error naming its
-``action:`` line.  The export must scan back as the records
-simulated: a path may not hold ``|`` or ``\\`` nor end in a bodyfile
-``(deleted)`` marker, no default or schedule epoch may be 0 (a bodyfile's
-"absent"), and no default or ``epoch + threshold`` may pass
-``bodyfile.MAX_TIME``.
+``ma``/``da`` lines before any ``variant:`` line fall into an implicit
+first variant; ``_VARIANT_LINES`` holds the reader of each.  A legacy
+``oa <object path>`` line is read and checked like a target line, and
+opens the implicit variant too, but writes nothing.  A block with no
+variants or with overlapping targets is an error naming its ``action:``
+line.  The export must scan back as the records simulated: a path may
+not hold ``|`` or ``\\`` nor end in a bodyfile ``(deleted)`` marker, no
+default or schedule epoch may be 0 (a bodyfile's "absent"), and no default
+or ``epoch + threshold`` may pass ``bodyfile.MAX_TIME``.
 """
 
 from __future__ import annotations
@@ -72,8 +71,8 @@ SimState = dict[str, dict[TimestampKind, int]]
 
 UpdateTarget = tuple[str, TimestampKind]
 DefaultTarget = tuple[str, TimestampKind, int]
-# The paths a variant touches, its update targets and its default targets.
-VariantOrder = tuple[tuple[str, ...], tuple[UpdateTarget, ...], tuple[DefaultTarget, ...]]
+# A variant's update targets and its default targets.
+VariantOrder = tuple[tuple[UpdateTarget, ...], tuple[DefaultTarget, ...]]
 
 
 _READS_AS_ABSENT = "would read back from the exported bodyfile as absent"
@@ -85,11 +84,10 @@ class ScenarioError(BlockFileError):
 
 @dataclass(frozen=True)
 class PathVariant:
-    """One code path: targets always updated, defaults written, objects created."""
+    """One code path: the targets it always updates and the defaults it writes."""
 
     updates: frozenset[UpdateTarget] = frozenset()
     defaults: frozenset[DefaultTarget] = frozenset()
-    creates: frozenset[str] = frozenset()
 
     def __post_init__(self) -> None:
         overlap = self.updates & {(path, kind) for path, kind, _ in self.defaults}
@@ -99,17 +97,13 @@ class PathVariant:
 
     @cached_property
     def order(self) -> VariantOrder:
-        """The paths an instance touches, its updates and its defaults, sorted.
+        """The variant's updates and its defaults, each sorted.
 
         Sorting fixes the order of the delay draws, so a simulation depends
         only on its seed and not on set iteration order.  Computed once per
         variant, on the first instance that runs it.
         """
-        creates = sorted(self.creates)
-        updates = tuple(sorted(self.updates))
-        defaults = tuple(sorted(self.defaults))
-        touched = [*creates, *(t[0] for t in updates), *(t[0] for t in defaults)]
-        return tuple(dict.fromkeys(touched)), updates, defaults
+        return tuple(sorted(self.updates)), tuple(sorted(self.defaults))
 
 
 @dataclass(frozen=True)
@@ -169,7 +163,7 @@ class GroundTruth:
     ``written`` holds one ``(order, values)`` pair per instance, in the
     order of ``instances``: ``order`` is the :attr:`PathVariant.order` of
     the variant it ran (the variant's own tuple, not a copy) and ``values``
-    the times its update targets got, one per ``order[1]`` entry.  Its
+    the times its update targets got, one per ``order[0]`` entry.  Its
     default targets got their fixed values.
     """
 
@@ -192,7 +186,7 @@ def _instance_template(order: VariantOrder) -> tuple[str, int, int]:
     the index of each default.  Paths are quoted by ``json.dumps`` (ASCII
     escapes, as in a whole-document dump) with ``%`` doubled.
     """
-    _, updates, defaults = order
+    updates, defaults = order
     forms = [
         _WRITE_JSON % ("false", kind.value, json.dumps(path).replace("%", "%%"), "%d")
         for path, kind in updates
@@ -261,20 +255,17 @@ def apply_instance(
     """Apply one instance to ``state`` in place; returns it plus its update values.
 
     The values are those the variant's update targets got, in the order of
-    ``order[1]`` of its :attr:`PathVariant.order`; its default targets get
-    their fixed values.  A path the variant touches for the first time is
-    added at the end of ``state``; every other path keeps its place and its
-    inner dict, and touched inner dicts are updated in place.  ``tau`` is
+    ``order[0]`` of its :attr:`PathVariant.order`; its default targets get
+    their fixed values.  A path written for the first time is added at the
+    end of ``state``; every other path keeps its place and its inner dict,
+    and written inner dicts are updated in place.  ``tau`` is
     not checked again: a :class:`ScheduleEntry` is never negative.
     """
     if not 0 <= variant_index < len(spec.variants):
         raise SimulationError(
             f"action {spec.name!r} has no variant {variant_index}"
         )
-    touched, updates, defaults = spec.variants[variant_index].order
-    for path in touched:
-        if path not in state:
-            state[path] = {}
+    updates, defaults = spec.variants[variant_index].order
     values: list[int] = []
     # randint(0, threshold) as the stdlib draws it, without its Python frames:
     # bound.bit_length() random bits, drawn again until below the bound.
@@ -286,10 +277,10 @@ def apply_instance(
         while delay >= bound:
             delay = getrandbits(bits)
         value = tau + delay
-        state[path][kind] = value
+        state.setdefault(path, {})[kind] = value
         values.append(value)
     for path, kind, default in defaults:
-        state[path][kind] = default
+        state.setdefault(path, {})[kind] = default
     return state, tuple(values)
 
 
@@ -507,7 +498,7 @@ def oracle_check(
     for action, instances in sorted(true_instances.items()):
         last = max(instances, key=lambda i: (i.tau, i.index))
         entry = written.get(last.index)
-        if entry is None or core_targets.get(action, frozenset()).isdisjoint(entry[0][1]):
+        if entry is None or core_targets.get(action, frozenset()).isdisjoint(entry[0][0]):
             continue
         if not any(
             a.interval.contains(last.tau)
@@ -587,9 +578,10 @@ def _read_default(line_no: int, keyword: str, args: str) -> DefaultTarget:
 
 
 # Each variant line's keyword, with the index of the set its target joins in
-# the (updates, defaults, creates) of a variant, and the reader of its
-# arguments, called with the line number, the keyword and the arguments.
-_VARIANT_LINES = {"ma": (0, _read_update), "da": (1, _read_default), "oa": (2, _target_path)}
+# the (updates, defaults) of a variant, and the reader of its arguments,
+# called with the line number, the keyword and the arguments.  A legacy
+# ``oa`` line's path is checked, then joins no set.
+_VARIANT_LINES = {"ma": (0, _read_update), "da": (1, _read_default), "oa": (None, _target_path)}
 
 
 def parse_scenario(text: str) -> Scenario:
@@ -598,11 +590,11 @@ def parse_scenario(text: str) -> Scenario:
     blocks = itertools.takewhile(lambda item: not _is_header(*item, "schedule:"), lines)
     specs: dict[str, ActionSpec] = {}
     for block in read_blocks(blocks, ScenarioError):
-        # One (updates, defaults, creates) triple per variant.
-        variants: list[tuple[set, set, set]] = []
+        # One (updates, defaults) pair per variant.
+        variants: list[tuple[set, set]] = []
         for line_no, line in block.body:
             if _is_header(line_no, line, "variant:"):
-                variants.append((set(), set(), set()))
+                variants.append((set(), set()))
                 continue
             parts = line.split(None, 1)
             keyword = parts[0]
@@ -614,9 +606,11 @@ def parse_scenario(text: str) -> Scenario:
             if "|" in parts[1]:
                 raise ScenarioError(line_no, f"'{keyword}' line contains the field separator '|'")
             if not variants:
-                variants.append((set(), set(), set()))
+                variants.append((set(), set()))
             index, read = entry
-            variants[-1][index].add(read(line_no, keyword, parts[1]))
+            target = read(line_no, keyword, parts[1])
+            if index is not None:
+                variants[-1][index].add(target)
         if not variants:
             raise ScenarioError(block.line_no, f"action {block.name!r} defines no variants")
         try:

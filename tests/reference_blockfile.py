@@ -4,6 +4,7 @@ Each parser is copied whole, with the shared reader it used then: content
 lines, blocks and their headers, and the ``if`` chain that read ``ma``,
 ``da`` and ``oa`` lines.  They build the package's own result and error
 types, so a result or an error compares equal to the current parsers'.
+An ``oa`` line's path is checked and then dropped, as the package does.
 """
 
 import itertools
@@ -175,11 +176,11 @@ def parse_scenario(text: str) -> Scenario:
     blocks = itertools.takewhile(lambda item: not _is_header(*item, "schedule:"), lines)
     specs: dict[str, ActionSpec] = {}
     for block in _read_blocks(blocks, ScenarioError):
-        # One (updates, defaults, creates) triple per variant.
-        variants: list[tuple[set, set, set]] = []
+        # One (updates, defaults) pair per variant.
+        variants: list[tuple[set, set]] = []
         for line_no, line in block.body:
             if _is_header(line_no, line, "variant:"):
-                variants.append((set(), set(), set()))
+                variants.append((set(), set()))
                 continue
             parts = line.split(None, 1)
             keyword = parts[0]
@@ -190,10 +191,10 @@ def parse_scenario(text: str) -> Scenario:
             if "|" in parts[1]:
                 raise ScenarioError(line_no, f"'{keyword}' line contains the field separator '|'")
             if not variants:
-                variants.append((set(), set(), set()))
-            updates, defaults, creates = variants[-1]
-            if keyword == "oa":
-                creates.add(_target_path(line_no, keyword, parts[1]))
+                variants.append((set(), set()))
+            updates, defaults = variants[-1]
+            if keyword == "oa":  # checked, then writes nothing
+                _target_path(line_no, keyword, parts[1])
                 continue
             sub = parts[1].split(None, 1)
             if len(sub) != 2 or sub[0] not in _KIND_WORDS:

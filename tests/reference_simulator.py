@@ -45,7 +45,7 @@ class ReferenceTruth(NamedTuple):
 def writes_of(truth) -> tuple[TruthWrite, ...]:
     """Every single write of a ``GroundTruth``, instance by instance: updates, then defaults."""
     writes: list[TruthWrite] = []
-    for instance, ((_, updates, defaults), values) in zip(truth.instances, truth.written):
+    for instance, ((updates, defaults), values) in zip(truth.instances, truth.written):
         index = instance.index
         writes += [
             TruthWrite(index, path, kind, value, False)
@@ -59,10 +59,7 @@ def apply_instance(state, spec, variant_index, tau, rng: random.Random, index):
     """Apply instance ``index`` to ``state`` in place; returns it plus its writes."""
     if not 0 <= variant_index < len(spec.variants):
         raise SimulationError(f"action {spec.name!r} has no variant {variant_index}")
-    touched, updates, defaults = spec.variants[variant_index].order
-    for path in touched:
-        if path not in state:
-            state[path] = {}
+    updates, defaults = spec.variants[variant_index].order
     writes = []
     bound = spec.threshold + 1
     bits = bound.bit_length()
@@ -70,10 +67,10 @@ def apply_instance(state, spec, variant_index, tau, rng: random.Random, index):
         delay = rng.getrandbits(bits)
         while delay >= bound:
             delay = rng.getrandbits(bits)
-        state[path][kind] = tau + delay
+        state.setdefault(path, {})[kind] = tau + delay
         writes.append(TruthWrite(index, path, kind, tau + delay, False))
     for path, kind, default in defaults:
-        state[path][kind] = default
+        state.setdefault(path, {})[kind] = default
         writes.append(TruthWrite(index, path, kind, default, True))
     return state, writes
 

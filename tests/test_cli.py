@@ -623,15 +623,13 @@ _truth_text = st.text(st.one_of(st.characters(), st.sampled_from(_AWKWARD)), max
 
 @st.composite
 def path_variants(draw, paths):
-    """A variant over ``paths``; any of its three target sets may be empty."""
+    """A variant over ``paths``; either of its two target sets may be empty."""
     targets = st.tuples(st.sampled_from(paths), st.sampled_from(TimestampKind))
     updates = draw(st.frozensets(targets, max_size=4))
     defaults = draw(st.dictionaries(targets, st.integers(1, MAX_TIME), max_size=3))
-    creates = draw(st.frozensets(st.sampled_from(paths), max_size=2))
     return PathVariant(
         updates,
         frozenset((p, k, v) for (p, k), v in defaults.items() if (p, k) not in updates),
-        creates,
     )
 
 
@@ -646,7 +644,7 @@ def ground_truths(draw):
     written = []
     for _ in instances:
         order = draw(st.sampled_from(orders))  # instances of one variant share its order
-        values = st.lists(st.integers(0, MAX_TIME), min_size=len(order[1]), max_size=len(order[1]))
+        values = st.lists(st.integers(0, MAX_TIME), min_size=len(order[0]), max_size=len(order[0]))
         written.append((order, tuple(draw(values))))
     return GroundTruth(tuple(instances), tuple(written))
 
@@ -662,7 +660,7 @@ def test_write_truth_equals_one_dumps_of_the_document(truth, seed, slice_size):
 
 def test_write_truth_puts_no_comma_for_an_instance_that_writes_nothing():
     writes = PathVariant(updates=frozenset({("/a", MOD)}), defaults=frozenset({("/b", MOD, 7)}))
-    silent = PathVariant(creates=frozenset({"/c"}))
+    silent = PathVariant()
     truth = GroundTruth(
         tuple(TruthInstance(i, "app", 100 * (i + 1), v) for i, v in enumerate((1, 0, 1, 0))),
         ((silent.order, ()), (writes.order, (105,)), (silent.order, ()), (writes.order, (409,))),
@@ -743,7 +741,7 @@ SIMULATE_GOLDENS = FIXTURES / "simulate"
 
 @pytest.mark.parametrize("golden, scenario, seed", [
     ("scenario_basic-seed5", FIXTURES / "scenario_basic.scn", 5),
-    ("picks-seed1", SIMULATE_GOLDENS / "picks.scn", 1),  # da, oa, '?' picks, two variants
+    ("picks-seed1", SIMULATE_GOLDENS / "picks.scn", 1),  # da, legacy oa, '?' picks, two variants
 ])
 def test_simulate_check_reproduces_its_golden_bytes(capsys, tmp_path, golden, scenario, seed):
     code, out, err = run(

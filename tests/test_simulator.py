@@ -41,8 +41,8 @@ from tracerecon.simulator import (
     core_targets,
     export_records,
 )
-from tracerecon.bodyfile import MAX_TIME
-from tracerecon.signatures import TracePattern
+from tracerecon.bodyfile import MAX_TIME, read_bodyfile
+from tracerecon.signatures import TracePattern, path_prefilter
 
 from conftest import FIXTURES
 from reference_simulator import TruthWrite, writes_of
@@ -89,22 +89,6 @@ def test_default_write_is_exact():
     assert instance_writes(spec, 0, 0, 1000, values) == [TruthWrite(0, "/obj/d", CRE, 500, True)]
 
 
-def test_created_objects_exist_afterward_with_the_variant_timestamps():
-    spec = ActionSpec(
-        "app",
-        10,
-        (
-            PathVariant(
-                updates=frozenset({("/obj/new", MOD)}),
-                creates=frozenset({"/obj/new", "/obj/marker"}),
-            ),
-        ),
-    )
-    state, _ = apply_instance({}, spec, 0, 100, random.Random(0))
-    assert MOD in state["/obj/new"]
-    assert state["/obj/marker"] == {}  # created but never timestamped
-
-
 def test_apply_instance_updates_the_state_it_is_given_in_place():
     spec = single_target_spec()
     untouched, touched = {MOD: 3}, {MOD: 7}
@@ -126,8 +110,6 @@ def reference_apply(state, spec, variant_index, tau, rng, index):
     variant = spec.variants[variant_index]
     new_state = {path: dict(times) for path, times in state.items()}
     writes = []
-    for path in sorted(variant.creates):
-        new_state.setdefault(path, {})
     for path, kind in sorted(variant.updates, key=lambda t: (t[0], t[1].value)):
         value = tau + rng.randint(0, spec.threshold)
         new_state.setdefault(path, {})[kind] = value
@@ -151,8 +133,7 @@ def variants_and_states(draw):
                 updates.add((path, kind))
             elif role == "default":
                 defaults.add((path, kind, draw(st.integers(0, 9))))
-    creates = draw(st.sets(st.sampled_from(SIM_PATHS)))
-    variant = PathVariant(frozenset(updates), frozenset(defaults), frozenset(creates))
+    variant = PathVariant(frozenset(updates), frozenset(defaults))
     state = draw(st.dictionaries(
         st.sampled_from(SIM_PATHS),
         st.dictionaries(st.sampled_from((MOD, CRE)), st.integers(0, 9), max_size=2),
@@ -478,7 +459,7 @@ def test_derived_patterns_are_exact_and_matching_ascii_paths_compiles_no_regex()
 
 
 def test_actions_without_update_targets_are_omitted():
-    silent = ActionSpec("silent", 10, (PathVariant(creates=frozenset({"/o/x"})),))
+    silent = ActionSpec("silent", 10, (PathVariant(defaults=frozenset({("/o/x", MOD, 5)})),))
     assert derive_signatures({"silent": silent}).signatures == ()
 
 
@@ -610,7 +591,6 @@ def oracle_variants(draw):
     return PathVariant(
         updates,
         frozenset((p, k, v) for (p, k), v in defaults.items() if (p, k) not in updates),
-        draw(st.frozensets(st.sampled_from(ORACLE_PATHS), max_size=1)),
     )
 
 
@@ -630,9 +610,19 @@ def oracle_worlds(draw):
 
 
 def own_check_report(specs, schedule, seed):
+    """Simulate a world, write its bodyfile, read it back through the derived
+    pack's prefilter, reconstruct from what was read and check the truth."""
     records, truth = simulate({}, specs, schedule, seed)
-    results = reconstruct(records, derive_signatures(specs))
-    return oracle_check(truth, results, core_targets(specs))
+    pack = derive_signatures(specs)
+    text = io.StringIO()
+    write_bodyfile(records, text)
+    hits = path_prefilter(pack)
+    read_back = list(read_bodyfile(io.BytesIO(text.getvalue().encode()), "world", hits))
+    # No oracle path holds another, so the prefilter lists exactly the lines
+    # of derived paths; with no pattern at all, it lists every line.
+    derived = {trace.exact for signature in pack for trace in signature.traces}
+    assert read_back == [r for r in records if hits is None or r.path in derived]
+    return oracle_check(truth, reconstruct(read_back, pack), core_targets(specs))
 
 
 @settings(max_examples=300)
@@ -656,9 +646,9 @@ def random_oracle_world(rng):
                 for p, k in rng.sample(ORACLE_TARGETS, rng.randint(0, 2))
                 if (p, k) not in updates
             )
-            variants.append(
-                PathVariant(updates, defaults, frozenset(rng.sample(ORACLE_PATHS, rng.randint(0, 1))))
-            )
+            # This draw made the create set; kept so that a seed keeps its worlds.
+            rng.sample(ORACLE_PATHS, rng.randint(0, 1))
+            variants.append(PathVariant(updates, defaults))
         specs[f"A{a}"] = ActionSpec(f"A{a}", rng.randint(1, 300), tuple(variants))
     names = sorted(specs)
     entries = [
@@ -694,15 +684,27 @@ def test_scenario_fixture_parses_completely():
     assert editor.threshold == 40
     assert len(editor.variants) == 2
     viewer = scenario.specs["open viewer"]
-    assert viewer.variants[0].defaults == frozenset(
-        {("/profile/viewer/install.log", CRE, 900000000)}
+    assert viewer.variants == (
+        PathVariant(
+            updates=frozenset(
+                {("/profile/viewer/session.ini", MOD), ("/profile/shared/mru.dat", MOD)}
+            ),
+            defaults=frozenset({("/profile/viewer/install.log", CRE, 900000000)}),
+        ),
     )
-    assert viewer.variants[0].creates == frozenset({"/profile/viewer/cache"})
     assert [e.action for e in scenario.schedule.entries] == [
         "open editor",
         "open viewer",
         "open editor",
     ]
+
+
+def test_an_oa_line_before_any_variant_opens_an_empty_first_variant():
+    text = "action: app\nthreshold: 10\noa /o/x\nvariant:\nma modified /o/a\nschedule:\n"
+    assert parse_scenario(text).specs["app"].variants == (
+        PathVariant(),
+        PathVariant(updates=frozenset({("/o/a", MOD)})),
+    )
 
 
 def test_random_variant_marker_is_seed_stable():

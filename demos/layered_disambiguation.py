@@ -27,7 +27,9 @@ objects = load_metadata(FIXTURES / "worked_example.body")
 print("Step 1 - ActionX on its own evidence")
 print("------------------------------------")
 matched = match_pack(PACK, objects)  # every pattern, one pass over the objects
-result = analyze_action(PACK.get("ActionX"), matched)
+# every action's verdict on its own evidence; the shared step needs them all
+results = {sig.action_name: analyze_action(sig, matched) for sig in PACK}
+result = results["ActionX"]
 show("core verdict", "multi-instance" if result.parallel else "consistent")
 for instance in result.instances:
     show(
@@ -45,7 +47,7 @@ print()
 
 print("Step 2 - the shared cache objects")
 print("---------------------------------")
-for attribution in shared_attributions(PACK, matched, {"ActionX": result}):
+for attribution in shared_attributions(matched, results):
     claim = attribution.resolved or "unresolved - either action fits"
     show(f"shared value {attribution.cluster.oldest}", claim)
 print()

@@ -292,7 +292,8 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument(
         "--check",
         action="store_true",
-        help="reconstruct from the exported metadata and verify it against the ground truth",
+        help="reconstruct from the simulated records (what metadata.body reads back as) "
+        "and verify the result against the ground truth",
     )
     sim.set_defaults(func=cmd_simulate)
 

@@ -194,11 +194,16 @@ def analyze_action(
 
 
 def shared_attributions(
-    pack: SignaturePack,
     matched: Mapping[Bucket, Sequence[TraceState]],
-    per_action_results: Mapping[str, ActionResult],
+    results: Mapping[str, ActionResult],
 ) -> list[SharedAttribution]:
-    """Cluster every shared group of ``pack.buckets`` and attribute each cluster.
+    """Cluster every shared group of ``matched`` and attribute each cluster.
+
+    ``matched`` is what :func:`match_pack` returned; its shared groups are
+    its frozenset keys.  ``results`` holds the :func:`analyze_action`
+    verdict of every candidate of every group: each verdict carries the
+    threshold and the core clusters that bound when its action could
+    have run.
 
     Traces shared by the same set of actions are clustered together; the
     grouping threshold is the largest of the candidates' thresholds, the
@@ -210,20 +215,19 @@ def shared_attributions(
     refreshed by every execution, so an action cannot have run after its
     newest core value plus its threshold: a cluster whose oldest value is
     later than that bound drops the action.  A candidate without core
-    evidence, or missing from ``per_action_results``, is never dropped.
-    The cluster resolves when exactly one candidate survives; with several
-    no conclusion is possible.
+    evidence is never dropped.  The cluster resolves when exactly one
+    candidate survives; with several no conclusion is possible.
     """
     attributions: list[SharedAttribution] = []
-    for candidates in pack.buckets:
+    for candidates, states in matched.items():
         if not isinstance(candidates, frozenset):
             continue
-        group_threshold = max(pack.get(name).threshold for name in candidates)
-        for cluster in cluster_by_threshold(matched[candidates], group_threshold):
+        group_threshold = max(results[name].threshold for name in candidates)
+        for cluster in cluster_by_threshold(states, group_threshold):
             survivors = set(candidates)
             for name in candidates:
-                result = per_action_results.get(name)
-                if len(candidates) == 1 or result is None or not result.core_clusters:
+                result = results[name]
+                if len(candidates) == 1 or not result.core_clusters:
                     continue
                 if cluster.oldest > result.core_clusters[-1].newest + result.threshold:
                     survivors.discard(name)
@@ -251,7 +255,7 @@ def reconstruct(
     }
 
     reported = {name: list(result.instances) for name, result in results.items()}
-    for attribution in shared_attributions(pack, matched, results):
+    for attribution in shared_attributions(matched, results):
         if attribution.resolved is None:
             continue
         owner = results[attribution.resolved]

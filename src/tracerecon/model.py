@@ -189,8 +189,9 @@ def instance_interval(oldest: Timestamp, newest: Timestamp, threshold: int) -> T
     """Interval in which the instance behind trace values ``oldest..newest`` ran.
 
     A trace update lands between zero and ``threshold`` seconds after its
-    causing instance, so the instance ran no later than the oldest value and
-    no more than one threshold before it: ``[oldest - threshold, newest]``.
+    causing instance, so every instance that wrote one of the values ran
+    within one threshold before that value: all of them ran in
+    ``[oldest - threshold, newest]``.
     The start is clamped at the epoch floor; values before 1970 are
     meaningless in this domain.
     """

@@ -172,7 +172,6 @@ class GroundTruth:
 
 
 _JSON_SEPARATORS = (",", ":")
-_TRUTH_SLICE = 100  # instances per write call
 # One compact write object, its keys in sorted order: %d stays for the
 # instance index, and the value is %d for an update, the number for a default.
 _WRITE_JSON = '{"default":%s,"instance":%%d,"kind":"%s","path":%s,"value":%s}'
@@ -198,24 +197,6 @@ def _instance_template(order: VariantOrder) -> tuple[str, int, int]:
     return ",".join(forms), len(updates), 2 * len(updates) + len(defaults)
 
 
-def _instance_writes(truth: GroundTruth) -> Iterable[str]:
-    """The JSON text of each instance's writes, for instances that wrote any.
-
-    Each variant order gets its template the first time an instance of it
-    is seen; an instance is then one ``template % args``.
-    """
-    templates: dict[int, tuple[str, int, int]] = {}
-    for instance, (order, values) in zip(truth.instances, truth.written):
-        known = templates.get(id(order))
-        if known is None:
-            known = templates[id(order)] = _instance_template(order)
-        template, updates, size = known
-        if size:
-            args = [instance.index] * size
-            args[1:2 * updates:2] = values
-            yield template % tuple(args)
-
-
 def write_truth(fh: TextIO, seed: int, truth: GroundTruth) -> None:
     """Write ``truth.json``: compact JSON with sorted keys, plus a newline.
 
@@ -223,9 +204,11 @@ def write_truth(fh: TextIO, seed: int, truth: GroundTruth) -> None:
     per write, instance by instance: its updates, then its defaults, each
     as ``{"default", "instance", "kind", "path", "value"}``.  The bytes
     equal one ``json.dumps(..., sort_keys=True)`` of the whole document.
-    The writes go out ``_TRUTH_SLICE`` instances at a time, so the document
-    is never held whole in memory.  ``"writes"`` is the last key in sorted
-    order, so the head closes over it.
+    Each instance's writes go out in one call as soon as they are
+    formatted, so the document is never held whole in memory.  Each variant
+    order gets its ``%`` template the first time an instance of it is seen;
+    an instance is then one ``template % args``.  ``"writes"`` is the last
+    key in sorted order, so the head closes over it.
     """
     head = {
         "seed": seed,
@@ -236,12 +219,18 @@ def write_truth(fh: TextIO, seed: int, truth: GroundTruth) -> None:
     }
     fh.write(json.dumps(head, sort_keys=True, separators=_JSON_SEPARATORS)[:-1])
     fh.write(',"writes":[')
-    pieces = _instance_writes(truth)
+    templates: dict[int, tuple[str, int, int]] = {}
     separator = ""
-    while chunk := list(itertools.islice(pieces, _TRUTH_SLICE)):
-        fh.write(separator)
-        fh.write(",".join(chunk))
-        separator = ","
+    for instance, (order, values) in zip(truth.instances, truth.written):
+        known = templates.get(id(order))
+        if known is None:
+            known = templates[id(order)] = _instance_template(order)
+        template, updates, size = known
+        if size:
+            args = [instance.index] * size
+            args[1:2 * updates:2] = values
+            fh.write(separator + template % tuple(args))
+            separator = ","
     fh.write("]}\n")
 
 

@@ -561,6 +561,15 @@ def test_simulate_writes_deterministic_outputs(capsys, tmp_path):
     ]
 
 
+def write_records(truth):
+    """Each write of the truth as its ``truth.json`` record."""
+    return [
+        {"instance": w.instance_index, "path": w.path, "kind": w.kind.value,
+         "value": w.value, "default": w.is_default}
+        for w in reference_simulator.writes_of(truth)
+    ]
+
+
 def truth_json(seed, truth):
     """The truth document as one ``json.dumps`` of the whole log, plus a newline."""
     document = {
@@ -569,17 +578,12 @@ def truth_json(seed, truth):
             {"index": i.index, "action": i.action, "tau": i.tau, "variant": i.variant}
             for i in truth.instances
         ],
-        "writes": [
-            {"instance": w.instance_index, "path": w.path, "kind": w.kind.value,
-             "value": w.value, "default": w.is_default}
-            for w in reference_simulator.writes_of(truth)
-        ],
+        "writes": write_records(truth),
     }
     return json.dumps(document, sort_keys=True, separators=(",", ":")) + "\n"
 
 
-def test_simulate_truth_json_equals_one_dumps_of_the_whole_log(capsys, tmp_path, monkeypatch):
-    monkeypatch.setattr("tracerecon.simulator._TRUTH_SLICE", 2)  # several slices on a small log
+def test_simulate_truth_json_equals_one_dumps_of_the_whole_log(capsys, tmp_path):
     scenario = FIXTURES / "scenario_basic.scn"
     assert run(capsys, "simulate", str(scenario), "--seed", "5", "--out", str(tmp_path))[0] == 0
 
@@ -650,12 +654,39 @@ def ground_truths(draw):
 
 
 @settings(max_examples=300)
-@given(ground_truths(), st.integers(), st.integers(1, 5))
-def test_write_truth_equals_one_dumps_of_the_document(truth, seed, slice_size):
+@given(ground_truths(), st.integers())
+def test_write_truth_equals_one_dumps_of_the_document(truth, seed):
     out = io.StringIO()
-    with mock.patch("tracerecon.simulator._TRUTH_SLICE", slice_size):
-        write_truth(out, seed, truth)
+    write_truth(out, seed, truth)
     assert out.getvalue() == truth_json(seed, truth)
+
+
+class RecordingFile:
+    """A text file that keeps the text of each ``write`` call."""
+
+    def __init__(self):
+        self.calls = []
+
+    def write(self, text):
+        self.calls.append(text)
+
+
+def test_write_truth_writes_each_instance_as_soon_as_it_is_formatted():
+    parsed = parse_scenario((FIXTURES / "scenario_basic.scn").read_text())
+    _, truth = simulate({}, parsed.specs, parsed.schedule, 5)
+    out = RecordingFile()
+    write_truth(out, 5, truth)
+    assert "".join(out.calls) == truth_json(5, truth)
+
+    by_instance = {}
+    for record in write_records(truth):
+        text = json.dumps(record, sort_keys=True, separators=(",", ":"))
+        by_instance.setdefault(record["instance"], []).append(text)
+    assert len(by_instance) > 2
+    longest = max(len(",".join(texts)) for texts in by_instance.values())
+    writes = out.calls[out.calls.index(',"writes":[') + 1:-1]
+    assert all(len(text) <= longest + 1 for text in writes)
+    assert len(writes) == len(by_instance)
 
 
 def test_write_truth_puts_no_comma_for_an_instance_that_writes_nothing():
@@ -665,12 +696,10 @@ def test_write_truth_puts_no_comma_for_an_instance_that_writes_nothing():
         tuple(TruthInstance(i, "app", 100 * (i + 1), v) for i, v in enumerate((1, 0, 1, 0))),
         ((silent.order, ()), (writes.order, (105,)), (silent.order, ()), (writes.order, (409,))),
     )
-    for slice_size in (1, 2, 100):
-        out = io.StringIO()
-        with mock.patch("tracerecon.simulator._TRUTH_SLICE", slice_size):
-            write_truth(out, 3, truth)
-        assert out.getvalue() == truth_json(3, truth)
-        assert ",," not in out.getvalue() and "[," not in out.getvalue()
+    out = io.StringIO()
+    write_truth(out, 3, truth)
+    assert out.getvalue() == truth_json(3, truth)
+    assert ",," not in out.getvalue() and "[," not in out.getvalue()
 
 
 @st.composite
@@ -710,8 +739,8 @@ def approximations(names):
 
 
 @settings(max_examples=300, suppress_health_check=[HealthCheck.too_slow])
-@given(simulations(), st.integers(0, 3), st.integers(1, 5), st.data())
-def test_simulate_check_equals_the_per_write_reference(simulation, seed, slice_size, data):
+@given(simulations(), st.integers(0, 3), st.data())
+def test_simulate_check_equals_the_per_write_reference(simulation, seed, data):
     initial, specs, schedule = simulation
     records, truth = simulate(initial, specs, schedule, seed)
     expected_records, expected = reference_simulator.simulate(initial, specs, schedule, seed)
@@ -720,9 +749,8 @@ def test_simulate_check_equals_the_per_write_reference(simulation, seed, slice_s
     assert reference_simulator.writes_of(truth) == expected.writes
 
     out, expected_out = io.StringIO(), io.StringIO()
-    with mock.patch("tracerecon.simulator._TRUTH_SLICE", slice_size):
-        write_truth(out, seed, truth)
-    with mock.patch.object(reference_simulator, "TRUTH_SLICE", slice_size):
+    write_truth(out, seed, truth)
+    with mock.patch.object(reference_simulator, "TRUTH_SLICE", 2):  # the reference in slices
         reference_simulator.write_truth(expected_out, seed, expected)
     assert out.getvalue() == expected_out.getvalue()
 

@@ -8,7 +8,6 @@ from tracerecon import (
     ConfidenceNote,
     InstanceRank,
     ObjectRecord,
-    SignaturePack,
     TimestampKind,
     TraceCategory,
     TraceState,
@@ -42,8 +41,10 @@ def cluster_values(clusters):
     return [[m.value for m in c.members] for c in clusters]
 
 
-def signature_of(action, threshold, category=TraceCategory.CORE):
-    return Signature(action, threshold, (TracePattern(category, TimestampKind.MODIFIED, "x"),))
+def signature_of(action, threshold):
+    return Signature(
+        action, threshold, (TracePattern(TraceCategory.CORE, TimestampKind.MODIFIED, "x"),)
+    )
 
 
 def analyzed(action, threshold, core_values=(), support_values=()):
@@ -55,13 +56,16 @@ def analyzed(action, threshold, core_values=(), support_values=()):
     return analyze_action(signature_of(action, threshold), matched)
 
 
-def attribute(threshold, shared_values, candidates, per_action_results):
-    """``shared_attributions`` for one group of actions sharing the given values."""
-    pack = SignaturePack(
-        signature_of(name, threshold, TraceCategory.SHARED) for name in sorted(candidates)
-    )
+def attribute(threshold, shared_values, candidates, verdicts):
+    """``shared_attributions`` for one group of actions sharing the given values.
+
+    Each candidate gets a no-evidence verdict at ``threshold`` unless
+    ``verdicts`` gives its own.
+    """
+    results = {name: analyzed(name, threshold) for name in candidates}
+    results.update(verdicts)
     matched = {frozenset(candidates): states_of(*shared_values)}
-    return shared_attributions(pack, matched, per_action_results)
+    return shared_attributions(matched, results)
 
 
 # --- clustering ---------------------------------------------------------
@@ -238,6 +242,26 @@ def test_actions_without_core_evidence_cannot_be_eliminated():
     assert attribution.resolved is None
 
 
+def test_a_group_clusters_at_its_largest_candidate_threshold():
+    # 1050 is 50 s after 1000: past A's 10 s threshold but within B's 100 s,
+    # so the group's one window holds both values
+    verdicts = {"B": analyzed("B", 100)}
+    (attribution,) = attribute(10, (1000, 1050), {"A", "B"}, verdicts)
+    assert (attribution.cluster.oldest, attribution.cluster.newest) == (1000, 1050)
+    assert attribution.resolved is None
+
+
+def test_a_cluster_at_exactly_the_elimination_bound_keeps_the_candidate():
+    # A's bound is its newest core value plus its threshold, 1000 + 30; a
+    # cluster starting at 1030 is not later than that, so A survives
+    verdicts = {
+        "A": analyzed("A", 30, core_values=(1000,)),
+        "B": analyzed("B", 30, core_values=(5000,)),
+    }
+    (attribution,) = attribute(30, (1030,), {"A", "B"}, verdicts)
+    assert attribution.resolved is None
+
+
 def test_attribution_invariants():
     cluster = Cluster(tuple(states_of(5)))
     with pytest.raises(ValueError):
@@ -354,6 +378,22 @@ def test_resolved_shared_cluster_near_an_existing_instance_only_corroborates():
     ]
     out = reconstruct(objects, pack)
     assert [(a.action_name, a.detected) for a in out] == [("B", 5000), ("A", 1000)]
+
+
+def test_a_resolved_cluster_one_threshold_from_an_instance_corroborates_it():
+    # the shared value at 1030 resolves to A (B's bound is 100 + 30) and
+    # sits exactly one threshold after A's instance, so it claims no new run
+    pack = parse_signature_pack(
+        "action: A\nthreshold: 30\ncore modified ^/a/core$\nshared modified ^/lib$\n---\n"
+        "action: B\nthreshold: 30\ncore modified ^/b/core$\nshared modified ^/lib$\n"
+    )
+    objects = [
+        ObjectRecord(path="/a/core", modified=1000),
+        ObjectRecord(path="/b/core", modified=100),
+        ObjectRecord(path="/lib", modified=1030),
+    ]
+    out = reconstruct(objects, pack)
+    assert [(a.action_name, a.detected) for a in out] == [("A", 1000), ("B", 100)]
 
 
 def test_one_past_run_seen_through_two_shared_groups_is_reported_once():

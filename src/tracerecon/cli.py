@@ -168,6 +168,9 @@ def cmd_scan(args: argparse.Namespace) -> int:
         records = read_bodyfile(stream, args.metadata, path_prefilter(pack))
         approximations = reconstruct(records, pack)
     label = args.label or Path(args.metadata).stem  # "-" for stdin
+    # A byte that is not UTF-8, in a file name or an argument, prints as \xNN,
+    # which a strict UTF-8 stdout can encode; a valid label stays as it is.
+    label = label.encode("utf-8", "surrogateescape").decode("utf-8", "backslashreplace")
     rows = [_row_cells(a, label, args.utc_display) for a in approximations]
     _EMITTERS[args.format](rows, sys.stdout)
     print(f"{len(rows)} detections", file=sys.stderr)

@@ -41,11 +41,11 @@ maps ``İ`` and ``ı`` to ``i``, ``ſ`` to ``s`` and the Kelvin sign ``K`` to
 equates with an ASCII one.  A trace of one object path, built by
 :meth:`TracePattern.for_path` (as the simulator derives one per target
 path), skips the index: the matcher finds every such hit with one dict
-lookup of the key per timestamp kind, and a path ending in ``\\n`` is
-found under the path plus ``\\n``, since ``$`` also matches before a final
-newline.  Such a trace of an ASCII path compiles its regex only on first
-use, where any other pattern compiles when it is built.  A
-``^...$`` line in a signature file is an ordinary pattern.
+lookup of the key, and a path ending in ``\\n`` is found under the path
+plus ``\\n``, since ``$`` also matches before a final newline.  Such a
+trace of an ASCII path compiles its regex only on first use, where any
+other pattern compiles when it is built.  A ``^...$`` line in a signature
+file is an ordinary pattern.
 
 :func:`path_prefilter` searches the same index before a record exists:
 its ``hits`` lists the candidate lines of a whole block of bodyfile lines,
@@ -168,13 +168,11 @@ class SignaturePack:
 
     def __init__(self, signatures: Iterable[Signature]):
         self.signatures: tuple[Signature, ...] = tuple(signatures)
-        self._by_name: dict[str, Signature] = {}
         self.buckets: dict[Bucket, tuple[TracePattern, ...]] = {}
         listed: dict[SharedKey, set[str]] = {}
         for sig in self.signatures:
-            if sig.action_name in self._by_name:
+            if (sig.action_name, TraceCategory.CORE) in self.buckets:
                 raise SignatureError(None, f"duplicate action name in pack: {sig.action_name!r}")
-            self._by_name[sig.action_name] = sig
             for category in (TraceCategory.CORE, TraceCategory.SUPPORTING):
                 self.buckets[(sig.action_name, category)] = tuple(
                     t for t in sig.traces if t.category is category
@@ -192,9 +190,6 @@ class SignaturePack:
 
     def __iter__(self) -> Iterator[Signature]:
         return iter(self.signatures)
-
-    def get(self, action_name: str) -> Signature:
-        return self._by_name[action_name]
 
     @cached_property
     def _literal_index(self) -> _LiteralIndex:
@@ -458,56 +453,56 @@ def match_pack(
     each contribute.  A record lacking the referenced timestamp contributes
     nothing.
 
-    One pass over ``pack.buckets`` builds the plan.  Each trace whose
-    path is ``exact`` (:meth:`TracePattern.for_path`) is indexed under that
-    path and under the path plus ``\\n`` (``$`` also matches before a
-    final newline), so one dict lookup per record and kind finds all of
-    their hits, and their regexes are never compiled.  Every other trace
-    joins the entry of its (source, kind) pair, filed under the pair's
-    :attr:`~TracePattern.literal`, so each pair is tried at most once per
-    record, feeding every bucket that lists it.  Each record path is folded
-    once into a key (:func:`fold`).  Only when the pack has such entries,
-    its literal index finds the literals in the key with one trie regex,
-    and only the entries of those literals and of no literal run their
-    regexes; a record that holds no literal runs only the latter.  The key
-    contains every ASCII literal a match needs, and equals an exact key
-    exactly when the ``^...$`` regex matches.  For each record and kind,
-    the buckets fed by the lookup's hit and by every regex hit form one hit
-    set, and each bucket in it gets the same one state.
+    One pass over ``pack.buckets`` builds the plan: one entry per
+    distinct (source, kind) pair, feeding every bucket that lists it, so
+    each pair is tried at most once per record.  Each record path is folded
+    once into a key (:func:`fold`).  An entry made by a trace whose path is
+    ``exact`` (:meth:`TracePattern.for_path`) holds no regex and is filed
+    under that path and under the path plus ``\\n`` (``$`` also matches
+    before a final newline): one dict lookup of the key finds all of their
+    hits, and their regexes are never compiled.  Every other entry is
+    filed under the pair's :attr:`~TracePattern.literal` and runs its
+    regex.  Only when the pack has such entries, its literal index finds
+    the literals in the key with one trie regex, and only the entries of
+    those literals and of no literal run their regexes; a record that
+    holds no literal runs only the latter.  The key contains every ASCII
+    literal a match needs, and equals an exact key exactly when the
+    ``^...$`` regex matches, so an exact trace and a ``^...$`` line of the
+    same source and kind share one entry whichever comes first.  For each
+    record and kind, the buckets fed by every hit form one hit set, and
+    each bucket in it gets the same one state.
     """
     buckets: dict[Bucket, list[TraceState]] = {}
-    # Under each kind's record field name, the buckets fed under each indexed
-    # key of its exact traces; and the (field name, regex search, buckets
-    # fed) entry of each inexact (source, kind) pair, under its literal.
-    lookups: dict[str, dict[str, dict[Bucket, None]]] = {}
-    entries: dict[tuple[str, str], tuple[str, Callable, dict[Bucket, None]]] = {}
-    by_literal: dict[str | None, list[tuple[str, Callable, dict[Bucket, None]]]] = {}
+    # The (field name, regex search or None for an exact path, buckets fed)
+    # entry of each (source, kind) pair, filed under each key it is found by.
+    entries: dict[tuple[str, str], tuple[str, Callable | None, dict[Bucket, None]]] = {}
+    by_key: dict[str | None, list[tuple[str, Callable | None, dict[Bucket, None]]]] = {}
     for bucket, patterns in pack.buckets.items():
         buckets[bucket] = []
         for trace in patterns:
             field_name = trace.kind.value
-            if trace.exact is None:
-                entry = entries.get((trace.source, field_name))
-                if entry is None:
-                    entry = entries[trace.source, field_name] = (field_name, trace.regex.search, {})
-                    by_literal.setdefault(trace.literal, []).append(entry)
-                entry[2][bucket] = None
-                continue
-            for key in (trace.exact, trace.exact + "\n"):
-                lookups.setdefault(field_name, {}).setdefault(key, {})[bucket] = None
-    found = pack._literal_index.found if entries else lambda key: ()
+            entry = entries.get((trace.source, field_name))
+            if entry is None:
+                exact = trace.exact
+                search = None if exact is not None else trace.regex.search
+                entry = entries[trace.source, field_name] = (field_name, search, {})
+                for key in (exact, exact + "\n") if exact is not None else (trace.literal,):
+                    by_key.setdefault(key, []).append(entry)
+            entry[2][bucket] = None
+    found = pack._literal_index.found if any(e[1] for e in entries.values()) else lambda key: ()
 
     for record in records:
         path = record.path
         key = fold(path)
         hits: dict[str, dict[Bucket, None]] = {}
-        for field_name, index in lookups.items():
-            targets = index.get(key)
-            if targets is not None and getattr(record, field_name) is not None:
-                hits[field_name] = dict(targets)
+        for field_name, search, targets in by_key.get(key, ()):
+            if search is None and getattr(record, field_name) is not None:
+                hits.setdefault(field_name, {}).update(targets)
+        # An exact path is a literal of the index too, found in longer keys,
+        # so its entry hits only by the lookup above.
         for literal in found(key):
-            for field_name, search, targets in by_literal.get(literal, ()):
-                if getattr(record, field_name) is not None and search(path) is not None:
+            for field_name, search, targets in by_key.get(literal, ()):
+                if search and getattr(record, field_name) is not None and search(path):
                     hits.setdefault(field_name, {}).update(targets)
         for field_name, targets in hits.items():
             state = TraceState(path, KIND_WORDS[field_name], getattr(record, field_name))

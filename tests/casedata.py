@@ -55,3 +55,9 @@ T_SUP_A = epoch(2010, 4, 14, 19, 28, 18)
 T_SUP_B = epoch(2010, 4, 14, 19, 28, 34)
 T_SHARED_NEAR = epoch(2010, 4, 14, 19, 28, 25)
 T_SHARED_LATE = epoch(2010, 5, 2, 9, 45, 2)
+
+
+def signature(pack, name):
+    """The one signature of action ``name`` in ``pack``."""
+    (found,) = [sig for sig in pack if sig.action_name == name]
+    return found

@@ -81,7 +81,8 @@ def test_criterion_2_case_study_reproduction(browser_pack):
 
     # the two overlapping runs on computer 1 carry the parallel diagnostic
     c1 = load_metadata(FIXTURES / "computer1.body")
-    ff3_result = analyze_action(browser_pack.get(casedata.FF3), match_pack(browser_pack, c1))
+    ff3 = casedata.signature(browser_pack, casedata.FF3)
+    ff3_result = analyze_action(ff3, match_pack(browser_pack, c1))
     assert ff3_result.parallel
     for anchor in (epoch(2011, 7, 24, 13, 24, 14), epoch(2011, 7, 24, 15, 2, 31)):
         approx = detections[("computer1", casedata.FF3, anchor)]

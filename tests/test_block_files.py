@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import casedata
 import reference_blockfile
 from tracerecon import (
     ScenarioError,
@@ -148,7 +149,7 @@ def test_a_global_flag_not_at_the_start_does_not_load():
 
 def test_a_number_of_640_characters_is_still_read():
     pack = parse_signature_pack("action: A\nthreshold: " + LONGEST + "\ncore modified x\n")
-    assert pack.get("A").threshold == int(LONGEST)
+    assert casedata.signature(pack, "A").threshold == int(LONGEST)
 
 
 def test_tabs_separate_scenario_fields_as_spaces_do():
@@ -203,9 +204,10 @@ def test_only_one_leading_byte_order_mark_is_dropped(parse, error):
 
 def test_a_byte_order_mark_inside_a_pattern_stays_in_it():
     text = SIG + "core modified a\ufeffb\n"
-    (trace,) = parse_signature_pack("\ufeff" + text).get("A").traces
+    marked = casedata.signature(parse_signature_pack("\ufeff" + text), "A")
+    (trace,) = marked.traces
     assert trace.source == "a\ufeffb"
-    assert parse_signature_pack("\ufeff" + text).get("A") == parse_signature_pack(text).get("A")
+    assert marked == casedata.signature(parse_signature_pack(text), "A")
 
 
 def _outcome(parse, text):

@@ -113,6 +113,25 @@ def test_scan_label_defaults_to_the_file_stem(capsys):
     assert {row["computer"] for row in rows} == {"computer1"}
 
 
+@pytest.mark.parametrize("route", ["stem", "label"])
+def test_scan_prints_a_label_byte_that_is_not_utf8_as_an_escape(tmp_path, route):
+    # The byte reaches the program as a lone surrogate, which a strict UTF-8
+    # stdout, as a UTF-8 terminal has, cannot encode.
+    name = os.fsdecode(b"comp\xffter")
+    body = tmp_path / f"{name}.body"
+    body.write_bytes((FIXTURES / "computer1.body").read_bytes())
+    argv = [str(body), FF3_SIG] if route == "stem" else [C1, FF3_SIG, "--label", name]
+    result = subprocess.run(
+        [sys.executable, "-m", "tracerecon.cli", "scan", *argv, "--format", "csv"],
+        capture_output=True,
+        env=_child_env(PYTHONIOENCODING="utf-8:strict"),
+        timeout=60,
+    )
+    assert (result.returncode, result.stderr) == (0, b"6 detections\n")
+    rows = list(csv.DictReader(io.StringIO(result.stdout.decode("utf-8"))))
+    assert {row["computer"] for row in rows} == {"comp\\xffter"}
+
+
 def test_scan_empty_bodyfile_reports_zero_detections(capsys, tmp_path):
     empty = tmp_path / "empty.body"
     empty.write_text("")

@@ -279,7 +279,7 @@ def worked_example_objects():
 
 def test_supporting_evidence_merges_into_a_consistent_core_window(worked_example_pack):
     matched = match_pack(worked_example_pack, worked_example_objects())
-    result = analyze_action(worked_example_pack.get(casedata.X), matched)
+    result = analyze_action(casedata.signature(worked_example_pack, casedata.X), matched)
     assert not result.parallel
     last, previous = result.instances[-1], result.instances[0]
     assert last.rank is InstanceRank.MOST_RECENT
@@ -294,7 +294,8 @@ def test_supporting_evidence_merges_into_a_consistent_core_window(worked_example
 
 def test_parallel_instances_do_not_absorb_supporting_clusters(ff3_pack):
     objects = load_metadata(FIXTURES / "computer1.body")
-    result = analyze_action(ff3_pack.get(casedata.FF3), match_pack(ff3_pack, objects))
+    ff3 = casedata.signature(ff3_pack, casedata.FF3)
+    result = analyze_action(ff3, match_pack(ff3_pack, objects))
     assert result.parallel
     by_anchor = {i.detected: i for i in result.instances}
     # both core values stand alone as parallel-instance detections, even
@@ -307,7 +308,8 @@ def test_parallel_instances_do_not_absorb_supporting_clusters(ff3_pack):
 
 def test_supporting_cluster_merges_ahead_of_the_core_window(ie8_pack):
     objects = load_metadata(FIXTURES / "computer2.body")
-    result = analyze_action(ie8_pack.get(casedata.IE8), match_pack(ie8_pack, objects))
+    ie8 = casedata.signature(ie8_pack, casedata.IE8)
+    result = analyze_action(ie8, match_pack(ie8_pack, objects))
     most_recent = result.instances[-1]
     assert most_recent.rank is InstanceRank.MOST_RECENT
     assert most_recent.detected == epoch(2011, 7, 17, 15, 15, 9)  # support crtime

@@ -26,6 +26,7 @@ from tracerecon.signatures import (
     required_literal,
 )
 
+import casedata
 import reference_matcher
 from reference_matcher import reference_buckets, reference_groups
 
@@ -297,6 +298,34 @@ def test_exact_and_inexact_traces_in_one_pack_match_as_the_reference():
     assert len(matched[("A", CORE)]) == 2 and len(matched[frozenset("AB")]) == 2
 
 
+def line_of_path(category, kind, path):
+    """The trace of a ``^...$`` signature-file line: ``for_path``'s source, no exact key."""
+    return TracePattern(category, kind, "^" + re.escape(path) + "$")
+
+
+@pytest.mark.parametrize(
+    "make_a, make_b", [(TracePattern.for_path, line_of_path), (line_of_path, TracePattern.for_path)]
+)
+def test_a_path_trace_and_a_line_of_its_source_share_one_entry_as_the_reference(make_a, make_b):
+    # A lists the path as core and B as shared, so one (source, kind) entry,
+    # made by whichever trace comes first, feeds A's core bucket and the group
+    # of A and B.  B's inexact trace makes the matcher search the literal
+    # index, which also finds the exact path inside a longer key.
+    pack = SignaturePack([
+        Signature("A", 5, (make_a(CORE, MODIFIED, "C:/x/A.dat"),)),
+        Signature("B", 9, (make_b(SHARED, MODIFIED, "C:/x/A.dat"),
+                           TracePattern(SUPPORT, MODIFIED, ".*/x/"))),
+    ])
+    paths = ["C:/x/A.dat", "c:/X/a.DAT", "C:/x/a.dat\n", "C:/x/a.dat\n\n", "C:/x/a.da",
+             "C:/y/C:/x/A.dat", "C:/x/A.dat/b"]
+    records = [ObjectRecord(path=path, modified=2) for path in paths]
+    matched = match_pack(pack, records)
+    assert all("regex" not in vars(t) for sig in pack for t in sig.traces if t.exact)
+    assert matched == reference_buckets(pack, records)
+    assert len(matched[("A", CORE)]) == len(matched[frozenset("AB")]) == 3
+    assert len(matched[("B", SUPPORT)]) == 7
+
+
 def test_a_dispatch_trie_too_deep_to_compile_runs_every_inexact_entry():
     # Each path branches off the last one a character further in.
     deep = [TracePattern.for_path(CORE, MODIFIED, "a" * n + "b") for n in range(1500)]
@@ -494,7 +523,7 @@ def test_every_trace_of_a_parsed_pack_is_an_ordinary_pattern(sources):
     pack = parse_signature_pack(
         "action: A\nthreshold: 5\n" + "".join(f"core modified {s}\n" for s in sources)
     )
-    assert all(t.exact is None and "regex" in vars(t) for t in pack.get("A").traces)
+    assert all(t.exact is None and "regex" in vars(t) for t in casedata.signature(pack, "A").traces)
 
 
 ascii_texts = st.text(ASCII_PATH_CHARS + "\n", min_size=1, max_size=6)
@@ -512,9 +541,9 @@ def test_an_exact_source_matches_an_ascii_path_exactly_when_the_lookup_does(path
 
 
 def test_an_exact_pattern_compiles_its_regex_only_when_a_path_needs_it():
-    (parsed,) = parse_signature_pack(
-        "action: A\nthreshold: 5\ncore modified ^C:/Kelvin$\n"
-    ).get("A").traces
+    (parsed,) = casedata.signature(
+        parse_signature_pack("action: A\nthreshold: 5\ncore modified ^C:/Kelvin$\n"), "A"
+    ).traces
     assert parsed.exact is None and "regex" in vars(parsed)  # compiled at load
     exact = TracePattern.for_path(CORE, MODIFIED, "C:/Kelvin")
     inexact = TracePattern(TraceCategory.SUPPORTING, MODIFIED, ".*/x")

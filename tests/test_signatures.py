@@ -5,7 +5,6 @@ import pytest
 from tracerecon import (
     ObjectRecord,
     SignatureError,
-    SignaturePack,
     TimestampKind,
     TraceCategory,
     TraceState,
@@ -143,7 +142,8 @@ def test_no_cross_kind_leakage():
     ],
 )
 def test_a_pattern_keeps_the_whitespace_a_trailing_backslash_escapes(line, source):
-    (trace,) = parse_signature_pack("action: A\nthreshold: 5\n" + line).get("A").traces
+    pack = parse_signature_pack("action: A\nthreshold: 5\n" + line)
+    (trace,) = casedata.signature(pack, "A").traces
     assert trace.source == source
 
 
@@ -242,12 +242,3 @@ def test_buckets_list_signatures_first_then_groups_in_sorted_candidate_order():
 def test_merge_packs_rejects_colliding_action_names(ff3_pack):
     with pytest.raises(SignatureError, match="^duplicate action name in pack: 'Open FF3'$"):
         merge_packs([ff3_pack, ff3_pack])
-
-
-def test_pack_lookup():
-    pack = SignaturePack(
-        parse_signature_pack("action: A\nthreshold: 5\ncore modified x\n").signatures
-    )
-    assert pack.get("A").threshold == 5
-    with pytest.raises(KeyError):
-        pack.get("missing")

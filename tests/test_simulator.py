@@ -42,8 +42,10 @@ from tracerecon.simulator import (
     export_records,
 )
 from tracerecon.bodyfile import MAX_TIME, read_bodyfile
-from tracerecon.signatures import TracePattern, path_prefilter
+from tracerecon.engine import analyze_action, shared_attributions
+from tracerecon.signatures import TracePattern, match_pack, path_prefilter
 
+import casedata
 from conftest import FIXTURES
 from reference_simulator import TruthWrite, writes_of
 
@@ -416,7 +418,7 @@ def test_derived_categories_follow_update_behavior():
     )
     pack = derive_signatures({"editor": editor, "viewer": viewer})
     categories = {
-        trace.source: trace.category for trace in pack.get("editor").traces
+        trace.source: trace.category for trace in casedata.signature(pack, "editor").traces
     }
     assert categories["^/o/core$"] is TraceCategory.CORE
     assert categories["^/o/some$"] is TraceCategory.SUPPORTING
@@ -611,7 +613,15 @@ def oracle_worlds(draw):
 
 def own_check_report(specs, schedule, seed):
     """Simulate a world, write its bodyfile, read it back through the derived
-    pack's prefilter, reconstruct from what was read and check the truth."""
+    pack's prefilter, reconstruct from what was read and check the truth.
+
+    Also checks every shared attribution that resolves, whether or not
+    ``reconstruct`` reports it as an instance of its own: its owner truly
+    ran in ``[cluster.oldest - threshold, cluster.newest]``.  An eliminated
+    candidate wrote last at most its threshold after its newest core value,
+    before the cluster, so the owner wrote every value of it.  Returns the
+    oracle report and the shared attributions.
+    """
     records, truth = simulate({}, specs, schedule, seed)
     pack = derive_signatures(specs)
     text = io.StringIO()
@@ -622,13 +632,25 @@ def own_check_report(specs, schedule, seed):
     # of derived paths; with no pattern at all, it lists every line.
     derived = {trace.exact for signature in pack for trace in signature.traces}
     assert read_back == [r for r in records if hits is None or r.path in derived]
-    return oracle_check(truth, reconstruct(read_back, pack), core_targets(specs))
+    matched = match_pack(pack, read_back)
+    results = {signature.action_name: analyze_action(signature, matched) for signature in pack}
+    attributions = shared_attributions(matched, results)
+    for attribution in attributions:
+        owner, cluster = attribution.resolved, attribution.cluster
+        if owner is not None:
+            start = cluster.oldest - specs[owner].threshold
+            assert any(
+                instance.action == owner and start <= instance.tau <= cluster.newest
+                for instance in truth.instances
+            ), (attribution, truth.instances)
+    report = oracle_check(truth, reconstruct(read_back, pack), core_targets(specs))
+    return report, attributions
 
 
 @settings(max_examples=300)
 @given(oracle_worlds(), st.integers(0, 3))
 def test_every_simulated_world_passes_its_own_check(world, seed):
-    report = own_check_report(*world, seed)
+    report, _ = own_check_report(*world, seed)
     assert report.ok, report.summary_lines()
 
 
@@ -666,12 +688,20 @@ def test_a_seeded_campaign_of_random_worlds_passes_its_own_check():
     # about once per 500 worlds with that fault put back.
     rng = random.Random(2026)
     failures = []
+    wide_clusters = wide_resolved = 0
     for index in range(2000):
         specs, schedule = random_oracle_world(rng)
-        report = own_check_report(specs, schedule, index)
+        report, attributions = own_check_report(specs, schedule, index)
         if not report.ok:
             failures.append((index, specs, schedule, report.summary_lines()))
+        for attribution in attributions:
+            if len(attribution.candidate_actions) >= 3:
+                wide_clusters += 1
+                wide_resolved += attribution.resolved is not None
     assert failures == []
+    # Elimination among three or more candidates is reached, and resolves;
+    # a change to the generator must not silently stop reaching it.
+    assert wide_clusters > 0 and wide_resolved > 0, (wide_clusters, wide_resolved)
 
 
 # --- scenario files ------------------------------------------------------

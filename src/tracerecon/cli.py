@@ -9,6 +9,8 @@ output ordering never depends on input order or locale.
 Importing this module loads only what ``scan`` runs: ``simulate`` and
 ``calibrate`` import :mod:`tracerecon.simulator` and
 :mod:`tracerecon.calibration` when they first run, so a scan loads neither.
+Those two commands read these late names from the running module (see
+``_LATE_NAMES``).
 """
 
 from __future__ import annotations
@@ -43,8 +45,10 @@ from .signatures import (
 # The names only ``simulate`` and ``calibrate`` run, by the module that defines
 # them.  Each loads on its first lookup here and stays bound as a global of
 # this module, so ``scan`` never imports those modules.  The two commands read
-# them with ``from .cli import``, which sees whatever is bound here at the
-# call: a test's or a tracer's replacement too.
+# them from the running module, ``sys.modules[__name__]``: ``tracerecon.cli``
+# in-process and in the installed script, ``__main__`` under ``python -m``, so
+# no route imports this file a second time.  The lookup sees whatever is bound
+# there at the call: a test's or a tracer's replacement too.
 _LATE_NAMES = {
     "core_targets": "simulator",
     "derive_signatures": "simulator",
@@ -178,15 +182,13 @@ def cmd_scan(args: argparse.Namespace) -> int:
 
 
 def cmd_calibrate(args: argparse.Namespace) -> int:
-    from .cli import estimate_threshold
-
     samples: list[float] = []
     for line_no, line in content_lines(_read_text(args.samples, "samples")):
         try:
             samples.append(float(line))
         except ValueError:
             raise CalibrationError(f"line {line_no}: not a duration: {line!r}") from None
-    estimate = estimate_threshold(samples, k=args.k)
+    estimate = sys.modules[__name__].estimate_threshold(samples, k=args.k)
     print(f"n: {estimate.n}")
     print(f"mean: {estimate.mean:.6g}")
     print(f"sigma: {estimate.sigma:.6g}")
@@ -196,31 +198,23 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    from .cli import (
-        core_targets,
-        derive_signatures,
-        oracle_check,
-        parse_scenario,
-        simulate,
-        write_truth,
-    )
-
-    scenario = parse_scenario(_read_text(Path(args.scenario), "scenario"))
-    records, truth = simulate({}, scenario.specs, scenario.schedule, args.seed)
+    late = sys.modules[__name__]
+    scenario = late.parse_scenario(_read_text(Path(args.scenario), "scenario"))
+    records, truth = late.simulate({}, scenario.specs, scenario.schedule, args.seed)
     out_dir = Path(args.out)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
         with open(out_dir / "metadata.body", "w", encoding="utf-8", newline="") as fh:
             write_bodyfile(records, fh)
         with open(out_dir / "truth.json", "w", encoding="utf-8", newline="") as fh:
-            write_truth(fh, args.seed, truth)
+            late.write_truth(fh, args.seed, truth)
     except OSError as exc:
         raise IngestError(f"cannot write outputs to {out_dir}: {exc}") from exc
 
     if args.check:
-        pack = derive_signatures(scenario.specs)
+        pack = late.derive_signatures(scenario.specs)
         results = reconstruct(records, pack)
-        report = oracle_check(truth, results, core_targets(scenario.specs))
+        report = late.oracle_check(truth, results, late.core_targets(scenario.specs))
         for line in report.summary_lines():
             print(line)
         if not report.ok:
@@ -304,7 +298,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args, extra = parser.parse_known_args(argv)
+    # Some argparse versions fill scan's packs, empty, at the first option, so
+    # packs listed after an option come back here, a "--" that ends the options
+    # too; they join the others in the order given.
+    cut = extra.index("--") if "--" in extra else len(extra)
+    if args.command == "scan" and not any(a.startswith("-") and a != "-" for a in extra[:cut]):
+        args.signatures += extra[:cut] + extra[cut + 1:]
+    elif extra:
+        parser.error(f"unrecognized arguments: {' '.join(extra)}")
     try:
         code = args.func(args)
         sys.stdout.flush()  # buffered output may meet a closed pipe or full disk only here

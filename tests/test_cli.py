@@ -132,6 +132,35 @@ def test_scan_prints_a_label_byte_that_is_not_utf8_as_an_escape(tmp_path, route)
     assert {row["computer"] for row in rows} == {"comp\\xffter"}
 
 
+@pytest.mark.parametrize("argv", [
+    [C1, "--label", "c1", FF3_SIG, IE8_SIG, "--utc-display", "--format", "csv"],
+    [C1, FF3_SIG, "--label", "c1", IE8_SIG, "--utc-display", "--format", "csv"],
+    [C1, "--label", "c1", "--utc-display", "--format", "csv", FF3_SIG, IE8_SIG],
+    ["--label", "c1", C1, "--utc-display", FF3_SIG, "--format", "csv", IE8_SIG],
+    [C1, "--label", "c1", "--utc-display", "--format", "csv", "--", FF3_SIG, IE8_SIG],
+    [C1, FF3_SIG, "--label", "c1", "--utc-display", "--format", "csv", "--", IE8_SIG],
+])
+def test_scan_takes_packs_before_between_and_after_options(capsys, argv):
+    options = ["--label", "c1", "--utc-display", "--format", "csv"]
+    expected = run(capsys, "scan", C1, FF3_SIG, IE8_SIG, *options)
+    assert expected[:1] + expected[2:] == (0, "10 detections\n")
+    assert run(capsys, "scan", *argv) == expected
+
+
+@pytest.mark.parametrize("argv, extra", [
+    (["scan", C1, FF3_SIG, "--bogus", IE8_SIG], f"--bogus {IE8_SIG}"),
+    (["scan", C1, FF3_SIG, "--label", "c1", "-x"], "-x"),
+    (["calibrate", str(FIXTURES / "calibration_ie8.txt"), "extra"], "extra"),
+])
+def test_an_argument_no_command_takes_is_a_usage_error(capsys, argv, extra):
+    with pytest.raises(SystemExit) as exc_info:
+        main(argv)
+    assert exc_info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.endswith(f"trace-recon: error: unrecognized arguments: {extra}\n")
+
+
 def test_scan_empty_bodyfile_reports_zero_detections(capsys, tmp_path):
     empty = tmp_path / "empty.body"
     empty.write_text("")
@@ -963,6 +992,40 @@ def test_commands_call_each_late_name_where_cli_binds_it(capsys, tmp_path, monke
     code, _, err = run(capsys, *argv, *extra)
     assert (code, err) == (0, "")
     assert sorted(called) == sorted(names)
+
+
+# Run the CLI as ``python -m tracerecon.cli`` does, then report the exit code and
+# whether the run imported the module a second time, under its own name.
+_RUN_AS_MAIN = """
+import runpy, sys
+sys.argv = ["trace-recon", *sys.argv[1:]]
+try:
+    runpy.run_module("tracerecon.cli", run_name="__main__", alter_sys=True)
+except SystemExit as exc:
+    print(exc.code, "tracerecon.cli" in sys.modules, file=sys.stderr)
+"""
+
+
+@pytest.mark.parametrize("command", ["simulate", "calibrate"])
+def test_python_m_runs_each_command_without_importing_the_cli_again(capsys, tmp_path,
+                                                                     command):
+    if command == "simulate":
+        golden = SIMULATE_GOLDENS / "scenario_basic-seed5"
+        argv = ["simulate", str(FIXTURES / "scenario_basic.scn"), "--seed", "5",
+                "--out", str(tmp_path), "--check"]
+        expected = (golden / "check.out").read_bytes()
+    else:
+        argv = ["calibrate", str(FIXTURES / "calibration_ie8.txt")]
+        expected = run(capsys, *argv)[1].encode("utf-8")
+    result = subprocess.run(
+        [sys.executable, "-c", _RUN_AS_MAIN, *argv],
+        capture_output=True, env=_child_env(), timeout=60,
+    )
+    assert (result.returncode, result.stderr) == (0, b"0 False\n")
+    assert result.stdout == expected
+    if command == "simulate":
+        for name in ("metadata.body", "truth.json"):
+            assert (tmp_path / name).read_bytes() == (golden / name).read_bytes(), name
 
 
 def test_simulate_onto_an_existing_file_exits_2(capsys, tmp_path):

@@ -206,7 +206,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         out_dir.mkdir(parents=True, exist_ok=True)
         with open(out_dir / "metadata.body", "w", encoding="utf-8", newline="") as fh:
             write_bodyfile(records, fh)
-        with open(out_dir / "truth.json", "w", encoding="utf-8", newline="") as fh:
+        with open(out_dir / "truth.json", "wb", buffering=64 * 1024) as fh:
             late.write_truth(fh, args.seed, truth)
     except OSError as exc:
         raise IngestError(f"cannot write outputs to {out_dir}: {exc}") from exc

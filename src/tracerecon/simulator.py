@@ -15,8 +15,10 @@ reconstruction output can be verified independently of how the
 reconstruction is computed.  Every instance of one (action, variant) writes
 the same targets in the same order, so the truth is kept per instance: the
 variant's :attr:`PathVariant.order` (shared by all its instances) and the
-values its update targets got.  :func:`write_truth` writes it as
-``truth.json``, one record per write.
+values its update targets got.  For the same reason a target's last writer
+is always the last instance of some variant, so the snapshot is built from
+those alone, replayed in schedule order.  :func:`write_truth` writes the
+truth as ``truth.json``, one record per write.
 
 A scenario file is a block file (:mod:`tracerecon.blockfile`): each block
 is one action, whose body lists its path variants, and a ``schedule:``
@@ -50,7 +52,7 @@ import random
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Mapping, Sequence, TextIO
+from typing import BinaryIO, Iterable, Mapping, Sequence
 
 from .blockfile import KIND_WORDS, BlockFileError, content_lines, read_blocks
 from .bodyfile import DELETED_SUFFIX, LAST_TIME, MAX_TIME
@@ -65,8 +67,9 @@ from .model import (
 )
 from .signatures import Signature, SignaturePack, TraceCategory, TracePattern
 
-# An object map: path -> {kind -> value}.  A simulation updates one such map
-# in place; records are materialized only at the export boundary.
+# An object map: path -> {kind -> value}.  A simulation builds one such map
+# from the last instance of each variant; records are materialized only at
+# the export boundary.
 SimState = dict[str, dict[TimestampKind, int]]
 
 UpdateTarget = tuple[str, TimestampKind]
@@ -177,13 +180,14 @@ _JSON_SEPARATORS = (",", ":")
 _WRITE_JSON = '{"default":%s,"instance":%%d,"kind":"%s","path":%s,"value":%s}'
 
 
-def _instance_template(order: VariantOrder) -> tuple[str, int, int]:
-    """The writes of one instance of a variant as one ``%`` template.
+def _instance_template(order: VariantOrder) -> tuple[bytes, int, int]:
+    """The writes of one instance of a variant as one bytes ``%`` template.
 
     Returns the template, the number of update targets and the number of
     arguments it takes: the instance index and value of each update, then
     the index of each default.  Paths are quoted by ``json.dumps`` (ASCII
-    escapes, as in a whole-document dump) with ``%`` doubled.
+    escapes, as in a whole-document dump) with ``%`` doubled, so the
+    template is ASCII.
     """
     updates, defaults = order
     forms = [
@@ -194,21 +198,21 @@ def _instance_template(order: VariantOrder) -> tuple[str, int, int]:
         _WRITE_JSON % ("true", kind.value, json.dumps(path).replace("%", "%%"), default)
         for path, kind, default in defaults
     ]
-    return ",".join(forms), len(updates), 2 * len(updates) + len(defaults)
+    return ",".join(forms).encode("ascii"), len(updates), 2 * len(updates) + len(defaults)
 
 
-def write_truth(fh: TextIO, seed: int, truth: GroundTruth) -> None:
-    """Write ``truth.json``: compact JSON with sorted keys, plus a newline.
+def write_truth(fh: BinaryIO, seed: int, truth: GroundTruth) -> None:
+    """Write ``truth.json`` to a binary file: compact JSON with sorted keys, plus a newline.
 
     The document holds the seed, the instances and one ``"writes"`` record
     per write, instance by instance: its updates, then its defaults, each
     as ``{"default", "instance", "kind", "path", "value"}``.  The bytes
-    equal one ``json.dumps(..., sort_keys=True)`` of the whole document.
-    Each instance's writes go out in one call as soon as they are
-    formatted, so the document is never held whole in memory.  Each variant
-    order gets its ``%`` template the first time an instance of it is seen;
-    an instance is then one ``template % args``.  ``"writes"`` is the last
-    key in sorted order, so the head closes over it.
+    equal one ``json.dumps(..., sort_keys=True)`` of the whole document,
+    which is ASCII.  Each instance's writes go out in one call as soon as
+    they are formatted, so the document is never held whole in memory.
+    Each variant order gets its bytes ``%`` template the first time an
+    instance of it is seen; an instance is then one ``template % args``.
+    ``"writes"`` is the last key in sorted order, so the head closes over it.
     """
     head = {
         "seed": seed,
@@ -217,10 +221,10 @@ def write_truth(fh: TextIO, seed: int, truth: GroundTruth) -> None:
             for i in truth.instances
         ],
     }
-    fh.write(json.dumps(head, sort_keys=True, separators=_JSON_SEPARATORS)[:-1])
-    fh.write(',"writes":[')
-    templates: dict[int, tuple[str, int, int]] = {}
-    separator = ""
+    fh.write(json.dumps(head, sort_keys=True, separators=_JSON_SEPARATORS)[:-1].encode("ascii"))
+    fh.write(b',"writes":[')
+    templates: dict[int, tuple[bytes, int, int]] = {}
+    separator = b""
     for instance, (order, values) in zip(truth.instances, truth.written):
         known = templates.get(id(order))
         if known is None:
@@ -230,47 +234,8 @@ def write_truth(fh: TextIO, seed: int, truth: GroundTruth) -> None:
             args = [instance.index] * size
             args[1:2 * updates:2] = values
             fh.write(separator + template % tuple(args))
-            separator = ","
-    fh.write("]}\n")
-
-
-def apply_instance(
-    state: SimState,
-    spec: ActionSpec,
-    variant_index: int,
-    tau: Timestamp,
-    rng: random.Random,
-) -> tuple[SimState, tuple[int, ...]]:
-    """Apply one instance to ``state`` in place; returns it plus its update values.
-
-    The values are those the variant's update targets got, in the order of
-    ``order[0]`` of its :attr:`PathVariant.order`; its default targets get
-    their fixed values.  A path written for the first time is added at the
-    end of ``state``; every other path keeps its place and its inner dict,
-    and written inner dicts are updated in place.  ``tau`` is
-    not checked again: a :class:`ScheduleEntry` is never negative.
-    """
-    if not 0 <= variant_index < len(spec.variants):
-        raise SimulationError(
-            f"action {spec.name!r} has no variant {variant_index}"
-        )
-    updates, defaults = spec.variants[variant_index].order
-    values: list[int] = []
-    # randint(0, threshold) as the stdlib draws it, without its Python frames:
-    # bound.bit_length() random bits, drawn again until below the bound.
-    bound = spec.threshold + 1
-    bits = bound.bit_length()
-    getrandbits = rng.getrandbits
-    for path, kind in updates:
-        delay = getrandbits(bits)
-        while delay >= bound:
-            delay = getrandbits(bits)
-        value = tau + delay
-        state.setdefault(path, {})[kind] = value
-        values.append(value)
-    for path, kind, default in defaults:
-        state.setdefault(path, {})[kind] = default
-    return state, tuple(values)
+            separator = b","
+    fh.write(b"]}\n")
 
 
 def simulate(
@@ -283,12 +248,16 @@ def simulate(
 
     Returns the final snapshot as records (sorted by path; objects that
     never received a timestamp are unobservable and are dropped) plus the
-    ground truth.  ``initial`` is copied once and left as it was.
+    ground truth.  The schedule loop only draws each instance's update
+    values; the snapshot is then a copy of ``initial``, which is left as it
+    was, with the last instance of each variant applied in schedule order.
     """
     rng = random.Random(seed)
-    state: SimState = {path: dict(times) for path, times in initial.items()}
+    getrandbits = rng.getrandbits
     instances: list[TruthInstance] = []
     written: list[tuple[VariantOrder, tuple[int, ...]]] = []
+    # Index of the last instance of each variant, by the identity of its order.
+    last: dict[int, int] = {}
     for index, entry in enumerate(schedule.entries):
         spec = specs.get(entry.action)
         if spec is None:
@@ -298,9 +267,29 @@ def simulate(
             if entry.variant is not None
             else rng.randrange(len(spec.variants))
         )
-        state, values = apply_instance(state, spec, variant, entry.tau, rng)
+        if not 0 <= variant < len(spec.variants):
+            raise SimulationError(f"action {spec.name!r} has no variant {variant}")
+        order = spec.variants[variant].order
+        # randint(0, threshold) as the stdlib draws it, without its Python
+        # frames: bound.bit_length() random bits, drawn again until below bound.
+        bound = spec.threshold + 1
+        bits = bound.bit_length()
+        values = []
+        for _ in order[0]:
+            delay = getrandbits(bits)
+            while delay >= bound:
+                delay = getrandbits(bits)
+            values.append(entry.tau + delay)
         instances.append(TruthInstance(index, entry.action, entry.tau, variant))
-        written.append((spec.variants[variant].order, values))
+        written.append((order, tuple(values)))
+        last[id(order)] = index
+    state: SimState = {path: dict(times) for path, times in initial.items()}
+    for index in sorted(last.values()):
+        (updates, defaults), values = written[index]
+        for (path, kind), value in zip(updates, values):
+            state.setdefault(path, {})[kind] = value
+        for path, kind, default in defaults:
+            state.setdefault(path, {})[kind] = default
     return export_records(state), GroundTruth(tuple(instances), tuple(written))
 
 

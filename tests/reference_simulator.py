@@ -61,14 +61,10 @@ def apply_instance(state, spec, variant_index, tau, rng: random.Random, index):
         raise SimulationError(f"action {spec.name!r} has no variant {variant_index}")
     updates, defaults = spec.variants[variant_index].order
     writes = []
-    bound = spec.threshold + 1
-    bits = bound.bit_length()
     for path, kind in updates:
-        delay = rng.getrandbits(bits)
-        while delay >= bound:
-            delay = rng.getrandbits(bits)
-        state.setdefault(path, {})[kind] = tau + delay
-        writes.append(TruthWrite(index, path, kind, tau + delay, False))
+        value = tau + rng.randint(0, spec.threshold)  # the draw the simulator copies
+        state.setdefault(path, {})[kind] = value
+        writes.append(TruthWrite(index, path, kind, value, False))
     for path, kind, default in defaults:
         state.setdefault(path, {})[kind] = default
         writes.append(TruthWrite(index, path, kind, default, True))

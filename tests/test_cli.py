@@ -619,7 +619,7 @@ def write_records(truth):
 
 
 def truth_json(seed, truth):
-    """The truth document as one ``json.dumps`` of the whole log, plus a newline."""
+    """The truth document as one ``json.dumps`` of the whole log, plus a newline, in ASCII."""
     document = {
         "seed": seed,
         "instances": [
@@ -628,7 +628,7 @@ def truth_json(seed, truth):
         ],
         "writes": write_records(truth),
     }
-    return json.dumps(document, sort_keys=True, separators=(",", ":")) + "\n"
+    return json.dumps(document, sort_keys=True, separators=(",", ":")).encode("ascii") + b"\n"
 
 
 def test_simulate_truth_json_equals_one_dumps_of_the_whole_log(capsys, tmp_path):
@@ -638,7 +638,7 @@ def test_simulate_truth_json_equals_one_dumps_of_the_whole_log(capsys, tmp_path)
     parsed = parse_scenario(scenario.read_text())
     _, truth = simulate({}, parsed.specs, parsed.schedule, 5)
     assert len(reference_simulator.writes_of(truth)) > 4
-    assert (tmp_path / "truth.json").read_text(encoding="utf-8") == truth_json(5, truth)
+    assert (tmp_path / "truth.json").read_bytes() == truth_json(5, truth)
 
 
 def test_simulate_truth_json_keeps_a_percent_sign_in_a_path(capsys, tmp_path):
@@ -662,7 +662,7 @@ def test_simulate_truth_json_keeps_a_percent_sign_in_a_path(capsys, tmp_path):
     parsed = parse_scenario(scenario.read_text(encoding="utf-8"))
     _, truth = simulate({}, parsed.specs, parsed.schedule, 3)
     assert {w.path for w in reference_simulator.writes_of(truth)} == {"/obj/100% %d %%", "/obj/%d", "/obj/%%"}
-    assert (out_dir / "truth.json").read_text(encoding="utf-8") == truth_json(3, truth)
+    assert (out_dir / "truth.json").read_bytes() == truth_json(3, truth)
 
 
 # Characters a JSON string must escape, or that encoders are known to treat
@@ -704,19 +704,19 @@ def ground_truths(draw):
 @settings(max_examples=300)
 @given(ground_truths(), st.integers())
 def test_write_truth_equals_one_dumps_of_the_document(truth, seed):
-    out = io.StringIO()
+    out = io.BytesIO()
     write_truth(out, seed, truth)
     assert out.getvalue() == truth_json(seed, truth)
 
 
 class RecordingFile:
-    """A text file that keeps the text of each ``write`` call."""
+    """A binary file that keeps the bytes of each ``write`` call."""
 
     def __init__(self):
         self.calls = []
 
-    def write(self, text):
-        self.calls.append(text)
+    def write(self, data):
+        self.calls.append(data)
 
 
 def test_write_truth_writes_each_instance_as_soon_as_it_is_formatted():
@@ -724,7 +724,7 @@ def test_write_truth_writes_each_instance_as_soon_as_it_is_formatted():
     _, truth = simulate({}, parsed.specs, parsed.schedule, 5)
     out = RecordingFile()
     write_truth(out, 5, truth)
-    assert "".join(out.calls) == truth_json(5, truth)
+    assert b"".join(out.calls) == truth_json(5, truth)
 
     by_instance = {}
     for record in write_records(truth):
@@ -732,7 +732,7 @@ def test_write_truth_writes_each_instance_as_soon_as_it_is_formatted():
         by_instance.setdefault(record["instance"], []).append(text)
     assert len(by_instance) > 2
     longest = max(len(",".join(texts)) for texts in by_instance.values())
-    writes = out.calls[out.calls.index(',"writes":[') + 1:-1]
+    writes = out.calls[out.calls.index(b',"writes":[') + 1:-1]
     assert all(len(text) <= longest + 1 for text in writes)
     assert len(writes) == len(by_instance)
 
@@ -744,10 +744,10 @@ def test_write_truth_puts_no_comma_for_an_instance_that_writes_nothing():
         tuple(TruthInstance(i, "app", 100 * (i + 1), v) for i, v in enumerate((1, 0, 1, 0))),
         ((silent.order, ()), (writes.order, (105,)), (silent.order, ()), (writes.order, (409,))),
     )
-    out = io.StringIO()
+    out = io.BytesIO()
     write_truth(out, 3, truth)
     assert out.getvalue() == truth_json(3, truth)
-    assert ",," not in out.getvalue() and "[," not in out.getvalue()
+    assert b",," not in out.getvalue() and b"[," not in out.getvalue()
 
 
 @st.composite
@@ -760,7 +760,7 @@ def simulations(draw):
         threshold = draw(st.one_of(st.integers(1, 300), st.integers(1, 2**40)))
         specs[f"A{a}"] = ActionSpec(f"A{a}", threshold, variants)
     entries = []
-    for _ in range(draw(st.integers(0, 6))):
+    for _ in range(draw(st.integers(0, 24))):  # enough for variants to recur and interleave
         name = draw(st.sampled_from(sorted(specs)))
         variant = st.integers(0, len(specs[name].variants) - 1)
         entries.append(ScheduleEntry(
@@ -796,11 +796,11 @@ def test_simulate_check_equals_the_per_write_reference(simulation, seed, data):
     assert truth.instances == expected.instances
     assert reference_simulator.writes_of(truth) == expected.writes
 
-    out, expected_out = io.StringIO(), io.StringIO()
+    out, expected_out = io.BytesIO(), io.StringIO()
     write_truth(out, seed, truth)
     with mock.patch.object(reference_simulator, "TRUTH_SLICE", 2):  # the reference in slices
         reference_simulator.write_truth(expected_out, seed, expected)
-    assert out.getvalue() == expected_out.getvalue()
+    assert out.getvalue().decode("ascii") == expected_out.getvalue()
 
     results = reconstruct(records, derive_signatures(specs))
     fabricated = data.draw(approximations(sorted(specs)))
@@ -818,6 +818,8 @@ SIMULATE_GOLDENS = FIXTURES / "simulate"
 @pytest.mark.parametrize("golden, scenario, seed", [
     ("scenario_basic-seed5", FIXTURES / "scenario_basic.scn", 5),
     ("picks-seed1", SIMULATE_GOLDENS / "picks.scn", 1),  # da, legacy oa, '?' picks, two variants
+    # Variants that recur, and defaults that overwrite another action's updates.
+    ("overwrites-seed3", SIMULATE_GOLDENS / "overwrites.scn", 3),
 ])
 def test_simulate_check_reproduces_its_golden_bytes(capsys, tmp_path, golden, scenario, seed):
     code, out, err = run(

@@ -37,7 +37,6 @@ from tracerecon.simulator import (
     SimState,
     TruthInstance,
     always_updated_targets,
-    apply_instance,
     core_targets,
     export_records,
 )
@@ -47,6 +46,7 @@ from tracerecon.signatures import TracePattern, match_pack, path_prefilter
 
 import casedata
 from conftest import FIXTURES
+import reference_simulator
 from reference_simulator import TruthWrite, writes_of
 
 MOD = TimestampKind.MODIFIED
@@ -62,64 +62,44 @@ def single_target_spec(name="app", threshold=50, path="/obj/a"):
     return ActionSpec(name, threshold, (PathVariant(updates=frozenset({(path, MOD)})),))
 
 
-def instance_writes(spec, variant_index, index, tau, values):
-    """The ``TruthWrite`` log of one applied instance, derived from its ``GroundTruth``."""
-    instance = TruthInstance(index, spec.name, tau, variant_index)
-    order = spec.variants[variant_index].order
-    return list(writes_of(GroundTruth((instance,), ((order, values),))))
+# --- the writes of one instance -----------------------------------------
 
 
-# --- applying one instance ----------------------------------------------
+def run_one(spec, tau=1000, seed=1, initial=None, variant=0):
+    """Simulate one instance of ``spec``: its records and its ground truth."""
+    schedule = InstanceSchedule((ScheduleEntry(spec.name, tau, variant),))
+    return simulate(initial or {}, {spec.name: spec}, schedule, seed)
 
 
 def test_update_lands_within_the_threshold_window():
     spec = single_target_spec(threshold=50)
-    state, values = apply_instance({}, spec, 0, 1000, random.Random(1))
-    value = state["/obj/a"][MOD]
+    records, truth = run_one(spec)
+    (record,) = records
+    value = record.timestamps[MOD]
     assert 1000 <= value <= 1050
-    assert values == (value,)
-    assert instance_writes(spec, 0, 4, 1000, values) == [TruthWrite(4, "/obj/a", MOD, value, False)]
+    assert truth.written == ((spec.variants[0].order, (value,)),)
+    assert list(writes_of(truth)) == [TruthWrite(0, "/obj/a", MOD, value, False)]
 
 
 def test_default_write_is_exact():
     spec = ActionSpec(
         "installer", 50, (PathVariant(defaults=frozenset({("/obj/d", CRE, 500)})),)
     )
-    state, values = apply_instance({}, spec, 0, 1000, random.Random(1))
-    assert state["/obj/d"][CRE] == 500
-    assert values == ()
-    assert instance_writes(spec, 0, 0, 1000, values) == [TruthWrite(0, "/obj/d", CRE, 500, True)]
+    records, truth = run_one(spec)
+    assert [(r.path, r.timestamps) for r in records] == [("/obj/d", {CRE: 500})]
+    assert truth.written == ((spec.variants[0].order, ()),)
+    assert list(writes_of(truth)) == [TruthWrite(0, "/obj/d", CRE, 500, True)]
 
 
-def test_apply_instance_updates_the_state_it_is_given_in_place():
+def test_simulate_leaves_initial_as_it_was_and_keeps_its_untouched_paths():
     spec = single_target_spec()
     untouched, touched = {MOD: 3}, {MOD: 7}
-    state = {"/obj/z": untouched, "/obj/a": touched}
-    new_state, values = apply_instance(state, spec, 0, 1000, random.Random(1))
-    assert new_state is state
-    assert list(state) == ["/obj/z", "/obj/a"]
-    assert state["/obj/z"] is untouched and untouched == {MOD: 3}
-    assert state["/obj/a"] is touched and touched == {MOD: values[0]}
-
-
-def reference_apply(state, spec, variant_index, tau, rng, index):
-    """apply_instance as it was before it stopped copying untouched paths.
-
-    It writes the ``TruthWrite`` log entries that ``writes_of`` derives
-    from the truth now, and draws each delay with ``rng.randint``, the rule
-    apply_instance copies.
-    """
-    variant = spec.variants[variant_index]
-    new_state = {path: dict(times) for path, times in state.items()}
-    writes = []
-    for path, kind in sorted(variant.updates, key=lambda t: (t[0], t[1].value)):
-        value = tau + rng.randint(0, spec.threshold)
-        new_state.setdefault(path, {})[kind] = value
-        writes.append(TruthWrite(index, path, kind, value, False))
-    for path, kind, default in sorted(variant.defaults, key=lambda t: (t[0], t[1].value, t[2])):
-        new_state.setdefault(path, {})[kind] = default
-        writes.append(TruthWrite(index, path, kind, default, True))
-    return new_state, writes
+    initial = {"/obj/z": untouched, "/obj/a": touched}
+    records, truth = run_one(spec, initial=initial)
+    assert initial == {"/obj/z": {MOD: 3}, "/obj/a": {MOD: 7}}
+    assert initial["/obj/z"] is untouched and initial["/obj/a"] is touched
+    ((_, (value,)),) = truth.written
+    assert {r.path: r.timestamps for r in records} == {"/obj/a": {MOD: value}, "/obj/z": {MOD: 3}}
 
 
 SIM_PATHS = ("/a", "/b", "/c", "/d")
@@ -147,30 +127,37 @@ def variants_and_states(draw):
 # the redraw loop rejects most (2**k) or fewest (2**k - 1) draws.
 EDGE_THRESHOLDS = sorted({1, 2} | {t for k in range(1, 41) for t in (2**k - 1, 2**k, 2**k + 1)})
 
+# Four variants with one update each and a 2**40-wide window: a trailing '?'
+# pick of this action, and the delay it draws, show whether the simulator
+# left the generator where the reference leaves it.
+PROBE = ActionSpec("probe", 2**40, tuple(
+    PathVariant(updates=frozenset({(f"/probe/{i}", MOD)})) for i in range(4)
+))
+
 
 @given(
     variants_and_states(),
     st.one_of(st.sampled_from(EDGE_THRESHOLDS), st.integers(1, 2**40)),
-    st.integers(0, 1000),
+    st.lists(st.tuples(st.integers(0, 1000), st.sampled_from((0, None))), min_size=1, max_size=4),
     st.integers(0, 2**16),
-    st.integers(0, 9),
 )
-def test_apply_instance_equals_the_full_copy_reference(
-    variant_and_state, threshold, tau, seed, index
-):
-    variant, state = variant_and_state
-    spec = ActionSpec("app", threshold, (variant,))
-    rng, ref_rng = random.Random(seed), random.Random(seed)
-    ref_state, ref_writes = reference_apply(copy.deepcopy(state), spec, 0, tau, ref_rng, index)
-    new_state, values = apply_instance(state, spec, 0, tau, rng)
-    assert new_state == ref_state and list(new_state) == list(ref_state)
-    assert instance_writes(spec, 0, index, tau, values) == ref_writes
-    assert rng.getstate() == ref_rng.getstate()
+def test_simulate_draws_as_the_randint_reference(variant_and_state, threshold, runs, seed):
+    variant, initial = variant_and_state
+    specs = {"app": ActionSpec("app", threshold, (variant,)), "probe": PROBE}
+    entries = [ScheduleEntry("app", tau, pick) for tau, pick in runs]
+    schedule = InstanceSchedule.of([*entries, ScheduleEntry("probe", 2000, None)])
+    before = copy.deepcopy(initial)
+    records, truth = simulate(initial, specs, schedule, seed)
+    expected_records, expected = reference_simulator.simulate(initial, specs, schedule, seed)
+    assert initial == before
+    assert records == expected_records
+    assert truth.instances == expected.instances
+    assert writes_of(truth) == expected.writes
 
 
 def test_bad_variant_index_is_fatal():
-    with pytest.raises(SimulationError):
-        apply_instance({}, single_target_spec(), 3, 1000, random.Random(1))
+    with pytest.raises(SimulationError, match="no variant 3"):
+        run_one(single_target_spec(), variant=3)
 
 
 def test_update_and_default_targets_must_be_disjoint():
@@ -310,6 +297,24 @@ def test_total_overwrites_leave_only_the_most_recent_instance():
     (only,) = reconstruct(records, derive_signatures({"app": spec}))
     assert only.rank is InstanceRank.MOST_RECENT
     assert only.interval.contains(2000)
+
+
+# A updates /s and B writes /s as a default.  The final /s is the time of its
+# last writer: not that of the variant that ran first, nor of any variant's
+# first instance.
+@pytest.mark.parametrize("runs, last_writer", [("ABAB", 3), ("ABA", 2), ("BABA", 3)])
+def test_a_target_keeps_the_time_of_its_last_writer(runs, last_writer):
+    specs = {
+        "A": ActionSpec("A", 30, (PathVariant(updates=frozenset({("/s", MOD)})),)),
+        "B": ActionSpec("B", 30, (PathVariant(defaults=frozenset({("/s", MOD, 500)})),)),
+    }
+    schedule = InstanceSchedule.of(
+        [ScheduleEntry(name, 1000 * (i + 1), 0) for i, name in enumerate(runs)]
+    )
+    records, truth = simulate({}, specs, schedule, seed=4)
+    written = {w.instance_index: w.value for w in writes_of(truth)}
+    assert [(r.path, r.timestamps) for r in records] == [("/s", {MOD: written[last_writer]})]
+    assert records == reference_simulator.simulate({}, specs, schedule, 4)[0]
 
 
 def test_two_close_instances_merge_into_one_window_containing_both():

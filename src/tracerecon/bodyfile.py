@@ -31,12 +31,14 @@ found.
 
 NTFS-oriented kind mapping: ``atime`` is Accessed, ``mtime`` is Modified,
 ``crtime`` is Created and ``ctime`` is carried as MetaChanged.
+
+Every line the program writes to stderr, a diagnostic, ``scan``'s count or
+an error, goes through :func:`write_stderr`.
 """
 
 from __future__ import annotations
 
 import itertools
-import logging
 import re
 import sys
 from contextlib import nullcontext
@@ -45,8 +47,6 @@ from pathlib import Path
 from typing import IO, Callable, ContextManager, Iterable, Iterator
 
 from .model import ObjectRecord, read_int
-
-log = logging.getLogger(__name__)
 
 FIELD_COUNT = 11
 
@@ -276,6 +276,21 @@ def _read_error(what: str, source: str | Path, exc: OSError) -> IngestError:
     return IngestError(f"cannot read {what} {source}: {exc}")
 
 
+def write_stderr(line: str) -> None:
+    """Write ``line`` and a newline to ``sys.stderr`` as it is at the call.
+
+    Nothing is written when the process has no stderr (``sys.stderr`` is
+    None, as when descriptor 2 is closed at start-up), and a write that
+    fails is dropped: there is nowhere left to report it.
+    """
+    stream = sys.stderr
+    if stream is not None:
+        try:
+            stream.write(line + "\n")
+        except OSError:
+            pass
+
+
 def open_input(source: str | Path, what: str) -> ContextManager[IO[bytes]]:
     """A binary handle on stdin if ``source`` is the string ``-``, else on the file.
 
@@ -310,15 +325,15 @@ def read_bodyfile(
     since byte 0x0A never occurs inside a multi-byte UTF-8 sequence; the
     partial line after the cut starts the next block.  Each block is read
     by one ``read1``, so the lines of a pipe are read as they arrive.
-    Nothing but the current block is held.  Each diagnostic is logged as it
-    is reached, naming ``source``; a failed read raises
-    :class:`IngestError`.  With ``hits``, the prefilter of
+    Nothing but the current block is held.  Each diagnostic is written to
+    stderr by :func:`write_stderr` as it is reached, naming ``source``; a
+    failed read raises :class:`IngestError`.  With ``hits``, the prefilter of
     :func:`~tracerecon.signatures.path_prefilter`, only the records of the
     candidate lines it lists are yielded.
     """
 
     def report(diag: ParseDiagnostic) -> None:
-        log.warning("%s: %s", source, diag)
+        write_stderr(f"{source}: {diag}")
 
     try:
         yield from _block_records(_blocks(stream), report, hits)
@@ -329,8 +344,9 @@ def read_bodyfile(
 def load_metadata(source: str | Path) -> list[ObjectRecord]:
     """Load object records from a bodyfile, or from stdin for ``-``.
 
-    Diagnostics are emitted on the module logger; an unreadable source is
-    fatal and raises :class:`IngestError` naming the path.
+    Each diagnostic is written to stderr as it is reached, as by
+    :func:`read_bodyfile`; an unreadable source is fatal and raises
+    :class:`IngestError` naming the path.
     """
     with open_input(source, "metadata") as stream:
         return list(read_bodyfile(stream, source))

@@ -3,8 +3,11 @@
 The commands read, compute and write; :func:`main` alone maps their errors
 to exit codes: 0 success, 2 unreadable input, unwritable output or usage
 error, 3 parse failure (signature, scenario or sample data); ``simulate
---check`` exits 1 when an oracle property fails.  All timestamps are UTC;
-output ordering never depends on input order or locale.
+--check`` exits 1 when an oracle property fails.  A command with a report
+to write (``scan``, ``calibrate``, ``simulate --check``) finds its output
+unwritable when the process has no stdout.  Every stderr line goes through
+:func:`~tracerecon.bodyfile.write_stderr`.  All timestamps are UTC; output
+ordering never depends on input order or locale.
 
 Importing this module loads only what ``scan`` runs: ``simulate`` and
 ``calibrate`` import :mod:`tracerecon.simulator` and
@@ -17,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import errno
 import math
 import os
 import sys
@@ -25,7 +29,14 @@ from importlib import import_module
 from pathlib import Path
 
 from .blockfile import BlockFileError, content_lines
-from .bodyfile import IngestError, open_input, read_bodyfile, read_input, write_bodyfile
+from .bodyfile import (
+    IngestError,
+    open_input,
+    read_bodyfile,
+    read_input,
+    write_bodyfile,
+    write_stderr,
+)
 from .engine import reconstruct
 from .model import (
     DEFAULT_SIGMA_MULTIPLIER,
@@ -137,6 +148,13 @@ def default_signature_dir() -> Path:
     return Path(__file__).parent / "data" / "signatures"
 
 
+def _stdout():
+    """``sys.stdout``, for a command's report; OSError when the process has none."""
+    if sys.stdout is None:
+        raise OSError(errno.EBADF, os.strerror(errno.EBADF))
+    return sys.stdout
+
+
 def _read_text(source: str | Path, what: str) -> str:
     """A pack, scenario or samples input as strict UTF-8 text (see :func:`read_input`)."""
     data = read_input(source, what)
@@ -176,8 +194,8 @@ def cmd_scan(args: argparse.Namespace) -> int:
     # which a strict UTF-8 stdout can encode; a valid label stays as it is.
     label = label.encode("utf-8", "surrogateescape").decode("utf-8", "backslashreplace")
     rows = [_row_cells(a, label, args.utc_display) for a in approximations]
-    _EMITTERS[args.format](rows, sys.stdout)
-    print(f"{len(rows)} detections", file=sys.stderr)
+    _EMITTERS[args.format](rows, _stdout())
+    write_stderr(f"{len(rows)} detections")
     return EXIT_OK
 
 
@@ -189,11 +207,12 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
         except ValueError:
             raise CalibrationError(f"line {line_no}: not a duration: {line!r}") from None
     estimate = sys.modules[__name__].estimate_threshold(samples, k=args.k)
-    print(f"n: {estimate.n}")
-    print(f"mean: {estimate.mean:.6g}")
-    print(f"sigma: {estimate.sigma:.6g}")
-    print(f"k: {estimate.k:.6g}")
-    print(f"theta: {estimate.theta}")
+    out = _stdout()
+    print(f"n: {estimate.n}", file=out)
+    print(f"mean: {estimate.mean:.6g}", file=out)
+    print(f"sigma: {estimate.sigma:.6g}", file=out)
+    print(f"k: {estimate.k:.6g}", file=out)
+    print(f"theta: {estimate.theta}", file=out)
     return EXIT_OK
 
 
@@ -215,8 +234,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         pack = late.derive_signatures(scenario.specs)
         results = reconstruct(records, pack)
         report = late.oracle_check(truth, results, late.core_targets(scenario.specs))
+        out = _stdout()
         for line in report.summary_lines():
-            print(line)
+            print(line, file=out)
         if not report.ok:
             return 1
     return EXIT_OK
@@ -310,22 +330,24 @@ def main(argv: list[str] | None = None) -> int:
         parser.error(f"unrecognized arguments: {' '.join(extra)}")
     try:
         code = args.func(args)
-        sys.stdout.flush()  # buffered output may meet a closed pipe or full disk only here
+        if sys.stdout is not None:
+            sys.stdout.flush()  # buffered output may meet a closed pipe or full disk only here
         return code
     except OSError as exc:
         # Commands wrap every other OSError, so this one came from writing
-        # stdout (a closed pipe, a full disk); point stdout at devnull so the
-        # flush at exit cannot fail again.
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
-        os.close(devnull)
-        print(f"error: cannot write output: {exc.strerror}", file=sys.stderr)
+        # stdout (a closed pipe, a full disk, none at all); point stdout at
+        # devnull so the flush at exit cannot fail again.
+        if sys.stdout is not None:
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+        write_stderr(f"error: cannot write output: {exc.strerror}")
         return EXIT_IO
     except IngestError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        write_stderr(f"error: {exc}")
         return EXIT_IO
     except (BlockFileError, CalibrationError, SimulationError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        write_stderr(f"error: {exc}")
         return EXIT_PARSE
 
 

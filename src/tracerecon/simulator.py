@@ -41,7 +41,10 @@ variants or with overlapping targets is an error naming its ``action:``
 line.  The export must scan back as the records simulated: a path may
 not hold ``|`` or ``\\`` nor end in a bodyfile ``(deleted)`` marker, no
 default or schedule epoch may be 0 (a bodyfile's "absent"), and no default
-or ``epoch + threshold`` may pass ``bodyfile.MAX_TIME``.
+or ``epoch + threshold`` may pass ``bodyfile.MAX_TIME``.  Since the matcher
+folds case (:func:`~tracerecon.signatures.fold`), no two ``ma``/``da``
+paths, in any action or variant, may differ only in case: the later one is
+an error at its first line, naming the earlier spelling and its line.
 """
 
 from __future__ import annotations
@@ -65,7 +68,7 @@ from .model import (
     Timestamp,
     read_int,
 )
-from .signatures import Signature, SignaturePack, TraceCategory, TracePattern
+from .signatures import Signature, SignaturePack, TraceCategory, TracePattern, fold
 
 # An object map: path -> {kind -> value}.  A simulation builds one such map
 # from the last instance of each variant; records are materialized only at
@@ -567,6 +570,8 @@ def parse_scenario(text: str) -> Scenario:
     lines = content_lines(text)
     blocks = itertools.takewhile(lambda item: not _is_header(*item, "schedule:"), lines)
     specs: dict[str, ActionSpec] = {}
+    # The line where each target path is first written, in file order.
+    first_lines: dict[str, int] = {}
     for block in read_blocks(blocks, ScenarioError):
         # One (updates, defaults) pair per variant.
         variants: list[tuple[set, set]] = []
@@ -589,6 +594,7 @@ def parse_scenario(text: str) -> Scenario:
             target = read(line_no, keyword, parts[1])
             if index is not None:
                 variants[-1][index].add(target)
+                first_lines.setdefault(target[0], line_no)
         if not variants:
             raise ScenarioError(block.line_no, f"action {block.name!r} defines no variants")
         try:
@@ -599,6 +605,14 @@ def parse_scenario(text: str) -> Scenario:
             )
         except ValueError as exc:
             raise ScenarioError(block.line_no, str(exc))
+    # The matcher folds case, so two paths that differ only in case would
+    # each match the other's traces.
+    spellings: dict[str, str] = {}
+    for path in first_lines:
+        earlier = spellings.setdefault(fold(path), path)
+        if earlier != path:
+            message = f"path {path!r} differs only in case from {earlier!r}"
+            raise ScenarioError(first_lines[path], f"{message} on line {first_lines[earlier]}")
 
     entries: list[ScheduleEntry] = []
     for line_no, line in lines:

@@ -1,8 +1,7 @@
 import io
 import itertools
-import logging
 import sys
-from contextlib import contextmanager
+from contextlib import contextmanager, redirect_stderr
 
 import pytest
 from hypothesis import example, given, settings
@@ -246,26 +245,34 @@ def test_a_failed_read_is_an_ingest_error_naming_the_source():
 
 
 @contextmanager
-def _logged():
-    """The diagnostics the bodyfile module logs inside the block, as a growing list."""
-    messages = []
-    handler = logging.Handler()
-    handler.emit = lambda record: messages.append(record.getMessage())
-    logger = logging.getLogger("tracerecon.bodyfile")
-    logger.addHandler(handler)
-    try:
-        yield messages
-    finally:
-        logger.removeHandler(handler)
+def _stderr():
+    """What is written to stderr inside the block, as a function giving its lines so far."""
+    stream = io.StringIO()
+    with redirect_stderr(stream):
+        yield lambda: stream.getvalue().split("\n")[:-1]
 
 
-def test_diagnostics_are_logged_as_they_are_reached():
+def test_diagnostics_are_written_as_they_are_reached():
     data = b"0|C:/a|1|r|0|0|1|0|5|0|0\nbad\n0|C:/b|1|r|0|0|1|0|5|0|0\n"
-    with _logged() as messages:
+    with _stderr() as messages:
         records = read_bodyfile(io.BytesIO(data), "in.body")
-        assert next(records).path == "C:/a" and messages == []
+        assert next(records).path == "C:/a" and messages() == []
         assert next(records).path == "C:/b"
-        assert messages == ["in.body: line 2: expected 11 fields, found 1"]
+        assert messages() == ["in.body: line 2: expected 11 fields, found 1"]
+
+
+class _Refusing(io.StringIO):
+    """A stderr on a full disk: every write fails."""
+
+    def write(self, text):
+        raise OSError(28, "No space left on device")
+
+
+def test_a_diagnostic_that_cannot_be_written_is_dropped_not_taken_for_a_read_error():
+    data = b"bad\n0|C:/b|1|r|0|0|1|0|5|0|0\n"
+    with redirect_stderr(_Refusing()):
+        records = list(read_bodyfile(io.BytesIO(data), "in.body"))
+    assert [record.path for record in records] == ["C:/b"]
 
 
 # Pieces of bodyfile fields, with the characters that whole-text and per-line
@@ -317,10 +324,10 @@ stream_bytes = streams(line_bytes)
 def test_the_stream_reads_what_whole_text_parsing_reads(data):
     expected, diagnostics = reference_ingest(data)
     assert parse_bodyfile(data.decode("utf-8", "surrogateescape")) == (expected, diagnostics)
-    with _logged() as messages:
+    with _stderr() as messages:
         records = list(read_bodyfile(io.BytesIO(data), "in.body"))
     assert records == expected
-    assert messages == [f"in.body: {diag}" for diag in diagnostics]
+    assert messages() == [f"in.body: {diag}" for diag in diagnostics]
     for record in records:
         checked = ObjectRecord(
             record.path,
@@ -370,15 +377,15 @@ valid_record_bytes = st.builds(
 @settings(max_examples=300)
 @given(st.one_of(stream_bytes, streams(st.one_of(line_bytes, valid_record_bytes))))
 def test_the_prefilter_changes_neither_matches_nor_diagnostics(data):
-    with _logged() as every_message:
+    with _stderr() as every_message:
         records = list(read_bodyfile(io.BytesIO(data), "in.body"))
-    with _logged() as messages:
+    with _stderr() as messages:
         kept = list(read_bodyfile(io.BytesIO(data), "in.body", path_prefilter(PREFILTER_PACK)))
     rest = iter(records)
     assert all(record in rest for record in kept)  # a subsequence of the records
     assert list(filter(_holds_literal, kept)) == list(filter(_holds_literal, records))
     assert match_pack(PREFILTER_PACK, kept) == match_pack(PREFILTER_PACK, records)
-    assert messages == every_message
+    assert messages() == every_message()
 
 
 @settings(max_examples=400)
@@ -404,10 +411,10 @@ def test_the_block_reader_reads_what_the_line_reader_reads(
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(bodyfile, "_BLOCK_SIZE", block_size)
         patch.setattr(signatures, "_FIND_LITERALS", find_literals)
-        with _logged() as messages:
+        with _stderr() as messages:
             records = list(read_bodyfile(io.BytesIO(data), "in.body", hits))
     assert records == expected
-    assert messages == [f"in.body: {diag}" for diag in diagnostics]
+    assert messages() == [f"in.body: {diag}" for diag in diagnostics]
 
 
 def test_only_candidates_and_lines_that_are_not_plain_are_parsed_alone(monkeypatch):
@@ -426,11 +433,11 @@ def test_only_candidates_and_lines_that_are_not_plain_are_parsed_alone(monkeypat
     lines[30] = "0|bad"
     data = "\r\n".join(lines).encode() + b"\n"
     monkeypatch.setattr(bodyfile, "_parse_line", parse_line)
-    with _logged() as messages:
+    with _stderr() as messages:
         records = list(read_bodyfile(io.BytesIO(data), "in.body", path_prefilter(PREFILTER_PACK)))
     assert parsed == [lines[10], lines[20], lines[25], lines[30]]
     assert [record.path for record in records] == ["C:/x/C:/A", "C:/x/gone"]
-    assert messages == ["in.body: line 31: expected 11 fields, found 2"]
+    assert messages() == ["in.body: line 31: expected 11 fields, found 2"]
 
 
 def test_lines_that_hold_eleven_fields_only_together_are_each_diagnosed():
@@ -439,10 +446,10 @@ def test_lines_that_hold_eleven_fields_only_together_are_each_diagnosed():
         data = f"{plain}\n{plain[:cut]}\n{plain[cut:]}\n{plain}\n".encode()
         for hits, literals in ((None, None), (path_prefilter(PREFILTER_PACK), PREFILTER_LITERALS)):
             expected, diagnostics = reference_ingest(data, literals)
-            with _logged() as messages:
+            with _stderr() as messages:
                 records = list(read_bodyfile(io.BytesIO(data), "in.body", hits))
             assert records == expected
-            assert messages == [f"in.body: {diag}" for diag in diagnostics]
+            assert messages() == [f"in.body: {diag}" for diag in diagnostics]
 
 
 def _outcome(parse, line):

@@ -183,7 +183,7 @@ def test_scan_unreadable_metadata_exits_2_ahead_of_a_bad_pack(capsys, tmp_path):
     assert err.startswith(f"error: cannot read metadata {tmp_path / 'missing.body'}: ")
 
 
-def test_scan_bad_pack_exits_3_before_any_bodyfile_diagnostic(capsys, caplog, tmp_path):
+def test_scan_bad_pack_exits_3_before_any_bodyfile_diagnostic(capsys, tmp_path):
     body = tmp_path / "in.body"
     body.write_text("not a bodyfile line\n")
     bad = tmp_path / "bad.sig"
@@ -191,11 +191,10 @@ def test_scan_bad_pack_exits_3_before_any_bodyfile_diagnostic(capsys, caplog, tm
     code, _, err = run(capsys, "scan", str(body), str(bad))
     assert code == 3
     assert err == f"error: {bad}: threshold must be positive, got 0 (line 2)\n"
-    assert caplog.messages == []
 
-    code, _, _ = run(capsys, "scan", str(body), FF3_SIG)
+    code, _, err = run(capsys, "scan", str(body), FF3_SIG)
     assert code == 0
-    assert caplog.messages == [f"{body}: line 1: expected 11 fields, found 1"]
+    assert err == f"{body}: line 1: expected 11 fields, found 1\n0 detections\n"
 
 
 class _FailingStdin:
@@ -247,7 +246,7 @@ _FALSE_CANDIDATES = [
 
 @pytest.mark.parametrize("pack_text, lines", _FALSE_CANDIDATES, ids=["md5-mode", "deleted", "slash"])
 def test_scan_gives_the_same_output_with_and_without_the_prefilter(
-    capsys, caplog, monkeypatch, tmp_path, pack_text, lines
+    capsys, monkeypatch, tmp_path, pack_text, lines
 ):
     sig = tmp_path / "pack.sig"
     sig.write_text(pack_text)
@@ -259,10 +258,11 @@ def test_scan_gives_the_same_output_with_and_without_the_prefilter(
     outcomes = []
     for prefilter in (path_prefilter, lambda pack: None):
         monkeypatch.setattr("tracerecon.cli.path_prefilter", prefilter)
-        caplog.clear()
-        outcomes.append((run(capsys, "scan", str(body), str(sig)), caplog.messages))
+        outcomes.append(run(capsys, "scan", str(body), str(sig)))
     assert outcomes[0] == outcomes[1]
-    assert outcomes[0][1] == [f"{body}: line 10: expected 11 fields, found 2"]
+    *diagnostics, count = outcomes[0][2].splitlines()
+    assert diagnostics == [f"{body}: line 10: expected 11 fields, found 2"]
+    assert count.endswith(" detections")
 
 
 def _noise_bodyfile(path, count):
@@ -483,6 +483,55 @@ def test_output_onto_a_full_disk_exits_2_without_a_traceback(argv, stderr):
         result = run_with_stdout(full.fileno(), *argv)
     error = f"error: cannot write output: {os.strerror(errno.ENOSPC)}\n"
     assert (result.returncode, result.stderr) == (2, stderr + error)
+
+
+def run_with_closed(fd, *argv):
+    """Run ``trace-recon`` in a child process that starts with descriptor ``fd`` closed.
+
+    The shell closes it and then becomes this interpreter itself, so no
+    launcher script in between can open a file onto the free descriptor.
+    """
+    return subprocess.run(
+        ["sh", "-c", f'exec "$0" "$@" {fd}>&-', sys.executable, "-m", "tracerecon.cli", *argv],
+        capture_output=True,
+        env=_child_env(),
+        text=True,
+        timeout=60,
+    )
+
+
+@pytest.mark.parametrize("argv", [
+    ("scan", C1, FF3_SIG),
+    ("scan", C1, FF3_SIG, "--format", "records"),
+    ("calibrate", str(FIXTURES / "calibration_ie8.txt")),
+    ("simulate", str(FIXTURES / "scenario_basic.scn"), "--check", "--out"),
+])
+def test_a_command_with_a_report_and_no_stdout_exits_2_without_a_traceback(tmp_path, argv):
+    if argv[-1] == "--out":
+        argv += (str(tmp_path),)
+    result = run_with_closed(1, *argv)
+    error = f"error: cannot write output: {os.strerror(errno.EBADF)}\n"
+    assert (result.returncode, result.stderr) == (2, error)
+
+
+def test_simulate_without_check_needs_no_stdout(tmp_path):
+    golden = FIXTURES / "simulate" / "scenario_basic-seed5"
+    scenario = str(FIXTURES / "scenario_basic.scn")
+    result = run_with_closed(1, "simulate", scenario, "--seed", "5", "--out", str(tmp_path))
+    assert (result.returncode, result.stderr) == (0, "")
+    for name in ("metadata.body", "truth.json"):
+        assert (tmp_path / name).read_bytes() == (golden / name).read_bytes()
+
+
+def test_with_no_stderr_stdout_holds_only_the_report(capsys, tmp_path):
+    body = tmp_path / "in.body"
+    body.write_bytes((FIXTURES / "computer1.body").read_bytes() + b"0|bad\n")
+    code, report, err = run(capsys, "scan", str(body), FF3_SIG)
+    assert (code, err) == (0, f"{body}: line 10: expected 11 fields, found 2\n6 detections\n")
+    result = run_with_closed(2, "scan", str(body), FF3_SIG)
+    assert (result.returncode, result.stdout) == (0, report)
+    result = run_with_closed(2, "scan", str(tmp_path / "missing.body"), FF3_SIG)
+    assert (result.returncode, result.stdout) == (2, "")
 
 
 # --- calibrate -------------------------------------------------------------
@@ -939,6 +988,18 @@ def test_simulate_unknown_action_exits_3(capsys, tmp_path):
     code, _, err = run(capsys, "simulate", str(bad), "--out", str(tmp_path / "o"))
     assert code == 3
     assert "ghost" in err
+
+
+def test_simulate_refuses_target_paths_that_differ_only_in_case(capsys, tmp_path):
+    # Each action's derived trace would match the other's path, so --check
+    # would fail on a scenario it accepted.
+    bad = tmp_path / "case.scn"
+    bad.write_text("action: A\nthreshold: 10\nma modified /d/X\n---\n"
+                   "action: B\nthreshold: 10\nma modified /d/x\n---\n"
+                   "schedule:\n1000 A 0\n5000 B 0\n")
+    code, out, err = run(capsys, "simulate", str(bad), "--out", str(tmp_path / "o"), "--check")
+    assert (code, out) == (3, "")
+    assert err == "error: path '/d/x' differs only in case from '/d/X' on line 3 (line 7)\n"
 
 
 def test_simulate_scenario_that_is_not_utf8_exits_3(capsys, tmp_path):

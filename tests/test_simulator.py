@@ -754,6 +754,10 @@ def test_random_variant_marker_is_seed_stable():
     assert first == second
 
 
+# Action A writes /d/X on line 3; the target lines added for action B start on line 7.
+_CASE_PAIRS = "action: A\nthreshold: 10\nma modified /d/X\n---\naction: B\nthreshold: 10\n"
+
+
 @pytest.mark.parametrize(
     "text, fragment",
     [
@@ -767,6 +771,14 @@ def test_random_variant_marker_is_seed_stable():
         ("action: a\nthreshold: 5\nma modified /x\nschedule:\n10 a\n", "schedule entry"),
         ("ma modified /x\n", "before 'action:'"),
         ("action: a\nthreshold: 5\n---\n", "no variants"),
+        # The matcher folds case, so each path's derived trace would match the other.
+        (_CASE_PAIRS + "ma modified /d/x\n",
+         "path '/d/x' differs only in case from '/d/X' on line 3 (line 7)"),
+        (_CASE_PAIRS + "ma modified /d/y\nda modified 3000 /d/x\n",
+         "path '/d/x' differs only in case from '/d/X' on line 3 (line 8)"),
+        ("action: A\nthreshold: 10\nvariant:\nma modified /d/\u00c4\nvariant:\n"
+         "ma accessed /D/\u00e4\n",
+         "path '/D/\u00e4' differs only in case from '/d/\u00c4' on line 4 (line 6)"),
     ],
 )
 def test_malformed_scenarios_fail_with_line_numbers(text, fragment):
@@ -774,6 +786,12 @@ def test_malformed_scenarios_fail_with_line_numbers(text, fragment):
         parse_scenario(text)
     assert fragment in str(exc_info.value)
     assert "line" in str(exc_info.value)
+
+
+@pytest.mark.parametrize("line", ["ma modified /d/X", "ma accessed /d/X", "oa /d/x"])
+def test_a_path_spelled_the_same_or_only_read_is_not_refused(line):
+    specs = parse_scenario(_CASE_PAIRS + line + "\n").specs
+    assert list(specs) == ["A", "B"]
 
 
 def test_action_names_with_spaces_parse_in_schedules():

@@ -1,6 +1,7 @@
 """Module boundaries: no module of the package imports another's private name,
-only the simulator reads the layout of its ground truth, the package exports
-its names lazily, and importing the CLI loads only what ``scan`` runs."""
+only the simulator reads the layout of its ground truth, one function writes
+to stderr, the package exports its names lazily, and importing the CLI loads
+only what ``scan`` runs."""
 
 import ast
 import os
@@ -48,9 +49,33 @@ def test_only_the_simulator_reads_the_ground_truth_layout():
     assert readers == []
 
 
+def test_one_function_writes_to_stderr_and_no_module_logs():
+    # Diagnostics, scan's count and errors all leave by one path, so a
+    # process with no stderr drops them in one place and none lands on stdout.
+    modules = {path.name: ast.parse(path.read_text(encoding="utf-8"))
+               for path in sorted(PACKAGE.glob("*.py"))}
+    writers = [
+        f"{name}: {function.name}"
+        for name, tree in modules.items()
+        for function in ast.walk(tree)
+        if isinstance(function, ast.FunctionDef)
+        for node in ast.walk(function)
+        if isinstance(node, ast.Attribute) and node.attr == "stderr"
+    ]
+    assert writers == ["bodyfile.py: write_stderr"]
+    imported = {
+        (alias.name if isinstance(node, ast.Import) else node.module or "").split(".")[0]
+        for tree in modules.values()
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        for alias in node.names
+    }
+    assert "logging" not in imported
+
+
 # What ``scan`` never runs: importing the CLI must not load these.
 NOT_FOR_SCAN = ("tracerecon.simulator", "tracerecon.calibration", "statistics",
-                "importlib.resources")
+                "importlib.resources", "logging")
 
 
 def test_importing_the_cli_loads_nothing_scan_does_not_run():

@@ -39,6 +39,7 @@ an error, goes through :func:`write_stderr`.
 from __future__ import annotations
 
 import itertools
+import os
 import re
 import sys
 from contextlib import nullcontext
@@ -281,14 +282,33 @@ def write_stderr(line: str) -> None:
 
     Nothing is written when the process has no stderr (``sys.stderr`` is
     None, as when descriptor 2 is closed at start-up), and a write that
-    fails is dropped: there is nowhere left to report it.
+    fails is dropped: there is nowhere left to report it.  What the failed
+    write left in the stream's buffer goes to devnull
+    (:func:`discard_unwritten`), so the flush at exit cannot fail on it.
     """
     stream = sys.stderr
     if stream is not None:
         try:
             stream.write(line + "\n")
         except OSError:
-            pass
+            discard_unwritten(stream)
+
+
+def discard_unwritten(stream: IO[str]) -> None:
+    """Point the descriptor of ``stream`` at devnull after a write to it failed.
+
+    The bytes of the failed write stay in the stream's buffer, and the
+    interpreter's flush at exit would meet the same error and end the
+    process with status 120.  A stream with no descriptor of its own, such
+    as a ``StringIO``, is left alone.
+    """
+    try:
+        fd = stream.fileno()
+    except (OSError, ValueError):
+        return
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, fd)
+    os.close(devnull)
 
 
 def open_input(source: str | Path, what: str) -> ContextManager[IO[bytes]]:

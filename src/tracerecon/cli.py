@@ -31,6 +31,7 @@ from pathlib import Path
 from .blockfile import BlockFileError, content_lines
 from .bodyfile import (
     IngestError,
+    discard_unwritten,
     open_input,
     read_bodyfile,
     read_input,
@@ -335,12 +336,9 @@ def main(argv: list[str] | None = None) -> int:
         return code
     except OSError as exc:
         # Commands wrap every other OSError, so this one came from writing
-        # stdout (a closed pipe, a full disk, none at all); point stdout at
-        # devnull so the flush at exit cannot fail again.
+        # stdout (a closed pipe, a full disk, none at all).
         if sys.stdout is not None:
-            devnull = os.open(os.devnull, os.O_WRONLY)
-            os.dup2(devnull, sys.stdout.fileno())
-            os.close(devnull)
+            discard_unwritten(sys.stdout)
         write_stderr(f"error: cannot write output: {exc.strerror}")
         return EXIT_IO
     except IngestError as exc:

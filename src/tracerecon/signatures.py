@@ -59,7 +59,7 @@ import re
 import warnings
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import cached_property
+from functools import cache, cached_property, partial
 from typing import Callable, Iterable, Iterator
 
 from .blockfile import KIND_WORDS, BlockFileError, content_lines, read_blocks
@@ -87,6 +87,21 @@ class SignatureError(BlockFileError):
     """Fatal signature-file problem."""
 
 
+@cache
+def _escaper() -> Callable[[str], str]:
+    """``re.escape`` of a ``str`` as one compiled substitution.
+
+    ``re.escape`` translates with a dict, a lookup per character; this
+    substitution finds the characters it changes in C and calls Python only
+    for them.  They are asked of ``re.escape`` itself, so the class follows
+    the running Python: the ASCII characters it changes (3.7 and later change
+    no other), each mapped to what it gives for that character.
+    """
+    escapes = {c: re.escape(c) for c in map(chr, range(128)) if re.escape(c) != c}
+    special = re.compile("[" + "".join(escapes.values()) + "]")
+    return partial(special.sub, lambda match: escapes[match[0]])
+
+
 @dataclass(frozen=True)
 class TracePattern:
     """One trace rule: category, timestamp kind, and a path regex.
@@ -111,11 +126,17 @@ class TracePattern:
 
     @classmethod
     def for_path(cls, category: TraceCategory, kind: TimestampKind, path: str) -> TracePattern:
-        """The trace of exactly the object ``path``, with source ``^`` + escaped path + ``$``."""
+        """The trace of exactly the object ``path``, with source ``^`` + escaped path + ``$``.
+
+        The source equals ``"^" + re.escape(path) + "$"``, so the trace keys
+        the same shared group as that ``^...$`` line of a signature file.  The
+        escape is :func:`_escaper`'s one compiled substitution, built on the
+        first call, so importing the module compiles nothing for it.
+        """
         trace = cls.__new__(cls)
         if path.isascii():
             object.__setattr__(trace, "exact", path.lower())
-        trace.__init__(category, kind, "^" + re.escape(path) + "$")
+        trace.__init__(category, kind, "^" + _escaper()(path) + "$")
         return trace
 
     @cached_property

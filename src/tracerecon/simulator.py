@@ -18,7 +18,9 @@ variant's :attr:`PathVariant.order` (shared by all its instances) and the
 values its update targets got.  For the same reason a target's last writer
 is always the last instance of some variant, so the snapshot is built from
 those alone, replayed in schedule order.  :func:`write_truth` writes the
-truth as ``truth.json``, one record per write.
+truth as ``truth.json``, one record per write, from one bytes template per
+variant: a template holds the instance index as a slot that one
+``bytes.replace`` fills per instance, and a ``%d`` for each update value.
 
 A scenario file is a block file (:mod:`tracerecon.blockfile`): each block
 is one action, whose body lists its path variants, and a ``schedule:``
@@ -34,17 +36,18 @@ line after the last block opens the instances to run::
     <epoch> <action name> <variant index, or ? for a seeded random pick>
 
 ``ma``/``da`` lines before any ``variant:`` line fall into an implicit
-first variant; ``_VARIANT_LINES`` holds the reader of each.  A legacy
-``oa <object path>`` line is read and checked like a target line, and
-opens the implicit variant too, but writes nothing.  A block with no
-variants or with overlapping targets is an error naming its ``action:``
-line.  The export must scan back as the records simulated: a path may
-not hold ``|`` or ``\\`` nor end in a bodyfile ``(deleted)`` marker, no
-default or schedule epoch may be 0 (a bodyfile's "absent"), and no default
-or ``epoch + threshold`` may pass ``bodyfile.MAX_TIME``.  Since the matcher
-folds case (:func:`~tracerecon.signatures.fold`), no two ``ma``/``da``
-paths, in any action or variant, may differ only in case: the later one is
-an error at its first line, naming the earlier spelling and its line.
+first variant.  One ``split`` reads an ``ma`` line whole (keyword, kind,
+path), and its checks run inline.  A legacy ``oa <object path>`` line is
+read and checked like a target line, and opens the implicit variant too,
+but writes nothing.  A block with no variants or with overlapping targets
+is an error naming its ``action:`` line.  The export must scan back as the
+records simulated: a path may not hold ``|`` or ``\\`` nor end in a
+bodyfile ``(deleted)`` marker, no default or schedule epoch may be 0 (a
+bodyfile's "absent"), and no default or ``epoch + threshold`` may pass
+``bodyfile.MAX_TIME``.  Since the matcher folds case
+(:func:`~tracerecon.signatures.fold`), no two ``ma``/``da`` paths, in any
+action or variant, may differ only in case: the later one is an error at
+its first line, naming the earlier spelling and its line.
 """
 
 from __future__ import annotations
@@ -178,18 +181,19 @@ class GroundTruth:
 
 
 _JSON_SEPARATORS = (",", ":")
-# One compact write object, its keys in sorted order: %d stays for the
-# instance index, and the value is %d for an update, the number for a default.
-_WRITE_JSON = '{"default":%s,"instance":%%d,"kind":"%s","path":%s,"value":%s}'
+# One compact write object, its keys in sorted order: the instance index is
+# the slot _INDEX, and the value is %d for an update, the number for a default.
+_WRITE_JSON = '{"default":%s,"instance":\x00,"kind":"%s","path":%s,"value":%s}'
+# json.dumps writes a NUL as \u0000, so this byte is never part of a path.
+_INDEX = b"\x00"
 
 
-def _instance_template(order: VariantOrder) -> tuple[bytes, int, int]:
-    """The writes of one instance of a variant as one bytes ``%`` template.
+def _instance_template(order: VariantOrder) -> bytes:
+    """The writes of one instance of a variant as one bytes template.
 
-    Returns the template, the number of update targets and the number of
-    arguments it takes: the instance index and value of each update, then
-    the index of each default.  Paths are quoted by ``json.dumps`` (ASCII
-    escapes, as in a whole-document dump) with ``%`` doubled, so the
+    Each write holds the slot :data:`_INDEX` for the instance index, and
+    each update a ``%d`` for its value.  Paths are quoted by ``json.dumps``
+    (ASCII escapes, as in a whole-document dump) with ``%`` doubled, so the
     template is ASCII.
     """
     updates, defaults = order
@@ -201,7 +205,7 @@ def _instance_template(order: VariantOrder) -> tuple[bytes, int, int]:
         _WRITE_JSON % ("true", kind.value, json.dumps(path).replace("%", "%%"), default)
         for path, kind, default in defaults
     ]
-    return ",".join(forms).encode("ascii"), len(updates), 2 * len(updates) + len(defaults)
+    return ",".join(forms).encode("ascii")
 
 
 def write_truth(fh: BinaryIO, seed: int, truth: GroundTruth) -> None:
@@ -213,9 +217,11 @@ def write_truth(fh: BinaryIO, seed: int, truth: GroundTruth) -> None:
     equal one ``json.dumps(..., sort_keys=True)`` of the whole document,
     which is ASCII.  Each instance's writes go out in one call as soon as
     they are formatted, so the document is never held whole in memory.
-    Each variant order gets its bytes ``%`` template the first time an
-    instance of it is seen; an instance is then one ``template % args``.
-    ``"writes"`` is the last key in sorted order, so the head closes over it.
+    Each variant order gets its bytes template the first time an instance
+    of it is seen.  An instance fills the template's index slots with one
+    ``bytes.replace``, so its index is formatted once, and then its update
+    values with one ``%``.  ``"writes"`` is the last key in sorted order, so
+    the head closes over it.
     """
     head = {
         "seed": seed,
@@ -226,17 +232,14 @@ def write_truth(fh: BinaryIO, seed: int, truth: GroundTruth) -> None:
     }
     fh.write(json.dumps(head, sort_keys=True, separators=_JSON_SEPARATORS)[:-1].encode("ascii"))
     fh.write(b',"writes":[')
-    templates: dict[int, tuple[bytes, int, int]] = {}
+    templates: dict[int, bytes] = {}
     separator = b""
     for instance, (order, values) in zip(truth.instances, truth.written):
-        known = templates.get(id(order))
-        if known is None:
-            known = templates[id(order)] = _instance_template(order)
-        template, updates, size = known
-        if size:
-            args = [instance.index] * size
-            args[1:2 * updates:2] = values
-            fh.write(separator + template % tuple(args))
+        template = templates.get(id(order))
+        if template is None:
+            template = templates[id(order)] = _instance_template(order)
+        if template:
+            fh.write(separator + template.replace(_INDEX, b"%d" % instance.index) % values)
             separator = b","
     fh.write(b"]}\n")
 
@@ -504,17 +507,6 @@ class Scenario:
     schedule: InstanceSchedule
 
 
-def _target_path(line_no: int, keyword: str, text: str) -> str:
-    """The path of a target line, if the exported bodyfile reads it back unchanged."""
-    path = text.strip()
-    if "\\" in path:
-        raise ScenarioError(line_no, f"'{keyword}' path contains '\\', read back as '/'")
-    # DELETED_SUFFIX ends in r"\)$" and a stripped path ends in no newline.
-    if path.endswith(")") and DELETED_SUFFIX.search(path):
-        raise ScenarioError(line_no, f"'{keyword}' path ends in a bodyfile deletion marker")
-    return path
-
-
 def _is_header(line_no: int, line: str, header: str) -> bool:
     """Whether ``line`` is the bare ``header``; text after its colon is an error."""
     if not line.startswith(header):
@@ -525,24 +517,9 @@ def _is_header(line_no: int, line: str, header: str) -> bool:
     return True
 
 
-def _kind_and_rest(line_no: int, keyword: str, args: str) -> tuple[TimestampKind, str]:
-    """The timestamp kind that opens a target line's arguments, and the text after it."""
-    sub = args.split(None, 1)
-    if len(sub) != 2 or sub[0] not in KIND_WORDS:
-        raise ScenarioError(line_no, f"'{keyword}' needs a timestamp kind then its arguments")
-    return KIND_WORDS[sub[0]], sub[1]
-
-
-def _read_update(line_no: int, keyword: str, args: str) -> UpdateTarget:
-    """The (path, kind) target of an ``ma`` line."""
-    kind, path = _kind_and_rest(line_no, keyword, args)
-    return _target_path(line_no, keyword, path), kind
-
-
-def _read_default(line_no: int, keyword: str, args: str) -> DefaultTarget:
-    """The (path, kind, default epoch) target of a ``da`` line."""
-    kind, rest = _kind_and_rest(line_no, keyword, args)
-    value_and_path = rest.split(None, 1)
+def _read_default(line_no: int, args: str) -> tuple[int, str]:
+    """The default epoch that opens a ``da`` line's text after its kind, and the path after it."""
+    value_and_path = args.split(None, 1)
     if len(value_and_path) != 2:
         raise ScenarioError(line_no, "'da' needs '<kind> <default epoch> <path>'")
     try:
@@ -555,20 +532,16 @@ def _read_default(line_no: int, keyword: str, args: str) -> DefaultTarget:
         raise ScenarioError(line_no, f"default epoch 0 {_READS_AS_ABSENT}")
     if default > MAX_TIME:
         raise ScenarioError(line_no, f"default epoch is past {LAST_TIME}: {default}")
-    return _target_path(line_no, keyword, value_and_path[1]), kind, default
-
-
-# Each variant line's keyword, with the index of the set its target joins in
-# the (updates, defaults) of a variant, and the reader of its arguments,
-# called with the line number, the keyword and the arguments.  A legacy
-# ``oa`` line's path is checked, then joins no set.
-_VARIANT_LINES = {"ma": (0, _read_update), "da": (1, _read_default), "oa": (None, _target_path)}
+    return default, value_and_path[1]
 
 
 def parse_scenario(text: str) -> Scenario:
     """Parse scenario text; structural problems raise :class:`ScenarioError`."""
     lines = content_lines(text)
-    blocks = itertools.takewhile(lambda item: not _is_header(*item, "schedule:"), lines)
+    blocks = itertools.takewhile(
+        lambda item: not (item[1].startswith("schedule:") and _is_header(*item, "schedule:")),
+        lines,
+    )
     specs: dict[str, ActionSpec] = {}
     # The line where each target path is first written, in file order.
     first_lines: dict[str, int] = {}
@@ -576,25 +549,47 @@ def parse_scenario(text: str) -> Scenario:
         # One (updates, defaults) pair per variant.
         variants: list[tuple[set, set]] = []
         for line_no, line in block.body:
-            if _is_header(line_no, line, "variant:"):
+            if line.startswith("variant:") and _is_header(line_no, line, "variant:"):
                 variants.append((set(), set()))
                 continue
-            parts = line.split(None, 1)
+            # Keyword, kind and path: one split reads an ``ma`` line whole.
+            parts = line.split(None, 2)
             keyword = parts[0]
-            entry = _VARIANT_LINES.get(keyword)
-            if entry is None:
+            if keyword not in ("ma", "da", "oa"):
                 raise ScenarioError(line_no, f"unrecognized line: {line!r}")
-            if len(parts) != 2:
+            if len(parts) == 1:
                 raise ScenarioError(line_no, f"'{keyword}' line is missing its arguments")
-            if "|" in parts[1]:
+            if "|" in line:
                 raise ScenarioError(line_no, f"'{keyword}' line contains the field separator '|'")
             if not variants:
                 variants.append((set(), set()))
-            index, read = entry
-            target = read(line_no, keyword, parts[1])
-            if index is not None:
-                variants[-1][index].add(target)
-                first_lines.setdefault(target[0], line_no)
+            if keyword == "oa":
+                path = line[2:].lstrip()
+            elif len(parts) == 2 or parts[1] not in KIND_WORDS:
+                raise ScenarioError(
+                    line_no, f"'{keyword}' needs a timestamp kind then its arguments"
+                )
+            elif keyword == "ma":
+                path = parts[2]
+            else:
+                default, path = _read_default(line_no, parts[2])
+            # A content line ends in whitespace only where a '\\' escapes it,
+            # so a path that passes this check is already stripped, and it
+            # ends in no newline for DELETED_SUFFIX's r"\)$" to pass over.
+            if "\\" in path:
+                raise ScenarioError(line_no, f"'{keyword}' path contains '\\', read back as '/'")
+            if path.endswith(")") and DELETED_SUFFIX.search(path):
+                raise ScenarioError(
+                    line_no, f"'{keyword}' path ends in a bodyfile deletion marker"
+                )
+            # A legacy 'oa' line is checked, then writes nothing.
+            if keyword == "ma":
+                variants[-1][0].add((path, KIND_WORDS[parts[1]]))
+            elif keyword == "da":
+                variants[-1][1].add((path, KIND_WORDS[parts[1]], default))
+            else:
+                continue
+            first_lines.setdefault(path, line_no)
         if not variants:
             raise ScenarioError(block.line_no, f"action {block.name!r} defines no variants")
         try:

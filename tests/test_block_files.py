@@ -20,6 +20,7 @@ from tracerecon import (
     parse_signature_pack,
 )
 from tracerecon.blockfile import BlockFileError
+from tracerecon.model import TimestampKind
 
 SIG = "action: A\nthreshold: 5\n"
 SCN = "action: a\nthreshold: 5\n"
@@ -97,6 +98,13 @@ def test_signature_errors_read_exactly(text, message):
         (SCN + "mx modified /x\n", "unrecognized line: 'mx modified /x' (line 3)"),
         (SCN + "ma\n", "'ma' line is missing its arguments (line 3)"),
         (SCN + "ma someday /x\n", "'ma' needs a timestamp kind then its arguments (line 3)"),
+        (SCN + "ma MODIFIED /x\n", "'ma' needs a timestamp kind then its arguments (line 3)"),
+        (SCN + "ma modified\n", "'ma' needs a timestamp kind then its arguments (line 3)"),
+        (SCN + "da created\n", "'da' needs a timestamp kind then its arguments (line 3)"),
+        (SCN + "ma modified a|b\n", "'ma' line contains the field separator '|' (line 3)"),
+        (SCN + "ma modified /p (deleted)\n",
+         "'ma' path ends in a bodyfile deletion marker (line 3)"),
+        (SCN + "ma modified /x\\ \n", "'ma' path contains '\\', read back as '/' (line 3)"),
         (SCN + "da modified 5\n", "'da' needs '<kind> <default epoch> <path>' (line 3)"),
         (SCN + "da modified nope /x\n", "bad default epoch 'nope' (line 3)"),
         (SCN + "da modified -1 /x\n", "default epoch must be non-negative (line 3)"),
@@ -158,6 +166,13 @@ def test_tabs_separate_scenario_fields_as_spaces_do():
     assert parse_scenario(tabbed) == parse_scenario(spaced)
 
 
+def test_a_target_path_is_the_text_after_its_kind_as_written():
+    text = SCN + "ma  modified   /x  y\nma accessed /p)\nda created 5 /q (deleted) z\noa  /n\n"
+    (variant,) = parse_scenario(text).specs["a"].variants
+    assert variant.updates == {("/x  y", TimestampKind.MODIFIED), ("/p)", TimestampKind.ACCESSED)}
+    assert variant.defaults == {("/q (deleted) z", TimestampKind.CREATED, 5)}
+
+
 def test_tabs_separate_trace_fields_as_spaces_do():
     spaced = parse_signature_pack(SIG + "core modified .*/a$\n")
     tabbed = parse_signature_pack(SIG + "core\tmodified \t.*/a$\n")
@@ -176,6 +191,10 @@ TOKENS = [
     "mx modified /x", "ma someday /x", "oa a|b", "oa /p (deleted)", "ma modified C:\\w",
     "da modified 5", "da modified nope /x", "da modified 0 /x", "da modified 253402300800 /x",
     "da modified 3 /x", "ma modified /p", "oa /x",
+    # An 'ma' line through each check of the one split that reads it whole.
+    "ma modified a|b", "ma modified /p (deleted)", "ma modified /p(deleted-realloc)",
+    "ma modified /p)", "ma MODIFIED /x", "ma  modified   /x y", "ma modified /x\\ ",
+    "ma modified",
 ]
 
 

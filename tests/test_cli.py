@@ -534,6 +534,25 @@ def test_with_no_stderr_stdout_holds_only_the_report(capsys, tmp_path):
     assert (result.returncode, result.stdout) == (2, "")
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("argv", [(C1, FF3_SIG), (C1, "--format", "csv")])
+def test_a_stderr_that_refuses_writes_leaves_the_report_and_exit_0(argv):
+    # The child's stderr is buffered (no PYTHONUNBUFFERED), so the bytes of
+    # the count's failed write wait in its buffer for the flush at exit.
+    normal = run_with_stdout(subprocess.PIPE, "scan", *argv)
+    with open("/dev/full", "w") as full:
+        result = subprocess.run(
+            [sys.executable, "-m", "tracerecon.cli", "scan", *argv],
+            stdout=subprocess.PIPE,
+            stderr=full,
+            env=_child_env(),
+            text=True,
+            timeout=60,
+        )
+    assert normal.returncode == 0 and normal.stderr.endswith(" detections\n")
+    assert (result.returncode, result.stdout) == (0, normal.stdout)
+
+
 # --- calibrate -------------------------------------------------------------
 
 

@@ -22,7 +22,7 @@ duplicate name, and each file type's own block checks) names its
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import Iterable, Iterator
 
 from .model import TimestampKind, read_int
@@ -57,14 +57,15 @@ def content_lines(text: str) -> Iterator[tuple[int, str]]:
             yield line_no, line
 
 
-@dataclass(frozen=True)
-class Block:
+class Block(namedtuple("Block", "name threshold line_no body")):
     """One ``---``-separated block: its headers and its other lines."""
 
     name: str
     threshold: int
     line_no: int  # of the ``action:`` line
     body: list[tuple[int, str]]
+
+    __slots__ = ()
 
 
 def read_blocks(

@@ -42,8 +42,8 @@ import itertools
 import os
 import re
 import sys
+from collections import namedtuple
 from contextlib import nullcontext
-from dataclasses import dataclass
 from pathlib import Path
 from typing import IO, Callable, ContextManager, Iterable, Iterator
 
@@ -63,12 +63,13 @@ class IngestError(Exception):
     """Raised when an input cannot be read or an output cannot be written."""
 
 
-@dataclass(frozen=True)
-class ParseDiagnostic:
+class ParseDiagnostic(namedtuple("ParseDiagnostic", "line_no message")):
     """A non-fatal problem found while parsing; the run continues."""
 
     line_no: int  # 1-based
     message: str
+
+    __slots__ = ()
 
     def __str__(self) -> str:
         return f"line {self.line_no}: {self.message}"
@@ -118,16 +119,9 @@ def _record(
     name: str, atime: int, mtime: int, ctime: int, crtime: int, deleted: bool
 ) -> ObjectRecord:
     """The record of a checked line, built without running ObjectRecord's checks again."""
-    record = object.__new__(ObjectRecord)
-    record.__dict__.update(
-        path=name,
-        accessed=atime or None,
-        modified=mtime or None,
-        metachanged=ctime or None,
-        created=crtime or None,
-        deleted=deleted,
+    return tuple.__new__(
+        ObjectRecord, (name, atime or None, mtime or None, ctime or None, crtime or None, deleted)
     )
-    return record
 
 
 def _parse_fields(line: str) -> ObjectRecord:
@@ -384,21 +378,19 @@ def format_record(record: ObjectRecord) -> str:
     :data:`MAX_TIME`, which the parser rejects.  The message names the
     first such time in atime, mtime, ctime, crtime order.
     """
-    path = record.path
-    name = path + (" (deleted)" if record.deleted else "")
+    path, accessed, modified, metachanged, created, deleted = record
+    name = path + (" (deleted)" if deleted else "")
     if "|" in name:
         raise ValueError(f"path contains the field separator: {path!r}")
     if (
         "\\" in path
         or "\n" in path
         or DELETED_SUFFIX.search(path)
-        or (record.deleted and path[-1:].isspace())
+        or (deleted and path[-1:].isspace())
     ):
         raise ValueError(f"path would not read back as itself: {path!r}")
     times = []
-    for label, value in zip(
-        _TIME_LABELS, (record.accessed, record.modified, record.metachanged, record.created)
-    ):
+    for label, value in zip(_TIME_LABELS, (accessed, modified, metachanged, created)):
         if value is not None and not 0 < value <= MAX_TIME:
             raise ValueError(f"{label} would not read back as itself: {value}")
         times.append(value or 0)

@@ -10,14 +10,13 @@ from __future__ import annotations
 
 import math
 import statistics
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import Sequence
 
 from .model import DEFAULT_SIGMA_MULTIPLIER, CalibrationError
 
 
-@dataclass(frozen=True)
-class ThresholdEstimate:
+class ThresholdEstimate(namedtuple("ThresholdEstimate", "mean sigma k theta n")):
     """Sample statistics and the integer threshold derived from them."""
 
     mean: float
@@ -25,6 +24,8 @@ class ThresholdEstimate:
     k: float
     theta: int
     n: int
+
+    __slots__ = ()
 
 
 def _round_half_up(x: float) -> int:

@@ -15,7 +15,7 @@ oldest and newest values: ``[oldest - threshold, newest]``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import Iterable, Mapping, Sequence
 
 from .model import (
@@ -31,18 +31,18 @@ from .model import (
 from .signatures import Bucket, Signature, SignaturePack, TraceCategory, match_pack
 
 
-@dataclass(frozen=True)
-class Cluster:
+class Cluster(namedtuple("Cluster", "members")):
     """A maximal run of trace states whose span fits within one threshold."""
 
-    members: tuple[TraceState, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not self.members:
+    def __new__(cls, members: tuple[TraceState, ...]) -> Cluster:
+        if not members:
             raise ValueError("cluster must have at least one member")
-        values = [m.value for m in self.members]
+        values = [m.value for m in members]
         if values != sorted(values):
             raise ValueError("cluster members must be sorted ascending by value")
+        return tuple.__new__(cls, (members,))
 
     @property
     def oldest(self) -> Timestamp:
@@ -53,23 +53,24 @@ class Cluster:
         return self.members[-1].value
 
 
-@dataclass(frozen=True)
-class SharedAttribution:
+class SharedAttribution(namedtuple("SharedAttribution", "cluster candidate_actions resolved")):
     """One cluster of shared-trace evidence and the actions that could own it."""
 
-    cluster: Cluster
-    candidate_actions: frozenset[str]
-    resolved: str | None = None
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not self.candidate_actions:
+    def __new__(
+        cls, cluster: Cluster, candidate_actions: frozenset[str], resolved: str | None = None
+    ) -> SharedAttribution:
+        if not candidate_actions:
             raise ValueError("attribution requires at least one candidate action")
-        if self.resolved is not None and self.resolved not in self.candidate_actions:
+        if resolved is not None and resolved not in candidate_actions:
             raise ValueError("resolved action must be one of the candidates")
+        return tuple.__new__(cls, (cluster, candidate_actions, resolved))
 
 
-@dataclass(frozen=True)
-class ActionResult:
+class ActionResult(
+    namedtuple("ActionResult", "action_name threshold core_clusters support_clusters instances")
+):
     """Per-action analysis: core and supporting clusters, and ranked instances."""
 
     action_name: str
@@ -77,6 +78,8 @@ class ActionResult:
     core_clusters: tuple[Cluster, ...]
     support_clusters: tuple[Cluster, ...]
     instances: tuple[ActionInstanceApproximation, ...]
+
+    __slots__ = ()
 
     @property
     def parallel(self) -> bool:

@@ -12,7 +12,7 @@ depends on the interpreter's ``int()`` digit limit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from enum import Enum
 
 # Timestamps are integer seconds since the Unix epoch, UTC.  The metadata
@@ -94,8 +94,9 @@ class ConfidenceNote(Enum):
     PARALLEL_INSTANCE_DIAGNOSTIC = "parallel-instance-diagnostic"
 
 
-@dataclass(frozen=True)
-class ObjectRecord:
+class ObjectRecord(
+    namedtuple("ObjectRecord", "path accessed modified metachanged created deleted")
+):
     """One file-system object and its surviving timestamps.
 
     Paths use forward-slash separators (normalization happens at ingest);
@@ -103,22 +104,25 @@ class ObjectRecord:
     an object with no surviving times carries no reconstructable evidence.
     """
 
-    path: str
-    accessed: Timestamp | None = None
-    modified: Timestamp | None = None
-    metachanged: Timestamp | None = None
-    created: Timestamp | None = None
-    deleted: bool = False
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not self.path:
+    def __new__(
+        cls,
+        path: str,
+        accessed: Timestamp | None = None,
+        modified: Timestamp | None = None,
+        metachanged: Timestamp | None = None,
+        created: Timestamp | None = None,
+        deleted: bool = False,
+    ) -> ObjectRecord:
+        if not path:
             raise ValueError("ObjectRecord requires a non-empty path")
-        times = (self.accessed, self.modified, self.metachanged, self.created)
-        present = [t for t in times if t is not None]
+        present = [t for t in (accessed, modified, metachanged, created) if t is not None]
         if not present:
-            raise ValueError(f"ObjectRecord {self.path!r} has no timestamps")
+            raise ValueError(f"ObjectRecord {path!r} has no timestamps")
         if any(t < EPOCH_FLOOR for t in present):
-            raise ValueError(f"ObjectRecord {self.path!r} has a negative timestamp")
+            raise ValueError(f"ObjectRecord {path!r} has a negative timestamp")
+        return tuple.__new__(cls, (path, accessed, modified, metachanged, created, deleted))
 
     @property
     def timestamps(self) -> dict[TimestampKind, Timestamp]:
@@ -127,13 +131,14 @@ class ObjectRecord:
         return {kind: value for kind, value in values if value is not None}
 
 
-@dataclass(frozen=True)
-class TraceState:
+class TraceState(namedtuple("TraceState", "object_path kind value")):
     """A resolved (object path, timestamp kind, value) observation."""
 
     object_path: str
     kind: TimestampKind
     value: Timestamp
+
+    __slots__ = ()
 
 
 def trace_sort_key(state: TraceState) -> tuple[Timestamp, str, TimestampKind]:
@@ -147,34 +152,38 @@ def trace_sort_key(state: TraceState) -> tuple[Timestamp, str, TimestampKind]:
     return (state.value, state.object_path, state.kind)
 
 
-@dataclass(frozen=True)
-class TimeInterval:
+class TimeInterval(namedtuple("TimeInterval", "start end")):
     """A closed interval of time, both bounds included."""
 
-    start: Timestamp
-    end: Timestamp
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.start > self.end:
-            raise ValueError(f"interval start {self.start} exceeds end {self.end}")
+    def __new__(cls, start: Timestamp, end: Timestamp) -> TimeInterval:
+        if start > end:
+            raise ValueError(f"interval start {start} exceeds end {end}")
+        return tuple.__new__(cls, (start, end))
 
     def contains(self, value: Timestamp) -> bool:
         return self.start <= value <= self.end
 
 
-@dataclass(frozen=True)
-class ActionInstanceApproximation:
+class ActionInstanceApproximation(
+    namedtuple("ActionInstanceApproximation", "action_name interval evidence rank note")
+):
     """An action plus the interval in which one instance of it must have run."""
 
-    action_name: str
-    interval: TimeInterval
-    evidence: tuple[TraceState, ...]
-    rank: InstanceRank
-    note: ConfidenceNote
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not self.evidence:
+    def __new__(
+        cls,
+        action_name: str,
+        interval: TimeInterval,
+        evidence: tuple[TraceState, ...],
+        rank: InstanceRank,
+        note: ConfidenceNote,
+    ) -> ActionInstanceApproximation:
+        if not evidence:
             raise ValueError("an approximation requires at least one evidence trace")
+        return tuple.__new__(cls, (action_name, interval, evidence, rank, note))
 
     @property
     def detected(self) -> Timestamp:

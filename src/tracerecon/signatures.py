@@ -57,7 +57,7 @@ from __future__ import annotations
 
 import re
 import warnings
-from dataclasses import dataclass, field
+from collections import namedtuple
 from enum import Enum
 from functools import cache, cached_property, partial
 from typing import Callable, Iterable, Iterator
@@ -102,27 +102,25 @@ def _escaper() -> Callable[[str], str]:
     return partial(special.sub, lambda match: escapes[match[0]])
 
 
-@dataclass(frozen=True)
-class TracePattern:
+class TracePattern(namedtuple("TracePattern", "category kind source")):
     """One trace rule: category, timestamp kind, and a path regex.
 
     The regex is compiled at once, so a bad pattern fails at load time, not
     at match time.  ``exact`` is None except on a trace of one ASCII object
     path built by :meth:`for_path`, where it is the lowered path and the
-    regex is compiled only when first used.
+    regex is compiled only when first used.  It is not a field, so it takes
+    no part in equality, hashing or repr.  A trace keeps a ``__dict__`` (no
+    ``__slots__``) for ``exact`` and the cached properties.
     """
 
-    category: TraceCategory
-    kind: TimestampKind
-    source: str
-    # __init__ leaves this field alone, so for_path sets it before __post_init__ reads it.
-    exact: str | None = field(default=None, init=False, compare=False, repr=False)
+    exact: str | None = None
 
-    def __post_init__(self) -> None:
-        if not self.source:
+    def __new__(cls, category: TraceCategory, kind: TimestampKind, source: str) -> TracePattern:
+        if not source:
             raise ValueError("trace pattern must not be empty")
-        if self.exact is None:
-            self.regex  # compile now: the property caches it
+        trace = tuple.__new__(cls, (category, kind, source))
+        trace.regex  # compile now: the property caches it
+        return trace
 
     @classmethod
     def for_path(cls, category: TraceCategory, kind: TimestampKind, path: str) -> TracePattern:
@@ -133,10 +131,11 @@ class TracePattern:
         escape is :func:`_escaper`'s one compiled substitution, built on the
         first call, so importing the module compiles nothing for it.
         """
-        trace = cls.__new__(cls)
-        if path.isascii():
-            object.__setattr__(trace, "exact", path.lower())
-        trace.__init__(category, kind, "^" + _escaper()(path) + "$")
+        source = "^" + _escaper()(path) + "$"
+        if not path.isascii():
+            return cls(category, kind, source)
+        trace = tuple.__new__(cls, (category, kind, source))  # the source is never empty
+        trace.exact = path.lower()
         return trace
 
     @cached_property
@@ -153,19 +152,19 @@ class TracePattern:
         return self.regex.search(path) is not None
 
 
-@dataclass(frozen=True)
-class Signature:
+class Signature(namedtuple("Signature", "action_name threshold traces")):
     """All trace patterns for one action plus its update threshold."""
 
-    action_name: str
-    threshold: int
-    traces: tuple[TracePattern, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.threshold <= 0:
-            raise ValueError(f"signature {self.action_name!r}: threshold must be positive")
-        if not self.traces:
-            raise ValueError(f"signature {self.action_name!r}: needs at least one trace")
+    def __new__(
+        cls, action_name: str, threshold: int, traces: tuple[TracePattern, ...]
+    ) -> Signature:
+        if threshold <= 0:
+            raise ValueError(f"signature {action_name!r}: threshold must be positive")
+        if not traces:
+            raise ValueError(f"signature {action_name!r}: needs at least one trace")
+        return tuple.__new__(cls, (action_name, threshold, traces))
 
 
 # A shared trace is identified by its (pattern source, kind) pair; the same

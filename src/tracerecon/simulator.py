@@ -55,8 +55,7 @@ from __future__ import annotations
 import itertools
 import json
 import random
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
 from functools import cached_property
 from typing import BinaryIO, Iterable, Mapping, Sequence
 
@@ -91,18 +90,22 @@ class ScenarioError(BlockFileError):
     """Fatal scenario-file problem."""
 
 
-@dataclass(frozen=True)
-class PathVariant:
-    """One code path: the targets it always updates and the defaults it writes."""
+class PathVariant(namedtuple("PathVariant", "updates defaults")):
+    """One code path: the targets it always updates and the defaults it writes.
 
-    updates: frozenset[UpdateTarget] = frozenset()
-    defaults: frozenset[DefaultTarget] = frozenset()
+    A variant keeps a ``__dict__`` (no ``__slots__``) for its cached ``order``.
+    """
 
-    def __post_init__(self) -> None:
-        overlap = self.updates & {(path, kind) for path, kind, _ in self.defaults}
+    def __new__(
+        cls,
+        updates: frozenset[UpdateTarget] = frozenset(),
+        defaults: frozenset[DefaultTarget] = frozenset(),
+    ) -> PathVariant:
+        overlap = updates & {(path, kind) for path, kind, _ in defaults}
         if overlap:
             listed = sorted(overlap)
             raise ValueError(f"update and default targets overlap: {listed}")
+        return tuple.__new__(cls, (updates, defaults))
 
     @cached_property
     def order(self) -> VariantOrder:
@@ -115,58 +118,54 @@ class PathVariant:
         return tuple(sorted(self.updates)), tuple(sorted(self.defaults))
 
 
-@dataclass(frozen=True)
-class ActionSpec:
+class ActionSpec(namedtuple("ActionSpec", "name threshold variants")):
     """Simulator-side description of an action and its update threshold."""
 
-    name: str
-    threshold: int
-    variants: tuple[PathVariant, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.threshold <= 0:
-            raise ValueError(f"action {self.name!r}: threshold must be positive")
-        if not self.variants:
-            raise ValueError(f"action {self.name!r}: needs at least one path variant")
+    def __new__(cls, name: str, threshold: int, variants: tuple[PathVariant, ...]) -> ActionSpec:
+        if threshold <= 0:
+            raise ValueError(f"action {name!r}: threshold must be positive")
+        if not variants:
+            raise ValueError(f"action {name!r}: needs at least one path variant")
+        return tuple.__new__(cls, (name, threshold, variants))
 
 
-@dataclass(frozen=True)
-class ScheduleEntry:
+class ScheduleEntry(namedtuple("ScheduleEntry", "action tau variant")):
     """One scripted instance; variant None means a seeded random pick."""
 
-    action: str
-    tau: Timestamp
-    variant: int | None = None
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.tau < 0:
+    def __new__(cls, action: str, tau: Timestamp, variant: int | None = None) -> ScheduleEntry:
+        if tau < 0:
             raise ValueError("instance time must be non-negative")
+        return tuple.__new__(cls, (action, tau, variant))
 
 
-@dataclass(frozen=True)
-class InstanceSchedule:
-    entries: tuple[ScheduleEntry, ...]
+class InstanceSchedule(namedtuple("InstanceSchedule", "entries")):
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        taus = [e.tau for e in self.entries]
+    def __new__(cls, entries: tuple[ScheduleEntry, ...]) -> InstanceSchedule:
+        taus = [e.tau for e in entries]
         if taus != sorted(taus):
             raise ValueError("schedule entries must be sorted by time")
+        return tuple.__new__(cls, (entries,))
 
     @classmethod
     def of(cls, entries: Iterable[ScheduleEntry]) -> "InstanceSchedule":
         return cls(tuple(sorted(entries, key=lambda e: e.tau)))
 
 
-@dataclass(frozen=True)
-class TruthInstance:
+class TruthInstance(namedtuple("TruthInstance", "index action tau variant")):
     index: int
     action: str
     tau: Timestamp
     variant: int
 
+    __slots__ = ()
 
-@dataclass(frozen=True)
-class GroundTruth:
+
+class GroundTruth(namedtuple("GroundTruth", "instances written")):
     """Everything that actually happened: instances and the values they wrote.
 
     ``written`` holds one ``(order, values)`` pair per instance, in the
@@ -178,6 +177,8 @@ class GroundTruth:
 
     instances: tuple[TruthInstance, ...]
     written: tuple[tuple[VariantOrder, tuple[int, ...]], ...]
+
+    __slots__ = ()
 
 
 _JSON_SEPARATORS = (",", ":")
@@ -299,10 +300,14 @@ def simulate(
     return export_records(state), GroundTruth(tuple(instances), tuple(written))
 
 
+# The timestamp kinds in the order of ObjectRecord's time fields.
+_RECORD_KINDS = tuple(TimestampKind(name) for name in ObjectRecord._fields[1:5])
+
+
 def export_records(state: SimState) -> list[ObjectRecord]:
     """Materialize an object map as records, sorted by path."""
     return [
-        ObjectRecord(path, **{kind.value: value for kind, value in state[path].items()})
+        ObjectRecord(path, *map(state[path].get, _RECORD_KINDS))
         for path in sorted(state)
         if state[path]
     ]
@@ -390,16 +395,18 @@ ORACLE_PROPERTIES = (
 )
 
 
-@dataclass(frozen=True)
-class OracleViolation:
+class OracleViolation(namedtuple("OracleViolation", "prop action detail")):
     prop: str
     action: str
     detail: str
 
+    __slots__ = ()
 
-@dataclass(frozen=True)
-class OracleReport:
+
+class OracleReport(namedtuple("OracleReport", "violations")):
     violations: tuple[OracleViolation, ...]
+
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:
@@ -501,10 +508,11 @@ def oracle_check(
     return OracleReport(tuple(violations))
 
 
-@dataclass(frozen=True)
-class Scenario:
+class Scenario(namedtuple("Scenario", "specs schedule")):
     specs: dict[str, ActionSpec]
     schedule: InstanceSchedule
+
+    __slots__ = ()
 
 
 def _is_header(line_no: int, line: str, header: str) -> bool:

@@ -457,7 +457,7 @@ def _outcome(parse, line):
         record = parse(line)
     except ValueError as exc:
         return "error", str(exc)
-    return "record", type(record), vars(record)
+    return "record", type(record), record._asdict()
 
 
 def _assert_both_paths_agree(line):

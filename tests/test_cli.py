@@ -1,5 +1,4 @@
 import csv
-import dataclasses
 import errno
 import io
 import json
@@ -1035,7 +1034,7 @@ def test_simulate_check_exits_1_when_an_oracle_property_fails(capsys, tmp_path, 
 
     def reconstruct(records, pack):
         results = real(records, pack)
-        return results + [dataclasses.replace(results[0], action_name="never ran")]
+        return results + [results[0]._replace(action_name="never ran")]
 
     monkeypatch.setattr(cli, "reconstruct", reconstruct)
     code, out, err = run(

@@ -1,7 +1,7 @@
 """Module boundaries: no module of the package imports another's private name,
 only the simulator reads the layout of its ground truth, one function writes
-to stderr, the package exports its names lazily, and importing the CLI loads
-only what ``scan`` runs."""
+to stderr, no module imports logging or dataclasses, the package exports its
+names lazily, and importing the CLI loads only what ``scan`` runs."""
 
 import ast
 import os
@@ -63,19 +63,29 @@ def test_one_function_writes_to_stderr_and_no_module_logs():
         if isinstance(node, ast.Attribute) and node.attr == "stderr"
     ]
     assert writers == ["bodyfile.py: write_stderr"]
-    imported = {
+    assert "logging" not in _imported_packages()
+
+
+def test_no_module_imports_dataclasses():
+    # The value types are named tuples; dataclasses alone would load inspect,
+    # ast and dis, a fifth of what importing the CLI costs.
+    assert "dataclasses" not in _imported_packages()
+
+
+def _imported_packages():
+    """The top-level name of every module that a module of the package imports."""
+    return {
         (alias.name if isinstance(node, ast.Import) else node.module or "").split(".")[0]
-        for tree in modules.values()
-        for node in ast.walk(tree)
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
         if isinstance(node, (ast.Import, ast.ImportFrom))
         for alias in node.names
     }
-    assert "logging" not in imported
 
 
 # What ``scan`` never runs: importing the CLI must not load these.
 NOT_FOR_SCAN = ("tracerecon.simulator", "tracerecon.calibration", "statistics",
-                "importlib.resources", "logging")
+                "importlib.resources", "logging", "dataclasses", "inspect")
 
 
 def test_importing_the_cli_loads_nothing_scan_does_not_run():

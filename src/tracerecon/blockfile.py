@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import itertools
 from collections import namedtuple
-from typing import Iterable, Iterator
+from collections.abc import Iterable, Iterator
 
 from .model import TimestampKind, read_int
 

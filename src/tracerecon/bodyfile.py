@@ -43,9 +43,10 @@ import os
 import re
 import sys
 from collections import namedtuple
-from contextlib import nullcontext
+from collections.abc import Callable, Iterable, Iterator
+from contextlib import AbstractContextManager, nullcontext
+from io import BufferedIOBase, TextIOBase
 from pathlib import Path
-from typing import IO, Callable, ContextManager, Iterable, Iterator
 
 from .model import ObjectRecord, read_int
 
@@ -247,7 +248,7 @@ def parse_bodyfile(text: str) -> tuple[list[ObjectRecord], list[ParseDiagnostic]
     return records, diagnostics
 
 
-def _blocks(stream: IO[bytes]) -> Iterator[str]:
+def _blocks(stream: BufferedIOBase) -> Iterator[str]:
     """The text of ``stream`` in blocks of whole lines, each decoded with ``surrogateescape``.
 
     Each ``read1`` of at most :data:`_BLOCK_SIZE` bytes, which waits for no
@@ -288,7 +289,7 @@ def write_stderr(line: str) -> None:
             discard_unwritten(stream)
 
 
-def discard_unwritten(stream: IO[str]) -> None:
+def discard_unwritten(stream: TextIOBase) -> None:
     """Point the descriptor of ``stream`` at devnull after a write to it failed.
 
     The bytes of the failed write stay in the stream's buffer, and the
@@ -305,7 +306,7 @@ def discard_unwritten(stream: IO[str]) -> None:
     os.close(devnull)
 
 
-def open_input(source: str | Path, what: str) -> ContextManager[IO[bytes]]:
+def open_input(source: str | Path, what: str) -> AbstractContextManager[BufferedIOBase]:
     """A binary handle on stdin if ``source`` is the string ``-``, else on the file.
 
     Use it in a ``with``: leaving it closes a file but never stdin.  A
@@ -330,7 +331,7 @@ def read_input(source: str | Path, what: str) -> bytes:
 
 
 def read_bodyfile(
-    stream: IO[bytes], source: str | Path, hits: Callable[[str], list[int]] | None = None
+    stream: BufferedIOBase, source: str | Path, hits: Callable[[str], list[int]] | None = None
 ) -> Iterator[ObjectRecord]:
     """Yield the records of a buffered binary bodyfile stream as its blocks are read.
 
@@ -397,7 +398,7 @@ def format_record(record: ObjectRecord) -> str:
     return "0|{}|0|-|0|0|0|{}|{}|{}|{}".format(name, *times)
 
 
-def write_bodyfile(records: Iterable[ObjectRecord], stream: IO[str]) -> None:
+def write_bodyfile(records: Iterable[ObjectRecord], stream: TextIOBase) -> None:
     """Write records as newline-terminated bodyfile lines, input order kept."""
     for record in records:
         stream.write(format_record(record) + "\n")

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 import statistics
 from collections import namedtuple
-from typing import Sequence
+from collections.abc import Sequence
 
 from .model import DEFAULT_SIGMA_MULTIPLIER, CalibrationError
 

@@ -16,7 +16,7 @@ oldest and newest values: ``[oldest - threshold, newest]``.
 from __future__ import annotations
 
 from collections import namedtuple
-from typing import Iterable, Mapping, Sequence
+from collections.abc import Iterable, Mapping, Sequence
 
 from .model import (
     ActionInstanceApproximation,

@@ -29,23 +29,22 @@ A pack forms its match buckets once, when it is built: one per action for
 its core and one for its supporting traces, and one per shared group, the
 set of actions a shared trace is evidence for.  Matching (:func:`match_pack`)
 walks the records once for the whole pack and fills every bucket.  Each
-pattern has a required literal that every match holds in the lowered path
+pattern has a required literal that every match holds in the folded path
 (for ``.*/Prefetch/Firefox\\.EXE-.*\\.pf``, ``/prefetch/firefox.exe-``).  A
 pack's literal index, built on first use, finds the literals a path holds
 with one regex of a trie of them all, as in RE2's prefilter atoms and Cox's
 trigram index, and each distinct (pattern, kind) pair runs its regex only
 on a path that holds its literal, or on every path if it has none.  Each
-record path is folded once into that lowered key: a non-ASCII path first
-maps ``İ`` and ``ı`` to ``i``, ``ſ`` to ``s`` and the Kelvin sign ``K`` to
-``k``, the only non-ASCII characters that case-insensitive matching
-equates with an ASCII one.  A trace of one object path, built by
+record path is folded once into that key by :func:`fold`, the one case
+rule: two characters fold alike exactly when case-insensitive matching
+equates them.  A trace of one object path, built by
 :meth:`TracePattern.for_path` (as the simulator derives one per target
 path), skips the index: the matcher finds every such hit with one dict
 lookup of the key, and a path ending in ``\\n`` is found under the path
 plus ``\\n``, since ``$`` also matches before a final newline.  Such a
-trace of an ASCII path compiles its regex only on first use, where any
-other pattern compiles when it is built.  A ``^...$`` line in a signature
-file is an ordinary pattern.
+trace compiles its regex only on first use, where any other pattern
+compiles when it is built.  A ``^...$`` line in a signature file is an
+ordinary pattern.
 
 :func:`path_prefilter` searches the same index before a record exists:
 its ``hits`` lists the candidate lines of a whole block of bodyfile lines,
@@ -58,9 +57,9 @@ from __future__ import annotations
 import re
 import warnings
 from collections import namedtuple
+from collections.abc import Callable, Iterable, Iterator
 from enum import Enum
 from functools import cache, cached_property, partial
-from typing import Callable, Iterable, Iterator
 
 from .blockfile import KIND_WORDS, BlockFileError, content_lines, read_blocks
 from .model import ObjectRecord, TimestampKind, TraceState, trace_sort_key
@@ -106,11 +105,11 @@ class TracePattern(namedtuple("TracePattern", "category kind source")):
     """One trace rule: category, timestamp kind, and a path regex.
 
     The regex is compiled at once, so a bad pattern fails at load time, not
-    at match time.  ``exact`` is None except on a trace of one ASCII object
-    path built by :meth:`for_path`, where it is the lowered path and the
-    regex is compiled only when first used.  It is not a field, so it takes
-    no part in equality, hashing or repr.  A trace keeps a ``__dict__`` (no
-    ``__slots__``) for ``exact`` and the cached properties.
+    at match time.  ``exact`` is None except on a trace of one object path
+    built by :meth:`for_path`, where it is the path's :func:`fold` key and
+    the regex is compiled only when first used.  It is not a field, so it
+    takes no part in equality, hashing or repr.  A trace keeps a
+    ``__dict__`` (no ``__slots__``) for ``exact`` and the cached properties.
     """
 
     exact: str | None = None
@@ -130,12 +129,11 @@ class TracePattern(namedtuple("TracePattern", "category kind source")):
         the same shared group as that ``^...$`` line of a signature file.  The
         escape is :func:`_escaper`'s one compiled substitution, built on the
         first call, so importing the module compiles nothing for it.
+        ``exact`` is the path's :func:`fold` key, which a path's key equals,
+        or equals plus ``\\n``, exactly when the source matches it.
         """
-        source = "^" + _escaper()(path) + "$"
-        if not path.isascii():
-            return cls(category, kind, source)
-        trace = tuple.__new__(cls, (category, kind, source))  # the source is never empty
-        trace.exact = path.lower()
+        trace = tuple.__new__(cls, (category, kind, "^" + _escaper()(path) + "$"))
+        trace.exact = fold(path)
         return trace
 
     @cached_property
@@ -278,29 +276,27 @@ _TOKEN = re.compile(
 
 
 def required_literal(source: str) -> str | None:
-    """Lower-cased ASCII text that every match of ``source`` must contain.
+    """Text that every match of ``source`` must contain, as :func:`fold` gives it.
 
-    Reads the pattern as a plain concatenation: ASCII characters, ``\\``
-    before punctuation, ``.``, ``[...]``, ``^``, ``$`` and the quantifiers
-    ``* + ?``.  Classes, dots, anchors and quantifiers end a run of literal
-    characters, and a quantifier also drops the character it applies to; the
-    longest run is the literal, the first of equal ones.  Any other construct
-    (alternation, groups, counted repeats, ``\\`` before a letter or digit,
-    non-ASCII text, a class that does not close), or no literal character at
-    all, gives None: such patterns always run their regex.
+    Reads the pattern as a plain concatenation: characters, ``\\`` before
+    any character but a letter or digit, ``.``, ``[...]``, ``^``, ``$`` and
+    the quantifiers ``* + ?``.  Classes, dots, anchors and quantifiers end a
+    run of literal characters, and a quantifier also drops the character it
+    applies to; the longest run is the literal, the first of equal ones.
+    Since :func:`fold` equates what case-insensitive matching equates, one
+    character at a time, the folded run occurs in the folded path.  Any
+    other construct (alternation, groups, counted repeats, ``\\`` before a
+    letter or digit, a class that does not close), or no literal character
+    at all, gives None: such patterns always run their regex.
     """
     longest = run = ""
     for token in _TOKEN.findall(source):
         first = token[0]
         if first == "\\":
-            escaped = token[1:]
-            if not escaped or not escaped.isascii() or escaped.isalnum():
+            token = token[1:]
+            if not token or token.isalnum():
                 return None
-            run += escaped
-            continue
-        if first not in "[.^$*+?{}]|()":
-            if not token.isascii():
-                return None
+        if first not in "[.^$*+?{}]|()":  # a literal run, or the character escaped
             run += token
             continue
         if first in "*+?":
@@ -310,16 +306,26 @@ def required_literal(source: str) -> str | None:
         if len(run) > len(longest):
             longest = run
         run = ""
-    return max(longest, run, key=len).lower() or None
+    return fold(max(longest, run, key=len)) or None
 
 
-# The non-ASCII characters that case-insensitive regex matching equates with
-# an ASCII letter, mapped to that letter.  ``"\u0130".lower()`` is two
-# characters, so the table is applied before ``lower()``.  With it every
-# character folds to exactly one, so a position in a folded text is the same
-# position in the text.
-_FOLD = str.maketrans({"\u0130": "i", "\u0131": "i", "\u017f": "s", "\u212a": "k"})
-_FOLDED_CHAR = re.compile("[\u0130\u0131\u017f\u212a]").search
+# Each character, after ``lower()``, that ``re.IGNORECASE`` equates with
+# another that ``lower()`` does not turn it into, mapped to one ordinary
+# letter of their class: dotless i and long s to ``i`` and ``s``; the micro
+# sign, final sigma, the Greek symbol forms, the ypogegrammeni (U+0345),
+# the prosgegrammeni (U+1FBE) and two duplicates in Greek Extended to the
+# Greek letters; the Cyrillic historic forms to their letters; long s with
+# dot above to s with dot above; and one ``st`` ligature to the other.  A
+# test over every cased code point shows these 26 are all that are needed.
+# Applied after ``lower()``, no key depends on the final-sigma rule, and
+# every character folds to exactly one.
+_FOLD = str.maketrans(
+    "\u0131\u017f\u00b5\u03c2\u0345\u1fbe\u03d0\u03d1\u03d5\u03d6\u03f0\u03f1\u03f5"
+    "\u1fd3\u1fe3\u1c80\u1c81\u1c82\u1c83\u1c84\u1c85\u1c86\u1c87\u1c88\u1e9b\ufb05",
+    "is\u03bc\u03c3\u03b9\u03b9\u03b2\u03b8\u03c6\u03c0\u03ba\u03c1\u03b5"
+    "\u0390\u03b0\u0432\u0434\u043e\u0441\u0442\u0442\u044a\u0463\ua64b\u1e61\ufb06",
+)
+_FOLDED_CHAR = re.compile("[" + "".join(map(chr, _FOLD)) + "]").search
 
 # A prefilter with at most this many literals finds them in a text with one
 # str.find loop per literal; with more, its trie regex is cheaper.  On a
@@ -332,14 +338,19 @@ _FIND_LITERALS = 16
 
 
 def fold(text: str) -> str:
-    """The key a path is matched under: lowered, after ``_FOLD`` for a non-ASCII path.
+    """The key a path is matched under: two texts fold alike exactly where
+    ``re.IGNORECASE`` equates them character by character.
 
-    ``_FOLD`` runs only where one of its characters occurs, since translating
-    a long non-ASCII text costs far more than searching it.
+    An ASCII text is lowered.  Any other text maps ``İ`` to ``i``, since its
+    ``lower()`` is two characters, is lowered, and then goes through
+    ``_FOLD`` only where one of its characters occurs, since translating a
+    long non-ASCII text costs far more than searching it.  Each character
+    folds to one, on its own as in any text.
     """
-    if not text.isascii() and _FOLDED_CHAR(text):
-        text = text.translate(_FOLD)
-    return text.lower()
+    if text.isascii():
+        return text.lower()
+    text = text.replace("\u0130", "i").lower()
+    return text.translate(_FOLD) if _FOLDED_CHAR(text) else text
 
 
 def _trie_source(node: dict[str, dict]) -> str:
@@ -485,7 +496,7 @@ def match_pack(
     regex.  Only when the pack has such entries, its literal index finds
     the literals in the key with one trie regex, and only the entries of
     those literals and of no literal run their regexes; a record that
-    holds no literal runs only the latter.  The key contains every ASCII
+    holds no literal runs only the latter.  The key contains every
     literal a match needs, and equals an exact key exactly when the
     ``^...$`` regex matches, so an exact trace and a ``^...$`` line of the
     same source and kind share one entry whichever comes first.  For each

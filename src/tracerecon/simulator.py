@@ -45,9 +45,11 @@ records simulated: a path may not hold ``|`` or ``\\`` nor end in a
 bodyfile ``(deleted)`` marker, no default or schedule epoch may be 0 (a
 bodyfile's "absent"), and no default or ``epoch + threshold`` may pass
 ``bodyfile.MAX_TIME``.  Since the matcher folds case
-(:func:`~tracerecon.signatures.fold`), no two ``ma``/``da`` paths, in any
-action or variant, may differ only in case: the later one is an error at
-its first line, naming the earlier spelling and its line.
+(:func:`~tracerecon.signatures.fold`, which equates exactly what
+case-insensitive matching does, such as the micro sign and mu), no two
+``ma``/``da`` paths, in any action or variant, may differ only in case:
+the later one is an error at its first line, naming the earlier spelling
+and its line.
 """
 
 from __future__ import annotations
@@ -56,8 +58,9 @@ import itertools
 import json
 import random
 from collections import Counter, namedtuple
+from collections.abc import Iterable, Mapping, Sequence
 from functools import cached_property
-from typing import BinaryIO, Iterable, Mapping, Sequence
+from io import BufferedIOBase
 
 from .blockfile import KIND_WORDS, BlockFileError, content_lines, read_blocks
 from .bodyfile import DELETED_SUFFIX, LAST_TIME, MAX_TIME
@@ -209,7 +212,7 @@ def _instance_template(order: VariantOrder) -> bytes:
     return ",".join(forms).encode("ascii")
 
 
-def write_truth(fh: BinaryIO, seed: int, truth: GroundTruth) -> None:
+def write_truth(fh: BufferedIOBase, seed: int, truth: GroundTruth) -> None:
     """Write ``truth.json`` to a binary file: compact JSON with sorted keys, plus a newline.
 
     The document holds the seed, the instances and one ``"writes"`` record

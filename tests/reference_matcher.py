@@ -9,7 +9,7 @@ kept here too.
 import re
 
 from tracerecon.model import TraceState, trace_sort_key
-from tracerecon.signatures import TraceCategory
+from tracerecon.signatures import TraceCategory, fold
 
 
 def match_patterns(patterns, objects):
@@ -100,12 +100,10 @@ def required_literal(source):
         plain, escaped, special = token.groups()
         i = token.end()
         if plain is not None:
-            if not plain.isascii():
-                return None
             run += plain
             continue
         if escaped is not None:
-            if not escaped or not escaped.isascii() or escaped.isalnum():
+            if not escaped or escaped.isalnum():
                 return None
             run += escaped
             continue
@@ -119,4 +117,4 @@ def required_literal(source):
         elif special not in ".^$":
             return None
         longest, run = max(longest, run, key=len), ""
-    return max(longest, run, key=len).lower() or None
+    return fold(max(longest, run, key=len)) or None

@@ -32,16 +32,23 @@ from reference_matcher import reference_buckets, reference_groups
 
 # Pattern pieces: plain and escaped literals, quantified literals, classes,
 # anchors, alternation, groups, counted repeats, letter escapes, and
-# non-ASCII characters that case-insensitive matching folds to ASCII letters.
+# non-ASCII characters that case-insensitive matching equates with others.
 PIECES = (
     "a", "b", "A", "K", "s", "S", "i", "/", "-", "x",
     "\\.", "\\-", "\\/", "\\ ",
     "a?", "b*", "s+", "x*?", ".", ".*", ".+",
     "[a-c]", "[^/]", "[]k]", "[\\]s]", "^", "$",
     "a|b", "(ab)?", "(?:s|k)", "a{2}", "\\x41", "\\d", "\\w",
-    "\u017f", "\u212a", "\u0130",
+    "\u017f", "\u212a", "\u0130", "\u00b5", "\u03a3", "\u03c2", "\u1c80", "\u00e9",
 )
-PATH_CHARS = "abABkKsSiI/.-x1 " + "\u017f\u212a\u0130\u0131\u00e9"
+# Path characters: ASCII, then characters that case-insensitive matching
+# equates with others that lower() does not turn them into, and their
+# partners: long s, Kelvin sign, dotted and dotless i, micro sign and mu,
+# final and other sigma, a Greek symbol form, a Cyrillic historic form, long
+# s with dot, and the iotas with the combining ypogegrammeni.
+PATH_CHARS = ("abABkKsSiI/.-x1 " + "\u017f\u212a\u0130\u0131\u00e9"
+              + "\u00b5\u03bc\u03c2\u03c3\u03a3\u03d0\u03b2\u1c80\u0432\u1e9b\u1e61"
+              + "\u03b9\u1fbe\u0345")
 ASCII_PATH_CHARS = "abABkKsSiI/.-x1 "
 
 
@@ -391,36 +398,49 @@ def test_pack_groups_equal_the_reference_groups_in_sorted_order(pack):
         assert [(trace.source, trace.kind) for trace in group] == list(dict.fromkeys(pairs))
 
 
-def folded(path):
-    return path.translate(_FOLD).lower()
-
-
 @settings(max_examples=500, deadline=None)
 @given(patterns, st.text(PATH_CHARS, min_size=1, max_size=12))
 def test_a_match_contains_the_required_literal_in_the_folded_path(source, path):
     literal = required_literal(source)
     if literal is not None and re.search(source, path, re.IGNORECASE):
-        assert literal in folded(path)
+        assert literal in fold(path)
 
 
-def test_the_fold_table_is_every_non_ascii_character_ignorecase_equates_with_ascii():
-    non_ascii = "".join(map(chr, range(0x80, sys.maxunicode + 1)))  # surrogates included
-    partners: dict[str, set[str]] = {}
-    for char in map(chr, range(128)):
-        for match in re.compile(re.escape(char), re.IGNORECASE).findall(non_ascii):
-            partners.setdefault(match, set()).add(char)
-    fold = {chr(code): letter for code, letter in _FOLD.items()}
-    assert partners == {char: {letter, letter.upper()} for char, letter in fold.items()}
-    for char, letter in fold.items():
-        assert folded(char) == letter and letter.isascii() and len(letter) == 1
+EVERY_CHAR = "".join(map(chr, range(sys.maxunicode + 1)))  # lone surrogates included
+# The characters that lower() or upper() changes.  re.IGNORECASE compiles any
+# other character as a plain literal, which matches only itself.
+CASED = "".join(char for char in EVERY_CHAR if char.lower() != char or char.upper() != char)
+
+
+def test_fold_equates_exactly_what_ignorecase_equates():
+    classes: dict[str, set[str]] = {}
+    for char in CASED:
+        classes.setdefault(fold(char), set()).add(char)
+    wrong = [
+        char for char in CASED
+        if set(re.compile(re.escape(char), re.IGNORECASE).findall(CASED)) != classes[fold(char)]
+    ]
+    assert wrong == []
+    # An uncased character folds to itself and a cased one to a cased one,
+    # so fold never equates the two kinds either.
+    cased = set(CASED)
+    assert [char for char in EVERY_CHAR if char not in cased and fold(char) != char] == []
+    assert [char for char in CASED if fold(char) not in cased] == []
+    # Each entry of the table maps a character to an ordinary letter of its
+    # class, which folds to itself.
+    assert len(_FOLD) == 26
+    assert all(fold(chr(letter)) == chr(letter) for letter in _FOLD.values())
 
 
 def test_every_character_folds_to_one():
     # A position in a folded block is the same position in the block only if
-    # no character, lone surrogates included, folds to more or fewer than one.
-    every = "".join(map(chr, range(sys.maxunicode + 1)))
-    assert [char for char in every if len(char.translate(_FOLD).lower()) != 1] == []
-    assert len(fold(every)) == len(every)
+    # no character, lone surrogates included, folds to more or fewer than
+    # one, and a key must not hang on a character's neighbours, as lower()
+    # of a capital sigma after a cased letter does.
+    assert [char for char in EVERY_CHAR if len(fold(char)) != 1] == []
+    assert fold(EVERY_CHAR) == "".join(map(fold, EVERY_CHAR))
+    assert "\u0391\u03a3".lower() == "\u03b1\u03c2"  # final sigma
+    assert fold("\u0391\u03a3") == fold("\u0391") + fold("\u03a3") == "\u03b1\u03c3"
 
 
 @settings(max_examples=500, deadline=None)
@@ -456,7 +476,11 @@ def test_required_literal_equals_the_token_by_token_reference(source):
         ("\\x41bc", None),
         ("\\dbc", None),
         ("a\\1", None),
-        ("\u017fabc", None),
+        ("\u017fabc", "sabc"),
+        ("^C:/Caf\u00e9$", "c:/caf\u00e9"),
+        ("\u00b5\\.\u03a3", "\u03bc.\u03c3"),
+        ("a\\\u2014b", "a\u2014b"),
+        ("a\\\u00e9bc", None),
         ("[abc", None),
         ("abc\\", None),
     ],
@@ -473,13 +497,14 @@ def test_required_literal_examples(source, literal):
         ("a$", "a$"),
         ("^", "^"),
         ("a\n", "a\n"),
-        ("\u017f", None),
+        ("\u017f", "s"),
+        ("C:/\u00b5\u0391\u03a3", "c:/\u03bc\u03b1\u03c3"),
     ],
 )
 def test_for_path_exact_examples(path, exact):
     trace = TracePattern.for_path(CORE, MODIFIED, path)
     assert trace.exact == exact
-    assert ("regex" in vars(trace)) == (exact is None)  # a non-ASCII path compiles at once
+    assert "regex" not in vars(trace)  # compiled only when first used
 
 
 # Every character of the Basic Multilingual Plane that re.escape changes (on
@@ -494,7 +519,7 @@ def test_for_path_equals_the_pattern_of_its_source(path, category, kind):
     trace = TracePattern.for_path(category, kind, path)
     plain = TracePattern(category, kind, "^" + re.escape(path) + "$")
     assert trace == plain and hash(trace) == hash(plain) and repr(trace) == repr(plain)
-    assert trace.exact == (path.lower() if path.isascii() else None)
+    assert trace.exact == fold(path)
 
 
 # Sources that the parser once told apart from exact ones by reading them.
@@ -532,18 +557,19 @@ def test_every_trace_of_a_parsed_pack_is_an_ordinary_pattern(sources):
     assert all(t.exact is None and "regex" in vars(t) for t in casedata.signature(pack, "A").traces)
 
 
-ascii_texts = st.text(ASCII_PATH_CHARS + "\n", min_size=1, max_size=6)
+texts = st.one_of(st.text(ASCII_PATH_CHARS + "\n", min_size=1, max_size=6),
+                  st.text(PATH_CHARS + "\n", min_size=1, max_size=6))
 
 
 @settings(max_examples=500, deadline=None)
-@given(st.builds(lambda path, change: change(path), ascii_texts, case_changes), st.data())
-def test_an_exact_source_matches_an_ascii_path_exactly_when_the_lookup_does(path, data):
+@given(st.builds(lambda path, change: change(path), texts, case_changes), st.data())
+def test_an_exact_source_matches_a_path_exactly_when_the_lookup_does(path, data):
     trace = TracePattern.for_path(CORE, MODIFIED, path)
     literal = trace.exact
-    near = drawn_paths([literal, literal[:-1] or "x", literal + "a"])
-    candidate = data.draw(st.one_of(ascii_texts, near, near.map(str.swapcase)))
+    near = drawn_paths([path, literal, literal[:-1] or "x", literal + "a"])
+    candidate = data.draw(st.one_of(texts, near, near.map(str.swapcase), near.map(str.upper)))
     found = re.search(trace.source, candidate, re.IGNORECASE) is not None
-    assert found == (candidate.lower() in (literal, literal + "\n"))
+    assert found == (fold(candidate) in (literal, literal + "\n"))
 
 
 def test_an_exact_pattern_compiles_its_regex_only_when_a_path_needs_it():

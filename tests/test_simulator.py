@@ -42,7 +42,7 @@ from tracerecon.simulator import (
 )
 from tracerecon.bodyfile import MAX_TIME, read_bodyfile
 from tracerecon.engine import analyze_action, shared_attributions
-from tracerecon.signatures import TracePattern, match_pack, path_prefilter
+from tracerecon.signatures import TracePattern, fold, match_pack, path_prefilter
 
 import casedata
 from conftest import FIXTURES
@@ -465,6 +465,21 @@ def test_derived_patterns_are_exact_and_matching_ascii_paths_compiles_no_regex()
     assert [trace.source for trace in traces if "regex" in vars(trace)] == []
 
 
+def test_a_pack_derived_for_non_ascii_targets_is_exact_and_prefiltered():
+    scenario = parse_scenario(
+        "action: A\nthreshold: 10\nma modified /d/Caf\u00e9/\u00b5\nma accessed /d/\u0391\u03a3\n"
+        "---\naction: B\nthreshold: 10\nma modified /d/\u0130\u017f\nma modified /e/caf\u00e9\n"
+        "---\nschedule:\n1000 A 0\n3000 B 0\n5000 A 0\n"
+    )
+    pack = derive_signatures(scenario.specs)
+    traces = [trace for sig in pack for trace in sig.traces]
+    assert len(traces) == 4 and all(trace.exact is not None for trace in traces)
+    assert path_prefilter(pack) is not None
+    report, _ = own_check_report(scenario.specs, scenario.schedule, 1)
+    assert report.ok, report.summary_lines()
+    assert [trace.source for trace in traces if "regex" in vars(trace)] == []
+
+
 def test_actions_without_update_targets_are_omitted():
     silent = ActionSpec("silent", 10, (PathVariant(defaults=frozenset({("/o/x", MOD, 5)})),))
     assert derive_signatures({"silent": silent}).signatures == ()
@@ -636,7 +651,7 @@ def own_check_report(specs, schedule, seed):
     # No oracle path holds another, so the prefilter lists exactly the lines
     # of derived paths; with no pattern at all, it lists every line.
     derived = {trace.exact for signature in pack for trace in signature.traces}
-    assert read_back == [r for r in records if hits is None or r.path in derived]
+    assert read_back == [r for r in records if hits is None or fold(r.path) in derived]
     matched = match_pack(pack, read_back)
     results = {signature.action_name: analyze_action(signature, matched) for signature in pack}
     attributions = shared_attributions(matched, results)
@@ -779,6 +794,11 @@ _CASE_PAIRS = "action: A\nthreshold: 10\nma modified /d/X\n---\naction: B\nthres
         ("action: A\nthreshold: 10\nvariant:\nma modified /d/\u00c4\nvariant:\n"
          "ma accessed /D/\u00e4\n",
          "path '/D/\u00e4' differs only in case from '/d/\u00c4' on line 4 (line 6)"),
+        # The micro sign and mu have no lower() in common, but the matcher
+        # equates them, as re.IGNORECASE does.
+        ("action: A\nthreshold: 10\nma modified /d/\u00b5\n---\n"
+         "action: B\nthreshold: 10\nma modified /d/\u03bc\n",
+         "path '/d/\u03bc' differs only in case from '/d/\u00b5' on line 3 (line 7)"),
     ],
 )
 def test_malformed_scenarios_fail_with_line_numbers(text, fragment):
@@ -794,9 +814,6 @@ def test_a_path_spelled_the_same_or_only_read_is_not_refused(line):
     assert list(specs) == ["A", "B"]
 
 
-@pytest.mark.xfail(raises=AssertionError, strict=True, reason=(
-    "the case check compares fold() keys, but re.IGNORECASE also equates "
-    "µ (U+00B5) and μ (U+03BC), which fold() keeps apart"))
 def test_paths_that_case_insensitive_matching_equates_are_refused_or_pass_the_check():
     text = ("action: A\nthreshold: 10\nma modified /d/µ\n---\n"
             "action: B\nthreshold: 10\nma modified /d/μ\n---\n"

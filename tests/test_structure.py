@@ -1,7 +1,8 @@
 """Module boundaries: no module of the package imports another's private name,
 only the simulator reads the layout of its ground truth, one function writes
-to stderr, no module imports logging or dataclasses, the package exports its
-names lazily, and importing the CLI loads only what ``scan`` runs."""
+to stderr, no module imports logging, dataclasses or typing, the package
+exports its names lazily, and importing the CLI loads only what ``scan``
+runs."""
 
 import ast
 import os
@@ -72,6 +73,12 @@ def test_no_module_imports_dataclasses():
     assert "dataclasses" not in _imported_packages()
 
 
+def test_no_module_imports_typing():
+    # Annotations are never evaluated, so collections.abc, io and contextlib
+    # name every type they use, and importing the CLI skips loading typing.
+    assert "typing" not in _imported_packages()
+
+
 def _imported_packages():
     """The top-level name of every module that a module of the package imports."""
     return {
@@ -85,7 +92,7 @@ def _imported_packages():
 
 # What ``scan`` never runs: importing the CLI must not load these.
 NOT_FOR_SCAN = ("tracerecon.simulator", "tracerecon.calibration", "statistics",
-                "importlib.resources", "logging", "dataclasses", "inspect")
+                "importlib.resources", "logging", "dataclasses", "inspect", "typing")
 
 
 def test_importing_the_cli_loads_nothing_scan_does_not_run():

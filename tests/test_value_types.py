@@ -247,4 +247,4 @@ def test_pickle_round_trips_the_truth_a_schedule_entry_and_a_variant_with_its_or
 def test_pickle_round_trips_an_exact_trace_with_its_exact_path():
     trace = TracePattern.for_path(CORE, MODIFIED, "C:/X.dat")
     assert _round_trip(trace).exact == "c:/x.dat"
-    assert _round_trip(TracePattern.for_path(CORE, MODIFIED, "C:/\u00e9")).exact is None
+    assert _round_trip(TracePattern.for_path(CORE, MODIFIED, "C:/\u00c9")).exact == "c:/\u00e9"

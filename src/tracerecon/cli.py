@@ -24,7 +24,7 @@ import errno
 import math
 import os
 import sys
-from datetime import datetime, timezone
+import time
 from importlib import import_module
 from pathlib import Path
 
@@ -101,7 +101,7 @@ _COLUMNS = (
 def _format_time(value: Timestamp, utc_display: bool) -> str:
     if not utc_display:
         return str(value)
-    return datetime.fromtimestamp(value, tz=timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
+    return time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime(value))
 
 
 def _row_cells(

@@ -367,7 +367,7 @@ def _trie_source(node: dict[str, dict]) -> str:
         while len(child) == 1 and "" not in child:
             ((char, child),) = child.items()
             run += char
-        branches.append(re.escape(run) + ("" if "" in child else _trie_source(child)))
+        branches.append(_escaper()(run) + ("" if "" in child else _trie_source(child)))
     return branches[0] if len(branches) == 1 else "(?:" + "|".join(branches) + ")"
 
 

@@ -10,26 +10,17 @@ from tracerecon import (
     InstanceRank,
     TimestampKind,
     TraceState,
-    derive_signatures,
     load_metadata,
     match_pack,
-    oracle_check,
     reconstruct,
-    simulate,
     threshold_from_stats,
 )
 from tracerecon.cli import main
 from tracerecon.engine import analyze_action, cluster_by_threshold
-from tracerecon.simulator import (
-    ActionSpec,
-    InstanceSchedule,
-    PathVariant,
-    ScheduleEntry,
-    always_updated_targets,
-)
 
 import casedata
 from conftest import FIXTURES, epoch
+from worlds import campaign, random_scenario
 
 
 def announce(number, name):
@@ -113,74 +104,14 @@ def test_criterion_4_overlap_clustering():
     announce(4, "overlap-handling clustering")
 
 
-def _random_scenario(rng):
-    """A small random world: disjoint per-action targets, no defaults.
-
-    Up to 8 objects and 6 instances; every action has at least one target
-    updated by all of its variants; some actions are never scheduled.
-    """
-    kinds = (TimestampKind.MODIFIED, TimestampKind.CREATED, TimestampKind.ACCESSED)
-    paths = [f"/obj/{i}" for i in range(8)]
-    rng.shuffle(paths)
-
-    n_actions = rng.randint(1, 3)
-    specs = {}
-    cursor = 0
-    for index in range(n_actions):
-        budget = rng.randint(1, max(1, (8 - cursor) // (n_actions - index)))
-        targets = [
-            (path, rng.choice(kinds)) for path in paths[cursor:cursor + budget]
-        ]
-        cursor += budget
-        core = targets[: rng.randint(1, len(targets))]
-        extras = targets[len(core):]
-        n_variants = rng.randint(1, 3)
-        variants = []
-        for _ in range(n_variants):
-            chosen = [t for t in extras if rng.random() < 0.5]
-            variants.append(PathVariant(updates=frozenset(core + chosen)))
-        name = f"action-{index}"
-        specs[name] = ActionSpec(name, rng.randint(10, 120), tuple(variants))
-
-    scheduled = [name for name in specs if rng.random() < 0.8] or [next(iter(specs))]
-    entries = [
-        ScheduleEntry(
-            rng.choice(scheduled),
-            rng.randrange(0, 50_000),
-            None,  # variant picked under the seed inside simulate
-        )
-        for _ in range(rng.randint(0, 6))
-    ]
-    return specs, InstanceSchedule.of(entries)
-
-
 def test_criterion_5_oracle_campaign():
     started = time.perf_counter()
-    checked = 0
-    for seed in range(500):
-        rng = random.Random(seed)
-        specs, schedule = _random_scenario(rng)
-        records, truth = simulate({}, specs, schedule, seed)
-        pack = derive_signatures(specs)
-        results = reconstruct(records, pack)
-        core_targets = {
-            name: always_updated_targets(spec) for name, spec in specs.items()
-        }
-        report = oracle_check(truth, results, core_targets)
-        assert report.ok, (seed, report.summary_lines())
-        # nothing may be reported for pack actions that never ran
-        ran = {instance.action for instance in truth.instances}
-        for spec in specs.values():
-            if spec.name not in ran:
-                assert all(r.action_name != spec.name for r in results), (
-                    seed,
-                    spec.name,
-                )
-        checked += 1
+    worlds = [(*random_scenario(random.Random(seed)), seed) for seed in range(500)]
+    failures, _ = campaign(worlds)
     elapsed = time.perf_counter() - started
-    assert checked == 500
+    assert failures == []
     assert elapsed < 30.0
-    announce(5, f"oracle campaign ({checked} scenarios in {elapsed:.1f}s)")
+    announce(5, f"oracle campaign ({len(worlds)} scenarios in {elapsed:.1f}s)")
 
 
 def test_criterion_6_determinism(capsys, tmp_path):

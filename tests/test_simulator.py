@@ -22,6 +22,7 @@ from tracerecon import (
     write_bodyfile,
 )
 from tracerecon.model import (
+    EPOCH_FLOOR,
     ActionInstanceApproximation,
     ConfidenceNote,
     InstanceRank,
@@ -40,14 +41,15 @@ from tracerecon.simulator import (
     core_targets,
     export_records,
 )
-from tracerecon.bodyfile import MAX_TIME, read_bodyfile
-from tracerecon.engine import analyze_action, shared_attributions
-from tracerecon.signatures import TracePattern, fold, match_pack, path_prefilter
+from tracerecon import engine
+from tracerecon.bodyfile import MAX_TIME
+from tracerecon.signatures import TracePattern, path_prefilter
 
 import casedata
 from conftest import FIXTURES
 import reference_simulator
 from reference_simulator import TruthWrite, writes_of
+from worlds import campaign, oracle_worlds, own_check_report, seeded_worlds
 
 MOD = TimestampKind.MODIFIED
 CRE = TimestampKind.CREATED
@@ -475,8 +477,7 @@ def test_a_pack_derived_for_non_ascii_targets_is_exact_and_prefiltered():
     traces = [trace for sig in pack for trace in sig.traces]
     assert len(traces) == 4 and all(trace.exact is not None for trace in traces)
     assert path_prefilter(pack) is not None
-    report, _ = own_check_report(scenario.specs, scenario.schedule, 1)
-    assert report.ok, report.summary_lines()
+    assert own_check_report(scenario.specs, scenario.schedule, 1)[0] == []
     assert [trace.source for trace in traces if "regex" in vars(trace)] == []
 
 
@@ -600,104 +601,11 @@ def test_a_past_run_seen_through_two_shared_groups_passes_the_count_bound():
     assert oracle_check(truth, results, core_targets(scenario.specs)).ok
 
 
-ORACLE_PATHS = ("/a", "/b", "/c", "/d", "/e", "/f", "/g", "/h")
-ORACLE_TARGETS = [(path, kind) for path in ORACLE_PATHS for kind in (MOD, CRE)]
-oracle_targets = st.sampled_from(ORACLE_TARGETS)
-
-
-@st.composite
-def oracle_variants(draw):
-    """A variant over a few shared paths; its defaults avoid its own updates only."""
-    updates = draw(st.frozensets(oracle_targets, max_size=3))
-    defaults = draw(st.dictionaries(oracle_targets, st.integers(1, 10**6), max_size=2))
-    return PathVariant(
-        updates,
-        frozenset((p, k, v) for (p, k), v in defaults.items() if (p, k) not in updates),
-    )
-
-
-@st.composite
-def oracle_worlds(draw):
-    """Up to five actions on eight paths, so targets are often shared or defaulted
-    by another action, and instances close enough to overlap."""
-    specs = {}
-    for a in range(draw(st.integers(1, 5))):
-        variants = tuple(draw(st.lists(oracle_variants(), min_size=1, max_size=2)))
-        specs[f"A{a}"] = ActionSpec(f"A{a}", draw(st.integers(1, 100)), variants)
-    entries = [
-        ScheduleEntry(draw(st.sampled_from(sorted(specs))), draw(st.integers(1, 2000)), None)
-        for _ in range(draw(st.integers(0, 6)))
-    ]
-    return specs, InstanceSchedule.of(entries)
-
-
-def own_check_report(specs, schedule, seed):
-    """Simulate a world, write its bodyfile, read it back through the derived
-    pack's prefilter, reconstruct from what was read and check the truth.
-
-    Also checks every shared attribution that resolves, whether or not
-    ``reconstruct`` reports it as an instance of its own: its owner truly
-    ran in ``[cluster.oldest - threshold, cluster.newest]``.  An eliminated
-    candidate wrote last at most its threshold after its newest core value,
-    before the cluster, so the owner wrote every value of it.  Returns the
-    oracle report and the shared attributions.
-    """
-    records, truth = simulate({}, specs, schedule, seed)
-    pack = derive_signatures(specs)
-    text = io.StringIO()
-    write_bodyfile(records, text)
-    hits = path_prefilter(pack)
-    read_back = list(read_bodyfile(io.BytesIO(text.getvalue().encode()), "world", hits))
-    # No oracle path holds another, so the prefilter lists exactly the lines
-    # of derived paths; with no pattern at all, it lists every line.
-    derived = {trace.exact for signature in pack for trace in signature.traces}
-    assert read_back == [r for r in records if hits is None or fold(r.path) in derived]
-    matched = match_pack(pack, read_back)
-    results = {signature.action_name: analyze_action(signature, matched) for signature in pack}
-    attributions = shared_attributions(matched, results)
-    for attribution in attributions:
-        owner, cluster = attribution.resolved, attribution.cluster
-        if owner is not None:
-            start = cluster.oldest - specs[owner].threshold
-            assert any(
-                instance.action == owner and start <= instance.tau <= cluster.newest
-                for instance in truth.instances
-            ), (attribution, truth.instances)
-    report = oracle_check(truth, reconstruct(read_back, pack), core_targets(specs))
-    return report, attributions
-
-
 @settings(max_examples=300)
 @given(oracle_worlds(), st.integers(0, 3))
 def test_every_simulated_world_passes_its_own_check(world, seed):
-    report, _ = own_check_report(*world, seed)
-    assert report.ok, report.summary_lines()
-
-
-def random_oracle_world(rng):
-    """Four to six actions of up to six updates each on eight paths, thresholds up
-    to 300 and up to twelve instances in 1-2000: wide enough that one action's
-    shared traces often fall in several shared groups."""
-    specs = {}
-    for a in range(rng.randint(4, 6)):
-        variants = []
-        for _ in range(rng.randint(1, 2)):
-            updates = frozenset(rng.sample(ORACLE_TARGETS, rng.randint(0, 6)))
-            defaults = frozenset(
-                (p, k, rng.randint(1, 10**6))
-                for p, k in rng.sample(ORACLE_TARGETS, rng.randint(0, 2))
-                if (p, k) not in updates
-            )
-            # This draw made the create set; kept so that a seed keeps its worlds.
-            rng.sample(ORACLE_PATHS, rng.randint(0, 1))
-            variants.append(PathVariant(updates, defaults))
-        specs[f"A{a}"] = ActionSpec(f"A{a}", rng.randint(1, 300), tuple(variants))
-    names = sorted(specs)
-    entries = [
-        ScheduleEntry(rng.choice(names), rng.randint(1, 2000), None)
-        for _ in range(rng.randint(0, 12))
-    ]
-    return specs, InstanceSchedule.of(entries)
+    failures, _ = own_check_report(*world, seed)
+    assert failures == []
 
 
 def test_a_seeded_campaign_of_random_worlds_passes_its_own_check():
@@ -706,22 +614,29 @@ def test_a_seeded_campaign_of_random_worlds_passes_its_own_check():
     # reached the double report of one past run through two shared groups
     # (test_a_past_run_seen_through_two_shared_groups_passes_the_count_bound)
     # about once per 500 worlds with that fault put back.
-    rng = random.Random(2026)
-    failures = []
-    wide_clusters = wide_resolved = 0
-    for index in range(2000):
-        specs, schedule = random_oracle_world(rng)
-        report, attributions = own_check_report(specs, schedule, index)
-        if not report.ok:
-            failures.append((index, specs, schedule, report.summary_lines()))
-        for attribution in attributions:
-            if len(attribution.candidate_actions) >= 3:
-                wide_clusters += 1
-                wide_resolved += attribution.resolved is not None
+    failures, attributions = campaign(seeded_worlds(2000))
     assert failures == []
     # Elimination among three or more candidates is reached, and resolves;
     # a change to the generator must not silently stop reaching it.
-    assert wide_clusters > 0 and wide_resolved > 0, (wide_clusters, wide_resolved)
+    wide = [a for a in attributions if len(a.candidate_actions) >= 3]
+    assert wide and any(a.resolved is not None for a in wide)
+
+
+def test_the_width_rule_fails_the_campaign_under_each_widening_mutant(monkeypatch):
+    # Each mutant only widens intervals, which the four oracle properties
+    # cannot see; the width rule catches both within the first 100 worlds.
+    mutants = {
+        # Every support cluster merges into the core instance.
+        "_span_gap": lambda a, b: min(0, b.oldest - a.newest, a.oldest - b.newest),
+        # Every interval starts at the epoch.
+        "instance_interval": lambda oldest, newest, threshold: TimeInterval(
+            min(EPOCH_FLOOR, oldest - threshold), newest),
+    }
+    for name, mutant in mutants.items():
+        with monkeypatch.context() as patch:
+            patch.setattr(engine, name, mutant)
+            failures, _ = campaign(seeded_worlds(100))
+        assert any(line.startswith("width: ") for _, lines in failures for line in lines), name
 
 
 # --- scenario files ------------------------------------------------------

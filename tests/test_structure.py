@@ -92,7 +92,8 @@ def _imported_packages():
 
 # What ``scan`` never runs: importing the CLI must not load these.
 NOT_FOR_SCAN = ("tracerecon.simulator", "tracerecon.calibration", "statistics",
-                "importlib.resources", "logging", "dataclasses", "inspect", "typing")
+                "importlib.resources", "logging", "dataclasses", "inspect", "typing",
+                "datetime")
 
 
 def test_importing_the_cli_loads_nothing_scan_does_not_run():

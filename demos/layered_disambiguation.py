@@ -9,8 +9,8 @@ executions of ActionX and then, by elimination, one execution of ActionY.
 
 from pathlib import Path
 
-from tracerecon import load_metadata, match_pack, parse_signature_pack, reconstruct
-from tracerecon.engine import analyze_action, shared_attributions
+from tracerecon import load_metadata, parse_signature_pack
+from tracerecon.engine import reconstruction
 
 FIXTURES = Path(__file__).parent.parent / "tests" / "fixtures"
 
@@ -26,10 +26,9 @@ objects = load_metadata(FIXTURES / "worked_example.body")
 
 print("Step 1 - ActionX on its own evidence")
 print("------------------------------------")
-matched = match_pack(PACK, objects)  # every pattern, one pass over the objects
-# every action's verdict on its own evidence; the shared step needs them all
-results = {sig.action_name: analyze_action(sig, matched) for sig in PACK}
-result = results["ActionX"]
+# every pattern in one pass over the objects, then every layer of the method
+layers = reconstruction(objects, PACK)
+result = layers.results["ActionX"]  # ActionX's verdict on its own evidence
 show("core verdict", "multi-instance" if result.parallel else "consistent")
 for instance in result.instances:
     show(
@@ -47,7 +46,7 @@ print()
 
 print("Step 2 - the shared cache objects")
 print("---------------------------------")
-for attribution in shared_attributions(matched, results):
+for attribution in layers.attributions:
     claim = attribution.resolved or "unresolved - either action fits"
     show(f"shared value {attribution.cluster.oldest}", claim)
 print()
@@ -59,7 +58,7 @@ print()
 
 print("Step 3 - the assembled timeline, newest first")
 print("---------------------------------------------")
-for approx in reconstruct(objects, PACK):
+for approx in layers.approximations:
     print(
         f"  {approx.action_name:8s} {approx.rank.value:10s} "
         f"window {approx.interval.start}..{approx.interval.end}  [{approx.note.value}]"

@@ -11,6 +11,8 @@ candidate actions whose newest core value rules them out.
 Each surviving cluster becomes an :class:`ActionInstanceApproximation` whose
 interval is :func:`~tracerecon.model.instance_interval` of the cluster's
 oldest and newest values: ``[oldest - threshold, newest]``.
+:func:`reconstruction` keeps every layer (the verdicts, the attributions and
+the approximations); :func:`reconstruct` returns the approximations alone.
 """
 
 from __future__ import annotations
@@ -239,9 +241,22 @@ def shared_attributions(
     return attributions
 
 
-def reconstruct(
-    objects: Iterable[ObjectRecord], pack: SignaturePack
-) -> list[ActionInstanceApproximation]:
+class Reconstruction(namedtuple("Reconstruction", "results attributions approximations")):
+    """Every layer of one reconstruction.
+
+    ``results`` holds each action's :func:`analyze_action` verdict, by name;
+    ``attributions`` is :func:`shared_attributions` of the same match; and
+    ``approximations`` is what :func:`reconstruct` returns.
+    """
+
+    results: dict[str, ActionResult]
+    attributions: list[SharedAttribution]
+    approximations: list[ActionInstanceApproximation]
+
+    __slots__ = ()
+
+
+def reconstruction(objects: Iterable[ObjectRecord], pack: SignaturePack) -> Reconstruction:
     """Full reconstruction: per-action analysis plus shared-trace layering.
 
     Resolved shared clusters append an extra instance for the surviving
@@ -249,16 +264,16 @@ def reconstruct(
     reported for it, its own or one a shared cluster appended before (then
     they merely corroborate it).  Shared evidence can
     prove an action ran, but not that the run was its most recent, so
-    appended instances rank as past ones.  Output is sorted newest-first
-    and is a pure function of the inputs.  ``objects`` is iterated once.
+    appended instances rank as past ones.  Approximations are sorted
+    newest-first, and the whole is a pure function of the inputs.
+    ``objects`` is iterated once.
     """
     matched = match_pack(pack, objects)
-    results: dict[str, ActionResult] = {
-        sig.action_name: analyze_action(sig, matched) for sig in pack
-    }
+    results = {sig.action_name: analyze_action(sig, matched) for sig in pack}
+    attributions = shared_attributions(matched, results)
 
     reported = {name: list(result.instances) for name, result in results.items()}
-    for attribution in shared_attributions(matched, results):
+    for attribution in attributions:
         if attribution.resolved is None:
             continue
         owner = results[attribution.resolved]
@@ -280,4 +295,11 @@ def reconstruct(
 
     approximations = [a for instances in reported.values() for a in instances]
     approximations.sort(key=lambda a: (-a.interval.end, -a.detected, a.action_name))
-    return approximations
+    return Reconstruction(results, attributions, approximations)
+
+
+def reconstruct(
+    objects: Iterable[ObjectRecord], pack: SignaturePack
+) -> list[ActionInstanceApproximation]:
+    """The approximations of :func:`reconstruction`, newest first."""
+    return reconstruction(objects, pack).approximations

@@ -11,12 +11,11 @@ from tracerecon import (
     TimestampKind,
     TraceState,
     load_metadata,
-    match_pack,
     reconstruct,
     threshold_from_stats,
 )
 from tracerecon.cli import main
-from tracerecon.engine import analyze_action, cluster_by_threshold
+from tracerecon.engine import cluster_by_threshold, reconstruction
 
 import casedata
 from conftest import FIXTURES, epoch
@@ -72,9 +71,7 @@ def test_criterion_2_case_study_reproduction(browser_pack):
 
     # the two overlapping runs on computer 1 carry the parallel diagnostic
     c1 = load_metadata(FIXTURES / "computer1.body")
-    ff3 = casedata.signature(browser_pack, casedata.FF3)
-    ff3_result = analyze_action(ff3, match_pack(browser_pack, c1))
-    assert ff3_result.parallel
+    assert reconstruction(c1, browser_pack).results[casedata.FF3].parallel
     for anchor in (epoch(2011, 7, 24, 13, 24, 14), epoch(2011, 7, 24, 15, 2, 31)):
         approx = detections[("computer1", casedata.FF3, anchor)]
         assert approx.note is ConfidenceNote.PARALLEL_INSTANCE_DIAGNOSTIC

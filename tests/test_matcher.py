@@ -14,7 +14,9 @@ from tracerecon import (
     TraceCategory,
     match_pack,
     parse_signature_pack,
+    reconstruct,
 )
+from tracerecon.engine import analyze_action, reconstruction, shared_attributions
 from tracerecon.model import TraceState
 from tracerecon import signatures
 from tracerecon.signatures import (
@@ -158,6 +160,18 @@ def packs_and_records(draw):
 def test_match_pack_equals_the_reference_on_every_bucket(pack_and_records):
     pack, objects = pack_and_records
     assert match_pack(pack, objects) == reference_buckets(pack, objects)
+
+
+@settings(max_examples=300, deadline=None)
+@given(packs_and_records())
+def test_one_reconstruction_keeps_the_layers_of_the_hand_built_pipeline(pack_and_records):
+    pack, objects = pack_and_records
+    layers = reconstruction(iter(objects), pack)  # read once, as a stream is
+    matched = match_pack(pack, objects)
+    results = {signature.action_name: analyze_action(signature, matched) for signature in pack}
+    assert layers.results == results
+    assert layers.attributions == shared_attributions(matched, results)
+    assert layers.approximations == reconstruct(objects, pack)
 
 
 def has_literal(trace):

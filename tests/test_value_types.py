@@ -11,7 +11,7 @@ import pytest
 from tracerecon.blockfile import Block
 from tracerecon.bodyfile import ParseDiagnostic
 from tracerecon.calibration import ThresholdEstimate
-from tracerecon.engine import ActionResult, Cluster, SharedAttribution
+from tracerecon.engine import ActionResult, Cluster, Reconstruction, SharedAttribution
 from tracerecon.model import (
     ActionInstanceApproximation,
     ConfidenceNote,
@@ -43,6 +43,8 @@ CLUSTER = Cluster((STATE,))
 APPROXIMATION = ActionInstanceApproximation(
     "A", TimeInterval(1, 5), (STATE,), InstanceRank.MOST_RECENT, ConfidenceNote.DEFINITE
 )
+ATTRIBUTION = SharedAttribution(CLUSTER, frozenset({"A"}), "A")
+RESULT = ActionResult("A", 5, (CLUSTER,), (), (APPROXIMATION,))
 TRACE = TracePattern(CORE, MODIFIED, "x")
 VARIANT = PathVariant(frozenset({("/a", MODIFIED)}))
 SPEC = ActionSpec("A", 5, (VARIANT,))
@@ -56,6 +58,14 @@ APPROXIMATION_REPR = (
     f"ActionInstanceApproximation(action_name='A', interval=TimeInterval(start=1, end=5), "
     f"evidence=({STATE_REPR},), rank=<InstanceRank.MOST_RECENT: 'MostRecent'>, "
     f"note=<ConfidenceNote.DEFINITE: 'definite'>)"
+)
+ATTRIBUTION_REPR = (
+    f"SharedAttribution(cluster={CLUSTER_REPR}, candidate_actions=frozenset({{'A'}}), "
+    f"resolved='A')"
+)
+RESULT_REPR = (
+    f"ActionResult(action_name='A', threshold=5, core_clusters=({CLUSTER_REPR},), "
+    f"support_clusters=(), instances=({APPROXIMATION_REPR},))"
 )
 TRACE_REPR = (
     "TracePattern(category=<TraceCategory.CORE: 'core'>, "
@@ -116,19 +126,19 @@ CASES = [
         ],
     ),
     (
-        SharedAttribution(CLUSTER, frozenset({"A"}), "A"),
-        f"SharedAttribution(cluster={CLUSTER_REPR}, candidate_actions=frozenset({{'A'}}), "
-        f"resolved='A')",
+        ATTRIBUTION,
+        ATTRIBUTION_REPR,
         [
             ((CLUSTER, frozenset()), {}, "attribution requires at least one candidate action"),
             ((CLUSTER, frozenset({"A"})), {"resolved": "B"},
              "resolved action must be one of the candidates"),
         ],
     ),
+    (RESULT, RESULT_REPR, []),
     (
-        ActionResult("A", 5, (CLUSTER,), (), (APPROXIMATION,)),
-        f"ActionResult(action_name='A', threshold=5, core_clusters=({CLUSTER_REPR},), "
-        f"support_clusters=(), instances=({APPROXIMATION_REPR},))",
+        Reconstruction({"A": RESULT}, [ATTRIBUTION], [APPROXIMATION]),
+        f"Reconstruction(results={{'A': {RESULT_REPR}}}, attributions=[{ATTRIBUTION_REPR}], "
+        f"approximations=[{APPROXIMATION_REPR}])",
         [],
     ),
     (TRACE, TRACE_REPR, [((CORE, MODIFIED, ""), {}, "trace pattern must not be empty")]),

@@ -32,11 +32,11 @@ import random
 
 from hypothesis import strategies as st
 
-from tracerecon import derive_signatures, oracle_check, reconstruct, simulate, write_bodyfile
+from tracerecon import derive_signatures, oracle_check, simulate, write_bodyfile
 from tracerecon.bodyfile import read_bodyfile
-from tracerecon.engine import analyze_action, shared_attributions
+from tracerecon.engine import reconstruction
 from tracerecon.model import ConfidenceNote, TimestampKind, instance_interval
-from tracerecon.signatures import fold, match_pack, path_prefilter
+from tracerecon.signatures import fold, path_prefilter
 from tracerecon.simulator import ActionSpec, InstanceSchedule, PathVariant, ScheduleEntry
 from tracerecon.simulator import core_targets
 
@@ -143,12 +143,14 @@ def random_scenario(rng):
 
 def own_check_report(specs, schedule, seed):
     """Simulate a world, write its bodyfile, read it back through the derived
-    pack's prefilter, reconstruct from what was read and check the truth.
+    pack's prefilter, make one ``reconstruction`` of what was read and check
+    the truth against its layers.
 
-    Besides ``oracle_check``, two rules hold by the engine's construction:
+    Besides ``oracle_check`` of its approximations, two rules hold by the
+    engine's construction:
 
-    * every shared attribution that resolves, whether or not ``reconstruct``
-      reports it as an instance of its own: its owner truly ran in
+    * every shared attribution that resolves, whether or not it is reported
+      as an instance of its own: its owner truly ran in
       ``[cluster.oldest - threshold, cluster.newest]``.  An eliminated
       candidate wrote last at most its threshold after its newest core
       value, before the cluster, so the owner wrote every value of it;
@@ -172,9 +174,7 @@ def own_check_report(specs, schedule, seed):
     # of derived paths; with no pattern at all, it lists every line.
     derived = {trace.exact for signature in pack for trace in signature.traces}
     assert read_back == [r for r in records if hits is None or fold(r.path) in derived]
-    matched = match_pack(pack, read_back)
-    results = {signature.action_name: analyze_action(signature, matched) for signature in pack}
-    attributions = shared_attributions(matched, results)
+    _, attributions, reported = reconstruction(read_back, pack)
     failures = []
     for attribution in attributions:
         owner, cluster = attribution.resolved, attribution.cluster
@@ -184,7 +184,6 @@ def own_check_report(specs, schedule, seed):
             for instance in truth.instances
         ):
             failures.append(f"shared-resolution: {attribution}")
-    reported = reconstruct(read_back, pack)
     report = oracle_check(truth, reported, core_targets(specs))
     failures += [f"{v.prop}: {v.action}: {v.detail}" for v in report.violations]
     group_thresholds = {

@@ -18,16 +18,21 @@ flat as the input grows.  Every line is checked and diagnosed; given the
 line, by the rule of :func:`~tracerecon.signatures.path_prefilter`.  A
 line parsed on its own is checked whole by one compiled regex, and its
 fields are split and checked one at a time only when that regex rejects
-it, which gives the same records and diagnostics.  :func:`parse_bodyfile`
-reads its text as one block.  A bodyfile record drops its trailing ``\\r``
-characters, so a raw ``\\r`` inside a name is kept.  ``|`` is forbidden
-inside fields, and the four time fields are decimal epoch seconds where 0
-means "absent"; values beyond 9999-12-31T23:59:59Z cannot be rendered and
-are rejected, and so is a name left empty once its ``(deleted)`` suffix is
-removed.  Lines beginning with ``#`` and blank lines are ignored.  Names
-are UTF-8; bytes that do not decode are kept as lone surrogates
-(``surrogateescape``), since TSK writes file names as the raw bytes it
-found.
+it, which gives the same records and diagnostics.  The lines between
+candidates are checked in runs by one more regex, which builds nothing.
+It reads a name with the one-character class ``[^|]``, so a name could run
+across a line end; a run is taken only when it holds ten ``|`` for each
+``\\n``, which proves it is whole lines, and otherwise its lines are read
+one at a time.  A name with a ``(deleted)`` suffix stays in a run.
+:func:`parse_bodyfile` reads its text as one block.  A bodyfile record
+drops its trailing ``\\r`` characters, so a raw ``\\r`` inside a name is
+kept.  ``|`` is forbidden inside fields, and the four time fields are
+decimal epoch seconds where 0 means "absent"; values beyond
+9999-12-31T23:59:59Z cannot be rendered and are rejected, and so is a name
+left empty once its ``(deleted)`` suffix is removed.  Lines beginning
+with ``#`` and blank lines are ignored.  Names are UTF-8; bytes that do
+not decode are kept as lone surrogates (``surrogateescape``), since TSK
+writes file names as the raw bytes it found.
 
 NTFS-oriented kind mapping: ``atime`` is Accessed, ``mtime`` is Modified,
 ``crtime`` is Created and ``ctime`` is carried as MetaChanged.
@@ -79,35 +84,48 @@ class ParseDiagnostic(namedtuple("ParseDiagnostic", "line_no message")):
 _TIME_LABELS = ("atime", "mtime", "ctime", "crtime")
 
 
-def _plain(field: str, name_end: str, group: str) -> str:
-    """Regex text of the lines that every check of _parse_fields accepts in its plainest form.
+def _plain(field: str, name: str, group: str) -> str:
+    """Regex text of the lines of eleven fields that every check of _parse_fields accepts.
 
-    That is eleven fields; a name that is not empty and does not end in
-    ``)``, so it holds no (deleted) suffix; UID, GID and size of at most 18
-    ASCII digits, which int() reads under any digit limit; and four times of
-    at most 11 digits, below MAX_TIME, not all zero.  ``field`` is the class
-    of a field's characters, ``name_end`` that class less ``)``, and
-    ``group`` opens the group of the name and of each time.
+    ``field`` is the class of a field's characters and ``name`` the regex
+    of the name field.  UID, GID and size hold at most 18 ASCII digits,
+    which int() reads under any digit limit, and the four times at most 11
+    digits, below MAX_TIME, not all zero; ``group`` opens the group of each
+    time.
     """
     time = group + "[0-9]{1,11})"
     return (
-        field + r"*\|" + group + field + "*" + name_end + r")\|" + field + r"*\|" + field
+        field + r"*\|" + name + r"\|" + field + r"*\|" + field
         + r"*\|-?[0-9]{1,18}\|-?[0-9]{1,18}\|-?[0-9]{1,18}\|(?!0+\|0+\|0+\|0+(?![0-9]))"
         + r"\|".join([time] * 4)
     )
 
 
 # One line, without its line end; its groups are the name and the four times.
-# Every other line takes the field-by-field path.
-_PLAIN_LINE = re.compile(_plain("[^|]", "[^|)]", "("))
-# The longest run of plain lines, each ended by "\r*\n", that starts where it
-# is matched.  No field may hold a newline, so no match runs into a bad line.
-# A run may pass over a "#" line: it yields nothing, and neither does a
-# comment.  Two choices only make it faster: no group is kept (about 9% on a
-# typical bodyfile), and the field classes also leave out NUL, which no file
-# name holds, since re tests a negated class of three or more characters
-# with one bitmap lookup and one of two with two comparisons (about 15%).
-_PLAIN_RUN = re.compile("(?:" + _plain("[^\\x00\\n|]", "[^\\x00\\n)|]", "(?:") + r"\r*\n)*")
+# Its name is not empty and does not end in ")", so it holds no (deleted)
+# suffix.  Every other line takes the field-by-field path.
+_PLAIN_LINE = re.compile(_plain("[^|]", "([^|]*[^|)])", "("))
+# The longest run of valid lines, each ended by "\r*\n", that starts where it
+# is matched.  A name may end in ")", as a (deleted) one does: the lookahead
+# turns away only a name of whitespace and the suffix, which is empty once
+# the suffix goes.  The name is read with [^|], a negated class of one
+# character that re scans in a tight loop, about twice as fast as one of
+# three, so it can run across a line end; _block_records takes a match only
+# when it holds ten "|" for each "\n", since each line it reads holds ten.
+# MD5, inode and mode leave out "\n" and also NUL, which no file name holds:
+# re tests a negated class of three or more characters with one bitmap
+# lookup and one of two with two comparisons.  No group is kept (about 9% on
+# a typical bodyfile).  A run may pass over a "#" line: it yields nothing,
+# and neither does a comment.
+_PLAIN_RUN = re.compile(
+    "(?:"
+    + _plain(
+        "[^\\x00\\n|]",
+        "(?!" + DELETED_SUFFIX.pattern.removesuffix("$") + r"\|)[^|]+",
+        "(?:",
+    )
+    + r"\r*\n)*"
+)
 
 # Bytes read at a time.  A block is held several times over while it is read
 # (bytes, text, folded text), so this sets the reader's memory: the traced
@@ -193,9 +211,15 @@ def _block_records(
     searched once, and a line's record is yielded exactly when ``hits``
     lists the line's start; without ``hits``, every line's record is.  One
     :data:`_PLAIN_RUN` call checks the run of lines before the next
-    candidate and builds nothing.  Only a line where a run stops, being a
-    candidate or not plain, goes to :func:`_parse_line`, so each diagnostic
-    keeps its text and line number.
+    candidate and builds nothing.  It reads names with ``[^|]``, so its
+    match is taken only when it holds ten ``|`` for each ``\\n``, which
+    proves that no name in it runs across a line end; otherwise the lines
+    it matched are each read alone and are not matched again, so each
+    character is matched by the run at most once.  A name that ends in
+    ``)``, as a ``(deleted)`` one does, stays in a run.  Only a line where
+    a run stops, being a candidate or not valid, or one of an unproven
+    match goes to :func:`_parse_line`, so each diagnostic keeps its text
+    and line number.
     """
     line_no = 0
     for block in blocks:
@@ -204,15 +228,21 @@ def _block_records(
         starts = iter(hits(block.replace("\\", "/"))) if hits else itertools.repeat(0)
         start = next(starts, end)
         pos = 0
+        # A line that starts at or before unproven is read alone.
+        unproven = -1
         while pos < end:
-            if start > pos:
+            if start > pos > unproven:
                 # The run ends where the next candidate starts: a match cut
                 # off inside a line backtracks through all of it before failing.
                 stop = _PLAIN_RUN.match(block, pos, start).end()
-                line_no += block.count("\n", pos, stop)
-                if stop == end:
-                    break
-                pos = stop
+                lines = block.count("\n", pos, stop)
+                if block.count("|", pos, stop) == (FIELD_COUNT - 1) * lines:
+                    line_no += lines
+                    if stop == end:
+                        break
+                    pos = stop
+                else:
+                    unproven = stop
             line_end = block.find("\n", pos)
             if line_end < 0:
                 line_end = end

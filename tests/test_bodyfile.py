@@ -357,9 +357,15 @@ PREFILTER_PACK = SignaturePack([
         TracePattern(TraceCategory.CORE, TimestampKind.METACHANGED, "\\(deleted"),
     )),
 ])
-PREFILTER_LITERALS = {
-    trace.literal for patterns in PREFILTER_PACK.buckets.values() for trace in patterns
-}
+# Signature A alone: no name made only of a (deleted) suffix is a candidate.
+SUFFIXLESS_PACK = SignaturePack(PREFILTER_PACK.signatures[:1])
+
+
+def _literals(pack):
+    return {trace.literal for patterns in pack.buckets.values() for trace in patterns}
+
+
+PREFILTER_LITERALS = _literals(PREFILTER_PACK)
 
 
 def _holds_literal(record):
@@ -393,21 +399,25 @@ def test_the_prefilter_changes_neither_matches_nor_diagnostics(data):
     st.one_of(stream_bytes, streams(st.one_of(line_bytes, valid_record_bytes))),
     st.sampled_from([1, 2, 7, 64, bodyfile._BLOCK_SIZE]),
     st.sampled_from([0, signatures._FIND_LITERALS]),
-    st.booleans(),
+    st.sampled_from([None, PREFILTER_PACK, SUFFIXLESS_PACK]),
 )
 # A plain line that is no candidate, then a last line without "\n" that is
 # one: the plain run stops at the candidate, which ends with the text.
 @example(b"0|C:/x|1|r|0|0|1|5|5|5|5\n0|C:/a|1|r|0|0|1|5|5|5|5",
-         bodyfile._BLOCK_SIZE, signatures._FIND_LITERALS, True)
+         bodyfile._BLOCK_SIZE, signatures._FIND_LITERALS, PREFILTER_PACK)
 # The same with a last line that is not plain.
 @example(b"0|C:/x|1|r|0|0|1|5|5|5|5\n0|C:/a (deleted)|1|r|0|0|1|5|5|5|5",
-         bodyfile._BLOCK_SIZE, signatures._FIND_LITERALS, True)
-def test_the_block_reader_reads_what_the_line_reader_reads(
-    data, block_size, find_literals, prefiltered
-):
+         bodyfile._BLOCK_SIZE, signatures._FIND_LITERALS, PREFILTER_PACK)
+# Lines of one, no and nine "|", and of one and nine with "\r\n" ends: the
+# run reads a name across their line ends, so it cannot prove them.
+@example(b"0|C:/x|1|r|0|0|1|5|5|5|5\n0|C:\n/\nx|1|r|0|0|1|5|5|5|5\n",
+         bodyfile._BLOCK_SIZE, signatures._FIND_LITERALS, PREFILTER_PACK)
+@example(b"0|C:/x|1|r|0|0|1|5|5|5|5\r\n0|C:/x\r\n|1|r|0|0|1|5|5|5|5\r\n",
+         bodyfile._BLOCK_SIZE, signatures._FIND_LITERALS, PREFILTER_PACK)
+def test_the_block_reader_reads_what_the_line_reader_reads(data, block_size, find_literals, pack):
     # With find_literals 0 the prefilter searches a block with its trie regex.
-    hits = path_prefilter(PREFILTER_PACK) if prefiltered else None
-    expected, diagnostics = reference_ingest(data, PREFILTER_LITERALS if prefiltered else None)
+    hits = path_prefilter(pack) if pack else None
+    expected, diagnostics = reference_ingest(data, _literals(pack) if pack else None)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(bodyfile, "_BLOCK_SIZE", block_size)
         patch.setattr(signatures, "_FIND_LITERALS", find_literals)
@@ -427,29 +437,68 @@ def test_only_candidates_and_lines_that_are_not_plain_are_parsed_alone(monkeypat
     plain = "0|C:/x/{}|1|r|0|0|1|5|5|5|5"
     lines = [plain.format(i) for i in range(50)]
     lines[10] = plain.format("C:/A")  # a candidate: its name holds "c:/a"
-    # Not plain, and a candidate only by "(deleted" in the suffix it drops.
+    # Plain, but for PREFILTER_PACK a candidate by "(deleted" in the suffix it drops.
     lines[20] = plain.format("gone (deleted)")
-    lines[25] = plain.format("(25)")  # not plain: a name that ends in ")"
+    lines[25] = plain.format("(25)")  # plain: a name may end in ")"
     lines[30] = "0|bad"
+    lines[35] = plain.replace("C:/x/{}", " (deleted)")  # not plain: empty once the suffix goes
+    # One "|", then nine: the run reads the name across the line end, cannot
+    # prove its match and reads the lines of it, lines[36:45], alone.
+    cut = lines[40].index("|1|r|")
+    lines[40], lines[41] = lines[40][:cut], lines[40][cut:]
+    lines[45] = plain.format("C:/A/45")
     data = "\r\n".join(lines).encode() + b"\n"
     monkeypatch.setattr(bodyfile, "_parse_line", parse_line)
-    with _stderr() as messages:
-        records = list(read_bodyfile(io.BytesIO(data), "in.body", path_prefilter(PREFILTER_PACK)))
-    assert parsed == [lines[10], lines[20], lines[25], lines[30]]
-    assert [record.path for record in records] == ["C:/x/C:/A", "C:/x/gone"]
-    assert messages() == ["in.body: line 31: expected 11 fields, found 2"]
+    for pack, alone, paths in (
+        (PREFILTER_PACK, [10, 20, 30, 35], ["C:/x/C:/A", "C:/x/gone", "C:/x/C:/A/45"]),
+        (SUFFIXLESS_PACK, [10, 30, 35], ["C:/x/C:/A", "C:/x/C:/A/45"]),
+    ):
+        parsed.clear()
+        with _stderr() as messages:
+            records = list(read_bodyfile(io.BytesIO(data), "in.body", path_prefilter(pack)))
+        assert parsed == [lines[i] for i in alone + list(range(36, 46))]
+        assert [record.path for record in records] == paths
+        assert messages() == [
+            "in.body: line 31: expected 11 fields, found 2",
+            "in.body: line 36: empty name: ' (deleted)'",
+            "in.body: line 41: expected 11 fields, found 2",
+            "in.body: line 42: expected 11 fields, found 10",
+        ]
 
 
 def test_lines_that_hold_eleven_fields_only_together_are_each_diagnosed():
     plain = "0|C:/x|1|r|0|0|1|5|5|5|5"
-    for cut in range(1, len(plain)):
-        data = f"{plain}\n{plain[:cut]}\n{plain[cut:]}\n{plain}\n".encode()
+    # Cut into two lines, and into three, as one "|", none and nine.
+    cuts = [(cut,) for cut in range(1, len(plain))]
+    cuts += itertools.combinations_with_replacement(range(1, len(plain)), 2)
+    for cut, end in itertools.product(cuts, ["\n", "\r\n"]):
+        pieces = [plain[i:j] for i, j in zip((0, *cut), (*cut, None))]
+        data = end.join([plain, *pieces, plain, ""]).encode()
         for hits, literals in ((None, None), (path_prefilter(PREFILTER_PACK), PREFILTER_LITERALS)):
             expected, diagnostics = reference_ingest(data, literals)
             with _stderr() as messages:
                 records = list(read_bodyfile(io.BytesIO(data), "in.body", hits))
             assert records == expected
             assert messages() == [f"in.body: {diag}" for diag in diagnostics]
+
+
+def test_the_run_matches_each_character_at_most_once(monkeypatch):
+    matched, run = [], bodyfile._PLAIN_RUN
+
+    class CountingRun:
+        @staticmethod
+        def match(text, pos, endpos):
+            found = run.match(text, pos, endpos)
+            matched.append(found.end() - pos)
+            return found
+
+    monkeypatch.setattr(bodyfile, "_PLAIN_RUN", CountingRun)
+    # Pairs of lines of one and nine "|", which the run reads as one line each.
+    text = "0|C:/x\n|1|r|0|0|1|5|5|5|5\n" * 200
+    diagnostics = []
+    assert list(bodyfile._block_records([text], diagnostics.append, lambda block: [])) == []
+    assert len(diagnostics) == 400
+    assert sum(matched) <= len(text)
 
 
 def _outcome(parse, line):
